@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     try:
         with open(args.session, "r", encoding="utf-8") as handle:
             source = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"polcheck: cannot read session: {exc}", file=sys.stderr)
         return 2
     try:

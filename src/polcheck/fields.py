@@ -487,29 +487,13 @@ def conjugate_element(e: FieldElement) -> FieldElement:
     raise SpecMismatch("conjugation is not defined on this field")
 
 
-def _lift_scalar(spec: FieldSpec, c) -> FieldElement:
-    """Embed a base-field scalar into the (function) field."""
-    if spec.kind == RATFUNC:
-        num = Poly.const(spec.nvars, c if not isinstance(c, Fraction) else spec.base.scalar_one() * c)
-        den = Poly.const(spec.nvars, spec.base.scalar_one())
-        return FieldElement(spec, (num, den))
-    return FieldElement(spec, c)
-
-
-def eval_poly_at(spec: FieldSpec, p: Poly, values: list[FieldElement]) -> FieldElement:
-    """Evaluate a numerator/denominator polynomial at field elements."""
-    total = spec.zero()
-    for exps, coeff in p.terms.items():
-        term = _lift_scalar(spec, coeff)
-        for v, k in zip(values, exps):
-            if k:
-                term = term * _power(v, k)
-        total = total + term
-    return total
-
-
 def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement:
     """Substitute elements for the indeterminates of a rational function.
+
+    With images ai/bi and Di the top exponent of ti in e's numerator and
+    denominator, each of the two becomes sum c * prod ai^ei * bi^(Di-ei):
+    the common factor prod bi^Di cancels, so plain polynomial arithmetic
+    and one final reduction give the canonical value.
 
     Raises DenominatorVanishes when the substituted denominator is the
     zero element, which signals that the images do not define a valid
@@ -524,11 +508,30 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
             raise SpecMismatch(f"no image supplied for indeterminate {name!r}")
         values.append(_coerce(spec, images[name]))
     num, den = e.payload
-    den_val = eval_poly_at(spec, den, values)
+    tops = [max(exps[i] for exps in (*num.terms, *den.terms)) for i in range(spec.nvars)]
+    # factors[i][k] = ai^k * bi^(Di-k), shared by every term with ti^k
+    one = Poly.const(spec.nvars, spec.base.scalar_one())
+    factors = []
+    for (a, b), top in zip((v.payload for v in values), tops):
+        a_pows, b_pows = [one], [one]
+        for _ in range(top):
+            a_pows.append(a_pows[-1] * a)
+            b_pows.append(b_pows[-1] * b)
+        factors.append([a_pows[k] * b_pows[top - k] for k in range(top + 1)])
+
+    def cleared(p: Poly) -> Poly:
+        total = Poly.zero(spec.nvars)
+        for exps, coeff in p.terms.items():
+            term = Poly.const(spec.nvars, coeff)
+            for row, k in zip(factors, exps):
+                term = term * row[k]
+            total = total + term
+        return total
+
+    den_val = cleared(den)
     if den_val.is_zero():
         raise DenominatorVanishes(f"denominator of {format_element(e)} vanishes under substitution")
-    num_val = eval_poly_at(spec, num, values)
-    return num_val / den_val
+    return normalize_fraction(spec, cleared(num), den_val)
 
 
 # -- parsing ----------------------------------------------------------

@@ -17,13 +17,16 @@ builds such forms:
   (used to expand powers such as f(x)^k into a single form).
 
 Evaluation is pure and exact, so permutation sums may be computed in
-any order.
+any order.  Traces skip those sums: on the diagonal every term of a
+symmetrization is the same, so each node has a one-term trace rule.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, permutations
 
 from .errors import ArityTooLarge, SpecMismatch
@@ -322,7 +325,27 @@ class GenMonomial:
     def __call__(self, x: FieldElement) -> FieldElement:
         if self.degree == 0:
             return self.form.value
-        return eval_form(self.form, [x] * self.degree)
+        if x.spec != self.form.domain_spec:
+            raise SpecMismatch("form argument outside the domain field")
+        return _trace(self.form, x)
+
+
+def _trace(form: SymmetricForm, x: FieldElement) -> FieldElement:
+    """Value of the form on the diagonal (x, ..., x), by the one-term
+    trace rule of each node kind."""
+    if isinstance(form, ConstForm):
+        return form.value
+    if isinstance(form, ProductSym):
+        return reduce(operator.mul, (apply_map(m, x) for m in form.maps))
+    if isinstance(form, MapOfProduct):
+        return apply_map(form.map, x ** form.n)
+    if isinstance(form, Lift):
+        return _trace(form.inner, x ** form.k)
+    if isinstance(form, LinComb):
+        return reduce(operator.add, (coeff * _trace(inner, x) for coeff, inner in form.terms))
+    if isinstance(form, FormProduct):
+        return reduce(operator.mul, (_trace(factor, x) for factor in form.factors))
+    raise TypeError(f"unknown form node {form!r}")
 
 
 def trace(form: SymmetricForm) -> GenMonomial:

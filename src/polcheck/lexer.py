@@ -9,6 +9,11 @@ from .errors import ParseError
 # Single- and double-character operator tokens, longest match first.
 _SYMBOLS = ("==", "->", "(", ")", "+", "-", "*", "/", "^", ";", ",", "=", ":", "@")
 
+#: Deepest parenthesis nesting accepted.  The recursive-descent parsers
+#: spend at most five stack frames per level, so this stays far below
+#: Python's default recursion limit of 1000.
+MAX_NESTING = 64
+
 
 @dataclass(frozen=True)
 class Token:
@@ -23,6 +28,7 @@ def tokenize(source: str) -> list[Token]:
     """Split ``source`` into tokens; ``#`` starts a comment to end of line."""
     tokens: list[Token] = []
     i, line, col = 0, 1, 1
+    depth = 0
     n = len(source)
     while i < n:
         ch = source[i]
@@ -57,6 +63,13 @@ def tokenize(source: str) -> list[Token]:
             continue
         for sym in _SYMBOLS:
             if source.startswith(sym, i):
+                if sym == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", i,
+                                         line=line, column=col)
+                elif sym == ")":
+                    depth = max(depth - 1, 0)
                 tokens.append(Token(sym, sym, i, line, col))
                 i += len(sym)
                 col += len(sym)

@@ -21,7 +21,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     conjugate_element,
-    eval_poly_at,
     format_element,
     normalize_fraction,
 )

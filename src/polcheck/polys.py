@@ -67,11 +67,6 @@ class Poly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, v: int) -> int:
-        if not self.terms:
-            return 0
-        return max(e[v] for e in self.terms)
-
     def vars_used(self) -> set[int]:
         used = set()
         for e in self.terms:

@@ -38,6 +38,25 @@ def test_missing_file_exit_two():
     assert result.returncode == 2
 
 
+def test_non_utf8_session_exit_two(tmp_path):
+    bad = tmp_path / "bad.pol"
+    bad.write_bytes(b"field F = Q;\xff\xfe")
+    result = run_cli("run", str(bad))
+    assert result.returncode == 2
+    assert "polcheck: cannot read session:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_deep_nesting_exit_two(tmp_path):
+    deep = tmp_path / "deep.pol"
+    deep.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"
+                    "check f(x) == " + "(" * 400 + "f(x)" + ")" * 400 + ";\n")
+    result = run_cli("run", str(deep))
+    assert result.returncode == 2
+    assert "nested deeper than" in result.stderr and "line 4" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_usage_error_exit_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2

@@ -17,6 +17,7 @@ from polcheck.fields import (
     parse_element,
     substitute,
 )
+from polcheck.lexer import MAX_NESTING
 from polcheck.oracle import from_element, matches, o_mul
 from polcheck.polys import Poly
 
@@ -25,6 +26,8 @@ Q2 = FieldSpec.quadratic(2)
 Q5 = FieldSpec.quadratic(5)
 QT = FieldSpec.ratfunc(Q, ["t"])
 QTU = FieldSpec.ratfunc(Q2, ["t", "u"])
+Q2T = FieldSpec.ratfunc(Q2, ["t"])
+QTU_RAT = FieldSpec.ratfunc(Q, ["t", "u"])
 
 
 # -- spec construction ---------------------------------------------------
@@ -127,6 +130,34 @@ def test_substitute_requires_all_images():
         substitute(QTU.element("t+u"), {"t": QTU.element("t")})
 
 
+def test_substitute_two_rational_images():
+    # t*u/(t+1) at t = 1/u, u = t/(u+1): (t/(u*(u+1))) / ((u+1)/u)
+    e = QTU_RAT.element("t*u/(t+1)")
+    images = {"t": QTU_RAT.element("1/u"), "u": QTU_RAT.element("t/(u+1)")}
+    assert substitute(e, images) == QTU_RAT.element("t/(u^2+2*u+1)")
+
+
+def test_substitute_uneven_degrees_in_two_variables():
+    # t^2/u at t = u/t, u = t+u: (u^2/t^2) / (t+u)
+    e = QTU_RAT.element("t^2/u")
+    images = {"t": QTU_RAT.element("u/t"), "u": QTU_RAT.element("t+u")}
+    assert substitute(e, images) == QTU_RAT.element("u^2/(t^3+t^2*u)")
+
+
+def test_substitute_rational_image_over_quadratic_base():
+    # (t^2+sqrt2)/(t-1) at t = sqrt2/t: ((2+sqrt2*t^2)/t^2) / ((sqrt2-t)/t)
+    e = Q2T.element("(t^2+sqrt(2))/(t-1)")
+    value = substitute(e, {"t": Q2T.element("sqrt(2)/t")})
+    assert value == Q2T.element("(sqrt(2)*t^2+2)/(sqrt(2)*t-t^2)")
+    assert format_element(value) == "(-sqrt(2)*t^2-2)/(t^2-sqrt(2)*t)"
+
+
+def test_substitute_denominator_vanishes_in_two_variables():
+    u = QTU_RAT.element("u")
+    with pytest.raises(DenominatorVanishes):
+        substitute(QTU_RAT.element("1/(t-u)"), {"t": u, "u": u})
+
+
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_fraction_of_polynomials():
@@ -145,6 +176,13 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse_element("t/", QT)
     assert err.value.position == 2
+
+
+def test_parse_nesting_limit():
+    assert parse_element("(" * MAX_NESTING + "2" + ")" * MAX_NESTING, Q) == Q.from_int(2)
+    with pytest.raises(ParseError) as err:
+        parse_element("(" * 400 + "2" + ")" * 400, Q)
+    assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
 
 
 def test_parse_spec_mismatch():

@@ -249,6 +249,47 @@ def test_form_product_trace_is_product_of_traces():
     assert trace(fp)(E) == NORM(E) ** 2
 
 
+Q2T = FieldSpec.ratfunc(Q2, ["t"])
+
+
+def _diagonal_cases(spec):
+    """One form per node kind; the trace runs the diagonal rules while
+    eval_form runs the permutation and partition sums."""
+    quad = spec.base.kind == "quadratic"
+    endo = build_endomorphism(spec, {"t": spec.element("t^2+1")}, conjugate_base=quad)
+    der = build_derivation(spec, {"t": spec.element("sqrt(2)*t" if quad else "1")})
+    idt = identity_map(spec)
+    coeff = spec.element("(1+sqrt(2))/t" if quad else "2/(t-3)")
+    return [
+        ("const", ConstForm(coeff)),
+        ("productsym", ProductSym((endo, der, idt))),
+        ("mapofproduct", MapOfProduct(der + endo, 3)),
+        ("lift", Lift(ProductSym((endo, der)), 2)),
+        ("lincomb", LinComb(((coeff, ProductSym((endo, idt))),
+                             (spec.from_int(-3), MapOfProduct(der, 2))))),
+        ("formproduct", FormProduct((ProductSym((der,)), MapOfProduct(endo, 2),
+                                     ConstForm(coeff)))),
+    ]
+
+
+@pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt2)(t)"])
+@pytest.mark.parametrize("kind", ["const", "productsym", "mapofproduct", "lift",
+                                  "lincomb", "formproduct"])
+def test_trace_matches_eval_form_on_diagonal(spec, kind):
+    form = dict(_diagonal_cases(spec))[kind]
+    points = ["t", "t/(t+1)", "2*t^2-1"]
+    if spec.base.kind == "quadratic":
+        points.append("1/(sqrt(2)*t-1)")
+    for text in points:
+        x = spec.element(text)
+        assert trace(form)(x) == eval_form(form, [x] * form.arity)
+
+
+def test_trace_rejects_argument_outside_domain():
+    with pytest.raises(SpecMismatch):
+        NORM(QT.element("t"))
+
+
 def test_arity_caps():
     with pytest.raises(ArityTooLarge):
         ProductSym(tuple(identity_map(Q) for _ in range(9)))

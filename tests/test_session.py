@@ -151,6 +151,19 @@ def test_refutation_gives_exit_one_and_witness():
     assert any("diff = -4*t^2" in w for w in entry["witnesses"])
 
 
+def test_two_variable_function_field_reaches_a_verdict():
+    src = """
+    field F = Q(t, u);
+    hom s : t -> t^2, u -> u+1;
+    hom r : t -> u, u -> t;
+    genpoly f = trace(product(s, r));
+    check f(x^2) == f(x)^2 on samples(3, seed=3);
+    """
+    doc = run_src(src)
+    assert doc.exit_code == 0
+    assert doc.entries[0]["verdict"] == "HOLDS_ON_SAMPLE"
+
+
 def test_empty_session_empty_report():
     doc = run_src("field F = Q;\n")
     assert doc.exit_code == 0 and doc.entries == []
