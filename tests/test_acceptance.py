@@ -9,6 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from polcheck import forms as forms_module
+from polcheck import funceq as funceq_module
+from polcheck import genpoly as genpoly_module
+from polcheck import maps as maps_module
 from polcheck.fields import FieldSpec
 from polcheck.forms import (
     LinComb,
@@ -292,6 +296,8 @@ def test_criterion_9_oracle_cross_check():
         doc = run_session(session, options)
         assert doc.consistent, f"oracle mismatch in {path.name}"
         assert doc.exit_code in (0, 1), path.name
+        golden = path.with_suffix(".oracle.json")
+        assert emit_report(doc, "json") == golden.read_bytes(), f"report differs from {golden.name}"
         checked_entries += sum(1 for e in doc.entries if e.get("oracle_checked"))
     assert checked_entries >= 15
     announce(9, f"--oracle-check reproduces every engine value in the golden "
@@ -306,6 +312,58 @@ def test_criterion_9b_mismatch_exits_three():
     assert doc.exit_code == 3
 
 
+_AUDIT_SESSION = """
+field F = Q(sqrt 2);
+hom c = conj;
+form N2 = product(id, c);
+genpoly f = trace(N2);
+"""
+
+
+def _add_one(original):
+    def faulty(*args):
+        value = original(*args)
+        return value + value.spec.one()
+    return faulty
+
+
+def _add_cube(original):
+    def faulty(self, x):
+        return original(self, x) + x * x * x
+    return faulty
+
+
+def _plus_one(original):
+    return lambda *args: original(*args) + 1
+
+
+# command -> (owner of an engine-only function, its name, fault); the
+# oracle is never patched, so the audit must see the engine's new values.
+_FAULTS = {
+    "check f(x^2) == f(x)^2 on samples(3, seed=1)":
+        (forms_module.GenMonomial, "__call__", _add_cube),
+    "check f(x^2) == f(x)^2 on span(1, sqrt(2))": (forms_module, "_eval", _add_one),
+    "classify quadratic N2 with dictionary(id, c)":
+        (funceq_module, "quartic_form_value", _add_one),
+    "degree f": (forms_module.GenMonomial, "__call__", _add_cube),
+    "rank f add translates(1, sqrt(2)) points(1, 2, 3)":
+        (genpoly_module, "matrix_rank", _plus_one),
+    "verify multiplicative c": (maps_module, "apply_map", _add_one),
+    "polarize f at (1, sqrt(2))": (forms_module, "delta_many", _add_one),
+}
+
+
+@pytest.mark.parametrize("command", list(_FAULTS))
+def test_criterion_9c_audit_catches_a_faulty_engine(monkeypatch, command):
+    owner, name, fault = _FAULTS[command]
+    session = parse_session(_AUDIT_SESSION + command + ";\n")
+    monkeypatch.setattr(owner, name, fault(getattr(owner, name)))
+    doc = run_session(session, RunOptions(seed=5, oracle_check=True))
+    (entry,) = doc.entries
+    assert entry.get("oracle_mismatches"), entry
+    assert not doc.consistent and doc.exit_code == 3
+
+
 def test_criterion_10_deterministic_reports():
     for path in SESSIONS:
         source = path.read_text()
@@ -314,7 +372,10 @@ def test_criterion_10_deterministic_reports():
             doc = run_session(parse_session(source), RunOptions(seed=12))
             blobs.append(emit_report(doc, "json"))
         assert blobs[0] == blobs[1], f"nondeterministic report for {path.name}"
+        golden = path.with_suffix(".json")
+        assert blobs[0] == golden.read_bytes(), f"report differs from {golden.name}"
         parsed = json.loads(blobs[0])
         assert parsed["schema"] == "1"
     announce(10, f"byte-identical JSON reports across repeated runs of all "
-                 f"{len(SESSIONS)} golden sessions with a fixed seed")
+                 f"{len(SESSIONS)} golden sessions with a fixed seed, equal to the "
+                 f"committed reports")
