@@ -13,6 +13,7 @@ import os
 import sys
 
 from .errors import ParseError, PolcheckError
+from .forms import DEFAULT_ARITY_CAP
 from .session import RunOptions, emit_report, parse_session, run_session
 
 
@@ -29,10 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampling seed (default: POLCHECK_SEED or 0)")
     run.add_argument("--samples", type=int, default=20,
                      help="default number of seeded samples per check")
-    run.add_argument("--max-arity", type=int, default=8,
-                     help="cap on form arity for span checks (hard ceiling 8)")
+    run.add_argument("--max-arity", type=int, default=DEFAULT_ARITY_CAP,
+                     help=f"cap on form arity for span checks (hard ceiling {DEFAULT_ARITY_CAP})")
     run.add_argument("--oracle-check", action="store_true",
-                     help="recompute every engine value with the naive oracle")
+                     help="re-derive every engine value with the naive oracle")
     run.add_argument("--out", default=None, help="write the report to a file")
     return parser
 

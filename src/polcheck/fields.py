@@ -579,11 +579,11 @@ def _parse_product(stream: TokenStream, spec: FieldSpec) -> FieldElement:
 
 
 def _parse_unary(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    if stream.accept("-"):
-        return -_parse_unary(stream, spec)
-    if stream.accept("+"):
-        return _parse_unary(stream, spec)
-    return _parse_power(stream, spec)
+    negate = False
+    while stream.at("-", "+"):
+        negate ^= stream.next().kind == "-"
+    value = _parse_power(stream, spec)
+    return -value if negate else value
 
 
 def _parse_power(stream: TokenStream, spec: FieldSpec) -> FieldElement:

@@ -146,11 +146,16 @@ class Classification:
 
 @dataclass(frozen=True)
 class EquationReport:
+    """A verdict with its evidence.  ``rows`` holds every (input, lhs,
+    rhs) triple the check compared on the way to the verdict, so the
+    values can be audited without evaluating the engine again."""
+
     verdict: str
     witnesses: tuple[Witness, ...] = ()
     classification: Classification | None = None
     sample_description: str = ""
     detail: str = ""
+    rows: tuple[tuple, ...] = ()
 
     def __post_init__(self):
         if self.verdict == REFUTED:
@@ -194,7 +199,7 @@ def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
     """Shared pointwise core: evaluate both sides exactly at each sample."""
     witnesses = []
     skipped = []
-    evaluated = 0
+    rows = []
     for x in samples:
         try:
             lhs = lhs_fn(x)
@@ -202,20 +207,20 @@ def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
         except DenominatorVanishes as exc:
             skipped.append(Witness(x, None, None, None, note=f"skipped: {exc}"))
             continue
-        evaluated += 1
+        rows.append((x, lhs, rhs))
         diff = lhs - rhs
         if not diff.is_zero():
             witnesses.append(Witness(x, lhs, rhs, diff))
     note = f"; {len(skipped)} sample(s) skipped (denominator vanished)" if skipped else ""
+    description = sample_description + note
     if witnesses:
         return EquationReport(REFUTED, tuple(witnesses) + tuple(skipped),
-                              sample_description=sample_description + note)
-    if evaluated == 0:
-        return EquationReport(INCONCLUSIVE, tuple(skipped),
-                              sample_description=sample_description + note,
+                              sample_description=description, rows=tuple(rows))
+    if not rows:
+        return EquationReport(INCONCLUSIVE, tuple(skipped), sample_description=description,
                               detail="every sample was skipped")
-    return EquationReport(HOLDS_ON_SAMPLE, tuple(skipped),
-                          sample_description=sample_description + note)
+    return EquationReport(HOLDS_ON_SAMPLE, tuple(skipped), sample_description=description,
+                          rows=tuple(rows))
 
 
 def check_pointwise(f, p: PolySpec, q: PolySpec, samples: list[FieldElement],
@@ -234,6 +239,15 @@ def _single_monomial(f) -> GenMonomial:
     if isinstance(f, GenPoly) and len(f.components) == 1:
         return f.components[0]
     raise SpecMismatch("the symmetrized check needs a single generalized monomial")
+
+
+def span_forms(monomial: GenMonomial, p: PolySpec, q: PolySpec):
+    """Both sides of f(x^k) = lambda*f(x)^k, for monomial P = x^k and
+    Q = lambda*x^k, as symmetric forms of arity n*k: the lift of f's form
+    and lambda times the symmetrized product of k copies of it."""
+    k, _ = p.monomial_parts()
+    _, lam = q.monomial_parts()
+    return Lift(monomial.form, k), LinComb(((lam, FormProduct((monomial.form,) * k)),))
 
 
 def check_symmetrized(f, p: PolySpec, q: PolySpec,
@@ -258,7 +272,7 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates require monomial P and Q")
     k, p_coeff = p_parts
-    kq, lam = q_parts
+    kq, _ = q_parts
     if not p_coeff.is_one():
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
@@ -271,22 +285,21 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates need k >= 1")
-    lhs_form = Lift(monomial.form, k)  # may raise ArityTooLarge
-    rhs_form = LinComb(((lam, FormProduct((monomial.form,) * k)),))
+    lhs_form, rhs_form = span_forms(monomial, p, q)  # may raise ArityTooLarge
     arity = n * k
     witnesses = []
-    checked = 0
+    rows = []
     for tup in probe_tuples(generators, arity):
         lhs = eval_form(lhs_form, list(tup))
         rhs = eval_form(rhs_form, list(tup))
-        checked += 1
+        rows.append((tuple(tup), lhs, rhs))
         if lhs != rhs:
             witnesses.append(Witness(tuple(tup), lhs, rhs, lhs - rhs))
     description = (f"span generators ({', '.join(format_element(g) for g in generators)}); "
-                   f"{checked} tuple(s) of arity {arity}")
-    if witnesses:
-        return EquationReport(REFUTED, tuple(witnesses), sample_description=description)
-    return EquationReport(HOLDS_ON_SPAN, sample_description=description)
+                   f"{len(rows)} tuple(s) of arity {arity}")
+    verdict = REFUTED if witnesses else HOLDS_ON_SPAN
+    return EquationReport(verdict, tuple(witnesses), sample_description=description,
+                          rows=tuple(rows))
 
 
 def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
@@ -331,33 +344,34 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         probes = [one] + probes
     description = f"probes ({', '.join(format_element(p) for p in probes)})"
 
+    rows = []  # the quartic values, each compared with 0, then the certificate
+
+    def report(verdict, witnesses=(), **extra) -> EquationReport:
+        return EquationReport(verdict, witnesses, sample_description=description,
+                              rows=tuple(rows), **extra)
+
     for tup in probe_tuples(probes, 4):
         value = quartic_form_value(f2, *tup)
+        zero = value.spec.zero()
+        rows.append((tuple(tup), value, zero))
         if not value.is_zero():
-            zero = value.spec.zero()
-            return EquationReport(
-                REFUTED, (Witness(tuple(tup), value, zero, value),),
-                sample_description=description,
-                detail="six-term quartic form is nonzero on a probe tuple")
+            return report(REFUTED, (Witness(tuple(tup), value, zero, value),),
+                          detail="six-term quartic form is nonzero on a probe tuple")
 
     f_at_1 = eval_form(f2, [one, one])
     if f_at_1.is_zero():
         for p in probes:
             value = eval_form(f2, [p, p])
             if not value.is_zero():
-                return EquationReport(
-                    REFUTED, (Witness(p, value, value.spec.zero(), value),),
-                    sample_description=description,
-                    detail="f(1) = 0 but f is not identically zero on probes")
+                return report(REFUTED, (Witness(p, value, value.spec.zero(), value),),
+                              detail="f(1) = 0 but f is not identically zero on probes")
         classification = Classification(f_at_1=f_at_1, factors=(), case_tag="zero function")
-        return EquationReport(HOLDS_ON_SAMPLE, classification=classification,
-                              sample_description=description)
+        return report(HOLDS_ON_SAMPLE, classification=classification)
     if f_at_1 != one.spec.one():
         # unreachable when step 2 passed: F4(1,1,1,1) = 3 f(1)(1 - f(1))
         value = quartic_form_value(f2, one, one, one, one)
-        return EquationReport(REFUTED, (Witness((one,) * 4, value, value.spec.zero(), value),),
-                              sample_description=description,
-                              detail="f(1) is neither 0 nor 1")
+        return report(REFUTED, (Witness((one,) * 4, value, value.spec.zero(), value),),
+                      detail="f(1) is neither 0 nor 1")
 
     a_values = {p: eval_form(f2, [p, one]) for p in probes}
 
@@ -369,10 +383,8 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         ax, ax2, ax4 = a_of(p), a_of(p * p), a_of(p ** 4)
         value = -ax4 + ax2 * ax2 + 4 * (ax * ax) * ax2 - 4 * ax ** 4
         if not value.is_zero():
-            return EquationReport(
-                REFUTED, (Witness(p, value, value.spec.zero(), value),),
-                sample_description=description,
-                detail="quartic constraint on a(x) = F2(x, 1) fails")
+            return report(REFUTED, (Witness(p, value, value.spec.zero(), value),),
+                          detail="quartic constraint on a(x) = F2(x, 1) fails")
 
     # convolution identity for every choice of z*
     for z_star in probes:
@@ -386,10 +398,8 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
                 lhs = conv(x * y)
                 rhs = a_of(x) * conv(y) + a_of(y) * conv(x)
                 if lhs != rhs:
-                    return EquationReport(
-                        REFUTED, (Witness((x, y, z_star), lhs, rhs, lhs - rhs),),
-                        sample_description=description,
-                        detail="convolution identity fails")
+                    return report(REFUTED, (Witness((x, y, z_star), lhs, rhs, lhs - rhs),),
+                                  detail="convolution identity fails")
 
     coeffs = _solve_against_dictionary(a_values, dictionary, probes)
     residual = None
@@ -424,25 +434,24 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         case_tag = "two independent homomorphisms"
     else:
         combo = " + ".join(f"{format_element(c)}*{phi.describe()}" for c, phi in nonzero)
-        return EquationReport(
-            INCONCLUSIVE, sample_description=description,
-            detail=f"a decomposed as {combo}, which is not a half-sum or a single "
-                   f"homomorphism; the probe set may be too small")
+        return report(INCONCLUSIVE,
+                      detail=f"a decomposed as {combo}, which is not a half-sum or a single "
+                             f"homomorphism; the probe set may be too small")
 
     phi1, phi2 = factors
+    certificate = []
     for p in probes:
         lhs = eval_form(f2, [p, p])
         rhs = f_at_1 * apply_map(phi1, p) * apply_map(phi2, p)
         if lhs != rhs:
-            return EquationReport(
-                REFUTED, (Witness(p, lhs, rhs, lhs - rhs),),
-                sample_description=description,
-                detail="factor certificate failed to reproduce f on a probe")
+            return report(REFUTED, (Witness(p, lhs, rhs, lhs - rhs),),
+                          detail="factor certificate failed to reproduce f on a probe")
+        certificate.append((p, lhs, rhs))
+    rows += certificate
     classification = Classification(
         f_at_1=f_at_1, factors=factors, case_tag=case_tag,
         extras=(("certificate", "f(x) = f(1)*phi1(x)*phi2(x) re-verified on probes"),))
-    return EquationReport(HOLDS_ON_SAMPLE, classification=classification,
-                          sample_description=description)
+    return report(HOLDS_ON_SAMPLE, classification=classification)
 
 
 def derive_power_coefficients(n: int, f_at_1: FieldElement):

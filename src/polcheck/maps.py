@@ -351,12 +351,14 @@ _LAWS = (ADDITIVE, MULTIPLICATIVE, LEIBNIZ)
 
 @dataclass(frozen=True)
 class LawReport:
-    """Outcome of checking one algebraic law on sample pairs."""
+    """Outcome of checking one algebraic law on sample pairs; ``rows``
+    holds the ((x, y), lhs, rhs) triple of every pair compared."""
 
     law: str
     passed: bool
     checked: int
     witness: tuple[FieldElement, FieldElement, FieldElement, FieldElement] | None = None
+    rows: tuple[tuple, ...] = ()
 
     def describe(self) -> str:
         if self.passed:
@@ -375,6 +377,7 @@ def verify_map_laws(m: AdditiveMap, law: str,
         raise ValueError(f"unknown law {law!r}; expected one of {_LAWS}")
     if not samples:
         raise ValueError("samples must be nonempty")
+    rows = []
     for x, y in samples:
         if law == ADDITIVE:
             lhs = apply_map(m, x + y)
@@ -385,6 +388,7 @@ def verify_map_laws(m: AdditiveMap, law: str,
         else:
             lhs = apply_map(m, x * y)
             rhs = apply_map(m, x) * y + x * apply_map(m, y)
+        rows.append(((x, y), lhs, rhs))
         if lhs != rhs:
-            return LawReport(law, False, len(samples), (x, y, lhs, rhs))
-    return LawReport(law, True, len(samples))
+            return LawReport(law, False, len(samples), (x, y, lhs, rhs), tuple(rows))
+    return LawReport(law, True, len(samples), rows=tuple(rows))

@@ -33,14 +33,20 @@ from .fields import (
 from .lexer import TokenStream, tokenize
 
 
+#: Default bounds of seeded samples: numerator and denominator height,
+#: and the degree of each indeterminate.
+SAMPLE_HEIGHT = 5
+SAMPLE_DEGREE = 2
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """Deterministic sampling parameters (bounds are inclusive)."""
 
     seed: int = 0
     count: int = 20
-    max_height: int = 5
-    max_degree: int = 2
+    max_height: int = SAMPLE_HEIGHT
+    max_degree: int = SAMPLE_DEGREE
 
     def __post_init__(self):
         if self.count < 1 or self.max_height < 1 or self.max_degree < 0:
@@ -570,16 +576,15 @@ def _oe_product(stream, oracle, env, spec):
 
 
 def _oe_unary(stream, oracle, env, spec):
-    if stream.accept("-"):
-        return o_neg(_oe_unary(stream, oracle, env, spec))
-    if stream.accept("+"):
-        return _oe_unary(stream, oracle, env, spec)
+    minus_signs = 0
+    while stream.at("+", "-"):
+        minus_signs += stream.next().kind == "-"
     value = _oe_atom(stream, oracle, env, spec)
     if stream.accept("^"):
         sign = -1 if stream.accept("-") else 1
         tok = stream.expect("int", "integer exponent")
         value = o_pow(value, sign * int(tok.text))
-    return value
+    return o_neg(value) if minus_signs % 2 else value
 
 
 def _oe_atom(stream, oracle, env, spec):

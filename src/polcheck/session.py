@@ -10,6 +10,9 @@ field; commands reference declared names.  Example::
     genpoly f = trace(N2);
     check f(x^2) == f(x)^2 on span(1, sqrt(2), 1+sqrt(2));
 
+Every statement kind is one entry of ``_KINDS``: how it parses, how it
+runs, and how the independent oracle audits the values it computed.
+
 Reports are byte-stable for a fixed session, seed and tool version:
 the JSON form carries no wall-clock data (timing appears only in the
 text rendering).
@@ -19,16 +22,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from . import __version__
 from .errors import (
     ArityTooLarge,
+    DictionaryInsufficient,
     NameResolutionError,
     ParseError,
     PolcheckError,
-    SpecMismatch,
     TypeMismatch,
 )
 from .fields import (
@@ -39,7 +46,7 @@ from .fields import (
     parse_element_tokens,
 )
 from .forms import (
-    FormProduct,
+    DEFAULT_ARITY_CAP,
     GenMonomial,
     LinComb,
     Lift,
@@ -62,6 +69,7 @@ from .funceq import (
     check_symmetrized,
     classify_quadratic_square,
     degree_precheck,
+    span_forms,
 )
 from .genpoly import GenPoly, degree_estimate, genpoly_from, variety_rank
 from .lexer import Token, TokenStream, tokenize
@@ -76,14 +84,25 @@ from .maps import (
     verify_map_laws,
     zero_map,
 )
-from .oracle import Oracle, SampleConfig, from_element, matches, o_is_zero, random_element
+from .oracle import (
+    Oracle,
+    SampleConfig,
+    from_element,
+    matches,
+    o_add,
+    o_divint,
+    o_int,
+    o_is_zero,
+    o_mul,
+    o_neg,
+    o_zero,
+    random_element,
+)
 
 PASS = "pass"
 ERROR = "ERROR"
 _PASSING = {HOLDS_ON_SAMPLE, HOLDS_ON_SPAN, PASS}
 
-#: Hard ceiling on form arity; the CLI flag can only lower it.
-ARITY_CEILING = 8
 DEGREE_CAP = 6
 
 
@@ -91,16 +110,11 @@ DEGREE_CAP = 6
 class RunOptions:
     seed: int = 0
     samples: int = 20
-    max_arity: int = ARITY_CEILING
+    max_arity: int = DEFAULT_ARITY_CAP
     oracle_check: bool = False
-    max_height: int = 5
-    max_degree: int = 2
 
-    def sample_config(self, count=None, seed=None) -> SampleConfig:
-        return SampleConfig(seed=self.seed if seed is None else seed,
-                            count=self.samples if count is None else count,
-                            max_height=self.max_height,
-                            max_degree=self.max_degree)
+    def sample_config(self, count: int, seed: int | None = None) -> SampleConfig:
+        return SampleConfig(seed=self.seed if seed is None else seed, count=count)
 
 
 def default_probes(spec: FieldSpec) -> list[FieldElement]:
@@ -162,6 +176,18 @@ def format_session(session: Session) -> str:
 _BUILTIN_MAPS = ("id", "conj", "zero")
 
 
+@contextmanager
+def _as_type_mismatch():
+    """Report an engine error raised while building a declared object as
+    a type mismatch; parse, name and type errors pass through."""
+    try:
+        yield
+    except (ParseError, NameResolutionError, TypeMismatch):
+        raise
+    except PolcheckError as exc:
+        raise TypeMismatch(str(exc)) from exc
+
+
 class _Parser:
     def __init__(self, source: str):
         self.source = source
@@ -191,72 +217,92 @@ class _Parser:
         raise NameResolutionError(
             f"unknown name {token.text!r} at line {token.line}, column {token.column}")
 
-    def _command_text(self, start: Token) -> str:
-        end = self.stream.peek().pos
-        return " ".join(self.source[start.pos:end].split())
+    def _keyword(self, message: str, *words: str) -> Token:
+        """A name token that must be one of ``words``."""
+        tok = self.stream.expect("name", " or ".join(words))
+        if tok.text not in words:
+            raise ParseError(message, tok.pos, expected=set(words),
+                             line=tok.line, column=tok.column)
+        return tok
+
+    def _paren_list(self, parse_item) -> list:
+        """'(' item (',' item)* ')'"""
+        self.stream.expect("(")
+        items = [parse_item()]
+        while self.stream.accept(","):
+            items.append(parse_item())
+        self.stream.expect(")")
+        return items
+
+    def _element_list(self, spec: FieldSpec) -> list[FieldElement]:
+        return self._paren_list(lambda: parse_element_tokens(self.stream, spec))
+
+    def _parse_genpoly(self) -> tuple[str, GenPoly]:
+        tok = self.stream.expect("name", "genpoly name")
+        f = self._lookup(tok)
+        if isinstance(f, GenMonomial):
+            f = genpoly_from([f])
+        if not isinstance(f, GenPoly):
+            raise TypeMismatch(f"{tok.text!r} is not a generalized polynomial")
+        return tok.text, f
 
     # entry point --------------------------------------------------------
 
     def parse(self) -> Session:
         statements = []
         while not self.stream.at("end"):
-            tok = self.stream.peek()
-            if tok.kind != "name":
-                raise self.stream.error("expected a statement keyword",
-                                        expected={"field", "hom", "der", "map", "form",
-                                                  "genpoly", "check", "classify", "degree",
-                                                  "rank", "verify", "polarize"})
-            handler = getattr(self, f"_stmt_{tok.text}", None)
-            if handler is None:
-                raise self.stream.error(f"unknown statement {tok.text!r}")
-            handler()
-            semi = self.stream.tokens[self.stream.index - 1]
-            statements.append(" ".join(self.source[tok.pos:semi.pos].split()) + ";")
+            start = self.stream.peek()
+            if start.kind != "name":
+                raise self.stream.error("expected a statement keyword", expected=set(_KINDS))
+            kind = _KINDS.get(start.text)
+            if kind is None:
+                raise self.stream.error(f"unknown statement {start.text!r}")
+            self.stream.next()
+            parsed = kind.parse(self)
+            semi = self.stream.expect(";")
+            text = " ".join(self.source[start.pos:semi.pos].split())
+            if kind.run is None:
+                parsed()
+            else:
+                self.commands.append(Command(start.text, text, parsed))
+            statements.append(text + ";")
         normalized = " ".join(self.source.split())
         digest = hashlib.sha256(normalized.encode()).hexdigest()
         return Session(self.env, self.fields, self.commands, digest, self.source, statements)
 
-    # declarations ------------------------------------------------------
+    # declarations: each returns the binding to make once its ';' is read
 
     def _stmt_field(self):
-        self.stream.next()
         name = self.stream.expect("name", "field name").text
         if name in self.fields or name in self.env:
             raise NameResolutionError(f"{name!r} is already declared")
         self.stream.expect("=")
-        base_tok = self.stream.expect("name", "Q")
-        if base_tok.text != "Q":
-            raise ParseError("field must start from Q", base_tok.pos,
-                             expected={"Q"}, line=base_tok.line, column=base_tok.column)
+        self._keyword("field must start from Q", "Q")
         spec = FieldSpec.rationals()
-        if self.stream.accept("("):
-            if self.stream.at("name") and self.stream.peek().text == "sqrt":
-                self.stream.next()
-                neg = bool(self.stream.accept("-"))
-                d_tok = self.stream.expect("int", "integer radicand")
-                d = -int(d_tok.text) if neg else int(d_tok.text)
-                try:
-                    spec = FieldSpec.quadratic(d)
-                except SpecMismatch as exc:
-                    raise TypeMismatch(str(exc)) from exc
-                self.stream.expect(")")
-                if self.stream.accept("("):
+        with _as_type_mismatch():
+            if self.stream.accept("("):
+                if self.stream.at("name") and self.stream.peek().text == "sqrt":
+                    self.stream.next()
+                    neg = bool(self.stream.accept("-"))
+                    d_tok = self.stream.expect("int", "integer radicand")
+                    spec = FieldSpec.quadratic(-int(d_tok.text) if neg else int(d_tok.text))
+                    self.stream.expect(")")
+                    if self.stream.accept("("):
+                        spec = self._finish_ratfunc(spec)
+                else:
                     spec = self._finish_ratfunc(spec)
-            else:
-                spec = self._finish_ratfunc(spec)
-        self.stream.expect(";")
-        self.fields[name] = spec
-        self.current_field = spec
+
+        def bind():
+            self.fields[name] = spec
+            self.current_field = spec
+        return bind
 
     def _finish_ratfunc(self, base: FieldSpec) -> FieldSpec:
         names = [self.stream.expect("name", "indeterminate").text]
         while self.stream.accept(","):
             names.append(self.stream.expect("name", "indeterminate").text)
         self.stream.expect(")")
-        try:
-            return FieldSpec.ratfunc(base, names)
-        except SpecMismatch as exc:
-            raise TypeMismatch(str(exc)) from exc
+        return FieldSpec.ratfunc(base, names)
 
     def _parse_images(self, spec: FieldSpec) -> dict[str, FieldElement]:
         images = {}
@@ -269,10 +315,9 @@ class _Parser:
         return images
 
     def _stmt_hom(self):
-        self.stream.next()
         name = self.stream.expect("name", "map name").text
         spec = self._require_field()
-        try:
+        with _as_type_mismatch():
             if self.stream.accept("="):
                 kind = self.stream.expect("name", "id or conj").text
                 if kind == "conj":
@@ -284,34 +329,21 @@ class _Parser:
             else:
                 self.stream.expect(":")
                 obj = build_endomorphism(spec, self._parse_images(spec))
-        except PolcheckError as exc:
-            if isinstance(exc, (ParseError, NameResolutionError, TypeMismatch)):
-                raise
-            raise TypeMismatch(str(exc)) from exc
-        self.stream.expect(";")
-        self._declare(name, obj)
+        return lambda: self._declare(name, obj)
 
     def _stmt_der(self):
-        self.stream.next()
         name = self.stream.expect("name", "map name").text
         spec = self._require_field()
         self.stream.expect(":")
-        try:
+        with _as_type_mismatch():
             obj = build_derivation(spec, self._parse_images(spec))
-        except PolcheckError as exc:
-            if isinstance(exc, (ParseError, NameResolutionError, TypeMismatch)):
-                raise
-            raise TypeMismatch(str(exc)) from exc
-        self.stream.expect(";")
-        self._declare(name, obj)
+        return lambda: self._declare(name, obj)
 
     def _stmt_map(self):
-        self.stream.next()
         name = self.stream.expect("name", "map name").text
         self.stream.expect("=")
         obj = self._parse_map_expr()
-        self.stream.expect(";")
-        self._declare(name, obj)
+        return lambda: self._declare(name, obj)
 
     # map expressions ---------------------------------------------------
 
@@ -370,10 +402,8 @@ class _Parser:
         if tok.text == "zero":
             return zero_map(spec)
         if tok.text == "conj":
-            try:
+            with _as_type_mismatch():
                 return build_endomorphism(spec, conjugate_base=True)
-            except PolcheckError as exc:
-                raise TypeMismatch(str(exc)) from exc
         obj = self._lookup(tok)
         if not isinstance(obj, AdditiveMap):
             raise TypeMismatch(f"{tok.text!r} is not a map")
@@ -382,23 +412,16 @@ class _Parser:
     # form expressions ---------------------------------------------------
 
     def _stmt_form(self):
-        self.stream.next()
         name = self.stream.expect("name", "form name").text
         self.stream.expect("=")
         obj = self._parse_form_expr()
-        self.stream.expect(";")
-        self._declare(name, obj)
+        return lambda: self._declare(name, obj)
 
     def _parse_form_expr(self) -> SymmetricForm:
         tok = self.stream.expect("name", "form constructor or name")
-        try:
+        with _as_type_mismatch():
             if tok.text == "product":
-                self.stream.expect("(")
-                maps = [self._parse_map_expr()]
-                while self.stream.accept(","):
-                    maps.append(self._parse_map_expr())
-                self.stream.expect(")")
-                return ProductSym(tuple(maps))
+                return ProductSym(tuple(self._paren_list(self._parse_map_expr)))
             if tok.text == "mapprod":
                 self.stream.expect("(")
                 m = self._parse_map_expr()
@@ -414,16 +437,7 @@ class _Parser:
                 self.stream.expect(")")
                 return Lift(inner, k)
             if tok.text == "lincomb":
-                self.stream.expect("(")
-                terms = [self._parse_lincomb_term()]
-                while self.stream.accept(","):
-                    terms.append(self._parse_lincomb_term())
-                self.stream.expect(")")
-                return LinComb(tuple(terms))
-        except PolcheckError as exc:
-            if isinstance(exc, (ParseError, NameResolutionError, TypeMismatch)):
-                raise
-            raise TypeMismatch(str(exc)) from exc
+                return LinComb(tuple(self._paren_list(self._parse_lincomb_term)))
         obj = self._lookup(tok)
         if isinstance(obj, SymmetricForm):
             return obj
@@ -438,24 +452,20 @@ class _Parser:
         return (scalar, form)
 
     def _stmt_genpoly(self):
-        self.stream.next()
         name = self.stream.expect("name", "polynomial name").text
         self.stream.expect("=")
         components = [self._parse_trace_term()]
         while self.stream.accept("+"):
             components.append(self._parse_trace_term())
-        self.stream.expect(";")
-        try:
-            obj = genpoly_from(components)
-        except PolcheckError as exc:
-            raise TypeMismatch(str(exc)) from exc
-        self._declare(name, obj)
+
+        def bind():
+            with _as_type_mismatch():
+                obj = genpoly_from(components)
+            self._declare(name, obj)
+        return bind
 
     def _parse_trace_term(self) -> GenMonomial:
-        tok = self.stream.expect("name", "trace")
-        if tok.text != "trace":
-            raise ParseError("generalized polynomials are sums of traces", tok.pos,
-                             expected={"trace"}, line=tok.line, column=tok.column)
+        self._keyword("generalized polynomials are sums of traces", "trace")
         self.stream.expect("(")
         form = self._parse_form_expr()
         self.stream.expect(")")
@@ -521,10 +531,9 @@ class _Parser:
         return value
 
     def _cp_unary(self, spec, fname):
-        if self.stream.accept("-"):
-            return self._cp_neg(self._cp_unary(spec, fname))
-        if self.stream.accept("+"):
-            return self._cp_unary(spec, fname)
+        negate = False
+        while self.stream.at("-", "+"):
+            negate ^= self.stream.next().kind == "-"
         value = self._cp_atom(spec, fname)
         if self.stream.accept("^"):
             k = int(self.stream.expect("int", "exponent").text)
@@ -532,7 +541,7 @@ class _Parser:
             for _ in range(k):
                 out = self._cp_mul(out, value, spec)
             value = out
-        return value
+        return self._cp_neg(value) if negate else value
 
     def _cp_atom(self, spec, fname):
         tok = self.stream.peek()
@@ -558,138 +567,62 @@ class _Parser:
         element = parse_element_primary(self.stream, spec)
         return self._cp_normalize([element])
 
-    # commands -----------------------------------------------------------
+    # commands: each returns its payload ---------------------------------
 
-    def _stmt_check(self):
-        start = self.stream.peek()
-        self.stream.next()
-        fname_tok = self.stream.expect("name", "genpoly name")
-        f = self._lookup(fname_tok)
-        if isinstance(f, GenMonomial):
-            f = genpoly_from([f])
-        if not isinstance(f, GenPoly):
-            raise TypeMismatch(f"{fname_tok.text!r} is not a generalized polynomial")
+    def _stmt_check(self) -> dict:
+        name, f = self._parse_genpoly()
         spec = f.domain_spec
         self.stream.expect("(")
         p_coeffs = self._parse_coeffpoly(spec, None)
         self.stream.expect(")")
         self.stream.expect("==")
-        q_coeffs = self._parse_coeffpoly(f.codomain_spec, fname_tok.text)
+        q_coeffs = self._parse_coeffpoly(f.codomain_spec, name)
         mode = {"mode": "default"}
         if self.stream.at("name") and self.stream.peek().text == "on":
             self.stream.next()
-            which_tok = self.stream.expect("name", "samples or span")
-            which = which_tok.text
-            if which not in ("samples", "span"):
-                raise ParseError("expected samples(...) or span(...)", which_tok.pos,
-                                 expected={"samples", "span"},
-                                 line=which_tok.line, column=which_tok.column)
-            self.stream.expect("(")
-            if which == "samples":
+            which = self._keyword("expected samples(...) or span(...)", "samples", "span").text
+            if which == "span":
+                mode = {"mode": "span", "generators": self._element_list(spec)}
+            else:
+                self.stream.expect("(")
                 count = int(self.stream.expect("int", "sample count").text)
                 seed = None
                 if self.stream.accept(","):
-                    kw = self.stream.expect("name", "seed")
-                    if kw.text != "seed":
-                        raise ParseError("expected seed=<int>", kw.pos, expected={"seed"},
-                                         line=kw.line, column=kw.column)
+                    self._keyword("expected seed=<int>", "seed")
                     self.stream.expect("=")
                     seed = int(self.stream.expect("int", "seed value").text)
+                self.stream.expect(")")
                 mode = {"mode": "samples", "count": count, "seed": seed}
-            else:
-                gens = [parse_element_tokens(self.stream, spec)]
-                while self.stream.accept(","):
-                    gens.append(parse_element_tokens(self.stream, spec))
-                mode = {"mode": "span", "generators": gens}
-            self.stream.expect(")")
-        text = self._command_text(start)
-        self.stream.expect(";")
         p = PolySpec.from_coefficients(p_coeffs, side="domain")
         q = PolySpec.from_coefficients(q_coeffs, side="codomain")
-        self.commands.append(Command("check", text, {
-            "name": fname_tok.text, "f": f, "p": p, "q": q, **mode}))
+        return {"name": name, "f": f, "p": p, "q": q, **mode}
 
-    def _stmt_classify(self):
-        start = self.stream.peek()
-        self.stream.next()
-        kw = self.stream.expect("name", "quadratic")
-        if kw.text != "quadratic":
-            raise ParseError("only quadratic classification is supported", kw.pos,
-                             expected={"quadratic"}, line=kw.line, column=kw.column)
+    def _stmt_classify(self) -> dict:
+        self._keyword("only quadratic classification is supported", "quadratic")
         form = self._parse_form_expr()
         if form.arity != 2:
             raise TypeMismatch("classify quadratic needs an arity-2 form")
-        with_tok = self.stream.expect("name", "with")
-        if with_tok.text != "with":
-            raise ParseError("expected with dictionary(...)", with_tok.pos,
-                             expected={"with"}, line=with_tok.line, column=with_tok.column)
-        dict_tok = self.stream.expect("name", "dictionary")
-        if dict_tok.text != "dictionary":
-            raise ParseError("expected dictionary(...)", dict_tok.pos,
-                             expected={"dictionary"}, line=dict_tok.line, column=dict_tok.column)
-        self.stream.expect("(")
-        dictionary = [self._parse_map_expr()]
-        while self.stream.accept(","):
-            dictionary.append(self._parse_map_expr())
-        self.stream.expect(")")
-        text = self._command_text(start)
-        self.stream.expect(";")
-        self.commands.append(Command("classify", text, {
-            "form": form, "dictionary": dictionary}))
+        self._keyword("expected with dictionary(...)", "with")
+        self._keyword("expected dictionary(...)", "dictionary")
+        return {"form": form, "dictionary": self._paren_list(self._parse_map_expr)}
 
-    def _stmt_degree(self):
-        start = self.stream.peek()
-        self.stream.next()
-        tok = self.stream.expect("name", "genpoly name")
-        f = self._lookup(tok)
-        if isinstance(f, GenMonomial):
-            f = genpoly_from([f])
-        if not isinstance(f, GenPoly):
-            raise TypeMismatch(f"{tok.text!r} is not a generalized polynomial")
-        text = self._command_text(start)
-        self.stream.expect(";")
-        self.commands.append(Command("degree", text, {"name": tok.text, "f": f}))
+    def _stmt_degree(self) -> dict:
+        name, f = self._parse_genpoly()
+        return {"name": name, "f": f}
 
-    def _stmt_rank(self):
-        start = self.stream.peek()
-        self.stream.next()
-        tok = self.stream.expect("name", "genpoly name")
-        f = self._lookup(tok)
-        if isinstance(f, GenMonomial):
-            f = genpoly_from([f])
-        if not isinstance(f, GenPoly):
-            raise TypeMismatch(f"{tok.text!r} is not a generalized polynomial")
-        spec = f.domain_spec
+    def _stmt_rank(self) -> dict:
+        name, f = self._parse_genpoly()
         operation = "add"
         if self.stream.at("name") and self.stream.peek().text in ("mult", "add"):
             operation = self.stream.next().text
-        kw = self.stream.expect("name", "translates")
-        if kw.text != "translates":
-            raise ParseError("expected translates(...)", kw.pos, expected={"translates"},
-                             line=kw.line, column=kw.column)
-        self.stream.expect("(")
-        translates = [parse_element_tokens(self.stream, spec)]
-        while self.stream.accept(","):
-            translates.append(parse_element_tokens(self.stream, spec))
-        self.stream.expect(")")
-        kw = self.stream.expect("name", "points")
-        if kw.text != "points":
-            raise ParseError("expected points(...)", kw.pos, expected={"points"},
-                             line=kw.line, column=kw.column)
-        self.stream.expect("(")
-        points = [parse_element_tokens(self.stream, spec)]
-        while self.stream.accept(","):
-            points.append(parse_element_tokens(self.stream, spec))
-        self.stream.expect(")")
-        text = self._command_text(start)
-        self.stream.expect(";")
-        self.commands.append(Command("rank", text, {
-            "name": tok.text, "f": f, "operation": operation,
-            "translates": translates, "points": points}))
+        self._keyword("expected translates(...)", "translates")
+        translates = self._element_list(f.domain_spec)
+        self._keyword("expected points(...)", "points")
+        points = self._element_list(f.domain_spec)
+        return {"name": name, "f": f, "operation": operation,
+                "translates": translates, "points": points}
 
-    def _stmt_verify(self):
-        start = self.stream.peek()
-        self.stream.next()
+    def _stmt_verify(self) -> dict:
         law = self.stream.expect("name", "law").text
         if law not in ("additive", "multiplicative", "leibniz"):
             raise TypeMismatch(f"unknown law {law!r}")
@@ -697,13 +630,9 @@ class _Parser:
         m = self._lookup(tok)
         if not isinstance(m, AdditiveMap):
             raise TypeMismatch(f"{tok.text!r} is not a map")
-        text = self._command_text(start)
-        self.stream.expect(";")
-        self.commands.append(Command("verify", text, {"law": law, "map": m, "name": tok.text}))
+        return {"law": law, "map": m, "name": tok.text}
 
-    def _stmt_polarize(self):
-        start = self.stream.peek()
-        self.stream.next()
+    def _stmt_polarize(self) -> dict:
         tok = self.stream.expect("name", "monomial name")
         obj = self._lookup(tok)
         if isinstance(obj, GenPoly):
@@ -716,23 +645,12 @@ class _Parser:
             monomial = trace(obj)
         else:
             raise TypeMismatch(f"{tok.text!r} is not a monomial or form")
-        at_tok = self.stream.expect("name", "at")
-        if at_tok.text != "at":
-            raise ParseError("expected at (y1, ..., yn)", at_tok.pos, expected={"at"},
-                             line=at_tok.line, column=at_tok.column)
-        self.stream.expect("(")
-        spec = monomial.domain_spec
-        ys = [parse_element_tokens(self.stream, spec)]
-        while self.stream.accept(","):
-            ys.append(parse_element_tokens(self.stream, spec))
-        self.stream.expect(")")
+        self._keyword("expected at (y1, ..., yn)", "at")
+        ys = self._element_list(monomial.domain_spec)
         if len(ys) != monomial.degree:
             raise TypeMismatch(
                 f"polarize needs exactly {monomial.degree} increments, got {len(ys)}")
-        text = self._command_text(start)
-        self.stream.expect(";")
-        self.commands.append(Command("polarize", text, {
-            "name": tok.text, "monomial": monomial, "ys": ys}))
+        return {"name": tok.text, "monomial": monomial, "ys": ys}
 
 
 def parse_session(source: str) -> Session:
@@ -804,10 +722,6 @@ class ReportDocument:
         return ("\n".join(lines) + "\n").encode()
 
 
-def _witness_strings(report: EquationReport) -> list[str]:
-    return [w.describe() for w in report.witnesses]
-
-
 def _classification_dict(c) -> dict:
     out = {}
     if c.f_at_1 is not None:
@@ -821,359 +735,321 @@ def _classification_dict(c) -> dict:
     return out
 
 
-class _Executor:
-    def __init__(self, session: Session, options: RunOptions):
-        self.session = session
-        self.options = options
-        self.mismatches_total = 0
+def _copy_report(entry: dict, report: EquationReport) -> None:
+    entry["verdict"] = report.verdict
+    entry["samples"] = report.sample_description
+    if report.detail:
+        entry["detail"] = report.detail
+    if report.witnesses:
+        entry["witnesses"] = [w.describe() for w in report.witnesses]
+    if report.classification is not None:
+        entry["classification"] = _classification_dict(report.classification)
 
-    def run(self) -> ReportDocument:
-        started = time.monotonic()
-        entries = []
-        for index, command in enumerate(self.session.commands):
-            entry = {"index": index, "command": command.text, "kind": command.kind}
-            try:
-                getattr(self, f"_run_{command.kind}")(command, entry)
-            except ArityTooLarge as exc:
-                entry["verdict"] = ERROR
-                entry["detail"] = f"arity too large: {exc}"
-            except PolcheckError as exc:
-                entry["verdict"] = ERROR
-                entry["detail"] = f"{type(exc).__name__}: {exc}"
-            entries.append(entry)
-        doc = ReportDocument(
-            session_digest=self.session.digest,
-            seed=self.options.seed,
-            oracle_check=self.options.oracle_check,
-            entries=entries,
-            consistent=self.mismatches_total == 0,
-            elapsed=time.monotonic() - started,
-        )
-        return doc
 
-    # sampling ----------------------------------------------------------
+@dataclass(frozen=True)
+class _Value:
+    """A single engine result (a degree, a rank, a polarized value),
+    audited as the one row (name, value); ``inputs`` are the generated
+    inputs it was computed from, if the payload does not hold them."""
 
-    def _samples_for(self, spec: FieldSpec, count: int, seed: int | None):
-        probes = default_probes(spec)
-        cfg = self.options.sample_config(count=count, seed=seed)
-        extra = []
-        index = 0
-        while len(extra) < count:
-            extra.append(random_element(spec, cfg, index))
-            index += 1
-        description = (f"default probes + {count} seeded samples "
-                       f"(seed={cfg.seed}, height={cfg.max_height}, degree={cfg.max_degree})")
-        return probes + extra, description
+    name: str
+    value: object
+    inputs: tuple = ()
 
-    def _note_mismatches(self, entry: dict, notes: list[str]):
-        if notes:
-            entry["oracle_mismatches"] = notes
-            self.mismatches_total += len(notes)
-        elif self.options.oracle_check:
-            entry["oracle_checked"] = True
+    @property
+    def rows(self) -> tuple:
+        return ((self.name, self.value),)
 
-    # check ---------------------------------------------------------------
 
-    def _run_check(self, command: Command, entry: dict):
-        f: GenPoly = command.payload["f"]
-        p: PolySpec = command.payload["p"]
-        q: PolySpec = command.payload["q"]
-        spec = f.domain_spec
-        if f.degree >= 1:
-            precheck = degree_precheck(f.degree, p, q)
-            if not precheck.passed:
-                entry["verdict"] = NOT_APPLICABLE
-                entry["detail"] = precheck.describe()
-                return
-        mode = command.payload["mode"]
-        if mode == "span":
-            generators = command.payload["generators"]
-            if len(f.components) != 1:
-                entry["verdict"] = NOT_APPLICABLE
-                entry["detail"] = "span certificates need a single monomial"
-                return
-            monomial = f.components[0]
-            self._check_arity(monomial.degree * max(p.degree, 1))
-            report = check_symmetrized(monomial, p, q, generators)
-            entry["verdict"] = report.verdict
-            entry["samples"] = report.sample_description
-            if report.detail:
-                entry["detail"] = report.detail
-            if report.witnesses:
-                entry["witnesses"] = _witness_strings(report)
-            if self.options.oracle_check and report.verdict in (HOLDS_ON_SPAN, REFUTED):
-                self._note_mismatches(entry, self._oracle_check_span(monomial, p, q, generators))
-            return
-        if mode == "samples":
-            count = command.payload["count"]
-            seed = command.payload["seed"]
-        else:
-            count = self.options.samples
-            seed = None
-        samples, description = self._samples_for(spec, count, seed)
-        report = check_pointwise(f, p, q, samples, description)
-        entry["verdict"] = report.verdict
-        entry["samples"] = report.sample_description
-        if report.detail:
-            entry["detail"] = report.detail
-        if report.witnesses:
-            entry["witnesses"] = _witness_strings(report)
-        if self.options.oracle_check:
-            self._note_mismatches(entry, self._oracle_check_pointwise(f, p, q, samples))
+# Each ``_run_*`` fills the report entry of one command and returns the
+# engine result whose rows the oracle audits, or None when the command
+# has nothing to audit.  Each ``_audit_*`` re-derives those rows with the
+# oracle alone, row by row; ``_audit_notes`` compares them.
 
-    def _check_arity(self, arity: int):
-        cap = min(ARITY_CEILING, self.options.max_arity)
+
+def _samples_for(options: RunOptions, spec: FieldSpec, count: int, seed: int | None):
+    cfg = options.sample_config(count, seed)
+    samples = default_probes(spec) + [random_element(spec, cfg, i) for i in range(count)]
+    description = (f"default probes + {count} seeded samples "
+                   f"(seed={cfg.seed}, height={cfg.max_height}, degree={cfg.max_degree})")
+    return samples, description
+
+
+def _run_check(options: RunOptions, payload: dict, entry: dict):
+    f: GenPoly = payload["f"]
+    p: PolySpec = payload["p"]
+    q: PolySpec = payload["q"]
+    if f.degree >= 1:
+        precheck = degree_precheck(f.degree, p, q)
+        if not precheck.passed:
+            entry["verdict"] = NOT_APPLICABLE
+            entry["detail"] = precheck.describe()
+            return None
+    mode = payload["mode"]
+    if mode == "span":
+        if len(f.components) != 1:
+            entry["verdict"] = NOT_APPLICABLE
+            entry["detail"] = "span certificates need a single monomial"
+            return None
+        monomial = f.components[0]
+        arity = monomial.degree * max(p.degree, 1)
+        cap = min(DEFAULT_ARITY_CAP, options.max_arity)
         if arity > cap:
             raise ArityTooLarge(f"span check needs arity {arity}, cap is {cap}")
+        report = check_symmetrized(monomial, p, q, payload["generators"])
+        _copy_report(entry, report)
+        return report if report.verdict in (HOLDS_ON_SPAN, REFUTED) else None
+    if mode == "samples":
+        count, seed = payload["count"], payload["seed"]
+    else:
+        count, seed = options.samples, None
+    samples, description = _samples_for(options, f.domain_spec, count, seed)
+    report = check_pointwise(f, p, q, samples, description)
+    _copy_report(entry, report)
+    return report
 
-    def _oracle_check_pointwise(self, f, p, q, samples) -> list[str]:
-        from .errors import DenominatorVanishes
 
-        oracle = Oracle(f.domain_spec)
-        notes = []
-        for x in samples:
-            try:
-                lhs = f(p.evaluate(x))
-                rhs = q.evaluate(f(x))
-            except DenominatorVanishes:
-                continue
-            ox = from_element(x)
-            o_lhs = oracle.eval_genpoly(f, oracle.eval_polyspec(p, ox))
-            o_rhs = oracle.eval_polyspec(q, oracle.eval_genpoly(f, ox))
-            if not matches(lhs, o_lhs):
-                notes.append(f"lhs at x = {format_element(x)}: engine {format_element(lhs)}")
-            if not matches(rhs, o_rhs):
-                notes.append(f"rhs at x = {format_element(x)}: engine {format_element(rhs)}")
-        return notes
+def _audit_check(payload: dict, report: EquationReport):
+    f, p, q = payload["f"], payload["p"], payload["q"]
+    oracle = Oracle(f.domain_spec)
+    if payload["mode"] == "span":
+        lhs_form, rhs_form = span_forms(f.components[0], p, q)
+        for tup, _, _ in report.rows:
+            args = [from_element(a) for a in tup]
+            yield oracle.eval_form(lhs_form, args), oracle.eval_form(rhs_form, args)
+        return
+    for x, _, _ in report.rows:
+        ox = from_element(x)
+        yield (oracle.eval_genpoly(f, oracle.eval_polyspec(p, ox)),
+               oracle.eval_polyspec(q, oracle.eval_genpoly(f, ox)))
 
-    def _oracle_check_span(self, monomial, p, q, generators) -> list[str]:
-        from .funceq import probe_tuples
 
-        k, _ = p.monomial_parts()
-        _, lam = q.monomial_parts()
-        lhs_form = Lift(monomial.form, k)
-        rhs_form = LinComb(((lam, FormProduct((monomial.form,) * k)),))
-        oracle = Oracle(monomial.domain_spec)
-        notes = []
-        for tup in probe_tuples(generators, monomial.degree * k):
-            args = list(tup)
-            oargs = [from_element(a) for a in args]
-            for label, form in (("lhs", lhs_form), ("rhs", rhs_form)):
-                engine = eval_form(form, args)
-                o_val = oracle.eval_form(form, oargs)
-                if not matches(engine, o_val):
-                    notes.append(
-                        f"{label} at ({', '.join(format_element(a) for a in args)}): "
-                        f"engine {format_element(engine)}")
-        return notes
+def _run_classify(options: RunOptions, payload: dict, entry: dict):
+    form = payload["form"]
+    try:
+        report = classify_quadratic_square(form, payload["dictionary"],
+                                           default_probes(form.domain_spec))
+    except DictionaryInsufficient as exc:
+        entry["verdict"] = INCONCLUSIVE
+        entry["detail"] = f"DictionaryInsufficient: {exc}"
+        return None
+    _copy_report(entry, report)
+    return report
 
-    # classify --------------------------------------------------------------
 
-    def _run_classify(self, command: Command, entry: dict):
-        from .errors import DictionaryInsufficient
+def _audit_classify(payload: dict, report: EquationReport):
+    form = payload["form"]
+    spec = form.domain_spec
+    oracle = Oracle(spec)
 
-        form = command.payload["form"]
-        dictionary = command.payload["dictionary"]
-        probes = default_probes(form.domain_spec)
-        try:
-            report = classify_quadratic_square(form, dictionary, probes)
-        except DictionaryInsufficient as exc:
-            entry["verdict"] = INCONCLUSIVE
-            entry["detail"] = f"DictionaryInsufficient: {exc}"
-            return
-        entry["verdict"] = report.verdict
-        entry["samples"] = report.sample_description
-        if report.detail:
-            entry["detail"] = report.detail
-        if report.witnesses:
-            entry["witnesses"] = _witness_strings(report)
-        if report.classification is not None:
-            entry["classification"] = _classification_dict(report.classification)
-        if self.options.oracle_check:
-            self._note_mismatches(entry, self._oracle_check_classify(form, probes, report))
+    def f2(u, v):
+        return oracle.eval_form(form, [u, v])
 
-    def _oracle_check_classify(self, form, probes, report) -> list[str]:
-        from .funceq import probe_tuples, quartic_form_value
-
-        oracle = Oracle(form.domain_spec)
-        one = form.domain_spec.one()
-        all_probes = probes if one in probes else [one] + probes
-        notes = []
-        for tup in probe_tuples(all_probes, 4):
-            engine = quartic_form_value(form, *tup)
-            x1, x2, x3, x4 = [from_element(a) for a in tup]
-            f2 = lambda u, v: oracle.eval_form(form, [u, v])
-            from .oracle import o_add, o_mul, o_neg
-
-            o_val = o_add(
+    for x, _, _ in report.rows:
+        if isinstance(x, tuple):  # the six-term quartic form, compared with 0
+            x1, x2, x3, x4 = [from_element(a) for a in x]
+            value = o_add(
                 o_add(f2(o_mul(x1, x2), o_mul(x3, x4)), f2(o_mul(x1, x3), o_mul(x2, x4))),
                 f2(o_mul(x1, x4), o_mul(x2, x3)))
-            o_val = o_add(o_val, o_neg(o_add(
+            value = o_add(value, o_neg(o_add(
                 o_add(o_mul(f2(x1, x2), f2(x3, x4)), o_mul(f2(x1, x3), f2(x2, x4))),
                 o_mul(f2(x1, x4), f2(x2, x3)))))
-            if not matches(engine, o_val):
-                notes.append(
-                    f"quartic form at ({', '.join(format_element(a) for a in tup)}): "
-                    f"engine {format_element(engine)}")
-        if report.classification is not None and report.classification.factors:
-            from .maps import apply_map
-
+            yield value, o_zero(spec)
+        else:  # the certificate f(x) = f(1)*phi1(x)*phi2(x)
             phi1, phi2 = report.classification.factors
-            f1 = report.classification.f_at_1
-            for x in all_probes:
-                engine = eval_form(form, [x, x])
-                ox = from_element(x)
-                o_val = o_mul(o_mul(from_element(f1), oracle.apply_map(phi1, ox)),
-                              oracle.apply_map(phi2, ox))
-                if not matches(engine, o_val):
-                    notes.append(f"certificate at {format_element(x)}")
-        return notes
+            ox, one = from_element(x), o_int(spec, 1)
+            yield f2(ox, ox), o_mul(o_mul(f2(one, one), oracle.apply_map(phi1, ox)),
+                                    oracle.apply_map(phi2, ox))
 
-    # degree ------------------------------------------------------------------
 
-    def _run_degree(self, command: Command, entry: dict):
-        f: GenPoly = command.payload["f"]
-        spec = f.domain_spec
-        probes = default_probes(spec)
-        estimate = degree_estimate(f, probes, DEGREE_CAP, spec)
-        if estimate is None:
-            entry["verdict"] = INCONCLUSIVE
-            entry["degree"] = "NO_BOUND_FOUND"
-            entry["detail"] = f"no vanishing difference order found up to cap {DEGREE_CAP}"
+def _run_degree(options: RunOptions, payload: dict, entry: dict):
+    f: GenPoly = payload["f"]
+    spec = f.domain_spec
+    probes = default_probes(spec)
+    estimate = degree_estimate(f, probes, DEGREE_CAP, spec)
+    if estimate is None:
+        entry["verdict"] = INCONCLUSIVE
+        entry["degree"] = "NO_BOUND_FOUND"
+        entry["detail"] = f"no vanishing difference order found up to cap {DEGREE_CAP}"
+    else:
+        entry["verdict"] = PASS
+        entry["degree"] = estimate
+        entry["detail"] = (f"on-sample certificate: differences of order {estimate + 1} "
+                           f"vanish on the default probes")
+    return _Value("degree estimate", estimate, tuple(probes))
+
+
+def _audit_degree(payload: dict, result: _Value):
+    f: GenPoly = payload["f"]
+    spec = f.domain_spec
+    oracle = Oracle(spec)
+    probes = [from_element(p) for p in result.inputs]
+    zero = o_zero(spec)
+
+    def evaluate(v):
+        return oracle.eval_genpoly(f, v)
+
+    for n in range(DEGREE_CAP + 1):
+        if all(o_is_zero(oracle.delta_many(evaluate, list(tup), zero))
+               for tup in combinations_with_replacement(probes, n + 1)):
+            return [(n,)]
+    return [(None,)]
+
+
+def _run_rank(options: RunOptions, payload: dict, entry: dict):
+    operation = payload["operation"]
+    value = variety_rank(payload["f"], payload["translates"], payload["points"], operation)
+    entry["verdict"] = PASS
+    entry["rank"] = value
+    entry["detail"] = (f"on-sample lower bound for the variety dimension "
+                       f"({operation} translates)")
+    return _Value("rank", value)
+
+
+def _audit_rank(payload: dict, result: _Value):
+    f: GenPoly = payload["f"]
+    oracle = Oracle(f.domain_spec)
+    combine = o_add if payload["operation"] == "add" else o_mul
+    matrix = [[oracle.eval_genpoly(f, combine(from_element(g), from_element(h)))
+               for h in payload["points"]]
+              for g in payload["translates"]]
+    return [(oracle.rank(matrix),)]
+
+
+def _run_verify(options: RunOptions, payload: dict, entry: dict):
+    m = payload["map"]
+    spec = m.domain_spec
+    probes = default_probes(spec)
+    pairs = [(x, y) for x in probes for y in probes]
+    cfg = options.sample_config(5)
+    pairs += [(random_element(spec, cfg, 2 * i), random_element(spec, cfg, 2 * i + 1))
+              for i in range(5)]
+    report = verify_map_laws(m, payload["law"], pairs)
+    entry["verdict"] = PASS if report.passed else REFUTED
+    entry["detail"] = report.describe()
+    return report
+
+
+def _audit_verify(payload: dict, report):
+    m, law = payload["map"], payload["law"]
+    oracle = Oracle(m.domain_spec)
+
+    def image(v):
+        return oracle.apply_map(m, v)
+
+    for (x, y), _, _ in report.rows:
+        ox, oy = from_element(x), from_element(y)
+        if law == "additive":
+            yield image(o_add(ox, oy)), o_add(image(ox), image(oy))
+        elif law == "multiplicative":
+            yield image(o_mul(ox, oy)), o_mul(image(ox), image(oy))
         else:
-            entry["verdict"] = PASS
-            entry["degree"] = estimate
-            entry["detail"] = (f"on-sample certificate: differences of order {estimate + 1} "
-                               f"vanish on the default probes")
-        if self.options.oracle_check:
-            notes = []
-            oracle = Oracle(spec)
-            o_estimate = self._oracle_degree(oracle, f, probes)
-            if o_estimate != estimate:
-                notes.append(f"oracle degree estimate {o_estimate} != engine {estimate}")
-            self._note_mismatches(entry, notes)
-
-    def _oracle_degree(self, oracle: Oracle, f: GenPoly, probes):
-        from .genpoly import probe_tuples
-
-        o_probes = [from_element(p) for p in probes]
-        zero = from_element(f.domain_spec.zero())
-        evaluator = lambda v: oracle.eval_genpoly(f, v)
-        for n in range(DEGREE_CAP + 1):
-            if all(o_is_zero(oracle.delta_many(evaluator, list(tup), zero))
-                   for tup in probe_tuples(o_probes, n + 1)):
-                return n
-        return None
-
-    # rank ----------------------------------------------------------------------
-
-    def _run_rank(self, command: Command, entry: dict):
-        f: GenPoly = command.payload["f"]
-        translates = command.payload["translates"]
-        points = command.payload["points"]
-        operation = command.payload["operation"]
-        value = variety_rank(f, translates, points, operation)
-        entry["verdict"] = PASS
-        entry["rank"] = value
-        entry["detail"] = (f"on-sample lower bound for the variety dimension "
-                           f"({operation} translates)")
-        if self.options.oracle_check:
-            oracle = Oracle(f.domain_spec)
-            matrix = []
-            for g in translates:
-                og = from_element(g)
-                row = []
-                for h in points:
-                    oh = from_element(h)
-                    arg = o_add_point(og, oh, operation)
-                    row.append(oracle.eval_genpoly(f, arg))
-                matrix.append(row)
-            o_rank_value = oracle.rank(matrix)
-            notes = []
-            if o_rank_value != value:
-                notes.append(f"oracle rank {o_rank_value} != engine {value}")
-            self._note_mismatches(entry, notes)
-
-    # verify ---------------------------------------------------------------------
-
-    def _run_verify(self, command: Command, entry: dict):
-        m = command.payload["map"]
-        law = command.payload["law"]
-        spec = m.domain_spec
-        probes = default_probes(spec)
-        pairs = [(x, y) for x in probes for y in probes]
-        cfg = self.options.sample_config(count=5)
-        pairs += [(random_element(spec, cfg, 2 * i), random_element(spec, cfg, 2 * i + 1))
-                  for i in range(5)]
-        report = verify_map_laws(m, law, pairs)
-        entry["verdict"] = PASS if report.passed else REFUTED
-        entry["detail"] = report.describe()
-        if self.options.oracle_check:
-            notes = []
-            oracle = Oracle(spec)
-            for x, y in pairs:
-                ox, oy = from_element(x), from_element(y)
-                from .maps import apply_map
-                from .oracle import o_add as oadd, o_mul as omul
-
-                if law == "additive":
-                    lhs, rhs = apply_map(m, x + y), apply_map(m, x) + apply_map(m, y)
-                    o_lhs = oracle.apply_map(m, oadd(ox, oy))
-                    o_rhs = oadd(oracle.apply_map(m, ox), oracle.apply_map(m, oy))
-                elif law == "multiplicative":
-                    lhs, rhs = apply_map(m, x * y), apply_map(m, x) * apply_map(m, y)
-                    o_lhs = oracle.apply_map(m, omul(ox, oy))
-                    o_rhs = omul(oracle.apply_map(m, ox), oracle.apply_map(m, oy))
-                else:
-                    lhs = apply_map(m, x * y)
-                    rhs = apply_map(m, x) * y + x * apply_map(m, y)
-                    o_lhs = oracle.apply_map(m, omul(ox, oy))
-                    o_rhs = oadd(omul(oracle.apply_map(m, ox), oy),
-                                 omul(ox, oracle.apply_map(m, oy)))
-                if not matches(lhs, o_lhs) or not matches(rhs, o_rhs):
-                    notes.append(f"law values at ({format_element(x)}, {format_element(y)})")
-            self._note_mismatches(entry, notes)
-
-    # polarize --------------------------------------------------------------------
-
-    def _run_polarize(self, command: Command, entry: dict):
-        monomial = command.payload["monomial"]
-        ys = command.payload["ys"]
-        value = polarize(monomial, ys)
-        entry["verdict"] = PASS
-        entry["value"] = format_element(value)
-        direct = eval_form(monomial.form, ys)
-        if direct != value:
-            entry["verdict"] = ERROR
-            entry["detail"] = (f"polarized value {format_element(value)} disagrees with the "
-                               f"direct form value {format_element(direct)}")
-        if self.options.oracle_check:
-            import math as _math
-
-            from .oracle import o_divint
-
-            oracle = Oracle(monomial.domain_spec)
-            zero = from_element(monomial.domain_spec.zero())
-            o_val = oracle.delta_many(lambda v: oracle.eval_monomial(monomial, v),
-                                      [from_element(y) for y in ys], zero)
-            o_val = o_divint(o_val, _math.factorial(monomial.degree))
-            notes = []
-            if not matches(value, o_val):
-                notes.append("polarized value")
-            self._note_mismatches(entry, notes)
+            yield image(o_mul(ox, oy)), o_add(o_mul(image(ox), oy), o_mul(ox, image(oy)))
 
 
-def o_add_point(og, oh, operation):
-    from .oracle import o_add, o_mul
+def _run_polarize(options: RunOptions, payload: dict, entry: dict):
+    monomial, ys = payload["monomial"], payload["ys"]
+    value = polarize(monomial, ys)
+    entry["verdict"] = PASS
+    entry["value"] = format_element(value)
+    direct = eval_form(monomial.form, ys)
+    if direct != value:
+        entry["verdict"] = ERROR
+        entry["detail"] = (f"polarized value {format_element(value)} disagrees with the "
+                           f"direct form value {format_element(direct)}")
+    return _Value("polarized value", value)
 
-    return o_add(og, oh) if operation == "add" else o_mul(og, oh)
+
+def _audit_polarize(payload: dict, result: _Value):
+    monomial = payload["monomial"]
+    spec = monomial.domain_spec
+    oracle = Oracle(spec)
+    value = oracle.delta_many(lambda v: oracle.eval_monomial(monomial, v),
+                              [from_element(y) for y in payload["ys"]], o_zero(spec))
+    return [(o_divint(value, math.factorial(monomial.degree)),)]
+
+
+def _input_text(x) -> str:
+    if isinstance(x, tuple):
+        return "(" + ", ".join(format_element(a) for a in x) + ")"
+    return f"x = {format_element(x)}"
+
+
+def _audit_notes(rows, derived) -> list[str]:
+    """Compare each engine row with the oracle's re-derivation of it: one
+    note per value the oracle does not reproduce.  A row is (input, lhs,
+    rhs) or (name, value)."""
+    notes = []
+    for (where, *values), o_values in zip(rows, derived):
+        if len(values) == 2:
+            labels = (f"lhs at {_input_text(where)}", f"rhs at {_input_text(where)}")
+        else:
+            labels = (where,)
+        for label, value, o_value in zip(labels, values, o_values):
+            if isinstance(value, FieldElement):
+                if not matches(value, o_value):
+                    notes.append(f"{label}: engine {format_element(value)}")
+            elif value != o_value:
+                notes.append(f"{label}: engine {value}, oracle {o_value}")
+    return notes
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One statement kind.  ``parse`` reads what follows the keyword: a
+    declaration returns the binding to make once its ';' is read, a
+    command returns its payload.  Commands also ``run`` and ``audit``."""
+
+    parse: Callable
+    run: Callable | None = None
+    audit: Callable | None = None
+
+
+_KINDS = {
+    "field": _Kind(_Parser._stmt_field),
+    "hom": _Kind(_Parser._stmt_hom),
+    "der": _Kind(_Parser._stmt_der),
+    "map": _Kind(_Parser._stmt_map),
+    "form": _Kind(_Parser._stmt_form),
+    "genpoly": _Kind(_Parser._stmt_genpoly),
+    "check": _Kind(_Parser._stmt_check, _run_check, _audit_check),
+    "classify": _Kind(_Parser._stmt_classify, _run_classify, _audit_classify),
+    "degree": _Kind(_Parser._stmt_degree, _run_degree, _audit_degree),
+    "rank": _Kind(_Parser._stmt_rank, _run_rank, _audit_rank),
+    "verify": _Kind(_Parser._stmt_verify, _run_verify, _audit_verify),
+    "polarize": _Kind(_Parser._stmt_polarize, _run_polarize, _audit_polarize),
+}
 
 
 def run_session(session: Session, options: RunOptions | None = None) -> ReportDocument:
     """Execute all commands in order; one command failing does not stop
     the rest.  Exit code 0 iff every verdict passes, 1 on refutations or
     inapplicable checks, 3 on engine/oracle disagreement."""
-    return _Executor(session, options or RunOptions()).run()
+    options = options or RunOptions()
+    started = time.monotonic()
+    entries = []
+    consistent = True
+    for index, command in enumerate(session.commands):
+        kind = _KINDS[command.kind]
+        entry = {"index": index, "command": command.text, "kind": command.kind}
+        try:
+            result = kind.run(options, command.payload, entry)
+            if result is not None and options.oracle_check:
+                notes = _audit_notes(result.rows, kind.audit(command.payload, result))
+                if notes:
+                    entry["oracle_mismatches"] = notes
+                    consistent = False
+                else:
+                    entry["oracle_checked"] = True
+        except ArityTooLarge as exc:
+            entry["verdict"] = ERROR
+            entry["detail"] = f"arity too large: {exc}"
+        except PolcheckError as exc:
+            entry["verdict"] = ERROR
+            entry["detail"] = f"{type(exc).__name__}: {exc}"
+        entries.append(entry)
+    return ReportDocument(session.digest, options.seed, options.oracle_check, entries,
+                          consistent, time.monotonic() - started)
 
 
 def emit_report(doc: ReportDocument, fmt: str = "text") -> bytes:

@@ -57,6 +57,16 @@ def test_deep_nesting_exit_two(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_long_sign_chain_reaches_a_verdict(tmp_path):
+    signs = tmp_path / "signs.pol"
+    signs.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"
+                     "check f(x) == " + "-" * 1000 + "f(x);\n")
+    result = run_cli("run", str(signs))
+    assert result.returncode == 0
+    assert "HOLDS_ON_SAMPLE" in result.stdout
+    assert "Traceback" not in result.stderr
+
+
 def test_usage_error_exit_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2

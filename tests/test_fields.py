@@ -185,6 +185,11 @@ def test_parse_nesting_limit():
     assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
 
 
+def test_parse_long_sign_chain():
+    assert parse_element("-" * 1001 + "1", Q) == Q.from_int(-1)
+    assert parse_element("+-" * 1000 + "2^2", Q) == Q.from_int(4)
+
+
 def test_parse_spec_mismatch():
     with pytest.raises(SpecMismatch):
         parse_element("t", Q)

@@ -106,6 +106,11 @@ def test_golden_difference_value():
     assert matches(QT.element("-4*t^2"), value)
 
 
+def test_oracle_eval_long_sign_chain():
+    assert matches(Q.from_int(-1), oracle_eval("-" * 1001 + "1", {}, Q))
+    assert matches(Q.from_int(-4), oracle_eval("-+" * 999 + "2^2", {}, Q))
+
+
 def test_oracle_eval_rejects_unknown_names():
     with pytest.raises(SpecMismatch):
         oracle_eval("g(2)", {}, Q)
