@@ -304,14 +304,17 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
 
 def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
     """The six-term symmetric 4-additive form attached to a bi-additive
-    F2; it vanishes identically exactly when the trace of F2 satisfies
-    f(x^2) = f(x)^2."""
-    return (eval_form(f2, [x1 * x2, x3 * x4])
-            + eval_form(f2, [x1 * x3, x2 * x4])
-            + eval_form(f2, [x1 * x4, x2 * x3])
-            - eval_form(f2, [x1, x2]) * eval_form(f2, [x3, x4])
-            - eval_form(f2, [x1, x3]) * eval_form(f2, [x2, x4])
-            - eval_form(f2, [x1, x4]) * eval_form(f2, [x2, x3]))
+    F2,
+
+        F2(x1*x2, x3*x4) + F2(x1*x3, x2*x4) + F2(x1*x4, x2*x3)
+        - F2(x1, x2)*F2(x3, x4) - F2(x1, x3)*F2(x2, x4) - F2(x1, x4)*F2(x2, x3);
+
+    it vanishes identically exactly when the trace f of F2 satisfies
+    f(x^2) = f(x)^2.  Evaluated as the polarization of its trace
+    3*(f(x^2) - f(x)^2)."""
+    f = trace(f2)
+    return delta_many(lambda x: 3 * (f(x * x) - f(x) ** 2), [x1, x2, x3, x4],
+                      f2.domain_spec.zero()) / math.factorial(4)
 
 
 def _solve_against_dictionary(values, dictionary, probes):
@@ -358,10 +361,11 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
             return report(REFUTED, (Witness(tuple(tup), value, zero, value),),
                           detail="six-term quartic form is nonzero on a probe tuple")
 
-    f_at_1 = eval_form(f2, [one, one])
+    f = trace(f2)
+    f_at_1 = f(one)
     if f_at_1.is_zero():
         for p in probes:
-            value = eval_form(f2, [p, p])
+            value = f(p)
             if not value.is_zero():
                 return report(REFUTED, (Witness(p, value, value.spec.zero(), value),),
                               detail="f(1) = 0 but f is not identically zero on probes")
@@ -441,7 +445,7 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
     phi1, phi2 = factors
     certificate = []
     for p in probes:
-        lhs = eval_form(f2, [p, p])
+        lhs = f(p)
         rhs = f_at_1 * apply_map(phi1, p) * apply_map(phi2, p)
         if lhs != rhs:
             return report(REFUTED, (Witness(p, lhs, rhs, lhs - rhs),),
@@ -577,8 +581,9 @@ def affine_check(f2: SymmetricForm, a: FieldElement, b: FieldElement,
     probe pairs."""
     if f2.arity != 2:
         raise SpecMismatch("the affine check applies to bi-additive forms")
-    f_nonzero = any(not eval_form(f2, [p, p]).is_zero() for p in probes)
-    f_b = eval_form(f2, [b, b])
+    f = trace(f2)
+    f_nonzero = any(not f(p).is_zero() for p in probes)
+    f_b = f(b)
     witnesses = []
     holds_b = f_b == big_b
     if not holds_b:

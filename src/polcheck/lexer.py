@@ -8,11 +8,16 @@ from .errors import ParseError
 
 # Single- and double-character operator tokens, longest match first.
 _SYMBOLS = ("==", "->", "(", ")", "+", "-", "*", "/", "^", ";", ",", "=", ":", "@")
+_DIGITS = frozenset("0123456789")
 
 #: Deepest parenthesis nesting accepted.  The recursive-descent parsers
 #: spend at most five stack frames per level, so this stays far below
 #: Python's default recursion limit of 1000.
 MAX_NESTING = 64
+
+#: Longest integer literal accepted, far below Python's default limit of
+#: 4300 digits on converting a string to an int.
+MAX_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -45,10 +50,13 @@ def tokenize(source: str) -> list[Token]:
             while i < n and source[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:  # str.isdigit() also admits digits int() rejects, such as "²"
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_DIGITS} digits", i,
+                                 line=line, column=col)
             tokens.append(Token("int", source[i:j], i, line, col))
             col += j - i
             i = j

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SESSIONS = Path(__file__).parent / "sessions"
 
 
@@ -54,6 +56,20 @@ def test_deep_nesting_exit_two(tmp_path):
     result = run_cli("run", str(deep))
     assert result.returncode == 2
     assert "nested deeper than" in result.stderr and "line 4" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("1" * 5000, "integer literal longer than"),
+    ("\u00b2", "unexpected character"),
+], ids=["5000 digits", "superscript digit"])
+def test_bad_integer_literal_exit_two(tmp_path, literal, message):
+    bad = tmp_path / "literal.pol"
+    bad.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"
+                   "check f(x) == " + literal + "*f(x);\n", encoding="utf-8")
+    result = run_cli("run", str(bad))
+    assert result.returncode == 2
+    assert message in result.stderr and "line 4" in result.stderr
     assert "Traceback" not in result.stderr
 
 

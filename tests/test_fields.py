@@ -17,7 +17,7 @@ from polcheck.fields import (
     parse_element,
     substitute,
 )
-from polcheck.lexer import MAX_NESTING
+from polcheck.lexer import MAX_DIGITS, MAX_NESTING
 from polcheck.oracle import from_element, matches, o_mul
 from polcheck.polys import Poly
 
@@ -183,6 +183,13 @@ def test_parse_nesting_limit():
     with pytest.raises(ParseError) as err:
         parse_element("(" * 400 + "2" + ")" * 400, Q)
     assert (err.value.line, err.value.column) == (1, MAX_NESTING + 1)
+
+
+def test_parse_digit_limit():
+    assert parse_element("9" * MAX_DIGITS, Q) == Q.from_int(10 ** MAX_DIGITS - 1)
+    with pytest.raises(ParseError) as err:
+        parse_element("1+" + "1" * 5000, Q)
+    assert (err.value.line, err.value.column) == (1, 3)
 
 
 def test_parse_long_sign_chain():

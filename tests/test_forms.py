@@ -114,6 +114,39 @@ def test_delta_cap():
         delta_many(NORM, [E] * 13, Q2.zero())
 
 
+def test_delta_many_calls_f_once_per_distinct_sum():
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return NORM(x)
+
+    assert delta_many(counting, [E] * 4, Q2.one()).is_zero()
+    assert len(calls) == 5 and len(set(calls)) == 5
+
+
+def test_delta_many_zero_increment_gives_codomain_zero():
+    for spec, f, y in ((Q2, NORM, E), (QT, trace(MapOfProduct(DDT, 2)), QT.element("t"))):
+        value = delta_many(f, [y, spec.zero(), y], y)
+        assert value.spec == spec and value.is_zero()
+
+
+@pytest.mark.parametrize("spec,form,texts", [
+    (QT, MapOfProduct(DDT + identity_map(QT), 3), ["t", "t", "t+1", "t"]),
+    (Q2, FormProduct((NORM_FORM, ProductSym((CONJ,)))),
+     ["1+sqrt(2)", "1+sqrt(2)", "2+2*sqrt(2)", "sqrt(2)"]),
+], ids=["Q(t)", "Q(sqrt2)"])
+def test_delta_many_repeated_increments_match_oracle(spec, form, texts):
+    # equal increments and equal sums of different increments are grouped
+    tr = trace(form)
+    oracle = Oracle(spec)
+    ys = [spec.element(t) for t in texts]
+    for x in (spec.zero(), ys[0], spec.from_int(-2)):
+        naive = oracle.delta_many(lambda v: oracle.eval_monomial(tr, v),
+                                  [from_element(y) for y in ys], from_element(x))
+        assert matches(delta_many(tr, ys, x), naive)
+
+
 # -- polarization ------------------------------------------------------------------
 
 def test_polarize_recovers_form_values():
@@ -232,7 +265,8 @@ def test_trace_rational_homogeneity(name, form, spec):
 def test_polarize_of_trace_equals_form(name, form, spec):
     ys = sample_elements(spec, SampleConfig(seed=15, count=form.arity,
                                             max_height=2, max_degree=1))
-    assert polarize(trace(form), ys) == eval_form(form, ys)
+    naive = Oracle(spec).eval_form(form, [from_element(y) for y in ys])
+    assert matches(polarize(trace(form), ys), naive)
 
 
 def test_lift_trace_is_power_composition():
@@ -254,7 +288,7 @@ Q2T = FieldSpec.ratfunc(Q2, ["t"])
 
 def _diagonal_cases(spec):
     """One form per node kind; the trace runs the diagonal rules while
-    eval_form runs the permutation and partition sums."""
+    the oracle runs the permutation sums."""
     quad = spec.base.kind == "quadratic"
     endo = build_endomorphism(spec, {"t": spec.element("t^2+1")}, conjugate_base=quad)
     der = build_derivation(spec, {"t": spec.element("sqrt(2)*t" if quad else "1")})
@@ -280,9 +314,10 @@ def test_trace_matches_eval_form_on_diagonal(spec, kind):
     points = ["t", "t/(t+1)", "2*t^2-1"]
     if spec.base.kind == "quadratic":
         points.append("1/(sqrt(2)*t-1)")
+    oracle = Oracle(spec)
     for text in points:
         x = spec.element(text)
-        assert trace(form)(x) == eval_form(form, [x] * form.arity)
+        assert matches(trace(form)(x), oracle.eval_form(form, [from_element(x)] * form.arity))
 
 
 def test_trace_rejects_argument_outside_domain():

@@ -250,6 +250,7 @@ def test_degree_rank_verify_polarize_commands():
     verify additive a;
     verify leibniz dd;
     polarize f at (t, t+1);
+    polarize f at (0, 1);
     """
     doc = run_src(src, seed=2)
     e = doc.entries
@@ -258,6 +259,7 @@ def test_degree_rank_verify_polarize_commands():
     assert e[2]["rank"] == 4
     assert e[3]["verdict"] == "pass" and e[4]["verdict"] == "pass"
     assert e[5]["value"] == "t^2+3*t+1"
+    assert e[6]["verdict"] == "pass" and e[6]["value"] == "0"
     assert doc.exit_code == 0
 
 
