@@ -29,6 +29,10 @@ class ArityTooLarge(PolcheckError):
     """Requested arity or increment count exceeds the configured cap."""
 
 
+class ValueTooLarge(PolcheckError):
+    """A value has too many decimal digits to be printed."""
+
+
 class InconsistentPeeling(PolcheckError):
     """The residual kept its degree after a component was subtracted,
     so the function is not a generalized polynomial of the claimed

@@ -17,11 +17,12 @@ No floating point appears anywhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch
+from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
 from .lexer import Token, TokenStream, tokenize
 from .polys import Poly, exact_div, grlex_key, poly_gcd
 
@@ -60,8 +61,8 @@ class QuadRat:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
         self.d = d
 
     def __add__(self, other):
@@ -380,6 +381,12 @@ def _monic_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
 
 def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
                  subtract: bool) -> FieldElement:
+    if d1.is_const() and d2.is_const():
+        # a canonical denominator is monic, so a constant one is 1
+        num = n1 - n2 if subtract else n1 + n2
+        if num.is_zero():
+            return spec.zero()
+        return FieldElement(spec, (num, d1))
     # Henrici: with both operands reduced, only gcd(d1, d2) and a final
     # gcd against it can cancel.
     g = poly_gcd(d1, d2)
@@ -406,6 +413,10 @@ def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> Fie
     # gcd(n1 n2, d1 d2) = gcd(n1, d2) * gcd(n2, d1)
     if n1.is_zero() or n2.is_zero():
         return spec.zero()
+    if d1.is_const() and d2.is_const():
+        # nothing cancels; d2 need not be 1, since a division passes the
+        # divisor's numerator here
+        return _monic_pair(spec, n1 * n2, d1 * d2)
     g1 = poly_gcd(n1, d2)
     if not g1.is_const():
         n1 = exact_div(n1, g1)
@@ -649,7 +660,11 @@ def _parse_atom(stream: TokenStream, spec: FieldSpec) -> FieldElement:
 
 
 def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise ValueTooLarge(
+            f"value has more than {sys.get_int_max_str_digits()} decimal digits") from None
 
 
 def _format_quad(c: QuadRat) -> str:

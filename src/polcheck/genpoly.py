@@ -8,6 +8,7 @@ theorems; reports and docs carry that qualifier.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -81,6 +82,8 @@ def degree_estimate(f, probes: list[FieldElement], cap: int,
         if y.is_zero():
             raise SpecMismatch("probes must be nonzero")
     zero = domain_spec.zero()
+    # probe tuples share their subset sums: evaluate f once per point
+    f = functools.cache(f)
     for n in range(cap + 1):
         if all(delta_many(f, list(tup), zero).is_zero()
                for tup in probe_tuples(probes, n + 1)):

@@ -54,7 +54,9 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # exponent tuples are distinct, so only a lone term can be constant
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant(self):
         """Coefficient of the constant term (or None for the zero poly)."""
@@ -214,9 +216,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return monic(g)
     if g.is_zero():
         return monic(f)
+    for p in (g, f):
+        if p.is_const():
+            # a nonzero constant is a unit; reuse it when it is already 1
+            (c,) = p.terms.values()
+            return p if c == 1 else Poly.const(p.nvars, c / c)
     used = f.vars_used() | g.vars_used()
-    if not used:
-        return Poly.const(f.nvars, _one_like(f))
     v = min(used)
     if used <= {v}:
         return _gcd_univar(f, g, v)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from polcheck.cli import main
+
 SESSIONS = Path(__file__).parent / "sessions"
 
 
@@ -81,6 +83,20 @@ def test_long_sign_chain_reaches_a_verdict(tmp_path):
     assert result.returncode == 0
     assert "HOLDS_ON_SAMPLE" in result.stdout
     assert "Traceback" not in result.stderr
+
+
+def test_value_too_large_to_print_is_an_error_verdict(tmp_path, capsys):
+    big = tmp_path / "big.pol"
+    big.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"
+                   "polarize f at (9^5000, 1);\n")
+    assert main(["run", str(big)]) == 1
+    out, err = capsys.readouterr()
+    assert "verdict: ERROR" in out and "ValueTooLarge" in out
+    assert "Traceback" not in err
+    assert main(["run", str(big), "--format", "json"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["verdict"] == "ERROR"
+    assert entry["detail"].startswith("ValueTooLarge: value has more than")
 
 
 def test_usage_error_exit_two():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polcheck.errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch
+from polcheck.errors import (
+    DenominatorVanishes,
+    DivisionByZero,
+    ParseError,
+    SpecMismatch,
+    ValueTooLarge,
+)
 from polcheck.fields import (
     FieldElement,
     FieldSpec,
@@ -18,8 +24,8 @@ from polcheck.fields import (
     substitute,
 )
 from polcheck.lexer import MAX_DIGITS, MAX_NESTING
-from polcheck.oracle import from_element, matches, o_mul
-from polcheck.polys import Poly
+from polcheck.oracle import from_element, matches, o_add, o_div, o_mul, o_sub
+from polcheck.polys import Poly, poly_gcd
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
@@ -81,6 +87,74 @@ def test_field_arith_entry_point():
         field_arith("pow", Q.zero(), -2)
     with pytest.raises(SpecMismatch):
         field_arith("add", Q.one(), Q2.one())
+
+
+# -- polynomial operands ----------------------------------------------------
+
+_ORACLE_OPS = {"add": o_add, "sub": o_sub, "mul": o_mul, "div": o_div}
+
+
+def _check_against_oracle(op, lhs, rhs):
+    value = field_arith(op, lhs, rhs)
+    assert matches(value, _ORACLE_OPS[op](from_element(lhs), from_element(rhs)))
+    # canonical: reduced, with a grlex-monic denominator
+    assert normalize(value).payload == value.payload
+    return value
+
+
+@pytest.mark.parametrize("spec,texts", [
+    (QT, ["t^2+1", "2*t-3", "1/2*t^3-t", "7"]),
+    (QTU_RAT, ["t*u+1", "u-2*t", "3*t^2*u-1/3", "-5"]),
+    (Q2T, ["sqrt(2)*t+1", "t^2-sqrt(2)", "(1+sqrt(2))*t", "3*sqrt(2)"]),
+], ids=["Q(t)", "Q(t, u)", "Q(sqrt 2)(t)"])
+@pytest.mark.parametrize("op", list(_ORACLE_OPS))
+def test_polynomial_operands_match_oracle(spec, texts, op):
+    elements = [spec.element(text) for text in texts]
+    for lhs in elements:
+        for rhs in elements:
+            _check_against_oracle(op, lhs, rhs)
+
+
+def test_division_by_a_constant_other_than_one():
+    value = _check_against_oracle("div", QT.element("t^2+1"), QT.from_int(24))
+    assert format_element(value) == "1/24*t^2+1/24"
+    assert value * QT.from_int(24) == QT.element("t^2+1")
+    value = _check_against_oracle("div", Q2T.element("t"), Q2T.element("1+sqrt(2)"))
+    assert format_element(value) == "(-1+sqrt(2))*t"
+
+
+@pytest.mark.parametrize("spec,poly_text,ratfunc_text", [
+    (QT, "t^2-1", "1/(t-1)"),
+    (QTU_RAT, "t*u-u", "(t+u)/(t-1)"),
+    (Q2T, "t^2-2", "1/(t-sqrt(2))"),
+], ids=["Q(t)", "Q(t, u)", "Q(sqrt 2)(t)"])
+@pytest.mark.parametrize("op", list(_ORACLE_OPS))
+def test_polynomial_mixed_with_rational_function(spec, poly_text, ratfunc_text, op):
+    p, r = spec.element(poly_text), spec.element(ratfunc_text)
+    _check_against_oracle(op, p, r)
+    _check_against_oracle(op, r, p)
+
+
+def test_polynomial_times_rational_function_cancels():
+    assert format_element(QT.element("t^2-1") * QT.element("1/(t-1)")) == "t+1"
+    assert format_element(Q2T.element("t^2-2") / Q2T.element("t+sqrt(2)")) == "t-sqrt(2)"
+
+
+def test_poly_gcd_with_a_constant_is_monic_one():
+    one = Fraction(1)
+    t2 = QT.element("t^2+1").payload[0]
+    for args in ((t2, Poly.const(1, Fraction(3))), (Poly.const(1, Fraction(-2, 3)), t2)):
+        g = poly_gcd(*args)
+        assert g == Poly.const(1, one) and type(g.constant()) is Fraction
+    p = Q2T.element("sqrt(2)*t+1").payload[0]
+    for c in (QuadRat(1, 1, 2), QuadRat(1, 0, 2)):
+        for args in ((p, Poly.const(1, c)), (Poly.const(1, c), p)):
+            g = poly_gcd(*args)
+            assert g == Poly.const(1, QuadRat(1, 0, 2)) and type(g.constant()) is QuadRat
+    # a zero argument still gives the other one made monic
+    assert poly_gcd(Poly.zero(1), Poly.const(1, Fraction(3))) == Poly.const(1, one)
+    assert poly_gcd(Poly.zero(1), QT.element("2*t^2+2").payload[0]) == t2
+    assert poly_gcd(Poly.const(1, QuadRat(0, 2, 2)), Poly.zero(1)) == Poly.const(1, QuadRat(1, 0, 2))
 
 
 # -- normalization --------------------------------------------------------
@@ -195,6 +269,13 @@ def test_parse_digit_limit():
 def test_parse_long_sign_chain():
     assert parse_element("-" * 1001 + "1", Q) == Q.from_int(-1)
     assert parse_element("+-" * 1000 + "2^2", Q) == Q.from_int(4)
+
+
+def test_format_too_many_digits():
+    with pytest.raises(ValueTooLarge):
+        format_element(Q.from_int(9 ** 5000))
+    with pytest.raises(ValueTooLarge):
+        format_element(QT.element("t") / QT.from_int(9 ** 5000))
 
 
 def test_parse_spec_mismatch():

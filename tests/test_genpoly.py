@@ -78,6 +78,17 @@ def test_degree_no_bound_found():
     assert degree_estimate(f, default_probes(Q), 2, Q) is NO_BOUND_FOUND
 
 
+def test_degree_evaluates_f_once_per_distinct_point():
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return NORM(x)
+
+    assert degree_estimate(counting, default_probes(Q2), 6, Q2) == 2
+    assert len(calls) == len(set(calls))
+
+
 def test_degree_rejects_zero_probes():
     with pytest.raises(SpecMismatch):
         degree_estimate(NORM, [Q2.zero()], 4, Q2)

@@ -128,6 +128,24 @@ def test_multiplicative_violation_witness():
     assert "diff" in report.describe()
 
 
+def test_verify_maps_each_distinct_argument_once(monkeypatch):
+    import polcheck.maps as maps_module
+
+    calls = []
+
+    def counting(m, x):
+        calls.append(x)
+        return apply_map(m, x)
+
+    monkeypatch.setattr(maps_module, "apply_map", counting)
+    s = build_endomorphism(QT, {"t": QT.element("t^2")})
+    t, t1 = QT.element("t"), QT.element("t+1")
+    report = verify_map_laws(s, MULTIPLICATIVE, [(t, t1), (t, t), (t1, t)])
+    assert report.passed and len(report.rows) == 3
+    # t, t+1, t^2+t and t^2, each mapped once
+    assert len(calls) == len(set(calls)) == 4
+
+
 def test_verify_needs_samples():
     with pytest.raises(ValueError):
         verify_map_laws(identity_map(Q), ADDITIVE, [])
