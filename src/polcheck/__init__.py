@@ -36,13 +36,10 @@ from .forms import (
     MapOfProduct,
     ProductSym,
     SymmetricForm,
-    delta,
     delta_many,
     eval_form,
-    polarization_check,
     polarize,
     trace,
-    zero_trace_implies_zero_check,
 )
 from .funceq import (
     HOLDS_ON_SAMPLE,

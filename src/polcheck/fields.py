@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
-from .lexer import Token, TokenStream, tokenize
+from .lexer import TokenStream, tokenize
 from .polys import Poly, exact_div, grlex_key, poly_gcd
 
 RATIONALS = "rationals"
@@ -562,46 +562,50 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     """Element sub-parser operating on an existing token stream."""
-    return _parse_sum(stream, spec)
+    return parse_expression(stream, lambda s: parse_element_atom(s, spec))
 
 
-def parse_element_primary(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    """Single element atom with an optional exponent; used when element
-    literals are embedded in a larger grammar that owns the operators."""
-    return _parse_power(stream, spec)
+def parse_expression(stream: TokenStream, atom):
+    """Recursive descent over ``+ - * /``, unary signs, ``^`` with an
+    integer exponent, and parentheses.  ``atom(stream)`` reads every
+    other operand, and the operands supply the arithmetic."""
+    return _parse_sum(stream, atom)
 
 
-def _parse_sum(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    value = _parse_product(stream, spec)
+def _parse_sum(stream: TokenStream, atom):
+    value = _parse_product(stream, atom)
     while stream.at("+", "-"):
         op = stream.next().kind
-        rhs = _parse_product(stream, spec)
+        rhs = _parse_product(stream, atom)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_product(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    value = _parse_unary(stream, spec)
+def _parse_product(stream: TokenStream, atom):
+    value = _parse_unary(stream, atom)
     while stream.at("*", "/"):
         op = stream.next().kind
-        rhs = _parse_unary(stream, spec)
+        rhs = _parse_unary(stream, atom)
         value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_unary(stream: TokenStream, spec: FieldSpec) -> FieldElement:
+def _parse_unary(stream: TokenStream, atom):
     negate = False
     while stream.at("-", "+"):
         negate ^= stream.next().kind == "-"
-    value = _parse_power(stream, spec)
+    value = _parse_power(stream, atom)
     return -value if negate else value
 
 
-def _parse_power(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    base = _parse_atom(stream, spec)
+def _parse_power(stream: TokenStream, atom):
+    if stream.accept("("):
+        base = _parse_sum(stream, atom)
+        stream.expect(")")
+    else:
+        base = atom(stream)
     if stream.accept("^"):
-        exponent = _parse_exponent(stream)
-        return base ** exponent
+        return base ** _parse_exponent(stream)
     return base
 
 
@@ -619,16 +623,12 @@ def _parse_exponent(stream: TokenStream) -> int:
     return sign * int(tok.text)
 
 
-def _parse_atom(stream: TokenStream, spec: FieldSpec) -> FieldElement:
+def parse_element_atom(stream: TokenStream, spec: FieldSpec) -> FieldElement:
+    """One element operand: an integer, sqrt(d) or an indeterminate."""
     tok = stream.peek()
     if tok.kind == "int":
         stream.next()
         return spec.from_int(int(tok.text))
-    if tok.kind == "(":
-        stream.next()
-        value = _parse_sum(stream, spec)
-        stream.expect(")")
-        return value
     if tok.kind == "name":
         if tok.text == "sqrt":
             stream.next()

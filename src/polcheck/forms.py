@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ArityTooLarge, SpecMismatch
-from .fields import FieldElement, FieldSpec, format_element
+from .fields import FieldElement, FieldSpec
 from .maps import AdditiveMap, apply_map
 
 #: Largest form arity the evaluators accept (at most 2^8 = 256 subset sums
@@ -272,11 +272,6 @@ def trace(form: SymmetricForm) -> GenMonomial:
     return GenMonomial(form.arity, form)
 
 
-def delta(f, y: FieldElement):
-    """Difference operator: returns the evaluator x -> f(x+y) - f(x)."""
-    return lambda x: f(x + y) - f(x)
-
-
 def delta_many(f, ys: list[FieldElement], x0: FieldElement) -> FieldElement:
     """Iterated difference at base point x0, expanded by
     inclusion-exclusion over the subset sums of the increments.  Equal
@@ -307,96 +302,3 @@ def polarize(p: GenMonomial, ys: list[FieldElement]) -> FieldElement:
         return p.form.value
     zero = p.domain_spec.zero()
     return delta_many(p, ys, zero) / math.factorial(p.degree)
-
-
-@dataclass(frozen=True)
-class PolarizationReport:
-    """Both sides of the polarization identity for one probe."""
-
-    arity: int
-    increments: int
-    lhs: FieldElement
-    rhs: FieldElement | None
-    applicable: bool
-    passed: bool
-
-    def describe(self) -> str:
-        if not self.applicable:
-            return f"not applicable: {self.increments} increments on an arity-{self.arity} form"
-        status = "pass" if self.passed else "MISMATCH"
-        rhs = format_element(self.rhs) if self.rhs is not None else "0"
-        return f"{status}: lhs = {format_element(self.lhs)}, rhs = {rhs}"
-
-
-def polarization_check(form: SymmetricForm, x: FieldElement,
-                       ys: list[FieldElement]) -> PolarizationReport:
-    """Verify Delta_{y1..ym} A*(x) = 0 for m > n and = n! A(y1..yn) for
-    m = n, exactly; both sides are reported on mismatch."""
-    n = form.arity
-    m = len(ys)
-    tr = trace(form)
-    if m < n:
-        zero = form.codomain_spec.zero()
-        return PolarizationReport(n, m, zero, None, False, False)
-    lhs = delta_many(tr, ys, x)
-    if m > n:
-        rhs = form.codomain_spec.zero()
-    else:
-        rhs = eval_form(form, ys) * math.factorial(n)
-    return PolarizationReport(n, m, lhs, rhs, True, lhs == rhs)
-
-
-@dataclass(frozen=True)
-class ZeroTraceReport:
-    """Outcome of the vanishing-trace-implies-vanishing-form check."""
-
-    applicable: bool
-    passed: bool
-    precondition_witness: FieldElement | None = None
-    inconsistencies: tuple = ()
-
-    def describe(self) -> str:
-        if not self.applicable:
-            return (f"NOT_APPLICABLE: trace is nonzero at "
-                    f"{format_element(self.precondition_witness)}")
-        if self.passed:
-            return "pass: form vanishes on all sampled tuples"
-        items = ", ".join(
-            "(" + ", ".join(format_element(a) for a in tup) + f") -> {format_element(v)}"
-            for tup, v in self.inconsistencies)
-        return f"INCONSISTENT: nonzero values at {items}"
-
-
-def zero_trace_implies_zero_check(form: SymmetricForm,
-                                  sample_tuples: list[list[FieldElement]]) -> ZeroTraceReport:
-    """Executable version of "a vanishing trace forces a vanishing
-    symmetric form": first confirm the trace vanishes on sums from the
-    sampled points, then confirm the form itself vanishes on every
-    sampled tuple, computing its values by polarization from the trace.
-    Any nonzero value is an inconsistency (engine bug or a span too
-    small), reported rather than raised."""
-    tr = trace(form)
-    points = []
-    for tup in sample_tuples:
-        for a in tup:
-            if a not in points:
-                points.append(a)
-    span_sample = list(points)
-    span_sample.extend(g + g for g in points)
-    span_sample.extend(g + h for i, g in enumerate(points) for h in points[i + 1:])
-    if points:
-        total = points[0]
-        for g in points[1:]:
-            total = total + g
-        span_sample.append(total)
-    for s in span_sample:
-        if not tr(s).is_zero():
-            return ZeroTraceReport(False, False, precondition_witness=s)
-    bad = []
-    for tup in sample_tuples:
-        if len(tup) != form.arity:
-            raise SpecMismatch("sample tuple length must equal the form arity")
-        polarized = polarize(tr, list(tup))
-        if not polarized.is_zero():
-            bad.append((tuple(tup), polarized))
-    return ZeroTraceReport(True, not bad, inconsistencies=tuple(bad))

@@ -130,9 +130,18 @@ class Poly:
     def divscale(self, coeff) -> "Poly":
         return Poly(self.nvars, {e: c / coeff for e, c in self.terms.items()})
 
+    def __truediv__(self, other: "Poly") -> "Poly":
+        """Quotient by a nonzero constant; see exact_div for polynomial divisors."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        if not other.is_const():
+            raise ArithmeticError("division by a non-constant polynomial")
+        return self.divscale(other.constant())
+
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
-            raise ValueError("negative power of a polynomial")
+            # only a nonzero constant has an inverse
+            return (Poly.const(self.nvars, _one_like(self)) / self) ** -k
         result = Poly.const(self.nvars, _one_like(self))
         base = self
         while k:

@@ -42,8 +42,9 @@ from .fields import (
     FieldElement,
     FieldSpec,
     format_element,
-    parse_element_primary,
+    parse_element_atom,
     parse_element_tokens,
+    parse_expression,
 )
 from .forms import (
     DEFAULT_ARITY_CAP,
@@ -97,12 +98,17 @@ from .oracle import (
     o_zero,
     random_element,
 )
+from .polys import Poly
 
 PASS = "pass"
 ERROR = "ERROR"
 _PASSING = {HOLDS_ON_SAMPLE, HOLDS_ON_SPAN, PASS}
 
 DEGREE_CAP = 6
+
+#: Highest degree of P or Q in a check.  Both are kept as dense
+#: coefficient lists, so this bounds their length.
+MAX_CHECK_DEGREE = 10_000
 
 
 @dataclass
@@ -473,98 +479,45 @@ class _Parser:
     # polynomial-in-one-symbol parsing for check commands ----------------
 
     def _parse_coeffpoly(self, spec: FieldSpec, fname: str | None) -> list[FieldElement]:
-        """Parse an expression into dense coefficients over one symbol.
+        """Parse an element-grammar expression in one unknown into dense
+        coefficients, low degree first.
 
-        With ``fname`` None the symbol is the metavariable x (the P
-        side); otherwise the symbol is the application ``fname(x)`` and
-        bare x is rejected (the Q side).
+        With ``fname`` None the unknown is the metavariable x (the P
+        side); otherwise it is the application ``fname(x)`` and bare x is
+        rejected (the Q side).
         """
-        return self._cp_sum(spec, fname)
+        unknown = Poly.variable(1, 0, spec.one())
 
-    def _cp_normalize(self, coeffs: list) -> list:
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
+        def atom(stream: TokenStream) -> Poly:
+            tok = stream.peek()
+            if tok.kind == "name" and tok.text == "x":
+                if fname is not None:
+                    raise TypeMismatch("the right side must be a polynomial in "
+                                       f"{fname}(x); bare x is not allowed")
+                stream.next()
+                return unknown
+            if tok.kind == "name" and tok.text == fname:
+                stream.next()
+                stream.expect("(")
+                if stream.expect("name", "x").text != "x":
+                    raise TypeMismatch(f"{fname} may only be applied to x in a check")
+                stream.expect(")")
+                return unknown
+            return Poly.const(1, parse_element_atom(stream, spec))
+
+        try:
+            poly = parse_expression(self.stream, atom)
+        except ZeroDivisionError:
+            raise TypeMismatch("division by zero in a check expression") from None
+        except ArithmeticError:
+            raise TypeMismatch("cannot divide by an expression containing the unknown") from None
+        degree = poly.total_degree()
+        if degree > MAX_CHECK_DEGREE:
+            raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
+        coeffs = [spec.zero()] * (degree + 1)
+        for (k,), c in poly.terms.items():
+            coeffs[k] = coeffs[k] + c  # also turns the Fraction one of 0^0 into an element
         return coeffs
-
-    def _cp_add(self, a, b, spec):
-        out = list(a) + [spec.zero()] * max(0, len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return self._cp_normalize(out)
-
-    def _cp_neg(self, a):
-        return [-c for c in a]
-
-    def _cp_mul(self, a, b, spec):
-        if not a or not b:
-            return []
-        out = [spec.zero()] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            for j, d in enumerate(b):
-                out[i + j] = out[i + j] + c * d
-        return self._cp_normalize(out)
-
-    def _cp_sum(self, spec, fname):
-        value = self._cp_product(spec, fname)
-        while self.stream.at("+", "-"):
-            op = self.stream.next().kind
-            rhs = self._cp_product(spec, fname)
-            if op == "-":
-                rhs = self._cp_neg(rhs)
-            value = self._cp_add(value, rhs, spec)
-        return value
-
-    def _cp_product(self, spec, fname):
-        value = self._cp_unary(spec, fname)
-        while self.stream.at("*", "/"):
-            op = self.stream.next().kind
-            rhs = self._cp_unary(spec, fname)
-            if op == "*":
-                value = self._cp_mul(value, rhs, spec)
-            else:
-                if len(rhs) > 1:
-                    raise TypeMismatch("cannot divide by an expression containing the unknown")
-                if not rhs:
-                    raise TypeMismatch("division by zero in a check expression")
-                value = [c / rhs[0] for c in value]
-        return value
-
-    def _cp_unary(self, spec, fname):
-        negate = False
-        while self.stream.at("-", "+"):
-            negate ^= self.stream.next().kind == "-"
-        value = self._cp_atom(spec, fname)
-        if self.stream.accept("^"):
-            k = int(self.stream.expect("int", "exponent").text)
-            out = [spec.one()]
-            for _ in range(k):
-                out = self._cp_mul(out, value, spec)
-            value = out
-        return self._cp_neg(value) if negate else value
-
-    def _cp_atom(self, spec, fname):
-        tok = self.stream.peek()
-        if tok.kind == "(":
-            self.stream.next()
-            value = self._cp_sum(spec, fname)
-            self.stream.expect(")")
-            return value
-        if tok.kind == "name" and tok.text == "x":
-            if fname is not None:
-                raise TypeMismatch("the right side must be a polynomial in "
-                                   f"{fname}(x); bare x is not allowed")
-            self.stream.next()
-            return [spec.zero(), spec.one()]
-        if tok.kind == "name" and fname is not None and tok.text == fname:
-            self.stream.next()
-            self.stream.expect("(")
-            inner = self.stream.expect("name", "x")
-            if inner.text != "x":
-                raise TypeMismatch(f"{fname} may only be applied to x in a check")
-            self.stream.expect(")")
-            return [spec.zero(), spec.one()]
-        element = parse_element_primary(self.stream, spec)
-        return self._cp_normalize([element])
 
     # commands: each returns its payload ---------------------------------
 

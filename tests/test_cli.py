@@ -99,6 +99,16 @@ def test_value_too_large_to_print_is_an_error_verdict(tmp_path, capsys):
     assert entry["detail"].startswith("ValueTooLarge: value has more than")
 
 
+@pytest.mark.parametrize("rhs", ["f(x)^-2", "f(x)/f(x)", "f(x)/(1-1)", "x"])
+def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
+    bad = tmp_path / "bad.pol"
+    bad.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"
+                   f"check f(x) == {rhs};\n")
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("polcheck: ") and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2

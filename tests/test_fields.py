@@ -140,6 +140,19 @@ def test_polynomial_times_rational_function_cancels():
     assert format_element(Q2T.element("t^2-2") / Q2T.element("t+sqrt(2)")) == "t-sqrt(2)"
 
 
+def test_poly_division_and_negative_powers_need_a_nonzero_constant():
+    x = Poly.variable(1, 0, Fraction(1))
+    half = Poly.const(1, Fraction(1, 2))
+    assert x / Poly.const(1, Fraction(2)) == x * half
+    assert half ** -2 == Poly.const(1, Fraction(4))
+    for fails in (lambda: x / Poly.zero(1), lambda: Poly.zero(1) ** -1):
+        with pytest.raises(ZeroDivisionError):
+            fails()
+    for fails in (lambda: x / x, lambda: x ** -1):
+        with pytest.raises(ArithmeticError):
+            fails()
+
+
 def test_poly_gcd_with_a_constant_is_monic_one():
     one = Fraction(1)
     t2 = QT.element("t^2+1").payload[0]
@@ -290,6 +303,9 @@ def test_parse_spec_mismatch():
 def test_parse_negative_exponent_forms():
     assert parse_element("t^-1", QT) == QT.element("1/t")
     assert parse_element("t^(-2)", QT) == QT.element("1/t^2")
+    with pytest.raises(ParseError):
+        parse_element("2^3^2", Q)  # a power of a power needs parentheses
+    assert parse_element("(2^3)^2", Q) == Q.from_int(64)
 
 
 # -- formatting round trips ---------------------------------------------------

@@ -10,21 +10,24 @@ from polcheck.fields import FieldSpec
 from polcheck.forms import (
     ConstForm,
     FormProduct,
-    GenMonomial,
     LinComb,
     Lift,
     MapOfProduct,
     ProductSym,
-    delta,
     delta_many,
     eval_form,
-    polarization_check,
     polarize,
     trace,
-    zero_trace_implies_zero_check,
 )
 from polcheck.maps import build_derivation, build_endomorphism, identity_map, zero_map
-from polcheck.oracle import Oracle, SampleConfig, from_element, matches, sample_elements
+from polcheck.oracle import (
+    Oracle,
+    SampleConfig,
+    from_element,
+    matches,
+    o_mulint,
+    sample_elements,
+)
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
@@ -83,14 +86,14 @@ def test_degree_zero_trace_is_constant():
 # -- difference operator ---------------------------------------------------------
 
 def test_delta_single():
-    f = delta(NORM, E)
     x = Q2.element("3")
-    assert f(x) == NORM(x + E) - NORM(x)
+    assert delta_many(NORM, [E], x) == NORM(x + E) - NORM(x)
 
 
 def test_delta_composes_into_iterated_differences():
     y1, y2 = E, Q2.element("3-sqrt(2)")
-    composed = delta(delta(NORM, y1), y2)
+    first = lambda x: NORM(x + y1) - NORM(x)  # noqa: E731
+    composed = lambda x: first(x + y2) - first(x)  # noqa: E731
     for x in (Q2.zero(), Q2.element("5"), E):
         assert composed(x) == delta_many(NORM, [y1, y2], x)
 
@@ -163,21 +166,27 @@ def test_polarize_degree_one_is_identity():
     assert polarize(a, [Q.element("5/3")]) == Q.element("5/3")
 
 
+def _oracle_form_value(form, ys):
+    return Oracle(form.domain_spec).eval_form(form, [from_element(y) for y in ys])
+
+
 def test_polarization_check_equal_orders():
-    report = polarization_check(NORM_FORM, E, [E, Q2.from_int(3)])
-    assert report.applicable and report.passed
-    assert report.lhs == Q2.from_int(6)
+    # n increments on an arity-n form: the difference is n! times the form value
+    ys = [E, Q2.from_int(3)]
+    value = delta_many(NORM, ys, E)
+    assert value == Q2.from_int(6)
+    assert matches(value, o_mulint(_oracle_form_value(NORM_FORM, ys), math.factorial(2)))
 
 
 def test_polarization_check_higher_order_vanishes():
-    report = polarization_check(NORM_FORM, Q2.one(), [E, E, Q2.one()])
-    assert report.applicable and report.passed and report.lhs.is_zero()
+    assert delta_many(NORM, [E, E, Q2.one()], Q2.one()).is_zero()
 
 
 def test_polarization_check_zero_form():
     z = MapOfProduct(zero_map(QT), 3)
-    report = polarization_check(z, QT.element("t"), [QT.one()] * 3)
-    assert report.passed and report.lhs.is_zero() and report.rhs.is_zero()
+    ys = [QT.one()] * 3
+    assert delta_many(trace(z), ys, QT.element("t")).is_zero()
+    assert matches(QT.zero(), _oracle_form_value(z, ys))
 
 
 def test_polarization_base_point_independence():
@@ -192,21 +201,26 @@ def test_zero_trace_check_on_cancelling_combination():
     idt = identity_map(QT)
     form = LinComb(((QT.one(), ProductSym((idt, idt))),
                     (-QT.one(), MapOfProduct(idt, 2))))
-    tuples = [[QT.element("t"), QT.element("t+1")], [QT.element("t^2"), QT.from_int(2)]]
-    report = zero_trace_implies_zero_check(form, tuples)
-    assert report.applicable and report.passed
+    tr = trace(form)
+    for x in (QT.element("t"), QT.element("t^2+3"), QT.element("1/(t-1)")):
+        assert tr(x).is_zero()
+    for ys in ([QT.element("t"), QT.element("t+1")], [QT.element("t^2"), QT.from_int(2)]):
+        assert polarize(tr, ys).is_zero()
+        assert matches(QT.zero(), _oracle_form_value(form, ys))
 
 
 def test_zero_trace_check_zero_form():
     form = MapOfProduct(zero_map(QT), 2)
-    report = zero_trace_implies_zero_check(form, [[QT.one(), QT.element("t")]])
-    assert report.applicable and report.passed
+    ys = [QT.one(), QT.element("t")]
+    assert polarize(trace(form), ys).is_zero()
+    assert matches(QT.zero(), _oracle_form_value(form, ys))
 
 
 def test_zero_trace_check_not_applicable_for_norm():
-    report = zero_trace_implies_zero_check(NORM_FORM, [[Q2.one(), E]])
-    assert not report.applicable
-    assert report.precondition_witness is not None
+    # the norm's trace does not vanish, and neither do its form values
+    assert not NORM(E).is_zero()
+    value = polarize(NORM, [Q2.one(), E])
+    assert not value.is_zero() and matches(value, _oracle_form_value(NORM_FORM, [Q2.one(), E]))
 
 
 # -- structural properties --------------------------------------------------------------

@@ -1,10 +1,21 @@
 """Session language: parsing, binding, execution, reports."""
 
 import json
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polcheck.errors import NameResolutionError, ParseError, TypeMismatch
+from polcheck.errors import (
+    NameResolutionError,
+    ParseError,
+    PolcheckError,
+    SpecMismatch,
+    TypeMismatch,
+)
+from polcheck.fields import FieldSpec, format_element, parse_element
+from polcheck.funceq import PolySpec
 from polcheck.session import (
     RunOptions,
     emit_report,
@@ -112,6 +123,116 @@ def test_map_expression_forms():
     """
     session = parse_session(src)
     assert set(session.env) == {"dd", "s", "a", "b", "c", "e"}
+
+
+# -- check expressions -------------------------------------------------------
+
+Q2 = FieldSpec.quadratic(2)
+
+CHECK_HEAD = """
+field F = Q(sqrt 2);
+hom c = conj;
+genpoly f = trace(product(id, c));
+"""
+
+
+def check_sides(line):
+    (command,) = parse_session(CHECK_HEAD + line).commands
+    return tuple([format_element(c) for c in command.payload[side].coefficients]
+                 for side in ("p", "q"))
+
+
+@pytest.mark.parametrize("line,p,q", [
+    ("check f(x) == --f(x)^2;", ["0", "1"], ["0", "0", "1"]),
+    ("check f(x) == -f(x)^2;", ["0", "1"], ["0", "0", "-1"]),
+    ("check f(-x) == +f(x);", ["0", "-1"], ["0", "1"]),
+    ("check f((x+1)^3) == (f(x)+1)^2 - f(x)^2;", ["1", "3", "3", "1"], ["1", "2"]),
+    ("check f(sqrt(2)^2*x) == f(x)/sqrt(2)/2;", ["0", "2"], ["0", "1/4*sqrt(2)"]),
+    ("check f(x^0) == f(x)^0;", ["1"], ["1"]),
+    ("check f(x) == 0*f(x);", ["0", "1"], []),
+    ("check f(x) == (1-1)^0 + 0^0*f(x);", ["0", "1"], ["1", "1"]),
+    ("check f(2^-1*x) == f(x)/4;", ["0", "1/2"], ["0", "1/4"]),
+    # accepted since both sides use the element grammar
+    ("check f((1+1)^-1*x) == f(x)^(2);", ["0", "1/2"], ["0", "0", "1"]),
+])
+def test_check_expression_coefficients(line, p, q):
+    assert check_sides(line) == (p, q)
+
+
+@pytest.mark.parametrize("line,error,message", [
+    ("check f(x) == f(x)/f(x);", TypeMismatch,
+     "cannot divide by an expression containing the unknown"),
+    ("check f(x/0) == f(x);", TypeMismatch, "division by zero in a check expression"),
+    ("check f(x) == f(x)/(1-1);", TypeMismatch, "division by zero in a check expression"),
+    ("check f(x) == x;", TypeMismatch, "bare x is not allowed"),
+    ("check f(x) == f(y);", TypeMismatch, "f may only be applied to x"),
+    ("check f(x) == f(2);", ParseError, "expected x"),
+    ("check f(x) == g(x);", SpecMismatch, "'g' is not valid"),
+    ("check f(x^-1) == f(x);", TypeMismatch,
+     "cannot divide by an expression containing the unknown"),
+    ("check f(x) == f(x)^-2;", TypeMismatch,
+     "cannot divide by an expression containing the unknown"),
+    ("check f(x) == f(x)^(-1);", TypeMismatch,
+     "cannot divide by an expression containing the unknown"),
+    ("check f((1-1)^-1*x) == f(x);", TypeMismatch, "division by zero in a check expression"),
+    # a power of a power needs parentheses, as everywhere in the element grammar
+    ("check f(2^3^2*x) == f(x);", ParseError, r"unexpected \^"),
+])
+def test_check_expression_errors(line, error, message):
+    with pytest.raises(error, match=message):
+        parse_session(CHECK_HEAD + line)
+
+
+def test_large_exponents_parse_quickly():
+    def too_slow(signum, frame):
+        raise TimeoutError("parsing took more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        (command,) = parse_session(CHECK_HEAD + "check f(x^2000) == f(x)^2000;").commands
+        for line in ("check f(x) == f(x)^10001;", "check f(x^" + "9" * 999 + ") == f(x);"):
+            with pytest.raises(ParseError, match="degree above 10000"):
+                parse_session(CHECK_HEAD + line)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert command.payload["p"].monomial_parts() == (2000, Q2.one())
+    assert command.payload["q"].monomial_parts() == (2000, Q2.one())
+
+
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "(2)", "(-1)"])
+_LEAVES = st.sampled_from(["0", "1", "2", "3", "12", "sqrt(2)"])
+
+
+def _constant_expressions():
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map("".join),
+            inner.map(lambda e: "-" + e),
+            inner.map(lambda e: f"({e})"),
+            st.tuples(_LEAVES, _EXPONENTS).map("^".join),
+            st.tuples(inner, _EXPONENTS).map(lambda t: f"({t[0]})^{t[1]}"),
+        )
+    return st.recursive(_LEAVES, extend, max_leaves=8)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(_constant_expressions())
+def test_both_check_sides_share_the_element_grammar(text):
+    def coefficients(parse):
+        try:
+            return parse()
+        except PolcheckError:
+            return None
+
+    expected = coefficients(lambda: PolySpec.from_coefficients(
+        [Q2.zero(), parse_element(text, Q2)]).coefficients)
+    for line, side in ((f"check f(({text})*x) == f(x);", "p"),
+                       (f"check f(x) == ({text})*f(x);", "q")):
+        actual = coefficients(lambda: parse_session(CHECK_HEAD + line).commands[0].payload[side]
+                              .coefficients)
+        assert actual == expected, line
 
 
 # -- round trip ------------------------------------------------------------
