@@ -308,12 +308,8 @@ class FieldElement:
         return self.spec == other.spec and self.payload == other.payload
 
     def __hash__(self):
-        payload = self.payload
-        if isinstance(payload, tuple):
-            payload_hash = hash((payload[0], payload[1]))
-        else:
-            payload_hash = hash(payload)
-        return hash((self.spec, payload_hash))
+        # equal elements share a spec, so the payload alone is a valid hash
+        return hash(self.payload)
 
     def __str__(self):
         return format_element(self)
@@ -565,47 +561,49 @@ def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     return parse_expression(stream, lambda s: parse_element_atom(s, spec))
 
 
-def parse_expression(stream: TokenStream, atom):
+def parse_expression(stream: TokenStream, atom, power=pow):
     """Recursive descent over ``+ - * /``, unary signs, ``^`` with an
     integer exponent, and parentheses.  ``atom(stream)`` reads every
-    other operand, and the operands supply the arithmetic."""
-    return _parse_sum(stream, atom)
+    other operand, and the operands supply the arithmetic;
+    ``power(base, k)`` computes each ``base^k``, so a caller can refuse
+    a power before it is expanded."""
+    return _parse_sum(stream, atom, power)
 
 
-def _parse_sum(stream: TokenStream, atom):
-    value = _parse_product(stream, atom)
+def _parse_sum(stream: TokenStream, atom, power):
+    value = _parse_product(stream, atom, power)
     while stream.at("+", "-"):
         op = stream.next().kind
-        rhs = _parse_product(stream, atom)
+        rhs = _parse_product(stream, atom, power)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_product(stream: TokenStream, atom):
-    value = _parse_unary(stream, atom)
+def _parse_product(stream: TokenStream, atom, power):
+    value = _parse_unary(stream, atom, power)
     while stream.at("*", "/"):
         op = stream.next().kind
-        rhs = _parse_unary(stream, atom)
+        rhs = _parse_unary(stream, atom, power)
         value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_unary(stream: TokenStream, atom):
+def _parse_unary(stream: TokenStream, atom, power):
     negate = False
     while stream.at("-", "+"):
         negate ^= stream.next().kind == "-"
-    value = _parse_power(stream, atom)
+    value = _parse_power(stream, atom, power)
     return -value if negate else value
 
 
-def _parse_power(stream: TokenStream, atom):
+def _parse_power(stream: TokenStream, atom, power):
     if stream.accept("("):
-        base = _parse_sum(stream, atom)
+        base = _parse_sum(stream, atom, power)
         stream.expect(")")
     else:
         base = atom(stream)
     if stream.accept("^"):
-        return base ** _parse_exponent(stream)
+        return power(base, _parse_exponent(stream))
     return base
 
 

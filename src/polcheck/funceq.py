@@ -13,10 +13,12 @@ into homomorphisms solved against a user-supplied dictionary.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .errors import ArityTooLarge, DenominatorVanishes, SpecMismatch
+from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
 from .fields import FieldElement, FieldSpec, format_element
 from .forms import (
     FormProduct,
@@ -286,12 +288,20 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates need k >= 1")
     lhs_form, rhs_form = span_forms(monomial, p, q)  # may raise ArityTooLarge
+    spec = lhs_form.domain_spec
+    if any(g.spec != spec for g in generators):
+        raise SpecMismatch("form argument outside the domain field")
     arity = n * k
+    scale = math.factorial(arity)
+    zero = spec.zero()
+    # tuples share subset sums, so each side's trace is evaluated once per sum
+    lhs_trace = functools.cache(trace(lhs_form))
+    rhs_trace = functools.cache(trace(rhs_form))
     witnesses = []
     rows = []
     for tup in probe_tuples(generators, arity):
-        lhs = eval_form(lhs_form, list(tup))
-        rhs = eval_form(rhs_form, list(tup))
+        lhs = delta_many(lhs_trace, tup, zero) / scale
+        rhs = delta_many(rhs_trace, tup, zero) / scale
         rows.append((tuple(tup), lhs, rhs))
         if lhs != rhs:
             witnesses.append(Witness(tuple(tup), lhs, rhs, lhs - rhs))
@@ -302,7 +312,14 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
                           rows=tuple(rows))
 
 
-def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
+def _quartic_trace(f2: SymmetricForm):
+    """x -> 3*(f(x^2) - f(x)^2) for the trace f of F2: the trace of the
+    six-term quartic form."""
+    f = trace(f2)
+    return lambda x: 3 * (f(x * x) - f(x) ** 2)
+
+
+def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4, quartic=None) -> FieldElement:
     """The six-term symmetric 4-additive form attached to a bi-additive
     F2,
 
@@ -311,10 +328,10 @@ def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
 
     it vanishes identically exactly when the trace f of F2 satisfies
     f(x^2) = f(x)^2.  Evaluated as the polarization of its trace
-    3*(f(x^2) - f(x)^2)."""
-    f = trace(f2)
-    return delta_many(lambda x: 3 * (f(x * x) - f(x) ** 2), [x1, x2, x3, x4],
-                      f2.domain_spec.zero()) / math.factorial(4)
+    ``quartic`` (by default ``_quartic_trace(f2)``)."""
+    if quartic is None:
+        quartic = _quartic_trace(f2)
+    return delta_many(quartic, [x1, x2, x3, x4], f2.domain_spec.zero()) / math.factorial(4)
 
 
 def _solve_against_dictionary(values, dictionary, probes):
@@ -353,8 +370,10 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         return EquationReport(verdict, witnesses, sample_description=description,
                               rows=tuple(rows), **extra)
 
+    # probe 4-tuples share subset sums: evaluate the quartic trace once per sum
+    quartic = functools.cache(_quartic_trace(f2))
     for tup in probe_tuples(probes, 4):
-        value = quartic_form_value(f2, *tup)
+        value = quartic_form_value(f2, *tup, quartic)
         zero = value.spec.zero()
         rows.append((tuple(tup), value, zero))
         if not value.is_zero():
@@ -373,14 +392,15 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         return report(HOLDS_ON_SAMPLE, classification=classification)
     if f_at_1 != one.spec.one():
         # unreachable when step 2 passed: F4(1,1,1,1) = 3 f(1)(1 - f(1))
-        value = quartic_form_value(f2, one, one, one, one)
+        value = quartic_form_value(f2, one, one, one, one, quartic)
         return report(REFUTED, (Witness((one,) * 4, value, value.spec.zero(), value),),
                       detail="f(1) is neither 0 nor 1")
 
-    a_values = {p: eval_form(f2, [p, one]) for p in probes}
-
+    @functools.cache
     def a_of(x: FieldElement) -> FieldElement:
-        return a_values.get(x) or eval_form(f2, [x, one])
+        return eval_form(f2, [x, one])
+
+    a_values = {p: a_of(p) for p in probes}
 
     # quartic constraint on a: -a(x^4) + a(x^2)^2 + 4 a(x)^2 a(x^2) - 4 a(x)^4 = 0
     for p in probes:
@@ -417,16 +437,12 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
                 coeffs = None
                 break
     if coeffs is None:
-        from .errors import DictionaryInsufficient
-
         raise DictionaryInsufficient(
             "a(x) = F2(x, 1) is not a combination of the supplied homomorphisms on the probes",
             residual=residual)
 
     nonzero = [(c, phi) for c, phi in zip(coeffs, dictionary) if not c.is_zero()]
     half = one.spec.from_fraction
-    from fractions import Fraction
-
     if len(nonzero) == 1 and nonzero[0][0].is_one():
         phi = nonzero[0][1]
         factors = (phi, phi)
@@ -629,8 +645,6 @@ def quartic_solve(a: AdditiveMap, probes: list[FieldElement],
     spec = a.domain_spec
     one = spec.one()
     a1 = apply_map(a, one)
-    from fractions import Fraction
-
     c32 = spec.from_fraction(Fraction(3, 2))
     c12 = spec.from_fraction(Fraction(1, 2))
     description = f"probes ({', '.join(format_element(p) for p in probes)})"
@@ -671,8 +685,6 @@ def quartic_solve(a: AdditiveMap, probes: list[FieldElement],
                 extras=(("scalar a(1)^4", format_element(a1 ** 4)),))
             return EquationReport(HOLDS_ON_SAMPLE, classification=classification,
                                   sample_description=description)
-    from .errors import DictionaryInsufficient
-
     raise DictionaryInsufficient(
         "a is not proportional to any supplied homomorphism on the probes")
 

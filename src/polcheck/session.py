@@ -138,8 +138,8 @@ def default_probes(spec: FieldSpec) -> list[FieldElement]:
 
 
 def default_span_generators(spec: FieldSpec) -> list[FieldElement]:
-    """Documented span-generator defaults (kept small: span checks scale
-    with |generators|^arity)."""
+    """Documented span-generator defaults (kept small: a span check of
+    arity r over m generators compares C(m+r-1, r) tuples)."""
     if spec.kind == "rationals":
         return [spec.from_int(1), spec.from_int(2), spec.from_int(3)]
     if spec.kind == "quadratic":
@@ -505,8 +505,14 @@ class _Parser:
                 return unknown
             return Poly.const(1, parse_element_atom(stream, spec))
 
+        def power(base: Poly, k: int) -> Poly:
+            # refused from the degrees alone: expanding a dense base could take hours
+            if base.total_degree() * k > MAX_CHECK_DEGREE:
+                raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
+            return base ** k
+
         try:
-            poly = parse_expression(self.stream, atom)
+            poly = parse_expression(self.stream, atom, power)
         except ZeroDivisionError:
             raise TypeMismatch("division by zero in a check expression") from None
         except ArithmeticError:

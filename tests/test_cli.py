@@ -99,7 +99,7 @@ def test_value_too_large_to_print_is_an_error_verdict(tmp_path, capsys):
     assert entry["detail"].startswith("ValueTooLarge: value has more than")
 
 
-@pytest.mark.parametrize("rhs", ["f(x)^-2", "f(x)/f(x)", "f(x)/(1-1)", "x"])
+@pytest.mark.parametrize("rhs", ["f(x)^-2", "f(x)/f(x)", "f(x)/(1-1)", "x", "(f(x)+1)^20000"])
 def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
     bad = tmp_path / "bad.pol"
     bad.write_text("field F = Q;\nform S = product(id, id);\ngenpoly f = trace(S);\n"

@@ -78,6 +78,20 @@ def test_pow_ratfunc():
     assert result == QT.element("(t^2+1)*(t^2+1)")
 
 
+@pytest.mark.parametrize("spec, left, right", [
+    (Q, "4/2", "2"),
+    (Q2, "(1+sqrt(2))^2", "3+2*sqrt(2)"),
+    (QT, "(t^2-1)/(t-1)", "t+1"),
+    (Q2T, "t/sqrt(2)", "sqrt(2)*t/2"),
+])
+def test_equal_elements_hash_equal(spec, left, right):
+    a, b = parse_element(left, spec), parse_element(right, spec)
+    assert a == b and hash(a) == hash(b)
+    # the hash reads the payload alone, not the spec
+    assert hash(a) == hash(a.payload)
+    assert len({a, b, a + spec.one()}) == 2
+
+
 def test_field_arith_entry_point():
     assert field_arith("add", Q.element("1/2"), Q.element("1/3")) == Fraction(5, 6)
     assert field_arith("pow", QT.element("t"), -1) == QT.element("1/t")

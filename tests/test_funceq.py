@@ -1,12 +1,15 @@
 """Equation checking and the constructive classifiers."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from polcheck import forms as forms_module
+from polcheck import funceq as funceq_module
 from polcheck.errors import DenominatorVanishes, DictionaryInsufficient, SpecMismatch
 from polcheck.fields import FieldSpec, format_element
-from polcheck.forms import LinComb, MapOfProduct, ProductSym, eval_form, trace
+from polcheck.forms import LinComb, MapOfProduct, ProductSym, delta_many, eval_form, trace
 from polcheck.funceq import (
     HOLDS_ON_SAMPLE,
     HOLDS_ON_SPAN,
@@ -26,8 +29,9 @@ from polcheck.funceq import (
     levicivita_verify,
     quartic_form_value,
     quartic_solve,
+    span_forms,
 )
-from polcheck.genpoly import genpoly_from
+from polcheck.genpoly import genpoly_from, probe_tuples
 from polcheck.maps import (
     apply_map,
     build_derivation,
@@ -55,6 +59,33 @@ E = Q2.element("1+sqrt(2)")
 
 def xk(spec, k, coeff=None, side="domain"):
     return PolySpec.monomial(spec, k, coeff, side)
+
+
+def record_traces(monkeypatch) -> list:
+    """Patch the trace rule to log each (form, x) it is called with,
+    nested nodes included."""
+    calls = []
+    original = forms_module._trace
+
+    def logged(form, x):
+        calls.append((form, x))
+        return original(form, x)
+
+    monkeypatch.setattr(forms_module, "_trace", logged)
+    return calls
+
+
+def subset_sums(tuples, zero) -> set:
+    """The distinct points at which polarizing every tuple evaluates a
+    trace."""
+    sums = set()
+    for tup in tuples:
+        delta_many(lambda s: sums.add(s) or zero, list(tup), zero)
+    return sums
+
+
+def each_once(args, expected) -> bool:
+    return len(args) == len(set(args)) and set(args) == expected
 
 
 # -- degree precheck ----------------------------------------------------------
@@ -164,6 +195,26 @@ def test_span_consistency_implies_pointwise_on_span_elements():
     assert pointwise.verdict == HOLDS_ON_SAMPLE
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
+    gens = default_span_generators(Q2)
+    p, q = xk(Q2, k), xk(Q2, k, side="codomain")
+    lhs_form, rhs_form = span_forms(NORM, p, q)
+    sums = subset_sums(probe_tuples(gens, 2 * k), Q2.zero())
+    assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
+    calls = record_traces(monkeypatch)
+    for _ in range(2):  # the second call counts afresh: no memo outlives a call
+        calls.clear()
+        assert check_symmetrized(NORM, p, q, gens).verdict == HOLDS_ON_SPAN
+        assert each_once([x for form, x in calls if form == lhs_form], sums)
+        assert each_once([x for form, x in calls if form == rhs_form], sums)
+
+
+def test_span_check_rejects_a_generator_outside_the_domain():
+    with pytest.raises(SpecMismatch, match="outside the domain"):
+        check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 2, side="codomain"), [Q2.one(), QT.one()])
+
+
 # -- Lemma families ------------------------------------------------------------------
 
 def _qt_endos():
@@ -265,6 +316,42 @@ def test_classify_zero_form():
     assert report.verdict == HOLDS_ON_SAMPLE
     assert report.classification.case_tag == "zero function"
     assert report.classification.f_at_1.is_zero()
+
+
+def test_classifier_evaluates_the_quartic_trace_once_per_subset_sum(monkeypatch):
+    probes = default_probes(Q2)
+    sums = subset_sums(probe_tuples(probes, 4), Q2.zero())
+    calls = record_traces(monkeypatch)
+    for _ in range(2):  # the second call counts afresh: no memo outlives a call
+        calls.clear()
+        classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], probes)
+        # the quartic step comes first: f(s^2) and f(s) per distinct sum s,
+        # then f(1)
+        quartic = [x for _, x in calls[:2 * len(sums)]]
+        assert each_once(quartic[1::2], sums)
+        assert quartic[0::2] == [s * s for s in quartic[1::2]]
+        assert calls[2 * len(sums)] == (NORM_FORM, Q2.one())
+
+
+def test_classifier_evaluates_a_once_per_distinct_argument(monkeypatch):
+    probes = default_probes(Q2)
+    one = Q2.one()
+    arguments = []
+
+    def logged(form, args):
+        assert form == NORM_FORM and args[1] == one
+        arguments.append(args[0])
+        return eval_form(form, args)
+
+    monkeypatch.setattr(funceq_module, "eval_form", logged)
+    counts = []
+    for _ in range(2):  # the second call counts afresh: no memo outlives a call
+        arguments.clear()
+        classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], probes)
+        assert len(arguments) == len(set(arguments))
+        counts.append(len(arguments))
+    # a(p), a(p^2), a(p^4) and the convolution arguments x*y*z, x*z, y*z
+    assert counts[0] == counts[1] > len(probes)
 
 
 def test_classify_dictionary_insufficient():
