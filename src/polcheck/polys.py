@@ -10,6 +10,7 @@ formatting and when normalizing denominators.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 
@@ -142,14 +143,17 @@ class Poly:
         if k < 0:
             # only a nonzero constant has an inverse
             return (Poly.const(self.nvars, _one_like(self)) / self) ** -k
-        result = Poly.const(self.nvars, _one_like(self))
+        if not k:
+            return Poly.const(self.nvars, _one_like(self))
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def derivative(self, v: int) -> "Poly":
         data = {}
@@ -213,8 +217,16 @@ def exact_div(f: Poly, g: Poly) -> Poly:
 
 # -- greatest common divisor ----------------------------------------
 #
-# Univariate parts use the monic Euclidean algorithm (coefficients lie
-# in a field).  Genuinely multivariate inputs go through the primitive
+# Most gcds the checker asks for are 1, so poly_gcd first tries to prove
+# that modulo a prime: reduce both arguments to F_p (with sqrt d sent to
+# a root of d mod p), evaluate all variables but one at fixed points, and
+# run Euclid in F_p[v].  A reduction that keeps the degree in v maps a
+# common factor of positive degree in v to one of the images (Gauss's
+# lemma over the local ring at p; Brown, J. ACM 1971), so coprime images
+# in every shared variable prove gcd 1.  Any other outcome, including a
+# common factor of the images, falls through to the exact algorithms:
+# univariate parts use the monic Euclidean algorithm (coefficients lie
+# in a field); genuinely multivariate inputs go through the primitive
 # pseudo-remainder sequence on the lowest occurring variable, with
 # contents handled recursively.
 
@@ -230,11 +242,177 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             # a nonzero constant is a unit; reuse it when it is already 1
             (c,) = p.terms.values()
             return p if c == 1 else Poly.const(p.nvars, c / c)
+    one = _certified_one(f, g)
+    if one is not None:
+        return one
     used = f.vars_used() | g.vars_used()
     v = min(used)
     if used <= {v}:
         return _gcd_univar(f, g, v)
     return monic(_gcd_prs(f, g, v))
+
+
+#: Primes below 2**30 for the certificate, tried in order.  The first is
+#: 1 mod 8, so that 2, -1 and -2 are squares modulo it; together they
+#: have a square root of every squarefree d with |d| <= 30.
+CERT_PRIMES = (1073741689, 1073741789, 1073741783, 1073741741, 1073741723,
+               1073741719, 1073741717)
+
+
+def _certified_one(f: Poly, g: Poly) -> Poly | None:
+    """The monic constant 1 when gcd(f, g) = 1 is proved modulo one of
+    CERT_PRIMES, else None.
+
+    f and g are non-constant.  None proves nothing: the images had a
+    common factor, no prime was usable, or the coefficients are neither
+    Fractions nor QuadRats.
+    """
+    c = next(iter(f.terms.values()))
+    if type(c) is Fraction:
+        d, one = None, Fraction(1)
+    else:
+        from .fields import QuadRat  # fields imports this module
+        if type(c) is not QuadRat:
+            return None
+        d, one = c.d, QuadRat(1, 0, c.d)
+    # a common factor has degree 0 in each variable that f or g lacks
+    shared = f.vars_used() & g.vars_used()
+    if shared:
+        verdict = None
+        for p in CERT_PRIMES:
+            verdict = coprime_mod(f, g, shared, p, d)
+            if verdict is not None:
+                break
+        if not verdict:
+            return None
+    return Poly.const(f.nvars, one)
+
+
+def coprime_mod(f: Poly, g: Poly, shared: set[int], p: int, d: int | None) -> bool | None:
+    """Whether the images of f and g modulo p are coprime in each shared
+    variable, with sqrt d sent to a root mod p; None if p is unusable.
+
+    p is unusable when it divides a denominator, when d is not a nonzero
+    square mod p, or when an image loses degree in a shared variable.
+    """
+    root = None
+    if d is not None:
+        root = sqrt_mod(d, p)
+        if root is None:
+            return None
+    fp = _reduce_mod(f, p, root, d)
+    gp = None if fp is None else _reduce_mod(g, p, root, d)
+    if gp is None:
+        return None
+    points = evaluation_points(f.nvars, p) if f.nvars > 1 else ()
+    for v in sorted(shared):
+        a = _image_in(fp, v, points, p)
+        b = _image_in(gp, v, points, p)
+        if a is None or b is None:
+            return None
+        if not _coprime_dense(a, b, p):
+            return False
+    return True
+
+
+def evaluation_points(nvars: int, p: int) -> list[int]:
+    """Fixed points mod p at which coprime_mod sets the other variables.
+
+    They come from a generator seeded by p, not from one formula, so no
+    polynomial relation among them holds for every prime: a leading
+    coefficient that vanishes at the points of one prime is unlikely to
+    vanish at those of the next."""
+    rng = random.Random(p)
+    return [rng.randrange(1, p) for _ in range(nvars)]
+
+
+def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None:
+    """{exponents: coefficient mod p}, or None if p divides a denominator
+    or a coefficient is not a scalar of Q or Q(sqrt d)."""
+    out = {}
+    for e, c in f.terms.items():
+        if type(c) is Fraction:
+            value = _rational_mod(c, p)
+        elif root is not None and getattr(c, "d", None) == d:  # a QuadRat
+            a, b = _rational_mod(c.a, p), _rational_mod(c.b, p)
+            value = None if a is None or b is None else (a + b * root) % p
+        else:
+            return None
+        if value is None:
+            return None
+        out[e] = value
+    return out
+
+
+def _rational_mod(q, p: int) -> int | None:
+    den = q.denominator
+    if den == 1:
+        return q.numerator % p
+    if not den % p:
+        return None
+    return q.numerator * pow(den, -1, p) % p
+
+
+def _image_in(fp: dict, v: int, points: list[int], p: int) -> list[int] | None:
+    """Dense coefficients in variable v, low degree first, of a reduced
+    polynomial with the other variables set to points; None if the top
+    coefficient vanishes."""
+    top = max(e[v] for e in fp)
+    out = [0] * (top + 1)
+    for e, c in fp.items():
+        for i, k in enumerate(e):
+            if k and i != v:
+                c = c * pow(points[i], k, p) % p
+        out[e[v]] += c
+    out = [c % p for c in out]
+    return out if out[top] else None
+
+
+def _coprime_dense(a: list[int], b: list[int], p: int) -> bool:
+    """Euclid in F_p[t] on dense coefficient lists with nonzero tops:
+    whether the gcd is constant."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop()
+            if q:
+                off = len(a) - db
+                a[off:] = [(x - q * y) % p for x, y in zip(a[off:], b)]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n modulo the odd prime p (Tonelli-Shanks), or
+    None when n is 0 or not a square mod p."""
+    n %= p
+    if not n or pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while not q & 1:
+        q >>= 1
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:

@@ -110,6 +110,31 @@ DEGREE_CAP = 6
 #: coefficient lists, so this bounds their length.
 MAX_CHECK_DEGREE = 10_000
 
+#: Most coefficient products that expanding one power ``e^k`` in a check
+#: may take.  Their count is bounded from e's size before any product.
+MAX_POWER_PRODUCTS = 10_000
+
+
+def power_products(terms: int, degree: int, k: int) -> int:
+    """Upper bound on the coefficient products ``Poly.__pow__`` makes for
+    ``e ** k``, where e has ``terms`` terms and total degree ``degree``
+    in one variable: ``e ** j`` has at most ``j*degree + 1`` terms, and
+    a single term stays one."""
+    def size(j: int) -> int:
+        return terms if j == 1 or terms <= 1 else j * degree + 1
+
+    products, done, j = 0, 0, 1  # the result so far is e**done, the square e**j
+    while k:
+        if k & 1:
+            if done:
+                products += size(done) * size(j)
+            done += j
+        k >>= 1
+        if k:
+            products += size(j) ** 2
+            j *= 2
+    return products
+
 
 @dataclass
 class RunOptions:
@@ -507,8 +532,12 @@ class _Parser:
 
         def power(base: Poly, k: int) -> Poly:
             # refused from the degrees alone: expanding a dense base could take hours
-            if base.total_degree() * k > MAX_CHECK_DEGREE:
+            degree = base.total_degree()
+            if degree * k > MAX_CHECK_DEGREE:
                 raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
+            if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
+                raise self.stream.error(
+                    f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
             return base ** k
 
         try:

@@ -109,6 +109,17 @@ def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
     assert out == "" and err.startswith("polcheck: ") and "Traceback" not in err
 
 
+def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):
+    dense = tmp_path / "dense.pol"
+    dense.write_text("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
+                     "check f((x+1)^400) == f(x);\n")
+    with time_limit(5, "polcheck run"):
+        assert main(["run", str(dense)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("polcheck: power needs more than 10000 coefficient products")
+
+
 def test_usage_error_exit_two():
     result = run_cli("frobnicate")
     assert result.returncode == 2

@@ -1,0 +1,218 @@
+"""Polynomial gcds: the coprimality certificate modulo a prime and its fallback."""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polcheck import polys
+from polcheck.fields import FieldSpec, QuadRat, is_squarefree
+from polcheck.polys import (
+    CERT_PRIMES,
+    Poly,
+    coprime_mod,
+    evaluation_points,
+    exact_div,
+    monic,
+    poly_gcd,
+    sqrt_mod,
+)
+
+P0, P1 = CERT_PRIMES[:2]
+QTU = FieldSpec.ratfunc(FieldSpec.rationals(), ["t", "u"])
+
+
+def upoly(*coeffs) -> Poly:
+    """Polynomial in one variable, low degree first."""
+    return Poly(1, {(k,): c if isinstance(c, QuadRat) else Fraction(c)
+                    for k, c in enumerate(coeffs)})
+
+
+def quad(a, b, d) -> QuadRat:
+    return QuadRat(Fraction(a), Fraction(b), d)
+
+
+def euclid_gcd(f: Poly, g: Poly) -> Poly:
+    """poly_gcd with the certificate switched off: Euclid and the PRS only."""
+    with mock.patch.object(polys, "_certified_one", lambda f, g: None):
+        return poly_gcd(f, g)
+
+
+@contextmanager
+def certificate_only():
+    """Fail if poly_gcd reaches Euclid or the PRS, at any depth."""
+    def unreachable(*args):
+        raise AssertionError("the certificate did not settle this gcd")
+
+    with mock.patch.object(polys, "_gcd_univar", unreachable), \
+            mock.patch.object(polys, "_gcd_prs", unreachable):
+        yield
+
+
+# -- choosing a prime --------------------------------------------------------
+
+def test_prime_dividing_a_leading_numerator_is_skipped():
+    # modulo P0 both images lose their factor P0*t + 1 and look coprime
+    factor = upoly(1, P0)
+    f, g = factor * upoly(1, 1), factor * upoly(2, 1)
+    assert coprime_mod(f, g, {0}, P0, None) is None
+    assert coprime_mod(f, g, {0}, P1, None) is False
+    assert poly_gcd(f, g) == monic(factor) == upoly(Fraction(1, P0), 1)
+    f, g = upoly(1, P0), upoly(2, 1)
+    assert coprime_mod(f, g, {0}, P0, None) is None
+    with certificate_only():
+        assert poly_gcd(f, g) == upoly(1)
+
+
+@pytest.mark.parametrize("f,d", [
+    (upoly(Fraction(1, P0), 1), None),
+    (upoly(Fraction(P0 + 1, 3 * P0), Fraction(1, 2)), None),
+    (upoly(quad(1, Fraction(1, P0), 2), quad(1, 0, 2)), 2),
+])
+def test_prime_dividing_a_denominator_is_skipped(f, d):
+    g = upoly(2, 1) if d is None else upoly(quad(2, 0, d), quad(1, 0, d))
+    verdicts = [coprime_mod(f, g, {0}, p, d) for p in CERT_PRIMES]
+    assert verdicts[0] is None
+    assert next(v for v in verdicts if v is not None) is True
+    with certificate_only():
+        assert poly_gcd(f, g) == upoly(1 if d is None else quad(1, 0, d))
+
+
+def test_non_residue_radicand_moves_on_to_the_next_prime():
+    assert sqrt_mod(7, P0) is None and sqrt_mod(7, P1) is not None
+    f = upoly(quad(0, 1, 7), quad(1, 0, 7))   # t + sqrt(7)
+    g = upoly(quad(1, 0, 7), quad(1, 0, 7))   # t + 1
+    assert coprime_mod(f, g, {0}, P0, 7) is None
+    assert coprime_mod(f, g, {0}, P1, 7) is True
+    with certificate_only():
+        assert poly_gcd(f, g) == upoly(quad(1, 0, 7))
+
+
+def test_every_prime_rejected_falls_back_to_euclid(monkeypatch):
+    monkeypatch.setattr(polys, "CERT_PRIMES", (P0,))
+    calls = []
+    euclid = polys._gcd_univar
+    monkeypatch.setattr(polys, "_gcd_univar", lambda *args: calls.append(args) or euclid(*args))
+    sqrt7 = upoly(quad(0, 1, 7), quad(1, 0, 7))
+    factor = upoly(Fraction(1, P0), 1)
+    cases = [
+        (upoly(Fraction(1, P0), 1), upoly(2, 1), upoly(1)),   # P0 divides a denominator
+        (factor * upoly(1, 1), factor * upoly(3, 1), factor),
+        (upoly(1, P0), upoly(2, 1), upoly(1)),               # P0 divides the leading numerator
+        (sqrt7, upoly(quad(1, 0, 7), quad(1, 0, 7)), upoly(quad(1, 0, 7))),  # 7 is no square mod P0
+        (sqrt7 * upoly(quad(1, 0, 7), quad(1, 0, 7)), sqrt7 * sqrt7, sqrt7),
+    ]
+    for f, g, expected in cases:
+        assert poly_gcd(f, g) == expected
+    assert len(calls) == len(cases)
+
+
+def test_every_small_radicand_has_a_usable_prime():
+    for p in CERT_PRIMES:
+        assert p < 2 ** 30 and p % 2 and all(p % q for q in range(3, 32769, 2))
+    assert any(p % 4 == 1 for p in CERT_PRIMES)
+    radicands = [d for d in range(-30, 31) if d not in (0, 1) and is_squarefree(d)]
+    assert -1 in radicands and len(radicands) == 37
+    for d in radicands:
+        roots = [(p, sqrt_mod(d, p)) for p in CERT_PRIMES]
+        usable = [(p, r) for p, r in roots if r is not None]
+        assert usable, d
+        assert all(r * r % p == d % p for p, r in usable)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 41, 97, 257])
+def test_sqrt_mod_finds_exactly_the_squares(p):
+    squares = {x * x % p for x in range(1, p)}
+    for n in range(-p, 2 * p):
+        r = sqrt_mod(n, p)
+        if n % p in squares:
+            assert r is not None and r * r % p == n % p
+        else:
+            assert r is None
+
+
+# -- soundness: a common factor is never certified away -----------------------
+
+def two_variable(text: str) -> Poly:
+    return QTU.element(text).payload[0]
+
+
+def test_nontrivial_gcd_is_never_reported_as_one():
+    # the leading coefficient in t of the common factor vanishes at the
+    # point where u is set modulo P0, so the images there look coprime
+    point_u = evaluation_points(2, P0)[1]
+    factor = two_variable(f"(u-{point_u})*t+1")
+    cases = [
+        (upoly(1, 1, 1), upoly(2, 1), upoly(-3, 0, 1)),
+        (upoly(1, P0), upoly(1, 1), upoly(2, 1)),
+        (upoly(quad(0, 1, 2), 1), upoly(quad(1, 0, 2), 1), upoly(quad(3, 0, 2), 1)),
+        (upoly(quad(0, 1, -1), quad(1, 0, -1)), upoly(quad(1, 0, -1), quad(1, 0, -1)),
+         upoly(quad(-1, 0, -1), quad(1, 0, -1))),
+        (factor, two_variable("t+u"), two_variable("t+2*u+1")),
+        (two_variable("t*u+1"), two_variable("t^2-u"), two_variable("u^2+t+3")),
+    ]
+    for h, a, b in cases:
+        f, g = a * h, b * h
+        shared = f.vars_used() & g.vars_used()
+        d = getattr(next(iter(f.terms.values())), "d", None)
+        assert all(coprime_mod(f, g, shared, p, d) is not True for p in CERT_PRIMES)
+        gcd = poly_gcd(f, g)
+        assert not gcd.is_const() and gcd == monic(h)
+    f, g = factor * two_variable("t+u"), factor * two_variable("t+2*u+1")
+    assert coprime_mod(f, g, {0, 1}, P0, None) is None
+
+
+def test_two_variable_coprime_pair_is_certified_quickly(time_limit):
+    # the numerator and denominator of a sample value on Q(t, u); the
+    # pseudo-remainder sequence alone ran for minutes on this pair
+    f = two_variable("-t^4*(5*t^4-3)^2*(u+1)^4*(5*u^2-3)^2/81")
+    g = two_variable("((3*t*u^2+3*t*u-1)*(3*t^4*u+3*t^4+3*t^2*u+3*t^2-1))^2/81")
+    assert (len(f.terms), len(g.terms)) == (27, 48)
+    with time_limit(5, "poly_gcd"):
+        assert poly_gcd(f, g) == Poly.const(2, Fraction(1))
+
+
+def test_variables_that_are_not_shared_need_no_prime():
+    with certificate_only():
+        assert poly_gcd(two_variable("t^2+1"), two_variable("u^3-u+1")) == Poly.const(2, Fraction(1))
+
+
+def test_coefficients_of_other_kinds_take_the_euclid_path():
+    spec = FieldSpec.ratfunc(FieldSpec.rationals(), ["t"])
+    t = spec.var("t")
+    f = Poly(1, {(1,): spec.one(), (0,): t})       # X + t over Q(t)
+    g = Poly(1, {(1,): spec.one(), (0,): t + 1})
+    assert polys._certified_one(f, g) is None
+    assert poly_gcd(f, g) == Poly.const(1, spec.one())
+
+
+# -- agreement with Euclid and the PRS ---------------------------------------
+
+_RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _poly(nvars: int, coeffs, max_terms: int):
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    return (st.dictionaries(exps, coeffs, min_size=1, max_size=max_terms)
+            .map(lambda terms: Poly(nvars, terms)).filter(lambda p: not p.is_zero()))
+
+
+@pytest.mark.parametrize("nvars,d", [(1, None), (2, None), (1, 2), (1, -1)],
+                         ids=["Q(t)", "Q(t,u)", "Q(sqrt 2)(t)", "Q(sqrt -1)(t)"])
+def test_gcd_agrees_with_euclid_on_planted_factors(nvars, d):
+    coeffs = _RATIONALS if d is None else st.builds(QuadRat, _RATIONALS, _RATIONALS, st.just(d))
+    max_terms = 3 if nvars == 2 else 4
+
+    @settings(max_examples=60, deadline=2000)
+    @given(_poly(nvars, coeffs, max_terms), _poly(nvars, coeffs, max_terms),
+           _poly(nvars, coeffs, max_terms))
+    def agrees(a, b, h):
+        f, g = a * h, b * h
+        gcd = poly_gcd(f, g)
+        assert gcd == euclid_gcd(f, g)
+        exact_div(gcd, h)  # the planted factor divides the gcd
+
+    agrees()

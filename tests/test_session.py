@@ -1,7 +1,7 @@
 """Session language: parsing, binding, execution, reports."""
 
 import json
-import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from polcheck.session import (
     emit_report,
     format_session,
     parse_session,
+    power_products,
     run_session,
 )
 
@@ -183,24 +184,47 @@ def test_check_expression_errors(line, error, message):
         parse_session(CHECK_HEAD + line)
 
 
-def test_large_exponents_parse_quickly():
-    def too_slow(signum, frame):
-        raise TimeoutError("parsing took more than 5 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+def test_large_exponents_parse_quickly(time_limit):
+    with time_limit(5, "parsing"):
         (command,) = parse_session(CHECK_HEAD + "check f(x^2000) == f(x)^2000;").commands
         # a power is refused from its base degree, before it is expanded
         for line in ("check f(x) == f(x)^10001;", "check f(x^" + "9" * 999 + ") == f(x);",
                      "check f((x+1)^20000) == f(x);"):
             with pytest.raises(ParseError, match="degree above 10000"):
                 parse_session(CHECK_HEAD + line)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert command.payload["p"].monomial_parts() == (2000, Q2.one())
     assert command.payload["q"].monomial_parts() == (2000, Q2.one())
+
+
+def test_power_expansion_work_is_bounded(time_limit):
+    with time_limit(5, "parsing"):
+        # a dense power within the degree cap is refused from its size
+        # alone; expanding (x+1)^400 took seconds
+        for line in ("check f((x+1)^400) == f(x);", "check f(x) == (f(x)+1)^400;"):
+            with pytest.raises(ParseError, match="more than 10000 coefficient products"):
+                parse_session(CHECK_HEAD + line)
+        timings = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_session(CHECK_HEAD + "check f((x+1)^400) == f(x);")
+            timings.append(time.perf_counter() - start)
+        assert min(timings) < 0.01
+        # under the budget: single terms of any allowed degree, and small dense powers
+        (command,) = parse_session(CHECK_HEAD + "check f((x+1)^3) == (f(x)-1)^2;").commands
+    assert [format_element(c) for c in command.payload["p"].coefficients] == ["1", "3", "3", "1"]
+    assert [format_element(c) for c in command.payload["q"].coefficients] == ["1", "-2", "1"]
+
+
+@pytest.mark.parametrize("terms,degree,k,products", [
+    (1, 7, 2000, 15),    # a single term stays one: 10 squarings, 5 products
+    (2, 1, 2, 4),        # (x+1)^2 = (x+1)*(x+1)
+    (2, 1, 3, 10),       # squared (4), then times the base (3 * 2)
+    (0, 0, 5, 0),
+    (2, 1, 400, 61821),
+])
+def test_power_products_bound(terms, degree, k, products):
+    assert power_products(terms, degree, k) == products
 
 
 _EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "(2)", "(-1)"])
@@ -274,17 +298,27 @@ def test_refutation_gives_exit_one_and_witness():
     assert any("diff = -4*t^2" in w for w in entry["witnesses"])
 
 
+TWO_VARIABLE_HEAD = """
+field F = Q(t, u);
+hom s : t -> t^2, u -> u+1;
+hom r : t -> u, u -> t;
+genpoly f = trace(product(s, r));
+"""
+
+
 def test_two_variable_function_field_reaches_a_verdict():
-    src = """
-    field F = Q(t, u);
-    hom s : t -> t^2, u -> u+1;
-    hom r : t -> u, u -> t;
-    genpoly f = trace(product(s, r));
-    check f(x^2) == f(x)^2 on samples(3, seed=3);
-    """
-    doc = run_src(src)
+    doc = run_src(TWO_VARIABLE_HEAD + "check f(x^2) == f(x)^2 on samples(3, seed=3);")
     assert doc.exit_code == 0
     assert doc.entries[0]["verdict"] == "HOLDS_ON_SAMPLE"
+
+
+def test_two_variable_refutation_reaches_a_verdict(time_limit):
+    # 2*q reduces a 27-term numerator against a 48-term denominator, which
+    # the pseudo-remainder sequence alone took minutes to prove coprime
+    with time_limit(5, "the check"):
+        doc = run_src(TWO_VARIABLE_HEAD + "check f(x^2) == 2*f(x)^2 on samples(3, seed=3);")
+    assert doc.exit_code == 1
+    assert doc.entries[0]["verdict"] == "REFUTED"
 
 
 def test_empty_session_empty_report():
