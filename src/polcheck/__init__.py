@@ -29,7 +29,6 @@ from .fields import (
 )
 from .forms import (
     ConstForm,
-    FormProduct,
     GenMonomial,
     LinComb,
     Lift,

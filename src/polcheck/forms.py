@@ -12,9 +12,7 @@ builds such forms:
   of grouping the arguments into blocks (the blockwise formula itself
   is not symmetric; averaging restores symmetry without changing the
   trace);
-* ``LinComb``: codomain-linear combinations;
-* ``FormProduct``: the symmetrized pointwise product of lower forms
-  (used to expand powers such as f(x)^k into a single form).
+* ``LinComb``: codomain-linear combinations.
 
 The engine evaluates a form in one way only.  On the diagonal every
 term of a symmetrization is the same, so each node has a one-term
@@ -177,36 +175,6 @@ class LinComb(SymmetricForm):
         return self.terms[0][1].codomain_spec
 
 
-@dataclass(frozen=True)
-class FormProduct(SymmetricForm):
-    """Symmetrization of the tensor product of lower-arity forms."""
-
-    factors: tuple[SymmetricForm, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise SpecMismatch("form product needs at least one factor")
-        total = sum(f.arity for f in self.factors)
-        if total > DEFAULT_ARITY_CAP:
-            raise ArityTooLarge(f"arity {total} exceeds cap {DEFAULT_ARITY_CAP}")
-        first = self.factors[0]
-        for f in self.factors:
-            if f.domain_spec != first.domain_spec or f.codomain_spec != first.codomain_spec:
-                raise SpecMismatch("all factors must share domain and codomain")
-
-    @property
-    def arity(self):
-        return sum(f.arity for f in self.factors)
-
-    @property
-    def domain_spec(self):
-        return self.factors[0].domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.factors[0].codomain_spec
-
-
 def eval_form(form: SymmetricForm, args: list[FieldElement]) -> FieldElement:
     """Exact value of the form at ``args`` (length must equal arity), by
     polarization of its trace."""
@@ -262,8 +230,6 @@ def _trace(form: SymmetricForm, x: FieldElement) -> FieldElement:
         return _trace(form.inner, x ** form.k)
     if isinstance(form, LinComb):
         return reduce(operator.add, (coeff * _trace(inner, x) for coeff, inner in form.terms))
-    if isinstance(form, FormProduct):
-        return reduce(operator.mul, (_trace(factor, x) for factor in form.factors))
     raise TypeError(f"unknown form node {form!r}")
 
 

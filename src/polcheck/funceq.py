@@ -1,14 +1,15 @@
 """Checking and classifying solutions of f(P(x)) = Q(f(x)).
 
 Pointwise checks evaluate both sides exactly on samples.  Symmetrized
-checks compare the two sides as symmetric forms on every tuple drawn
-from a generator set, which certifies the identity on the whole
-rational span of the generators (multi-additivity transports equality
-from generator tuples to the span).  The classifiers execute the
-constructive steps of the degree-two theory: the six-term quartic form,
-its trace test, the auxiliary additive map a(x) = F2(x, 1), the quartic
-constraint on a, the convolution identity, and the final factorization
-into homomorphisms solved against a user-supplied dictionary.
+checks polarize the same two side functions into symmetric forms and
+compare those on every tuple drawn from a generator set, which
+certifies the identity on the whole rational span of the generators
+(multi-additivity transports equality from generator tuples to the
+span).  The classifiers execute the constructive steps of the degree-two
+theory: the six-term quartic form, its trace test, the auxiliary
+additive map a(x) = F2(x, 1), the quartic constraint on a, the
+convolution identity, and the final factorization into homomorphisms
+solved against a user-supplied dictionary.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from fractions import Fraction
 from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
 from .fields import FieldElement, FieldSpec, format_element
 from .forms import (
-    FormProduct,
+    DEFAULT_ARITY_CAP,
     GenMonomial,
-    Lift,
-    LinComb,
     ProductSym,
     SymmetricForm,
     delta_many,
@@ -225,14 +224,18 @@ def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
                           rows=tuple(rows))
 
 
+def _sides(f, p: PolySpec, q: PolySpec):
+    """The two sides of the equation as functions: x -> f(P(x)) and
+    x -> Q(f(x))."""
+    return (lambda x: f(p.evaluate(x))), (lambda x: q.evaluate(f(x)))
+
+
 def check_pointwise(f, p: PolySpec, q: PolySpec, samples: list[FieldElement],
                     sample_description: str = "") -> EquationReport:
     """Evaluate f(P(x)) - Q(f(x)) exactly at each sample."""
     if not samples:
         raise SpecMismatch("samples must be nonempty")
-    return check_values(lambda x: f(p.evaluate(x)),
-                        lambda x: q.evaluate(f(x)),
-                        samples, sample_description)
+    return check_values(*_sides(f, p, q), samples, sample_description)
 
 
 def _single_monomial(f) -> GenMonomial:
@@ -243,22 +246,14 @@ def _single_monomial(f) -> GenMonomial:
     raise SpecMismatch("the symmetrized check needs a single generalized monomial")
 
 
-def span_forms(monomial: GenMonomial, p: PolySpec, q: PolySpec):
-    """Both sides of f(x^k) = lambda*f(x)^k, for monomial P = x^k and
-    Q = lambda*x^k, as symmetric forms of arity n*k: the lift of f's form
-    and lambda times the symmetrized product of k copies of it."""
-    k, _ = p.monomial_parts()
-    _, lam = q.monomial_parts()
-    return Lift(monomial.form, k), LinComb(((lam, FormProduct((monomial.form,) * k)),))
-
-
 def check_symmetrized(f, p: PolySpec, q: PolySpec,
                       generators: list[FieldElement]) -> EquationReport:
-    """Span certificate for monomial sides P = x^k and Q = lambda*x^k.
+    """Span certificate for monomial sides P = a*x^k and Q = lambda*x^k.
 
-    Both sides are built as symmetric forms of arity n*k (a lift for
-    f(P(x)), a symmetrized product of k copies for Q(f(x))) and
-    compared on every tuple drawn from the generator set; equality
+    For f a generalized monomial of degree n, both sides x -> f(P(x))
+    and x -> Q(f(x)) are generalized monomials of degree n*k.  Each side
+    is polarized into its symmetric n*k-additive form, and the two forms
+    are compared on every tuple drawn from the generator set; equality
     certifies the identity on the rational span of the generators.
     """
     monomial = _single_monomial(f)
@@ -273,12 +268,8 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates require monomial P and Q")
-    k, p_coeff = p_parts
+    k, _ = p_parts
     kq, _ = q_parts
-    if not p_coeff.is_one():
-        return EquationReport(
-            NOT_APPLICABLE, sample_description="span check",
-            detail="span certificates require P = x^k with unit coefficient")
     if k != kq:
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
@@ -287,21 +278,21 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates need k >= 1")
-    lhs_form, rhs_form = span_forms(monomial, p, q)  # may raise ArityTooLarge
-    spec = lhs_form.domain_spec
+    arity = n * k
+    if arity > DEFAULT_ARITY_CAP:
+        raise ArityTooLarge(f"span check needs arity {arity}, cap is {DEFAULT_ARITY_CAP}")
+    spec = monomial.domain_spec
     if any(g.spec != spec for g in generators):
         raise SpecMismatch("form argument outside the domain field")
-    arity = n * k
     scale = math.factorial(arity)
     zero = spec.zero()
-    # tuples share subset sums, so each side's trace is evaluated once per sum
-    lhs_trace = functools.cache(trace(lhs_form))
-    rhs_trace = functools.cache(trace(rhs_form))
+    # tuples share subset sums, so each side is evaluated once per sum
+    lhs_side, rhs_side = (functools.cache(side) for side in _sides(monomial, p, q))
     witnesses = []
     rows = []
     for tup in probe_tuples(generators, arity):
-        lhs = delta_many(lhs_trace, tup, zero) / scale
-        rhs = delta_many(rhs_trace, tup, zero) / scale
+        lhs = delta_many(lhs_side, tup, zero) / scale
+        rhs = delta_many(rhs_side, tup, zero) / scale
         rows.append((tuple(tup), lhs, rhs))
         if lhs != rhs:
             witnesses.append(Witness(tuple(tup), lhs, rhs, lhs - rhs))

@@ -197,6 +197,8 @@ def _rad_index(v: OVal) -> int | None:
 
 
 def o_add(u: OVal, v: OVal) -> OVal:
+    if u.den == v.den:
+        return OVal(_pd_add(u.num, v.num), u.den, u.nsyms, u.d)
     rad = _rad_index(u)
     num = _pd_add(_pd_mul(u.num, v.den, rad, u.d), _pd_mul(v.num, u.den, rad, u.d))
     return OVal(num, _pd_mul(u.den, v.den, rad, u.d), u.nsyms, u.d)
@@ -316,6 +318,19 @@ class Oracle:
     def _key(self, v: OVal):
         return (frozenset(v.num.items()), frozenset(v.den.items()))
 
+    def memoized(self, fn):
+        """``fn`` on oracle values, computed once per distinct value (a pure
+        function; caching changes cost, not values)."""
+        cache: dict = {}
+
+        def cached(v: OVal) -> OVal:
+            key = self._key(v)
+            if key not in cache:
+                cache[key] = fn(v)
+            return cache[key]
+
+        return cached
+
     def apply_map(self, m, v: OVal) -> OVal:
         from .maps import Compose, Derivation, Endo, Identity, MapSum, Scale, Zero
 
@@ -414,7 +429,7 @@ class Oracle:
         equal terms grouped (repeated argument values make many
         permutations coincide); grouping changes the cost, not the sum.
         """
-        from .forms import ConstForm, FormProduct, LinComb, Lift, MapOfProduct, ProductSym
+        from .forms import ConstForm, LinComb, Lift, MapOfProduct, ProductSym
 
         if isinstance(form, ConstForm):
             return from_element(form.value)
@@ -428,7 +443,7 @@ class Oracle:
             for coeff, inner in form.terms:
                 total = o_add(total, o_mul(from_element(coeff), self.eval_form(inner, args)))
             return total
-        if isinstance(form, (ProductSym, Lift, FormProduct)):
+        if isinstance(form, (ProductSym, Lift)):
             cache_key = (id(form), tuple(self._key(a) for a in args))
             cached = self._form_cache.get(cache_key)
             if cached is not None:
@@ -441,7 +456,7 @@ class Oracle:
     def _eval_symmetrized(self, form, args: list[OVal]) -> OVal:
         from collections import Counter
 
-        from .forms import FormProduct, Lift, ProductSym
+        from .forms import ProductSym
 
         n = form.arity
         table: list[OVal] = []
@@ -462,7 +477,7 @@ class Oracle:
                 term = o_int(self.spec, 1)
                 for i, j in enumerate(assignment):
                     term = o_mul(term, self.apply_map(form.maps[i], table[j]))
-            elif isinstance(form, Lift):
+            else:
                 k = form.k
                 blocks = []
                 for b in range(n // k):
@@ -471,13 +486,6 @@ class Oracle:
                         product = o_mul(product, table[j])
                     blocks.append(product)
                 term = self.eval_form(form.inner, blocks)
-            else:
-                term = o_int(self.spec, 1)
-                offset = 0
-                for factor in form.factors:
-                    block = [table[j] for j in assignment[offset:offset + factor.arity]]
-                    term = o_mul(term, self.eval_form(factor, block))
-                    offset += factor.arity
             total = o_add(total, o_mulint(term, mult))
         return o_divint(total, math.factorial(n))
 

@@ -69,7 +69,6 @@ from .funceq import (
     check_symmetrized,
     classify_quadratic_square,
     degree_precheck,
-    span_forms,
 )
 from .genpoly import GenPoly, degree_estimate, genpoly_from, variety_rank
 from .lexer import Token, TokenStream, tokenize
@@ -388,27 +387,40 @@ class _Parser:
         return term
 
     def _parse_scalar(self, spec: FieldSpec) -> FieldElement | None:
-        """A scalar prefix: ['-'] (INT | '(' element ')') followed by '*'."""
+        """A scalar prefix: ['-'] (INT | '(' element ')') followed by '*'.
+        Without a '*' after the int or the group, nothing is consumed and
+        the result is None; with one, an error in the element is raised."""
         mark = self.stream.save()
         sign = -1 if self.stream.accept("-") else 1
-        value = None
         tok = self.stream.peek()
-        try:
-            if tok.kind == "int":
-                self.stream.next()
-                value = spec.from_int(int(tok.text))
-            elif tok.kind == "(":
-                self.stream.next()
-                value = parse_element_tokens(self.stream, spec)
-                self.stream.expect(")")
-            else:
-                self.stream.restore(mark)
-                return None
-            self.stream.expect("*")
-        except PolcheckError:
+        if tok.kind == "int" and self.stream.peek(1).kind == "*":
+            self.stream.next()
+            value = spec.from_int(int(tok.text))
+        elif tok.kind == "(" and self._after_group().kind == "*":
+            self.stream.next()
+            value = parse_element_tokens(self.stream, spec)
+            self.stream.expect(")")
+        else:
             self.stream.restore(mark)
             return None
+        self.stream.expect("*")
         return value if sign == 1 else -value
+
+    def _after_group(self) -> Token:
+        """The token after the parenthesised group that starts here."""
+        depth = 0
+        ahead = 0
+        while True:
+            tok = self.stream.peek(ahead)
+            if tok.kind == "end":
+                return tok
+            ahead += 1
+            if tok.kind == "(":
+                depth += 1
+            elif tok.kind == ")":
+                depth -= 1
+                if depth == 0:
+                    return self.stream.peek(ahead)
 
     def _parse_map_term(self) -> AdditiveMap:
         spec = self._require_field()
@@ -798,17 +810,21 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_check(payload: dict, report: EquationReport):
     f, p, q = payload["f"], payload["p"], payload["q"]
-    oracle = Oracle(f.domain_spec)
-    if payload["mode"] == "span":
-        lhs_form, rhs_form = span_forms(f.components[0], p, q)
+    spec = f.domain_spec
+    oracle = Oracle(spec)
+    lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, oracle.eval_polyspec(p, v)))
+    rhs = oracle.memoized(lambda v: oracle.eval_polyspec(q, oracle.eval_genpoly(f, v)))
+    if payload["mode"] == "span":  # each side polarized at the tuple
+        zero = o_zero(spec)
         for tup, _, _ in report.rows:
             args = [from_element(a) for a in tup]
-            yield oracle.eval_form(lhs_form, args), oracle.eval_form(rhs_form, args)
+            scale = math.factorial(len(args))
+            yield (o_divint(oracle.delta_many(lhs, args, zero), scale),
+                   o_divint(oracle.delta_many(rhs, args, zero), scale))
         return
     for x, _, _ in report.rows:
         ox = from_element(x)
-        yield (oracle.eval_genpoly(f, oracle.eval_polyspec(p, ox)),
-               oracle.eval_polyspec(q, oracle.eval_genpoly(f, ox)))
+        yield lhs(ox), rhs(ox)
 
 
 def _run_classify(options: RunOptions, payload: dict, entry: dict):

@@ -109,6 +109,19 @@ def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
     assert out == "" and err.startswith("polcheck: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field,statement,message", [
+    ("Q", "map m = (1/0)*id;", "division by zero"),
+    ("Q(sqrt 2)", "map m = (sqrt(3))*id;", "sqrt(3) does not belong to Q(sqrt 2)"),
+    ("Q", "form A = lincomb((1/0)*product(id, id));", "division by zero"),
+])
+def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, message):
+    bad = tmp_path / "bad.pol"
+    bad.write_text(f"field F = {field};\n{statement}\n")
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"polcheck: {message}")
+
+
 def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):
     dense = tmp_path / "dense.pol"
     dense.write_text("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"

@@ -9,7 +9,6 @@ from polcheck.errors import ArityTooLarge, SpecMismatch
 from polcheck.fields import FieldSpec
 from polcheck.forms import (
     ConstForm,
-    FormProduct,
     LinComb,
     Lift,
     MapOfProduct,
@@ -136,8 +135,7 @@ def test_delta_many_zero_increment_gives_codomain_zero():
 
 @pytest.mark.parametrize("spec,form,texts", [
     (QT, MapOfProduct(DDT + identity_map(QT), 3), ["t", "t", "t+1", "t"]),
-    (Q2, FormProduct((NORM_FORM, ProductSym((CONJ,)))),
-     ["1+sqrt(2)", "1+sqrt(2)", "2+2*sqrt(2)", "sqrt(2)"]),
+    (Q2, Lift(NORM_FORM, 2), ["1+sqrt(2)", "1+sqrt(2)", "2+2*sqrt(2)", "sqrt(2)"]),
 ], ids=["Q(t)", "Q(sqrt2)"])
 def test_delta_many_repeated_increments_match_oracle(spec, form, texts):
     # equal increments and equal sums of different increments are grouped
@@ -239,7 +237,6 @@ def _forms_under_test():
         ("lift-norm-2", Lift(NORM_FORM, 2), Q2),
         ("lincomb", LinComb(((QT.one(), ProductSym((idt, idt))),
                              (QT.from_int(-2), MapOfProduct(idt, 2)))), QT),
-        ("formprod", FormProduct((NORM_FORM, NORM_FORM)), Q2),
     ]
 
 
@@ -292,11 +289,6 @@ def test_lift_trace_is_power_composition():
         assert trace(lifted3)(x) == x ** 3
 
 
-def test_form_product_trace_is_product_of_traces():
-    fp = FormProduct((NORM_FORM, NORM_FORM))
-    assert trace(fp)(E) == NORM(E) ** 2
-
-
 Q2T = FieldSpec.ratfunc(Q2, ["t"])
 
 
@@ -315,14 +307,12 @@ def _diagonal_cases(spec):
         ("lift", Lift(ProductSym((endo, der)), 2)),
         ("lincomb", LinComb(((coeff, ProductSym((endo, idt))),
                              (spec.from_int(-3), MapOfProduct(der, 2))))),
-        ("formproduct", FormProduct((ProductSym((der,)), MapOfProduct(endo, 2),
-                                     ConstForm(coeff)))),
     ]
 
 
 @pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt2)(t)"])
 @pytest.mark.parametrize("kind", ["const", "productsym", "mapofproduct", "lift",
-                                  "lincomb", "formproduct"])
+                                  "lincomb"])
 def test_trace_matches_eval_form_on_diagonal(spec, kind):
     form = dict(_diagonal_cases(spec))[kind]
     points = ["t", "t/(t+1)", "2*t^2-1"]

@@ -1,13 +1,21 @@
 """Equation checking and the constructive classifiers."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polcheck import forms as forms_module
 from polcheck import funceq as funceq_module
-from polcheck.errors import DenominatorVanishes, DictionaryInsufficient, SpecMismatch
+from polcheck.errors import (
+    ArityTooLarge,
+    DenominatorVanishes,
+    DictionaryInsufficient,
+    SpecMismatch,
+)
 from polcheck.fields import FieldSpec, format_element
 from polcheck.forms import LinComb, MapOfProduct, ProductSym, delta_many, eval_form, trace
 from polcheck.funceq import (
@@ -29,7 +37,6 @@ from polcheck.funceq import (
     levicivita_verify,
     quartic_form_value,
     quartic_solve,
-    span_forms,
 )
 from polcheck.genpoly import genpoly_from, probe_tuples
 from polcheck.maps import (
@@ -179,9 +186,23 @@ def test_span_requires_monomial_sides():
     p = PolySpec.from_coefficients([Q2.one(), Q2.one()])  # 1 + x
     report = check_symmetrized(NORM, p, xk(Q2, 1, side="codomain"), [Q2.one()])
     assert report.verdict == NOT_APPLICABLE
-    report = check_symmetrized(NORM, xk(Q2, 2, Q2.from_int(2)),
-                               xk(Q2, 2, side="codomain"), [Q2.one()])
+    report = check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 3, side="codomain"), [Q2.one()])
     assert report.verdict == NOT_APPLICABLE
+    # a scaled P is certified too: N(2*x^2) = 4*N(x)^2
+    two_x2 = xk(Q2, 2, Q2.from_int(2))
+    report = check_symmetrized(NORM, two_x2, xk(Q2, 2, side="codomain"), [Q2.one()])
+    assert report.verdict == REFUTED
+    w = report.witnesses[0]
+    assert (w.input, w.lhs, w.rhs) == ((Q2.one(),) * 4, Q2.from_int(4), Q2.one())
+    report = check_symmetrized(NORM, two_x2, xk(Q2, 2, Q2.from_int(4), side="codomain"),
+                               default_span_generators(Q2))
+    assert report.verdict == HOLDS_ON_SPAN
+
+
+def test_span_check_caps_the_arity():
+    cubic = trace(ProductSym((identity_map(Q2), identity_map(Q2), CONJ)))
+    with pytest.raises(ArityTooLarge, match="arity 9"):
+        check_symmetrized(cubic, xk(Q2, 3), xk(Q2, 3, side="codomain"), [Q2.one()])
 
 
 def test_span_consistency_implies_pointwise_on_span_elements():
@@ -199,15 +220,49 @@ def test_span_consistency_implies_pointwise_on_span_elements():
 def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     gens = default_span_generators(Q2)
     p, q = xk(Q2, k), xk(Q2, k, side="codomain")
-    lhs_form, rhs_form = span_forms(NORM, p, q)
     sums = subset_sums(probe_tuples(gens, 2 * k), Q2.zero())
     assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
+    # the norm's trace runs once at P(s) (left side) and once at s (right side)
+    expected = Counter([p.evaluate(s) for s in sums] + list(sums))
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
         assert check_symmetrized(NORM, p, q, gens).verdict == HOLDS_ON_SPAN
-        assert each_once([x for form, x in calls if form == lhs_form], sums)
-        assert each_once([x for form, x in calls if form == rhs_form], sums)
+        assert all(form == NORM_FORM for form, _ in calls)
+        assert Counter(x for _, x in calls) == expected
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _q2(pair):
+    a, b = pair
+    return Q2.from_fraction(a) + Q2.from_fraction(b) * Q2.sqrt_element()
+
+
+_NONZERO_Q2 = st.tuples(_SMALL, _SMALL).filter(any).map(_q2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_NONZERO_Q2, lam=_NONZERO_Q2, c=_SMALL, k=st.integers(1, 3),
+       phis=st.tuples(st.booleans(), st.booleans()),
+       combos=st.lists(st.tuples(_SMALL, _SMALL, _SMALL), min_size=1, max_size=3),
+       matched=st.booleans())
+def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, combos, matched):
+    phi1, phi2 = (CONJ if conj else identity_map(Q2) for conj in phis)
+    c = Q2.from_fraction(c)
+    if matched and not c.is_zero():  # the one lambda that solves the equation
+        lam = c * apply_map(phi1, a) * apply_map(phi2, a) / c ** k
+    f = trace(LinComb(((c, ProductSym((phi1, phi2))),)))
+    p, q = xk(Q2, k, a), xk(Q2, k, lam, side="codomain")
+    gens = default_span_generators(Q2)
+    span = check_symmetrized(f, p, q, gens)
+    holds = c * apply_map(phi1, a) * apply_map(phi2, a) == lam * c ** k
+    assert span.verdict == (HOLDS_ON_SPAN if holds else REFUTED)
+    points = [Q2.one()] + [sum((Q2.from_fraction(r) * g for r, g in zip(rs, gens)), Q2.zero())
+                           for rs in combos]
+    pointwise = check_pointwise(f, p, q, points)
+    assert pointwise.verdict == (HOLDS_ON_SAMPLE if holds else REFUTED)
 
 
 def test_span_check_rejects_a_generator_outside_the_domain():

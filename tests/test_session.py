@@ -121,9 +121,11 @@ def test_map_expression_forms():
     map b = 2*a - dd;
     map c = s @ dd;
     map e = (1/2)*(a + b);
+    map g = (s + id) @ s;
+    map h = 2*(s + id);
     """
     session = parse_session(src)
-    assert set(session.env) == {"dd", "s", "a", "b", "c", "e"}
+    assert set(session.env) == {"dd", "s", "a", "b", "c", "e", "g", "h"}
 
 
 # -- check expressions -------------------------------------------------------
