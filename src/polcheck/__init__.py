@@ -9,7 +9,6 @@ from .errors import (
     DenominatorVanishes,
     DictionaryInsufficient,
     DivisionByZero,
-    InconsistentPeeling,
     InvalidImage,
     NameResolutionError,
     ParseError,
@@ -52,9 +51,7 @@ from .funceq import (
     PolySpec,
     TwoExp,
     Witness,
-    affine_check,
     check_pointwise,
-    check_power_identity,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
@@ -67,7 +64,6 @@ from .genpoly import (
     GenPoly,
     degree_estimate,
     eval_genpoly,
-    extract_component,
     genpoly_from,
     variety_rank,
 )

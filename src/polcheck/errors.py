@@ -33,12 +33,6 @@ class ValueTooLarge(PolcheckError):
     """A value has too many decimal digits to be printed."""
 
 
-class InconsistentPeeling(PolcheckError):
-    """The residual kept its degree after a component was subtracted,
-    so the function is not a generalized polynomial of the claimed
-    degree on the sampled set."""
-
-
 class DictionaryInsufficient(PolcheckError):
     """The additive map is not a combination of the supplied
     homomorphisms on the probe set.  A model limitation, not a

@@ -557,8 +557,13 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 
 
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
-    """Element sub-parser operating on an existing token stream."""
-    return parse_expression(stream, lambda s: parse_element_atom(s, spec))
+    """Element sub-parser operating on an existing token stream.  A
+    division by zero inside the element is reported at its first token."""
+    first = stream.peek()
+    try:
+        return parse_expression(stream, lambda s: parse_element_atom(s, spec))
+    except DivisionByZero as exc:
+        raise ParseError(str(exc), first.pos, line=first.line, column=first.column) from None
 
 
 def parse_expression(stream: TokenStream, atom, power=pow):

@@ -10,6 +10,12 @@ theory: the six-term quartic form, its trace test, the auxiliary
 additive map a(x) = F2(x, 1), the quartic constraint on a, the
 convolution identity, and the final factorization into homomorphisms
 solved against a user-supplied dictionary.
+
+The power identity f(x^n) = f(x)^n and the affine equation
+f(a*x + b) = A*f(x) + B are instances of the general equation, so they
+are asked as ordinary checks.  Two special cases with no such form stay
+here: ``quartic_solve`` for f(x^2) = a(x)^4 and ``levicivita_verify``
+for exponential-polynomial shapes of an additive map.
 """
 
 from __future__ import annotations
@@ -381,11 +387,7 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
                               detail="f(1) = 0 but f is not identically zero on probes")
         classification = Classification(f_at_1=f_at_1, factors=(), case_tag="zero function")
         return report(HOLDS_ON_SAMPLE, classification=classification)
-    if f_at_1 != one.spec.one():
-        # unreachable when step 2 passed: F4(1,1,1,1) = 3 f(1)(1 - f(1))
-        value = quartic_form_value(f2, one, one, one, one, quartic)
-        return report(REFUTED, (Witness((one,) * 4, value, value.spec.zero(), value),),
-                      detail="f(1) is neither 0 nor 1")
+    # f(1) = 1 from here: step 2 tested F4(1,1,1,1) = 3 f(1)(1 - f(1)) = 0
 
     @functools.cache
     def a_of(x: FieldElement) -> FieldElement:
@@ -463,164 +465,6 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         f_at_1=f_at_1, factors=factors, case_tag=case_tag,
         extras=(("certificate", "f(x) = f(1)*phi1(x)*phi2(x) re-verified on probes"),))
     return report(HOLDS_ON_SAMPLE, classification=classification)
-
-
-def derive_power_coefficients(n: int, f_at_1: FieldElement):
-    """Constants (alpha, beta) with f(x) = alpha*a(x^2) + beta*a(x)^2.
-
-    Obtained by the substitution x1 = x2 = x, rest = 1 in the
-    symmetrized form identity for f(x^n) = f(x)^n: every placement of
-    the two x's among the 2n slots is enumerated, giving counts for the
-    F2(x^2, 1) / F2(x, x) patterns on the left and the same-block /
-    split patterns on the right.
-    """
-    spec = f_at_1.spec
-    lam = f_at_1
-    two_n = 2 * n
-    lhs_x2 = 0  # placements with both x's in the same half
-    lhs_xx = 0  # placements split across halves
-    rhs_same = 0  # both x's in one pair block
-    rhs_split = 0  # x's in different pair blocks
-    for i in range(two_n):
-        for j in range(i + 1, two_n):
-            if (i < n) == (j < n):
-                lhs_x2 += 1
-            else:
-                lhs_xx += 1
-            if i // 2 == j // 2:
-                rhs_same += 1
-            else:
-                rhs_split += 1
-    total = lhs_x2 + lhs_xx
-    # (lhs_x2 * a(x^2) + lhs_xx * f(x)) / total
-    #    = (rhs_same * f(x) * lam^(n-1) + rhs_split * a(x)^2 * lam^(n-2)) / total
-    lam_n1 = lam ** (n - 1)
-    lam_n2 = lam ** (n - 2) if n >= 2 else spec.one()
-    denom = spec.from_int(lhs_xx) - spec.from_int(rhs_same) * lam_n1
-    if denom.is_zero():
-        return None
-    alpha = -spec.from_int(lhs_x2) / denom
-    beta = spec.from_int(rhs_split) * lam_n2 / denom
-    return alpha, beta
-
-
-def check_power_identity(f, n: int, probes: list[FieldElement]) -> EquationReport:
-    """Check f(x^n) = f(x)^n for a degree-2 monomial f.
-
-    Gate: f(1)^n = f(1), so f(1) is 0 or an (n-1)st root of unity --
-    in the supported fields that means membership in {0, 1}, with -1
-    admissible only for odd n.  Then the identity is certified on the
-    span of the probes by the symmetrized check, and the derived
-    representation f = alpha*a(x^2) + beta*a(x)^2 is verified with the
-    constants recorded in the report.
-    """
-    monomial = _single_monomial(f)
-    if monomial.degree != 2:
-        raise SpecMismatch("the power-identity check applies to quadratic monomials")
-    if n < 2:
-        raise SpecMismatch("the power identity needs n >= 2")
-    spec = monomial.domain_spec
-    one = spec.one()
-    f_at_1 = monomial(one)
-    gate = f_at_1 ** n
-    if gate != f_at_1:
-        return EquationReport(
-            REFUTED, (Witness(one, gate, f_at_1, gate - f_at_1),),
-            sample_description=f"f(1) gate with n = {n}",
-            detail=f"f(1) = {format_element(f_at_1)} is neither 0 nor an "
-                   f"({n - 1})st root of unity in this field")
-    p = PolySpec.monomial(spec, n)
-    q = PolySpec.monomial(monomial.codomain_spec, n, side="codomain")
-    report = check_symmetrized(monomial, p, q, probes)
-    extras = [("f_at_1", format_element(f_at_1))]
-    coeffs = derive_power_coefficients(n, f_at_1)
-    if coeffs is not None and report.verdict == HOLDS_ON_SPAN:
-        alpha, beta = coeffs
-        extras.append(("alpha", format_element(alpha)))
-        extras.append(("beta", format_element(beta)))
-        for y in probes:
-            a_y = eval_form(monomial.form, [y, one])
-            a_y2 = eval_form(monomial.form, [y * y, one])
-            lhs = monomial(y)
-            rhs = alpha * a_y2 + beta * a_y * a_y
-            if lhs != rhs:
-                return EquationReport(
-                    REFUTED, (Witness(y, lhs, rhs, lhs - rhs),),
-                    sample_description=report.sample_description,
-                    detail="derived representation f = alpha*a(x^2) + beta*a(x)^2 fails")
-    classification = Classification(f_at_1=f_at_1, case_tag=f"power identity n = {n}",
-                                    extras=tuple(extras))
-    return EquationReport(report.verdict, report.witnesses, classification,
-                          report.sample_description, report.detail)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    name: str
-    holds: bool
-    witnesses: tuple[Witness, ...] = ()
-
-    def describe(self) -> str:
-        status = "holds" if self.holds else "fails"
-        extra = "; ".join(w.describe() for w in self.witnesses)
-        return f"{self.name}: {status}" + (f" ({extra})" if extra else "")
-
-
-@dataclass(frozen=True)
-class AffineReport:
-    conditions: tuple[ConditionReport, ...]
-    verdict: str
-
-    @property
-    def passed(self):
-        return self.verdict in PASSING_VERDICTS
-
-    def describe(self) -> str:
-        return "; ".join(c.describe() for c in self.conditions)
-
-
-def affine_check(f2: SymmetricForm, a: FieldElement, b: FieldElement,
-                 big_a: FieldElement, big_b: FieldElement,
-                 probes: list[FieldElement]) -> AffineReport:
-    """Necessary conditions for f(a*x + b) = A*f(x) + B with quadratic
-    f = trace(f2): B = f(b) and B = 0 for nonzero f; F2(a*x, b) = 0 for
-    every probe x; and semi-homogeneity F2(a*x, a*y) = A*F2(x, y) on
-    probe pairs."""
-    if f2.arity != 2:
-        raise SpecMismatch("the affine check applies to bi-additive forms")
-    f = trace(f2)
-    f_nonzero = any(not f(p).is_zero() for p in probes)
-    f_b = f(b)
-    witnesses = []
-    holds_b = f_b == big_b
-    if not holds_b:
-        witnesses.append(Witness(b, f_b, big_b, f_b - big_b))
-    if f_nonzero and not big_b.is_zero():
-        holds_b = False
-        witnesses.append(Witness(b, big_b, big_b.spec.zero(), big_b,
-                                 note="nonzero f forces B = 0"))
-    cond1 = ConditionReport("B = f(b) and B = 0 for nonzero f", holds_b, tuple(witnesses))
-
-    witnesses = []
-    for x in probes:
-        value = eval_form(f2, [a * x, b])
-        if not value.is_zero():
-            witnesses.append(Witness(x, value, value.spec.zero(), value))
-    cond2 = ConditionReport("F2(a*x, b) = 0 on probes", not witnesses, tuple(witnesses))
-
-    witnesses = []
-    for x in probes:
-        for y in probes:
-            lhs = eval_form(f2, [a * x, a * y])
-            rhs = big_a * eval_form(f2, [x, y])
-            if lhs != rhs:
-                witnesses.append(Witness((x, y), lhs, rhs, lhs - rhs))
-    cond3 = ConditionReport("semi-homogeneity F2(a*x, a*y) = A*F2(x, y)",
-                            not witnesses, tuple(witnesses))
-
-    conditions = (cond1, cond2, cond3)
-    verdict = HOLDS_ON_SAMPLE if all(c.holds for c in conditions) else REFUTED
-    return AffineReport(conditions, verdict)
 
 
 def quartic_solve(a: AdditiveMap, probes: list[FieldElement],

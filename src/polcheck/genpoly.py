@@ -1,6 +1,7 @@
-"""Generalized polynomials: sums of monomial components, empirical
-degree detection by iterated differencing, component extraction by
-polarization peeling, and sample-based variety rank.
+"""Generalized polynomials: sums of monomial components, whose
+homogeneous parts are the ``components`` of a ``GenPoly``; empirical
+degree detection by iterated differencing, and sample-based variety
+rank.
 
 Degree and rank results are certificates on the sampled set, never
 theorems; reports and docs carry that qualifier.
@@ -9,12 +10,11 @@ theorems; reports and docs carry that qualifier.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .errors import InconsistentPeeling, SpecMismatch
-from .fields import FieldElement, FieldSpec, format_element
+from .errors import SpecMismatch
+from .fields import FieldElement, FieldSpec
 from .forms import DELTA_CAP, GenMonomial, delta_many
 from .linalg import rank as matrix_rank
 
@@ -89,54 +89,6 @@ def degree_estimate(f, probes: list[FieldElement], cap: int,
                for tup in probe_tuples(probes, n + 1)):
             return n
     return NO_BOUND_FOUND
-
-
-def _component_evaluator(f, degree: int, zero: FieldElement):
-    if degree == 0:
-        constant = f(zero)
-        return lambda x: constant
-    fact = math.factorial(degree)
-    return lambda x: delta_many(f, [x] * degree, zero) / fact
-
-
-def extract_component(f, degree: int, basis_probes: list[FieldElement],
-                      top_degree: int, domain_spec: FieldSpec) -> dict:
-    """Values of the degree-``degree`` component on the probes.
-
-    The caller supplies ``top_degree`` (a known degree certificate for
-    f, e.g. from degree_estimate).  The top component is read off as
-    Delta^N_y f(0) / N!; lower ones are obtained by peeling: subtract
-    the reconstructed component and recurse.  Raises
-    InconsistentPeeling when a residual keeps its degree, which signals
-    that f is not a generalized polynomial of the claimed degree on the
-    sample.
-    """
-    if degree > top_degree:
-        raise SpecMismatch("requested degree exceeds the known degree bound")
-    zero = domain_spec.zero()
-    for tup in probe_tuples(basis_probes, top_degree + 1):
-        if not delta_many(f, list(tup), zero).is_zero():
-            raise InconsistentPeeling(
-                f"claimed degree {top_degree} is wrong: differences of order "
-                f"{top_degree + 1} do not vanish on the probes")
-    current = f
-    for n in range(top_degree, degree, -1):
-        component = _component_evaluator(current, n, zero)
-        previous = current
-        current = (lambda g, c: (lambda x: g(x) - c(x)))(previous, component)
-        for y in basis_probes:
-            if not delta_many(current, [y] * n, zero).is_zero():
-                raise InconsistentPeeling(
-                    f"residual still has degree {n} at probe {format_element(y)}")
-    component = _component_evaluator(current, degree, zero)
-    if degree == 0:
-        constant = current(zero)
-        for y in basis_probes:
-            if current(y) != constant:
-                raise InconsistentPeeling(
-                    f"degree-0 residual is not constant at probe {format_element(y)}")
-        return {y: constant for y in basis_probes}
-    return {y: component(y) for y in basis_probes}
 
 
 ADDITIVE_TRANSLATES = "add"

@@ -500,12 +500,21 @@ class Oracle:
             total = o_add(total, self.eval_monomial(component, x))
         return total
 
-    def eval_polyspec(self, p, x: OVal) -> OVal:
-        total = o_zero(self.spec)
-        for k in range(p.degree, -1, -1):
-            total = o_mul(total, x)
-            total = o_add(total, from_element(p.coefficients[k]) if k < len(p.coefficients) else o_zero(self.spec))
-        return total
+    def polyspec(self, p):
+        """x -> P(x) on oracle values.  The coefficients are converted
+        once, here, and Horner's rule adds only the nonzero ones."""
+        coeffs = [from_element(c) for c in reversed(p.coefficients)]
+        coeffs = [None if o_is_zero(c) else c for c in coeffs]
+
+        def evaluate(x: OVal) -> OVal:
+            total = o_zero(self.spec)
+            for c in coeffs:
+                total = o_mul(total, x)
+                if c is not None:
+                    total = o_add(total, c)
+            return total
+
+        return evaluate
 
     def delta_many(self, f, ys: list[OVal], x0: OVal) -> OVal:
         m = len(ys)

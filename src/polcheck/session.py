@@ -812,8 +812,9 @@ def _audit_check(payload: dict, report: EquationReport):
     f, p, q = payload["f"], payload["p"], payload["q"]
     spec = f.domain_spec
     oracle = Oracle(spec)
-    lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, oracle.eval_polyspec(p, v)))
-    rhs = oracle.memoized(lambda v: oracle.eval_polyspec(q, oracle.eval_genpoly(f, v)))
+    p_of, q_of = oracle.polyspec(p), oracle.polyspec(q)
+    lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
+    rhs = oracle.memoized(lambda v: q_of(oracle.eval_genpoly(f, v)))
     if payload["mode"] == "span":  # each side polarized at the tuple
         zero = o_zero(spec)
         for tup, _, _ in report.rows:

@@ -26,8 +26,7 @@ from polcheck.funceq import (
     HOLDS_ON_SPAN,
     REFUTED,
     PolySpec,
-    affine_check,
-    check_power_identity,
+    check_pointwise,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
@@ -42,6 +41,7 @@ from polcheck.maps import (
     identity_map,
     scale_map,
     sum_maps,
+    zero_map,
 )
 from polcheck.oracle import (
     Oracle,
@@ -216,12 +216,15 @@ def _oracle_quartic(oracle, form, tup):
 
 def test_criterion_5_power_identity_gate():
     neg_norm = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
-    passing = check_power_identity(neg_norm, 3, default_span_generators(Q2))
+    gens = default_span_generators(Q2)
+    passing = check_symmetrized(neg_norm, xk(Q2, 3), xk(Q2, 3, side="codomain"), gens)
     assert passing.verdict == HOLDS_ON_SPAN
-    assert passing.classification.f_at_1 == Q2.from_int(-1)
-    rejected = check_power_identity(neg_norm, 2, default_span_generators(Q2))
+    # the f(1) gate f(1)^n = f(1) is the span check's all-ones row
+    rejected = check_symmetrized(neg_norm, xk(Q2, 2), xk(Q2, 2, side="codomain"), gens)
     assert rejected.verdict == REFUTED
-    assert "root of unity" in rejected.detail
+    first = rejected.witnesses[0]
+    assert first.input == (Q2.one(),) * 4
+    assert first.lhs == Q2.from_int(-1) and first.rhs == Q2.one()
     announce(5, "f = -norm passes n=3 and is rejected at the f(1) "
                 "root-of-unity gate for n=2")
 
@@ -247,14 +250,22 @@ def test_criterion_6_quartic_special_case():
 
 
 def test_criterion_7_affine_conditions():
-    form = ProductSym((identity_map(Q), identity_map(Q)))
-    good = affine_check(form, Q.from_int(3), Q.zero(), Q.from_int(9), Q.zero(),
-                        default_probes(Q))
-    assert good.verdict == HOLDS_ON_SAMPLE and all(c.holds for c in good.conditions)
-    bad = affine_check(form, Q.from_int(3), Q.one(), Q.from_int(9), Q.one(),
-                       default_probes(Q))
-    assert bad.verdict == REFUTED and not bad.conditions[0].holds
-    assert bad.conditions[0].witnesses
+    f = trace(ProductSym((identity_map(Q), identity_map(Q))))
+    samples = default_probes(Q) + sample_elements(Q, SampleConfig(seed=7, count=10))
+
+    def affine(a, b, big_a, big_b):
+        p = PolySpec.from_coefficients([Q.from_int(b), Q.from_int(a)])
+        q = PolySpec.from_coefficients([Q.from_int(big_b), Q.from_int(big_a)], side="codomain")
+        return p, q
+
+    p, q = affine(3, 0, 9, 0)
+    assert check_pointwise(f, p, q, samples).verdict == HOLDS_ON_SAMPLE
+    assert check_symmetrized(f, p, q, default_span_generators(Q)).verdict == HOLDS_ON_SPAN
+    bad = check_pointwise(f, *affine(3, 1, 9, 1), samples)
+    assert bad.verdict == REFUTED
+    assert bad.witnesses[0].input == Q.one() and bad.witnesses[0].difference == Q.from_int(6)
+    zero_form = trace(MapOfProduct(zero_map(Q), 2))
+    assert check_pointwise(zero_form, *affine(3, 1, 9, 0), samples).verdict == HOLDS_ON_SAMPLE
     announce(7, "affine necessary conditions all hold for (a,b,A,B)=(3,0,9,0) "
                 "and the B != 0 contradiction is reported for b=1, B=1")
 

@@ -109,10 +109,18 @@ def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
     assert out == "" and err.startswith("polcheck: ") and "Traceback" not in err
 
 
+DECLARE_F = "form S = product(id, id); genpoly f = trace(S);"
+
+
 @pytest.mark.parametrize("field,statement,message", [
     ("Q", "map m = (1/0)*id;", "division by zero"),
     ("Q(sqrt 2)", "map m = (sqrt(3))*id;", "sqrt(3) does not belong to Q(sqrt 2)"),
     ("Q", "form A = lincomb((1/0)*product(id, id));", "division by zero"),
+    ("Q", f"{DECLARE_F} check f(x) == f(x) on span(1, 1/0);",
+     "division by zero element at line 2, column 79"),
+    ("Q", f"{DECLARE_F} polarize f at (2, 0^-1);",
+     "0 raised to a negative power at line 2, column 67"),
+    ("Q(t)", "hom s : t -> 1/(t-t);", "division by zero element at line 2, column 14"),
 ])
 def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, message):
     bad = tmp_path / "bad.pol"
@@ -120,6 +128,8 @@ def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, me
     assert main(["run", str(bad)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"polcheck: {message}")
+    if message.startswith(("division by zero", "0 raised")):
+        assert " at line 2, column " in err
 
 
 def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):

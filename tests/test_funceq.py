@@ -26,14 +26,11 @@ from polcheck.funceq import (
     LogExp,
     PolySpec,
     TwoExp,
-    affine_check,
     check_pointwise,
-    check_power_identity,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
     degree_precheck,
-    derive_power_coefficients,
     levicivita_verify,
     quartic_form_value,
     quartic_solve,
@@ -153,8 +150,8 @@ def test_refutation_soundness_against_oracle():
     p = genpoly_from([F28])
     for w in report.witnesses:
         ox = from_element(w.input)
-        lhs = oracle.eval_genpoly(p, oracle.eval_polyspec(xk(QT, 2), ox))
-        rhs = oracle.eval_polyspec(xk(QT, 2, side="codomain"), oracle.eval_genpoly(p, ox))
+        lhs = oracle.eval_genpoly(p, oracle.polyspec(xk(QT, 2))(ox))
+        rhs = oracle.polyspec(xk(QT, 2, side="codomain"))(oracle.eval_genpoly(p, ox))
         assert matches(w.lhs, lhs) and matches(w.rhs, rhs)
         assert not matches(w.difference - w.difference, from_element(w.difference))
 
@@ -423,61 +420,6 @@ def test_classify_round_trip_certificate():
     f = trace(form)
     for p in default_probes(QT):
         assert f(p) == report.classification.f_at_1 * apply_map(phi1, p) * apply_map(phi2, p)
-
-
-# -- power identity corollary ---------------------------------------------------------
-
-def test_negative_norm_passes_cubic():
-    neg = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
-    report = check_power_identity(neg, 3, default_span_generators(Q2))
-    assert report.verdict == HOLDS_ON_SPAN
-    assert report.classification.f_at_1 == Q2.from_int(-1)
-
-
-def test_negative_norm_fails_square_gate():
-    neg = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
-    report = check_power_identity(neg, 2, default_span_generators(Q2))
-    assert report.verdict == REFUTED
-    assert "root of unity" in report.detail
-
-
-def test_norm_passes_cubic_with_derived_constants():
-    report = check_power_identity(NORM, 3, default_span_generators(Q2))
-    assert report.verdict == HOLDS_ON_SPAN
-    extras = dict(report.classification.extras)
-    assert extras["alpha"] == "-1" and extras["beta"] == "2"
-
-
-def test_derived_constants_match_theorem_for_unit_value():
-    alpha, beta = derive_power_coefficients(2, Q.one())
-    assert alpha == Q.from_int(-1) and beta == Q.from_int(2)
-
-
-# -- affine remark -----------------------------------------------------------------------
-
-def test_affine_conditions_hold_for_product_form():
-    form = ProductSym((identity_map(Q), identity_map(Q)))
-    report = affine_check(form, Q.from_int(3), Q.zero(), Q.from_int(9), Q.zero(),
-                          default_probes(Q))
-    assert report.verdict == HOLDS_ON_SAMPLE
-    assert all(c.holds for c in report.conditions)
-
-
-def test_affine_nonzero_b_contradiction():
-    form = ProductSym((identity_map(Q), identity_map(Q)))
-    report = affine_check(form, Q.from_int(3), Q.one(), Q.from_int(9), Q.one(),
-                          default_probes(Q))
-    assert report.verdict == REFUTED
-    assert not report.conditions[0].holds
-
-
-def test_affine_zero_form_trivially_holds():
-    from polcheck.maps import zero_map
-
-    form = MapOfProduct(zero_map(Q), 2)
-    report = affine_check(form, Q.from_int(3), Q.one(), Q.from_int(9), Q.zero(),
-                          default_probes(Q))
-    assert report.verdict == HOLDS_ON_SAMPLE
 
 
 # -- quartic equation f(x^2) = a(x)^4 ------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Generalized polynomials: degree detection, peeling, variety rank."""
+"""Generalized polynomials: degree detection, variety rank."""
 
 import pytest
 
-from polcheck.errors import InconsistentPeeling, SpecMismatch
+from polcheck.errors import SpecMismatch
 from polcheck.fields import FieldSpec
 from polcheck.forms import MapOfProduct, ProductSym, trace
 from polcheck.genpoly import (
@@ -10,7 +10,6 @@ from polcheck.genpoly import (
     GenPoly,
     degree_estimate,
     eval_genpoly,
-    extract_component,
     genpoly_from,
     variety_rank,
 )
@@ -92,46 +91,6 @@ def test_degree_evaluates_f_once_per_distinct_point():
 def test_degree_rejects_zero_probes():
     with pytest.raises(SpecMismatch):
         degree_estimate(NORM, [Q2.zero()], 4, Q2)
-
-
-# -- component extraction ----------------------------------------------------
-
-def test_extract_top_component_of_norm_plus_identity():
-    f = lambda x: NORM(x) + x
-    table = extract_component(f, 2, [E], 2, Q2)
-    assert table[E] == Q2.from_int(-1)
-
-
-def test_extract_lower_components_of_additive():
-    f = lambda x: x + x  # additive, degree 1
-    probes = default_probes(Q)
-    assert extract_component(f, 1, probes, 1, Q)[Q.one()] == Q.from_int(2)
-    assert all(v.is_zero() for v in extract_component(f, 0, probes, 1, Q).values())
-
-
-def test_extract_components_of_shifted_square():
-    f = lambda x: x * x + Q.from_int(3)
-    y = Q.from_int(2)
-    assert extract_component(f, 2, [y], 2, Q)[y] == Q.from_int(4)
-    assert extract_component(f, 0, [y], 2, Q)[y] == Q.from_int(3)
-    assert extract_component(f, 1, [y], 2, Q)[y].is_zero()
-
-
-def test_reconstruction_recovers_known_components():
-    ident = trace(ProductSym((identity_map(Q2),)))
-    p = genpoly_from([NORM, ident])
-    probes = default_probes(Q2)
-    top = extract_component(p, 2, probes, 2, Q2)
-    lin = extract_component(p, 1, probes, 2, Q2)
-    for y in probes:
-        assert top[y] == NORM(y)
-        assert lin[y] == ident(y)
-
-
-def test_inconsistent_peeling_detected():
-    f = lambda x: Q.one() / (x + Q.from_int(7))
-    with pytest.raises(InconsistentPeeling):
-        extract_component(f, 1, default_probes(Q), 1, Q)
 
 
 # -- variety rank ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck import oracle as oracle_module
 from polcheck.errors import (
     NameResolutionError,
     ParseError,
@@ -397,6 +398,20 @@ def test_classify_dictionary_insufficient_is_inconclusive():
     assert doc.exit_code == 1
 
 
+def test_classify_refutes_f_at_1_outside_zero_and_one_at_the_all_ones_tuple():
+    """f(1) = 2: the quartic form at (1, 1, 1, 1) is 3 f(1)(1 - f(1)) = -6,
+    so the quartic test refutes before f(1) is read."""
+    src = """
+    field F = Q;
+    classify quadratic lincomb(2*product(id, id)) with dictionary(id);
+    """
+    doc = run_src(src, oracle_check=True)
+    entry = doc.entries[0]
+    assert entry["verdict"] == "REFUTED"
+    assert entry["witnesses"][0] == "x = (1, 1, 1, 1), lhs = -6, rhs = 0, diff = -6"
+    assert doc.consistent and entry["oracle_checked"] is True
+
+
 def test_degree_rank_verify_polarize_commands():
     src = """
     field F = Q(t);
@@ -451,6 +466,22 @@ def test_oracle_check_marks_entries_and_consistency():
     doc = run_src(NORM_SRC, seed=5, oracle_check=True)
     assert doc.consistent and doc.exit_code == 0
     assert doc.entries[0].get("oracle_checked") is True
+
+
+def test_check_audit_converts_p_and_q_coefficients_once(monkeypatch):
+    """An extra sample costs the oracle only the conversions of the two
+    engine values it compares, whatever the degrees of P and Q."""
+    calls = []
+    convert = oracle_module.from_element
+    monkeypatch.setattr(oracle_module, "from_element", lambda e: calls.append(e) or convert(e))
+    counts = []
+    for count in (3, 6):
+        calls.clear()
+        doc = run_src("field F = Q; form S = product(id, id); genpoly f = trace(S);"
+                      f"check f(x^3+2) == f(x)^3+5 on samples({count});", oracle_check=True)
+        assert doc.consistent and doc.entries[0]["verdict"] == "REFUTED"
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 2 * 3
 
 
 def test_inconsistent_document_exit_code():
