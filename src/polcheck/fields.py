@@ -7,8 +7,8 @@ kept in a canonical form so that mathematical equality coincides with
 structural equality:
 
 * rationals: reduced ``Fraction`` (positive denominator);
-* quadratic elements: a pair (a, b) of reduced rationals for
-  a + b*sqrt(d);
+* quadratic elements: an integer triple (p, q, c) for
+  (p + q*sqrt(d))/c with c > 0 and gcd(p, q, c) = 1;
 * rational functions: a gcd-reduced fraction of multivariate
   polynomials whose denominator is monic under graded-lex order.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
@@ -56,82 +57,139 @@ def is_squarefree(n: int) -> bool:
 
 
 class QuadRat:
-    """Exact element a + b*sqrt(d) of a quadratic extension of Q."""
+    """Exact element (p + q*sqrt(d))/c of a quadratic extension of Q.
 
-    __slots__ = ("a", "b", "d")
+    The integers are kept with c > 0 and gcd(p, q, c) = 1, so equal
+    elements have equal triples.  Each operation forms its integer
+    numerators and reduces once (Knuth, TAOCP vol. 2, 4.5.1).
+    """
+
+    __slots__ = ("p", "q", "c", "d")
 
     def __init__(self, a, b, d: int):
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
+        # ints and Fractions both carry numerator and denominator
+        a = a if isinstance(a, (int, Fraction)) else Fraction(a)
+        b = b if isinstance(b, (int, Fraction)) else Fraction(b)
+        da, db = a.denominator, b.denominator
+        c = lcm(da, db)
+        # both fractions are reduced, so the triple over lcm(da, db) is too
+        self.p = a.numerator * (c // da)
+        self.q = b.numerator * (c // db)
+        self.c = c
         self.d = d
 
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.c)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.c)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        return QuadRat(self.a + other.a, self.b + other.b, self.d)
+        if type(other) is not QuadRat or other.d != self.d:
+            other = self._coerce(other)
+        c1, c2 = self.c, other.c
+        if c1 == c2:
+            return _reduced(self.p + other.p, self.q + other.q, c1, self.d)
+        return _reduced(self.p * c2 + other.p * c1, self.q * c2 + other.q * c1, c1 * c2, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        return QuadRat(self.a - other.a, self.b - other.b, self.d)
+        if type(other) is not QuadRat or other.d != self.d:
+            other = self._coerce(other)
+        c1, c2 = self.c, other.c
+        if c1 == c2:
+            return _reduced(self.p - other.p, self.q - other.q, c1, self.d)
+        return _reduced(self.p * c2 - other.p * c1, self.q * c2 - other.q * c1, c1 * c2, self.d)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return QuadRat(
-            self.a * other.a + self.d * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
+        if type(other) is not QuadRat or other.d != self.d:
+            other = self._coerce(other)
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        return _reduced(p1 * p2 + self.d * q1 * q2, p1 * q2 + q1 * p2, self.c * other.c, self.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        nrm = other.a * other.a - other.d * other.b * other.b
-        if nrm == 0:
+        # for y = (P + Q sqrt d)/C: x / y = x * (P - Q sqrt d) * C / (P^2 - d Q^2)
+        if type(other) is not QuadRat or other.d != self.d:
+            other = self._coerce(other)
+        p2, q2 = other.p, other.q
+        nrm = p2 * p2 - self.d * q2 * q2
+        if not nrm:
             raise DivisionByZero("division by zero quadratic element")
-        conj = QuadRat(other.a, -other.b, other.d)
-        prod = self * conj
-        return QuadRat(prod.a / nrm, prod.b / nrm, self.d)
+        p1, q1, c2 = self.p, self.q, other.c
+        return _reduced((p1 * p2 - self.d * q1 * q2) * c2, (q1 * p2 - p1 * q2) * c2,
+                        self.c * nrm, self.d)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
     def __neg__(self):
-        return QuadRat(-self.a, -self.b, self.d)
+        return _canonical(-self.p, -self.q, self.c, self.d)
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
         if isinstance(other, QuadRat):
-            return self.a == other.a and self.b == other.b and self.d == other.d
+            return (self.p == other.p and self.q == other.q and self.c == other.c
+                    and self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return not self.q and self.p == other.numerator and self.c == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        if not self.q:
+            # equal to the rational p/c, so it must hash like it
+            return hash(self.p) if self.c == 1 else hash(Fraction(self.p, self.c))
+        return hash((self.p, self.q, self.c))
 
     def conjugate(self) -> "QuadRat":
-        return QuadRat(self.a, -self.b, self.d)
+        return _canonical(self.p, -self.q, self.c, self.d)
 
     def _coerce(self, other) -> "QuadRat":
-        if isinstance(other, QuadRat):
+        if type(other) is QuadRat:
             if other.d != self.d:
                 raise SpecMismatch("mixing distinct quadratic fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadRat(other, 0, self.d)
+            return _canonical(other.numerator, 0, other.denominator, self.d)
         raise TypeError(f"cannot coerce {other!r} into Q(sqrt {self.d})")
 
     def __repr__(self):
         return f"QuadRat({self.a}, {self.b}, d={self.d})"
+
+
+_new_object = object.__new__
+
+
+def _canonical(p: int, q: int, c: int, d: int) -> QuadRat:
+    """The QuadRat (p + q*sqrt(d))/c of a triple that is already canonical."""
+    x = _new_object(QuadRat)
+    x.p = p
+    x.q = q
+    x.c = c
+    x.d = d
+    return x
+
+
+def _reduced(p: int, q: int, c: int, d: int) -> QuadRat:
+    """The QuadRat (p + q*sqrt(d))/c for any c != 0."""
+    if c != 1:
+        g = gcd(p, q, c)
+        if c < 0:
+            g = -g
+        if g != 1:
+            p //= g
+            q //= g
+            c //= g
+    return _canonical(p, q, c, d)
 
 
 @dataclass(frozen=True)
@@ -195,7 +253,7 @@ class FieldSpec:
         if self.kind == RATFUNC:
             return self.base.scalar_one()
         if self.kind == QUADRATIC:
-            return QuadRat(1, 0, self.d)
+            return _canonical(1, 0, 1, self.d)
         return Fraction(1)
 
     def zero(self) -> "FieldElement":
@@ -205,13 +263,14 @@ class FieldSpec:
         return self.from_int(1)
 
     def from_int(self, n) -> "FieldElement":
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
-    def from_fraction(self, q: Fraction) -> "FieldElement":
+    def from_fraction(self, q: Fraction | int) -> "FieldElement":
         if self.kind == RATIONALS:
-            return FieldElement(self, Fraction(q))
+            return FieldElement(self, q if type(q) is Fraction else Fraction(q))
         if self.kind == QUADRATIC:
-            return FieldElement(self, QuadRat(q, 0, self.d))
+            # q is an int or a reduced Fraction, so its two parts are canonical
+            return FieldElement(self, _canonical(q.numerator, 0, q.denominator, self.d))
         num = Poly.const(self.nvars, self.base.scalar_one() * q)
         den = Poly.const(self.nvars, self.base.scalar_one())
         return FieldElement(self, (num, den))
@@ -221,10 +280,10 @@ class FieldSpec:
         d = self.radicand
         if d is None:
             raise SpecMismatch("field has no quadratic generator")
+        root = _canonical(0, 1, 1, d)
         if self.kind == QUADRATIC:
-            return FieldElement(self, QuadRat(0, 1, d))
-        coeff = QuadRat(0, 1, d)
-        num = Poly.const(self.nvars, coeff)
+            return FieldElement(self, root)
+        num = Poly.const(self.nvars, root)
         den = Poly.const(self.nvars, self.base.scalar_one())
         return FieldElement(self, (num, den))
 
@@ -302,10 +361,11 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.spec.from_fraction(Fraction(other))
+            other = self.spec.from_fraction(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.spec == other.spec and self.payload == other.payload
+        spec = self.spec
+        return (other.spec is spec or other.spec == spec) and self.payload == other.payload
 
     def __hash__(self):
         # equal elements share a spec, so the payload alone is a valid hash
@@ -320,12 +380,12 @@ class FieldElement:
 
 def _coerce(spec: FieldSpec, value) -> FieldElement:
     if isinstance(value, FieldElement):
-        if value.spec != spec:
+        if value.spec is not spec and value.spec != spec:
             raise SpecMismatch(
                 f"operands live in different fields: {value.spec.describe()} vs {spec.describe()}")
         return value
     if isinstance(value, (int, Fraction)):
-        return spec.from_fraction(Fraction(value))
+        return spec.from_fraction(value)
     raise SpecMismatch(f"cannot interpret {value!r} as an element of {spec.describe()}")
 
 
@@ -431,7 +491,8 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
         if not isinstance(rhs, int):
             raise SpecMismatch("pow exponent must be an integer")
         return _power(lhs, rhs)
-    rhs = _coerce(spec, rhs)
+    if type(rhs) is not FieldElement or rhs.spec is not spec:
+        rhs = _coerce(spec, rhs)
     if spec.kind == RATFUNC:
         n1, d1 = lhs.payload
         n2, d2 = rhs.payload
@@ -558,12 +619,15 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     """Element sub-parser operating on an existing token stream.  A
-    division by zero inside the element is reported at its first token."""
+    division by zero or an operand of another field inside the element is
+    reported at its first token."""
     first = stream.peek()
     try:
         return parse_expression(stream, lambda s: parse_element_atom(s, spec))
     except DivisionByZero as exc:
         raise ParseError(str(exc), first.pos, line=first.line, column=first.column) from None
+    except SpecMismatch as exc:
+        raise SpecMismatch(f"{exc} at line {first.line}, column {first.column}") from None
 
 
 def parse_expression(stream: TokenStream, atom, power=pow):
@@ -671,25 +735,25 @@ def _format_fraction(q: Fraction) -> str:
 
 
 def _format_quad(c: QuadRat) -> str:
-    if not c.b:
-        return _format_fraction(c.a)
-    if c.b == 1:
+    a, b = c.a, c.b
+    if not b:
+        return _format_fraction(a)
+    if b == 1:
         root = f"sqrt({c.d})"
-    elif c.b == -1:
+    elif b == -1:
         root = f"-sqrt({c.d})"
     else:
-        root = f"{_format_fraction(c.b)}*sqrt({c.d})"
-    if not c.a:
+        root = f"{_format_fraction(b)}*sqrt({c.d})"
+    if not a:
         return root
-    return _format_fraction(c.a) + (root if root.startswith("-") else "+" + root)
+    return _format_fraction(a) + (root if root.startswith("-") else "+" + root)
 
 
 def _coeff_pieces(c) -> tuple[str, bool]:
     """Render a scalar coefficient; the flag says it must be parenthesized
     when multiplied against a monomial."""
     if isinstance(c, QuadRat):
-        text = _format_quad(c)
-        return text, bool(c.a) and bool(c.b)
+        return _format_quad(c), bool(c.p) and bool(c.q)
     return _format_fraction(c), False
 
 

@@ -263,15 +263,15 @@ def from_element(e: FieldElement) -> OVal:
 
     def from_scalar(c) -> OVal:
         if isinstance(c, QuadRat):
-            den = c.a.denominator * c.b.denominator
+            # the element (c.p + c.q*sqrt(d))/c.c, read as integers
             num = {}
             base = (0,) * nsyms
-            if c.a:
-                num[base] = c.a.numerator * c.b.denominator
-            if c.b:
+            if c.p:
+                num[base] = c.p
+            if c.q:
                 exps = base[:rad] + (1,) + base[rad + 1:]
-                num[exps] = c.b.numerator * c.a.denominator
-            return OVal(num, {base: den}, nsyms, d)
+                num[exps] = c.q
+            return OVal(num, {base: c.c}, nsyms, d)
         c = Fraction(c)
         num = {(0,) * nsyms: c.numerator} if c.numerator else {}
         return OVal(num, {(0,) * nsyms: c.denominator}, nsyms, d)
@@ -312,6 +312,7 @@ class Oracle:
         self.nsyms, self.rad, self.d = _context(spec)
         self._map_cache: dict = {}
         self._form_cache: dict = {}
+        self._image_cache: dict = {}
 
     # map application ------------------------------------------------
 
@@ -373,12 +374,20 @@ class Oracle:
         num, den = v.num, v.den
         if m.conjugate_base:
             num, den = self._conj(num), self._conj(den)
-        images = [from_element(img) for _, img in m.images]
+        images = self._images(m)
         new_num = self._subst(num, images)
         new_den = self._subst(den, images)
         if o_is_zero(new_den):
             raise DenominatorVanishes("oracle: denominator vanished under substitution")
         return o_div(new_num, new_den)
+
+    def _images(self, m) -> list[OVal]:
+        """The generator images of an endomorphism or derivation as
+        oracle values, converted once per map."""
+        images = self._image_cache.get(id(m))
+        if images is None:
+            images = self._image_cache[id(m)] = [from_element(img) for _, img in m.images]
+        return images
 
     def _subst(self, p: dict, images: list[OVal]) -> OVal:
         total = o_zero(self.spec)
@@ -409,7 +418,7 @@ class Oracle:
     def _apply_derivation(self, m, v: OVal) -> OVal:
         total = o_zero(self.spec)
         q_sq = _pd_mul(v.den, v.den, self.rad, self.d)
-        for i, (_, image) in enumerate(m.images):
+        for i, image in enumerate(self._images(m)):
             dnum = self._pd_derivative(v.num, i)
             dden = self._pd_derivative(v.den, i)
             numerator = _pd_add(
@@ -417,7 +426,7 @@ class Oracle:
                 _pd_neg(_pd_mul(v.num, dden, self.rad, self.d)),
             )
             part = OVal(numerator, q_sq, v.nsyms, v.d)
-            total = o_add(total, o_mul(part, from_element(image)))
+            total = o_add(total, o_mul(part, image))
         return total
 
     # form evaluation --------------------------------------------------

@@ -332,10 +332,9 @@ def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None
     out = {}
     for e, c in f.terms.items():
         if type(c) is Fraction:
-            value = _rational_mod(c, p)
-        elif root is not None and getattr(c, "d", None) == d:  # a QuadRat
-            a, b = _rational_mod(c.a, p), _rational_mod(c.b, p)
-            value = None if a is None or b is None else (a + b * root) % p
+            value = _ratio_mod(c.numerator, c.denominator, p)
+        elif root is not None and getattr(c, "d", None) == d:  # a QuadRat (p + q*sqrt d)/c
+            value = _ratio_mod(c.p + c.q * root, c.c, p)
         else:
             return None
         if value is None:
@@ -344,13 +343,13 @@ def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None
     return out
 
 
-def _rational_mod(q, p: int) -> int | None:
-    den = q.denominator
+def _ratio_mod(num: int, den: int, p: int) -> int | None:
+    """num/den mod p, or None if p divides den."""
     if den == 1:
-        return q.numerator % p
+        return num % p
     if not den % p:
         return None
-    return q.numerator * pow(den, -1, p) % p
+    return num * pow(den, -1, p) % p
 
 
 def _image_in(fp: dict, v: int, points: list[int], p: int) -> list[int] | None:

@@ -552,12 +552,15 @@ class _Parser:
                     f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
             return base ** k
 
+        first = self.stream.peek()
+        where = f"at line {first.line}, column {first.column}"
         try:
             poly = parse_expression(self.stream, atom, power)
         except ZeroDivisionError:
-            raise TypeMismatch("division by zero in a check expression") from None
+            raise TypeMismatch(f"division by zero in a check expression {where}") from None
         except ArithmeticError:
-            raise TypeMismatch("cannot divide by an expression containing the unknown") from None
+            raise TypeMismatch(
+                f"cannot divide by an expression containing the unknown {where}") from None
         degree = poly.total_degree()
         if degree > MAX_CHECK_DEGREE:
             raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")

@@ -1,5 +1,6 @@
 """Exact field arithmetic, canonical forms, parsing and formatting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -415,3 +416,62 @@ def test_round_trip_property(e):
 @settings(max_examples=40, deadline=None)
 def test_round_trip_quadratic_property(e):
     assert parse_element(format_element(e), Q2) == e
+
+
+# -- QuadRat: integer triples against a two-Fraction reference -------------------
+
+RADICANDS = (2, 3, 5, -1, -2, 7, -3)
+triple_parts = st.fractions(min_value=-40, max_value=40, max_denominator=24)
+
+
+def reference_triple(a: Fraction, b: Fraction) -> tuple[int, int, int]:
+    """(p, q, c) with c > 0 and gcd(p, q, c) = 1 for a + b*sqrt(d)."""
+    c = math.lcm(a.denominator, b.denominator)
+    return int(a * c), int(b * c), c
+
+
+def assert_equals_reference(x: QuadRat, a: Fraction, b: Fraction, d: int) -> None:
+    assert x.c > 0 and math.gcd(x.p, x.q, x.c) == 1
+    assert (x.p, x.q, x.c, x.d) == (*reference_triple(a, b), d)
+    assert (x.a, x.b) == (a, b)
+
+
+@given(st.sampled_from(RADICANDS), triple_parts, triple_parts, triple_parts, triple_parts)
+@settings(max_examples=200, deadline=None)
+def test_quadrat_matches_two_fraction_reference(d, a1, b1, a2, b2):
+    x, y = QuadRat(a1, b1, d), QuadRat(a2, b2, d)
+    assert_equals_reference(x, a1, b1, d)
+    assert_equals_reference(x + y, a1 + a2, b1 + b2, d)
+    assert_equals_reference(x - y, a1 - a2, b1 - b2, d)
+    assert_equals_reference(x * y, a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, d)
+    assert_equals_reference(-x, -a1, -b1, d)
+    assert_equals_reference(x.conjugate(), a1, -b1, d)
+    # a rational operand on either side
+    assert_equals_reference(x + a2, a1 + a2, b1, d)
+    assert_equals_reference(a2 - x, a2 - a1, -b1, d)
+    assert_equals_reference(x * a2, a1 * a2, b1 * a2, d)
+    norm = a2 * a2 - d * b2 * b2
+    if norm:
+        assert_equals_reference(x / y, (a1 * a2 - d * b1 * b2) / norm,
+                                (b1 * a2 - a1 * b2) / norm, d)
+    else:
+        with pytest.raises(DivisionByZero):
+            x / y
+    if a1 or b1:
+        n1 = a1 * a1 - d * b1 * b1
+        assert_equals_reference(a2 / x, a2 * a1 / n1, -a2 * b1 / n1, d)
+    assert (x == y) == ((a1, b1) == (a2, b2))
+    assert bool(x) == bool(a1 or b1)
+
+
+@pytest.mark.parametrize("d", RADICANDS)
+def test_rational_quadrat_equals_and_hashes_like_the_rational(d):
+    half = QuadRat(Fraction(1, 2), 0, d)
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert hash(half) == hash(Fraction(1, 2))
+    three = QuadRat(3, 0, d)
+    assert three == 3 and 3 == three and three == Fraction(3)
+    assert hash(three) == hash(3)
+    assert QuadRat(Fraction(6, 4), 0, d) == Fraction(3, 2)
+    assert half != 1 and QuadRat(1, 1, d) != 1
+    assert len({half, Fraction(1, 2), three, 3}) == 2

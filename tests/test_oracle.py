@@ -151,3 +151,28 @@ def test_genpoly_and_delta_agreement():
                               [from_element(y) for y in ys],
                               from_element(Q2.zero()))
     assert matches(engine, naive)
+
+
+def test_generator_images_are_converted_once_per_oracle(monkeypatch):
+    from polcheck import oracle as oracle_module
+    from polcheck.session import RunOptions, parse_session, run_session
+
+    session = parse_session(
+        "field F = Q(t); hom s : t -> t^2; hom r : t -> t+1; hom u : t -> 1/t;"
+        " der D : t -> t^2; genpoly f = trace(product(s, r));"
+        " genpoly g = trace(product(u, D));"
+        " check f(x^2) == f(x)^2 on samples(20, seed=3);"
+        " check g(x) == g(x) on samples(10, seed=4);")
+    images = [img for name in ("s", "r", "u", "D") for _, img in session.env[name].images]
+    converted = []
+    convert = oracle_module.from_element
+
+    def counting(e):
+        converted.append(e)
+        return convert(e)
+
+    monkeypatch.setattr(oracle_module, "from_element", counting)
+    doc = run_session(session, RunOptions(seed=5, oracle_check=True))
+    assert doc.consistent
+    # each check builds one Oracle, which converts each image it uses once
+    assert [sum(1 for e in converted if e is img) for img in images] == [1, 1, 1, 1]

@@ -81,6 +81,17 @@ def test_prime_dividing_a_denominator_is_skipped(f, d):
         assert poly_gcd(f, g) == upoly(1 if d is None else quad(1, 0, d))
 
 
+def test_quadratic_coefficient_reduces_through_one_inverse():
+    root = sqrt_mod(2, P0)
+    c = quad(Fraction(1, 6), Fraction(3, 4), 2)   # (2 + 9*sqrt(2))/12
+    assert (c.p, c.q, c.c) == (2, 9, 12)
+    image = polys._reduce_mod(upoly(c, quad(-1, 0, 2)), P0, root, 2)
+    assert image == {(0,): (2 + 9 * root) * pow(12, -1, P0) % P0, (1,): P0 - 1}
+    # sqrt(2) goes to a root of t^2 - 2, so the reduction respects products
+    assert root * root % P0 == 2
+    assert polys._reduce_mod(upoly(c * c), P0, root, 2)[(0,)] == image[(0,)] ** 2 % P0
+
+
 def test_non_residue_radicand_moves_on_to_the_next_prime():
     assert sqrt_mod(7, P0) is None and sqrt_mod(7, P1) is not None
     f = upoly(quad(0, 1, 7), quad(1, 0, 7))   # t + sqrt(7)
