@@ -9,8 +9,14 @@ structural equality:
 * rationals: reduced ``Fraction`` (positive denominator);
 * quadratic elements: an integer triple (p, q, c) for
   (p + q*sqrt(d))/c with c > 0 and gcd(p, q, c) = 1;
-* rational functions: a gcd-reduced fraction of multivariate
-  polynomials whose denominator is monic under graded-lex order.
+* rational functions: a pair (N, D) of coprime multivariate
+  polynomials with integral coefficients (Python ints over Q, QuadRats
+  with c = 1 over Q(sqrt d)), whose integers (every int, p and q) have
+  gcd 1 and whose graded-lex leading coefficient of D is a positive
+  rational integer.  This is the pair with a monic denominator scaled
+  by the lcm of its coefficient denominators, so it is unique (Gauss's
+  lemma; Knuth, TAOCP vol. 2, 4.6.1), and its arithmetic multiplies
+  integers instead of Fractions.
 
 No floating point appears anywhere.
 """
@@ -250,11 +256,13 @@ class FieldSpec:
         return None
 
     def scalar_one(self):
+        """The one of the integral polynomial coefficients: the int 1 over
+        Q, the QuadRat 1 over Q(sqrt d); a function field takes its base's."""
         if self.kind == RATFUNC:
             return self.base.scalar_one()
         if self.kind == QUADRATIC:
             return _canonical(1, 0, 1, self.d)
-        return Fraction(1)
+        return 1
 
     def zero(self) -> "FieldElement":
         return self.from_int(0)
@@ -271,8 +279,10 @@ class FieldSpec:
         if self.kind == QUADRATIC:
             # q is an int or a reduced Fraction, so its two parts are canonical
             return FieldElement(self, _canonical(q.numerator, 0, q.denominator, self.d))
-        num = Poly.const(self.nvars, self.base.scalar_one() * q)
-        den = Poly.const(self.nvars, self.base.scalar_one())
+        # q is reduced, so its numerator and denominator are a canonical pair
+        one = self.scalar_one()
+        num = Poly.const(self.nvars, one * q.numerator)
+        den = Poly.const(self.nvars, one * q.denominator)
         return FieldElement(self, (num, den))
 
     def sqrt_element(self) -> "FieldElement":
@@ -284,15 +294,16 @@ class FieldSpec:
         if self.kind == QUADRATIC:
             return FieldElement(self, root)
         num = Poly.const(self.nvars, root)
-        den = Poly.const(self.nvars, self.base.scalar_one())
+        den = Poly.const(self.nvars, self.scalar_one())
         return FieldElement(self, (num, den))
 
     def var(self, name: str) -> "FieldElement":
         if self.kind != RATFUNC or name not in self.variables:
             raise SpecMismatch(f"{name!r} is not an indeterminate of {self.describe()}")
         i = self.variables.index(name)
-        num = Poly.variable(self.nvars, i, self.base.scalar_one())
-        den = Poly.const(self.nvars, self.base.scalar_one())
+        one = self.scalar_one()
+        num = Poly.variable(self.nvars, i, one)
+        den = Poly.const(self.nvars, one)
         return FieldElement(self, (num, den))
 
     def element(self, text: str) -> "FieldElement":
@@ -390,20 +401,17 @@ def _coerce(spec: FieldSpec, value) -> FieldElement:
 
 
 def normalize_fraction(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
-    """Canonical rational function: gcd-reduced, denominator grlex-monic."""
+    """Canonical rational function num/den, for polynomials with any
+    coefficients of the base field."""
     if den.is_zero():
         raise DivisionByZero("zero denominator")
     if num.is_zero():
-        one = Poly.const(spec.nvars, spec.base.scalar_one())
-        return FieldElement(spec, (Poly.zero(spec.nvars), one))
+        return spec.zero()
     g = poly_gcd(num, den)
     if not g.is_const():
         num = exact_div(num, g)
         den = exact_div(den, g)
-    _, lc = den.lead()
-    num = num.divscale(lc)
-    den = den.divscale(lc)
-    return FieldElement(spec, (num, den))
+    return _canonical_pair(spec, num, den)
 
 
 def normalize(e) -> FieldElement:
@@ -428,21 +436,49 @@ def normalize(e) -> FieldElement:
     return FieldElement(spec, Fraction(num, den))
 
 
-def _monic_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
-    _, lc = den.lead()
-    if lc == spec.base.scalar_one():
-        return FieldElement(spec, (num, den))
-    return FieldElement(spec, (num.divscale(lc), den.divscale(lc)))
+def _canonical_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
+    """The canonical form of num/den for coprime num and den.
+
+    Clears coefficient denominators, makes the leading coefficient of
+    den rational by multiplying by its conjugate, and divides by the
+    integer content, signed so that this coefficient is positive.
+    """
+    d = spec.radicand
+    coeffs = (*num.terms.values(), *den.terms.values())
+    if d is None:
+        if any(type(c) is not int for c in coeffs):
+            scale = lcm(*(c.denominator for c in coeffs))
+            num, den = (p.map_coeffs(lambda c: c.numerator * (scale // c.denominator))
+                        for p in (num, den))
+        ints = [*num.terms.values(), *den.terms.values()]
+    else:
+        scale = lcm(*(c.c for c in coeffs))
+        if scale != 1:
+            num, den = (p.map_coeffs(lambda c: _canonical(c.p * (scale // c.c), c.q * (scale // c.c), 1, d))
+                        for p in (num, den))
+        lc = den.lead()[1]
+        if lc.q:
+            num, den = num.scale(lc.conjugate()), den.scale(lc.conjugate())
+        ints = [x for p in (num, den) for c in p.terms.values() for x in (c.p, c.q)]
+    g = gcd(*ints)
+    lc = den.lead()[1]
+    if (lc if d is None else lc.p) < 0:
+        g = -g
+    if g != 1:
+        num, den = (p.map_coeffs((lambda c: c // g) if d is None else
+                                 (lambda c: _canonical(c.p // g, c.q // g, 1, d))) for p in (num, den))
+    return FieldElement(spec, (num, den))
+
+
+def _is_one(p: Poly) -> bool:
+    return p.is_const() and next(iter(p.terms.values())) == 1
 
 
 def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
                  subtract: bool) -> FieldElement:
-    if d1.is_const() and d2.is_const():
-        # a canonical denominator is monic, so a constant one is 1
-        num = n1 - n2 if subtract else n1 + n2
-        if num.is_zero():
-            return spec.zero()
-        return FieldElement(spec, (num, d1))
+    if _is_one(d1) and _is_one(d2):
+        # the content of the denominator 1 is 1: the sum is canonical
+        return FieldElement(spec, (n1 - n2 if subtract else n1 + n2, d1))
     # Henrici: with both operands reduced, only gcd(d1, d2) and a final
     # gcd against it can cancel.
     g = poly_gcd(d1, d2)
@@ -450,7 +486,7 @@ def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
         num = n1 * d2 - n2 * d1 if subtract else n1 * d2 + n2 * d1
         if num.is_zero():
             return spec.zero()
-        return _monic_pair(spec, num, d1 * d2)
+        return _canonical_pair(spec, num, d1 * d2)
     d2g = exact_div(d2, g)
     num = n1 * d2g - n2 * exact_div(d1, g) if subtract else n1 * d2g + n2 * exact_div(d1, g)
     if num.is_zero():
@@ -461,7 +497,7 @@ def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
         den = exact_div(d1, h) * d2g
     else:
         den = d1 * d2g
-    return _monic_pair(spec, num, den)
+    return _canonical_pair(spec, num, den)
 
 
 def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> FieldElement:
@@ -472,7 +508,8 @@ def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> Fie
     if d1.is_const() and d2.is_const():
         # nothing cancels; d2 need not be 1, since a division passes the
         # divisor's numerator here
-        return _monic_pair(spec, n1 * n2, d1 * d2)
+        num, den = n1 * n2, d1 * d2
+        return FieldElement(spec, (num, den)) if _is_one(den) else _canonical_pair(spec, num, den)
     g1 = poly_gcd(n1, d2)
     if not g1.is_const():
         n1 = exact_div(n1, g1)
@@ -481,7 +518,7 @@ def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> Fie
     if not g2.is_const():
         n2 = exact_div(n2, g2)
         d1 = exact_div(d1, g2)
-    return _monic_pair(spec, n1 * n2, d1 * d2)
+    return _canonical_pair(spec, n1 * n2, d1 * d2)
 
 
 def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
@@ -529,8 +566,15 @@ def _power(base: FieldElement, k: int) -> FieldElement:
         return _power(spec.one() / base, -k)
     if spec.kind == RATFUNC:
         # a reduced fraction stays reduced under powers: no gcd needed
+        if not k:
+            return spec.one()
         num, den = base.payload
-        return _monic_pair(spec, num ** k, den ** k) if k else spec.one()
+        num, den = num ** k, den ** k
+        if spec.radicand is None:
+            # Gauss's lemma: powers of integer polynomials keep content 1
+            return FieldElement(spec, (num, den))
+        # Z[sqrt d] need not factor uniquely: a power can gain content
+        return _canonical_pair(spec, num, den)
     result = spec.one()
     acc = base
     while k:
@@ -547,9 +591,11 @@ def conjugate_element(e: FieldElement) -> FieldElement:
     if spec.kind == QUADRATIC:
         return FieldElement(spec, e.payload.conjugate())
     if spec.kind == RATFUNC and spec.base.kind == QUADRATIC:
+        # an automorphism keeps the gcd, the content and the rational
+        # leading coefficient of the denominator: the pair stays canonical
         num, den = e.payload
-        return normalize_fraction(spec, num.map_coeffs(lambda c: c.conjugate()),
-                                  den.map_coeffs(lambda c: c.conjugate()))
+        return FieldElement(spec, (num.map_coeffs(QuadRat.conjugate),
+                                   den.map_coeffs(QuadRat.conjugate)))
     if spec.kind in (RATIONALS,) or (spec.kind == RATFUNC and spec.base.kind == RATIONALS):
         return e
     raise SpecMismatch("conjugation is not defined on this field")
@@ -578,7 +624,7 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
     num, den = e.payload
     tops = [max(exps[i] for exps in (*num.terms, *den.terms)) for i in range(spec.nvars)]
     # factors[i][k] = ai^k * bi^(Di-k), shared by every term with ti^k
-    one = Poly.const(spec.nvars, spec.base.scalar_one())
+    one = Poly.const(spec.nvars, spec.scalar_one())
     factors = []
     for (a, b), top in zip((v.payload for v in values), tops):
         a_pows, b_pows = [one], [one]
@@ -588,13 +634,15 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
         factors.append([a_pows[k] * b_pows[top - k] for k in range(top + 1)])
 
     def cleared(p: Poly) -> Poly:
-        total = Poly.zero(spec.nvars)
+        total = {}
         for exps, coeff in p.terms.items():
-            term = Poly.const(spec.nvars, coeff)
-            for row, k in zip(factors, exps):
-                term = term * row[k]
-            total = total + term
-        return total
+            product = factors[0][exps[0]]
+            for row, k in zip(factors[1:], exps[1:]):
+                product = product * row[k]
+            for e, c in product.terms.items():
+                s = total.get(e)
+                total[e] = coeff * c if s is None else s + coeff * c
+        return Poly(spec.nvars, total)
 
     den_val = cleared(den)
     if den_val.is_zero():
@@ -806,6 +854,10 @@ def format_element(e: FieldElement) -> str:
     if spec.kind == QUADRATIC:
         return _format_quad(e.payload)
     num, den = e.payload
+    lc = den.lead()[1]
+    if lc != 1:
+        # printed with a monic denominator
+        num, den = num.divscale(lc), den.divscale(lc)
     num_text = _format_poly(num, spec.variables)
     if den.is_const():
         return num_text

@@ -312,7 +312,7 @@ class Oracle:
         self.nsyms, self.rad, self.d = _context(spec)
         self._map_cache: dict = {}
         self._form_cache: dict = {}
-        self._image_cache: dict = {}
+        self._converted: dict = {}
 
     # map application ------------------------------------------------
 
@@ -381,13 +381,17 @@ class Oracle:
             raise DenominatorVanishes("oracle: denominator vanished under substitution")
         return o_div(new_num, new_den)
 
+    def _once(self, node, convert):
+        """``convert(node)``: the engine elements of a map or form node as
+        oracle values, converted once per node."""
+        value = self._converted.get(id(node))
+        if value is None:
+            value = self._converted[id(node)] = convert(node)
+        return value
+
     def _images(self, m) -> list[OVal]:
-        """The generator images of an endomorphism or derivation as
-        oracle values, converted once per map."""
-        images = self._image_cache.get(id(m))
-        if images is None:
-            images = self._image_cache[id(m)] = [from_element(img) for _, img in m.images]
-        return images
+        """The generator images of an endomorphism or derivation."""
+        return self._once(m, lambda m: [from_element(img) for _, img in m.images])
 
     def _subst(self, p: dict, images: list[OVal]) -> OVal:
         total = o_zero(self.spec)
@@ -441,16 +445,17 @@ class Oracle:
         from .forms import ConstForm, LinComb, Lift, MapOfProduct, ProductSym
 
         if isinstance(form, ConstForm):
-            return from_element(form.value)
+            return self._once(form, lambda f: from_element(f.value))
         if isinstance(form, MapOfProduct):
             product = o_int(self.spec, 1)
             for a in args:
                 product = o_mul(product, a)
             return self.apply_map(form.map, product)
         if isinstance(form, LinComb):
+            coeffs = self._once(form, lambda f: [from_element(c) for c, _ in f.terms])
             total = o_zero(self.spec)
-            for coeff, inner in form.terms:
-                total = o_add(total, o_mul(from_element(coeff), self.eval_form(inner, args)))
+            for coeff, (_, inner) in zip(coeffs, form.terms):
+                total = o_add(total, o_mul(coeff, self.eval_form(inner, args)))
             return total
         if isinstance(form, (ProductSym, Lift)):
             cache_key = (id(form), tuple(self._key(a) for a in args))

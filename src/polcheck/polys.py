@@ -2,7 +2,10 @@
 
 Coefficients may be any exact field scalar supporting ``+ - * /``,
 equality and truthiness (``fractions.Fraction`` or the quadratic
-scalars from :mod:`polcheck.fields`).  Monomials are exponent tuples in
+scalars from :mod:`polcheck.fields`), or Python ``int``s, which is how
+the function fields store their integral numerators and denominators.
+Every division here turns an ``int`` divisor into a ``Fraction``, so no
+coefficient ever becomes a float.  Monomials are exponent tuples in
 a fixed variable order; the leading term is taken under the
 graded-lexicographic order, which is also the order used when
 formatting and when normalizing denominators.
@@ -129,6 +132,8 @@ class Poly:
         return Poly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
 
     def divscale(self, coeff) -> "Poly":
+        if type(coeff) is int:
+            coeff = Fraction(coeff)
         return Poly(self.nvars, {e: c / coeff for e, c in self.terms.items()})
 
     def __truediv__(self, other: "Poly") -> "Poly":
@@ -185,7 +190,7 @@ class Poly:
 
 def _one_like(p: Poly):
     for c in p.terms.values():
-        return c / c
+        return 1 if type(c) is int else c / c
     return Fraction(1)
 
 
@@ -204,6 +209,8 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     quotient = Poly(f.nvars)
     rem = f
     ge, gc = g.lead()
+    if type(gc) is int:
+        gc = Fraction(gc)
     while not rem.is_zero():
         re, rc = rem.lead()
         diff = tuple(a - b for a, b in zip(re, ge))
@@ -241,10 +248,11 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         if p.is_const():
             # a nonzero constant is a unit; reuse it when it is already 1
             (c,) = p.terms.values()
-            return p if c == 1 else Poly.const(p.nvars, c / c)
+            return p if c == 1 else Poly.const(p.nvars, _one_like(p))
     one = _certified_one(f, g)
     if one is not None:
         return one
+    f, g = _over_field(f), _over_field(g)
     used = f.vars_used() | g.vars_used()
     v = min(used)
     if used <= {v}:
@@ -264,12 +272,12 @@ def _certified_one(f: Poly, g: Poly) -> Poly | None:
     CERT_PRIMES, else None.
 
     f and g are non-constant.  None proves nothing: the images had a
-    common factor, no prime was usable, or the coefficients are neither
-    Fractions nor QuadRats.
+    common factor, no prime was usable, or the coefficients are not
+    ints, Fractions or QuadRats.
     """
     c = next(iter(f.terms.values()))
-    if type(c) is Fraction:
-        d, one = None, Fraction(1)
+    if type(c) is int or type(c) is Fraction:
+        d, one = None, _one_like(f)
     else:
         from .fields import QuadRat  # fields imports this module
         if type(c) is not QuadRat:
@@ -331,7 +339,9 @@ def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None
     or a coefficient is not a scalar of Q or Q(sqrt d)."""
     out = {}
     for e, c in f.terms.items():
-        if type(c) is Fraction:
+        if type(c) is int:
+            value = c % p
+        elif type(c) is Fraction:
             value = _ratio_mod(c.numerator, c.denominator, p)
         elif root is not None and getattr(c, "d", None) == d:  # a QuadRat (p + q*sqrt d)/c
             value = _ratio_mod(c.p + c.q * root, c.c, p)
@@ -412,6 +422,14 @@ def sqrt_mod(n: int, p: int) -> int | None:
         s, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def _over_field(p: Poly) -> Poly:
+    """p with its int coefficients as Fractions, for the exact algorithms,
+    which divide coefficients."""
+    if any(type(c) is int for c in p.terms.values()):
+        return p.map_coeffs(lambda c: Fraction(c) if type(c) is int else c)
+    return p
 
 
 def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, formats, output files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +11,14 @@ import pytest
 from polcheck.cli import main
 
 SESSIONS = Path(__file__).parent / "sessions"
+SOURCES = Path(__file__).parent.parent / "src"
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child process that imports polcheck from src/,
+    with env (default: this process's environment) as its environment."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "polcheck.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 

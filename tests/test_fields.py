@@ -18,15 +18,18 @@ from polcheck.fields import (
     FieldElement,
     FieldSpec,
     QuadRat,
+    conjugate_element,
     field_arith,
     format_element,
     normalize,
+    normalize_fraction,
     parse_element,
     substitute,
 )
 from polcheck.lexer import MAX_DIGITS, MAX_NESTING
-from polcheck.oracle import from_element, matches, o_add, o_div, o_mul, o_sub
-from polcheck.polys import Poly, poly_gcd
+from polcheck.maps import Endo, apply_map, build_derivation
+from polcheck.oracle import Oracle, from_element, matches, o_add, o_div, o_mul, o_pow, o_sub
+from polcheck.polys import Poly, exact_div, monic, poly_gcd
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
@@ -367,8 +370,6 @@ def ratfunc_elements():
         den = Poly(1, {(e,): Fraction(c) for e, c in den_terms})
         if den.is_zero():
             den = Poly.const(1, Fraction(1))
-        from polcheck.fields import normalize_fraction
-
         return normalize_fraction(QT, num, den)
 
     return st.tuples(poly, poly).map(build)
@@ -475,3 +476,109 @@ def test_rational_quadrat_equals_and_hashes_like_the_rational(d):
     assert QuadRat(Fraction(6, 4), 0, d) == Fraction(3, 2)
     assert half != 1 and QuadRat(1, 1, d) != 1
     assert len({half, Fraction(1, 2), three, 3}) == 2
+
+
+# -- integral rational-function pairs ------------------------------------------
+#
+# A rational function is stored as coprime integral polynomials (ints over
+# Q, QuadRats with c = 1 over Q(sqrt d)) whose integers have gcd 1 and whose
+# denominator has a positive rational-integer leading coefficient.  Z[sqrt -5]
+# is not a UFD, so products over Q(sqrt -5)(t) can gain integer content.
+
+INTEGRAL_SPECS = [QT, QTU_RAT, Q2T, FieldSpec.ratfunc(FieldSpec.quadratic(-5), ["t"])]
+
+
+def _assert_canonical(e):
+    num, den = e.payload
+    coeffs = [*num.terms.values(), *den.terms.values()]
+    lc = den.lead()[1]
+    d = e.spec.radicand
+    if d is None:
+        assert all(type(c) is int for c in coeffs)
+        ints = coeffs
+    else:
+        assert all(type(c) is QuadRat and c.c == 1 and c.d == d for c in coeffs)
+        ints = [x for c in coeffs for x in (c.p, c.q)]
+        assert not lc.q
+        lc = lc.p
+    assert math.gcd(*ints) == 1 and lc > 0
+    assert poly_gcd(num, den).is_const()
+    again = normalize(e).payload
+    assert [sorted((k, type(c), c) for k, c in p.terms.items()) for p in again] \
+        == [sorted((k, type(c), c) for k, c in p.terms.items()) for p in (num, den)]
+
+
+def _pair_elements(spec):
+    """num*h/(den*h) with rational base coefficients, normalized: the
+    common factor h and the denominators make the gcd and the clearing work."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeff = small if spec.radicand is None else st.builds(
+        lambda a, b: QuadRat(a, b, spec.radicand), small, small)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * spec.nvars)
+    poly = st.dictionaries(exps, coeff, max_size=3).map(lambda t: Poly(spec.nvars, t))
+
+    def build(num, den, h):
+        one = Poly.const(spec.nvars, spec.scalar_one())
+        den = one if den.is_zero() else den
+        h = one if h.is_zero() else h
+        return normalize_fraction(spec, num * h, den * h)
+
+    return st.builds(build, poly, poly, poly)
+
+
+@pytest.mark.parametrize("spec", INTEGRAL_SPECS, ids=["Q(t)", "Q(t, u)", "Q(sqrt 2)(t)", "Q(sqrt -5)(t)"])
+def test_rational_function_results_are_canonical_and_match_oracle(spec):
+    @settings(max_examples=30, deadline=None)
+    @given(_pair_elements(spec), _pair_elements(spec), st.integers(min_value=-2, max_value=3))
+    def check(a, b, k):
+        _assert_canonical(a)
+        oracle = Oracle(spec)
+        oa, ob = from_element(a), from_element(b)
+        results = [(a + b, o_add(oa, ob)), (a - b, o_sub(oa, ob)), (a * b, o_mul(oa, ob))]
+        if not b.is_zero():
+            results.append((a / b, o_div(oa, ob)))
+        if k >= 0 or not a.is_zero():
+            results.append((a ** k, o_pow(oa, k)))
+        der = build_derivation(spec, {spec.variables[0]: b})
+        results.append((apply_map(der, a), oracle.apply_map(der, oa)))
+        images = [(name, b + i) for i, name in enumerate(spec.variables)]
+        hom = Endo(spec, tuple(images), spec.radicand is not None)
+        try:
+            results.append((apply_map(hom, a), oracle.apply_map(hom, oa)))
+        except DenominatorVanishes:
+            pass
+        if spec.radicand is not None:
+            conj = Endo(spec, tuple((name, spec.var(name)) for name in spec.variables), True)
+            results.append((conjugate_element(a), oracle.apply_map(conj, oa)))
+        for value, expected in results:
+            _assert_canonical(value)
+            assert matches(value, expected)
+
+    check()
+
+
+def test_integer_content_from_a_non_ufd_base_is_removed():
+    # (1+sqrt(-5))(1-sqrt(-5)) = 6 and (1+sqrt(-5))^2 = 2*(-2+sqrt(-5))
+    spec = INTEGRAL_SPECS[3]
+    a = spec.element("(1+sqrt(-5))*t/2")
+    square = a ** 2
+    assert square.payload == (Poly(1, {(2,): QuadRat(-2, 1, -5)}), Poly.const(1, QuadRat(2, 0, -5)))
+    assert (a * spec.element("(1-sqrt(-5))/3")).payload == spec.element("t").payload
+    inverse = 1 / spec.element("(1+sqrt(-5))*t+1")
+    for value in (square, a * a, inverse):
+        _assert_canonical(value)
+    assert format_element(inverse) == "(1/6-1/6*sqrt(-5))/(t+1/6-1/6*sqrt(-5))"
+
+
+@settings(max_examples=60, deadline=None)
+@given(*[st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                         st.integers(min_value=-6, max_value=6), min_size=1, max_size=3)] * 3)
+def test_int_coefficient_gcd_monic_and_division_give_no_float(f, g, h):
+    f, g, h = (Poly(2, t) for t in (f, g, h))
+    if f.is_zero() or h.is_zero():
+        return
+    gcd = poly_gcd(f * h, g * h)
+    results = [gcd, poly_gcd(f, Poly.const(2, 6)), monic(f), exact_div(f * h, h),
+               exact_div(gcd, h), Poly.const(2, 4) ** -1, f / Poly.const(2, 3)]
+    assert all(type(c) is not float for p in results for c in p.terms.values())
+    assert exact_div(f * h, h) == f and exact_div(gcd, h) * h == gcd

@@ -176,3 +176,34 @@ def test_generator_images_are_converted_once_per_oracle(monkeypatch):
     assert doc.consistent
     # each check builds one Oracle, which converts each image it uses once
     assert [sum(1 for e in converted if e is img) for img in images] == [1, 1, 1, 1]
+
+
+def test_form_constants_are_converted_once_per_oracle(monkeypatch):
+    from polcheck import oracle as oracle_module
+    from polcheck.forms import ConstForm
+    from polcheck.session import RunOptions, parse_session, run_session
+
+    session = parse_session(
+        "field F = Q(sqrt 2); hom c = conj;"
+        " form M = lincomb(2*product(id, id), (1+sqrt(2))*product(id, c));"
+        " genpoly f = trace(M);"
+        " check f(x^2) == f(x)^2 on samples(12, seed=3);"
+        " check f(x) == f(x) on samples(8, seed=4);")
+    coeffs = [coeff for coeff, _ in session.env["M"].terms]
+    const = ConstForm(Q2.element("3-sqrt(2)"))
+    converted = []
+    convert = oracle_module.from_element
+
+    def counting(e):
+        converted.append(e)
+        return convert(e)
+
+    monkeypatch.setattr(oracle_module, "from_element", counting)
+    doc = run_session(session, RunOptions(seed=5, oracle_check=True))
+    assert doc.consistent
+    # each check builds one Oracle, which converts each coefficient once
+    assert [sum(1 for e in converted if e is c) for c in coeffs] == [2, 2]
+    oracle = Oracle(Q2)
+    values = [oracle.eval_form(const, []) for _ in range(3)]
+    assert all(o_eq(v, convert(const.value)) for v in values)
+    assert sum(1 for e in converted if e is const.value) == 1
