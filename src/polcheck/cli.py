@@ -17,6 +17,17 @@ from .forms import DEFAULT_ARITY_CAP
 from .session import RunOptions, emit_report, parse_session, run_session
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count or cap: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polcheck",
@@ -28,9 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "text"), default="text")
     run.add_argument("--seed", type=int, default=None,
                      help="sampling seed (default: POLCHECK_SEED or 0)")
-    run.add_argument("--samples", type=int, default=20,
+    run.add_argument("--samples", type=_positive_int, default=20,
                      help="default number of seeded samples per check")
-    run.add_argument("--max-arity", type=int, default=DEFAULT_ARITY_CAP,
+    run.add_argument("--max-arity", type=_positive_int, default=DEFAULT_ARITY_CAP,
                      help=f"cap on form arity for span checks (hard ceiling {DEFAULT_ARITY_CAP})")
     run.add_argument("--oracle-check", action="store_true",
                      help="re-derive every engine value with the naive oracle")
@@ -44,7 +55,11 @@ def main(argv=None) -> int:
     if args.seed is not None:
         seed = args.seed
     else:
-        seed = int(os.environ.get("POLCHECK_SEED", "0"))
+        try:
+            seed = int(os.environ.get("POLCHECK_SEED", "0"))
+        except ValueError:
+            print("polcheck: POLCHECK_SEED must be an integer", file=sys.stderr)
+            return 2
     try:
         with open(args.session, "r", encoding="utf-8") as handle:
             source = handle.read()

@@ -24,7 +24,6 @@ No floating point appears anywhere.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -198,16 +197,20 @@ def _reduced(p: int, q: int, c: int, d: int) -> QuadRat:
     return _canonical(p, q, c, d)
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Description of one of the supported computable fields."""
+    """Description of one of the supported computable fields.
 
-    kind: str
-    d: int | None = None
-    base: "FieldSpec | None" = None
-    variables: tuple[str, ...] = ()
+    Immutable by convention (nothing assigns to a spec after
+    construction); specs compare and hash by value."""
 
-    def __post_init__(self):
+    __slots__ = ("kind", "d", "base", "variables")
+
+    def __init__(self, kind: str, d: int | None = None, base: "FieldSpec | None" = None,
+                 variables: tuple[str, ...] = ()):
+        self.kind = kind
+        self.d = d
+        self.base = base
+        self.variables = variables
         if self.kind == RATIONALS:
             if self.d is not None or self.base is not None or self.variables:
                 raise SpecMismatch("rationals take no parameters")
@@ -226,6 +229,17 @@ class FieldSpec:
                     raise SpecMismatch(f"indeterminate name {name!r} is reserved or empty")
         else:
             raise SpecMismatch(f"unknown field kind {self.kind!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not FieldSpec:
+            return NotImplemented
+        return (self.kind == other.kind and self.d == other.d and self.base == other.base
+                and self.variables == other.variables)
+
+    def __hash__(self):
+        return hash((self.kind, self.d, self.base, self.variables))
 
     # -- constructors ------------------------------------------------
 
@@ -320,12 +334,15 @@ class FieldSpec:
 Payload = Union[Fraction, QuadRat, tuple]
 
 
-@dataclass(frozen=True, eq=False)
 class FieldElement:
-    """Canonical exact element of one of the supported fields."""
+    """Canonical exact element of one of the supported fields; immutable
+    by convention."""
 
-    spec: FieldSpec
-    payload: Payload
+    __slots__ = ("spec", "payload")
+
+    def __init__(self, spec: FieldSpec, payload: Payload):
+        self.spec = spec
+        self.payload = payload
 
     # -- operators ----------------------------------------------------
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import ArityTooLarge, SpecMismatch
@@ -41,21 +40,39 @@ DELTA_CAP = 12
 
 
 class SymmetricForm:
-    """Base class for symmetric multi-additive form nodes."""
+    """Base class for symmetric multi-additive form nodes.  Nodes are
+    immutable by convention (nothing assigns to a node after
+    construction); two nodes are equal when they have the same type and
+    equal fields."""
+
+    __slots__ = ()
 
     arity: int
     domain_spec: FieldSpec
     codomain_spec: FieldSpec
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
     def __call__(self, *args: FieldElement) -> FieldElement:
         return eval_form(self, list(args))
 
 
-@dataclass(frozen=True)
 class ConstForm(SymmetricForm):
     """Arity-0 form: a plain constant (any constant is 0-additive)."""
 
-    value: FieldElement
+    __slots__ = ("value",)
+
+    def __init__(self, value: FieldElement):
+        self.value = value
 
     @property
     def arity(self):
@@ -70,11 +87,11 @@ class ConstForm(SymmetricForm):
         return self.value.spec
 
 
-@dataclass(frozen=True)
 class ProductSym(SymmetricForm):
-    maps: tuple[AdditiveMap, ...]
+    __slots__ = ("maps",)
 
-    def __post_init__(self):
+    def __init__(self, maps: tuple[AdditiveMap, ...]):
+        self.maps = maps
         if not self.maps:
             raise SpecMismatch("product form needs at least one map")
         if len(self.maps) > DEFAULT_ARITY_CAP:
@@ -97,12 +114,12 @@ class ProductSym(SymmetricForm):
         return self.maps[0].codomain_spec
 
 
-@dataclass(frozen=True)
 class MapOfProduct(SymmetricForm):
-    map: AdditiveMap
-    n: int
+    __slots__ = ("map", "n")
 
-    def __post_init__(self):
+    def __init__(self, map: AdditiveMap, n: int):
+        self.map = map
+        self.n = n
         if self.n < 1:
             raise SpecMismatch("arity must be positive")
         if self.n > DEFAULT_ARITY_CAP:
@@ -121,12 +138,12 @@ class MapOfProduct(SymmetricForm):
         return self.map.codomain_spec
 
 
-@dataclass(frozen=True)
 class Lift(SymmetricForm):
-    inner: SymmetricForm
-    k: int
+    __slots__ = ("inner", "k")
 
-    def __post_init__(self):
+    def __init__(self, inner: SymmetricForm, k: int):
+        self.inner = inner
+        self.k = k
         if self.k < 1:
             raise SpecMismatch("lift exponent must be a positive integer")
         if self.inner.arity < 1:
@@ -148,11 +165,11 @@ class Lift(SymmetricForm):
         return self.inner.codomain_spec
 
 
-@dataclass(frozen=True)
 class LinComb(SymmetricForm):
-    terms: tuple[tuple[FieldElement, SymmetricForm], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple[tuple[FieldElement, SymmetricForm], ...]):
+        self.terms = terms
         if not self.terms:
             raise SpecMismatch("linear combination needs at least one term")
         arity = self.terms[0][1].arity
@@ -186,7 +203,6 @@ def eval_form(form: SymmetricForm, args: list[FieldElement]) -> FieldElement:
     return polarize(trace(form), list(args))
 
 
-@dataclass(frozen=True)
 class GenMonomial:
     """Generalized monomial: the trace of a symmetric form.
 
@@ -194,10 +210,11 @@ class GenMonomial:
     x -> form(x, ..., x).
     """
 
-    degree: int
-    form: SymmetricForm
+    __slots__ = ("degree", "form")
 
-    def __post_init__(self):
+    def __init__(self, degree: int, form: SymmetricForm):
+        self.degree = degree
+        self.form = form
         if self.degree != self.form.arity:
             raise SpecMismatch("monomial degree must equal the form arity")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
@@ -49,12 +48,14 @@ INCONCLUSIVE = "INCONCLUSIVE"
 PASSING_VERDICTS = frozenset({HOLDS_ON_SAMPLE, HOLDS_ON_SPAN})
 
 
-@dataclass(frozen=True)
 class PolySpec:
     """Dense polynomial P or Q, coefficients low to high degree."""
 
-    coefficients: tuple[FieldElement, ...]
-    side: str = "domain"
+    __slots__ = ("coefficients", "side")
+
+    def __init__(self, coefficients: tuple[FieldElement, ...], side: str = "domain"):
+        self.coefficients = coefficients
+        self.side = side
 
     @staticmethod
     def from_coefficients(coefficients, side: str = "domain") -> "PolySpec":
@@ -117,15 +118,18 @@ class PolySpec:
         return out
 
 
-@dataclass(frozen=True)
 class Witness:
     """One violating (or skipped) input with both side values."""
 
-    input: object  # FieldElement or tuple of FieldElements
-    lhs: FieldElement | None
-    rhs: FieldElement | None
-    difference: FieldElement | None
-    note: str = ""
+    __slots__ = ("input", "lhs", "rhs", "difference", "note")
+
+    def __init__(self, input: object, lhs: FieldElement | None, rhs: FieldElement | None,
+                 difference: FieldElement | None, note: str = ""):
+        self.input = input  # FieldElement or tuple of FieldElements
+        self.lhs = lhs
+        self.rhs = rhs
+        self.difference = difference
+        self.note = note
 
     def describe(self) -> str:
         if isinstance(self.input, tuple):
@@ -138,33 +142,39 @@ class Witness:
                 f"rhs = {format_element(self.rhs)}, diff = {format_element(self.difference)}")
 
 
-@dataclass(frozen=True)
 class Classification:
     """Structure recovered by a successful classification."""
 
-    f_at_1: FieldElement | None = None
-    factors: tuple[AdditiveMap, ...] = ()
-    case_tag: str = ""
-    extras: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("f_at_1", "factors", "case_tag", "extras")
+
+    def __init__(self, f_at_1: FieldElement | None = None, factors: tuple[AdditiveMap, ...] = (),
+                 case_tag: str = "", extras: tuple[tuple[str, str], ...] = ()):
+        self.f_at_1 = f_at_1
+        self.factors = factors
+        self.case_tag = case_tag
+        self.extras = extras
 
     def factor_descriptors(self) -> tuple[str, ...]:
         return tuple(m.describe() for m in self.factors)
 
 
-@dataclass(frozen=True)
 class EquationReport:
     """A verdict with its evidence.  ``rows`` holds every (input, lhs,
     rhs) triple the check compared on the way to the verdict, so the
     values can be audited without evaluating the engine again."""
 
-    verdict: str
-    witnesses: tuple[Witness, ...] = ()
-    classification: Classification | None = None
-    sample_description: str = ""
-    detail: str = ""
-    rows: tuple[tuple, ...] = ()
+    __slots__ = ("verdict", "witnesses", "classification", "sample_description", "detail",
+                 "rows")
 
-    def __post_init__(self):
+    def __init__(self, verdict: str, witnesses: tuple[Witness, ...] = (),
+                 classification: Classification | None = None, sample_description: str = "",
+                 detail: str = "", rows: tuple[tuple, ...] = ()):
+        self.verdict = verdict
+        self.witnesses = witnesses
+        self.classification = classification
+        self.sample_description = sample_description
+        self.detail = detail
+        self.rows = rows
         if self.verdict == REFUTED:
             real = [w for w in self.witnesses if w.difference is not None and not w.difference.is_zero()]
             if not real:
@@ -175,12 +185,14 @@ class EquationReport:
         return self.verdict in PASSING_VERDICTS
 
 
-@dataclass(frozen=True)
 class PrecheckReport:
-    passed: bool
-    f_degree: int
-    p_degree: int
-    q_degree: int
+    __slots__ = ("passed", "f_degree", "p_degree", "q_degree")
+
+    def __init__(self, passed: bool, f_degree: int, p_degree: int, q_degree: int):
+        self.passed = passed
+        self.f_degree = f_degree
+        self.p_degree = p_degree
+        self.q_degree = q_degree
 
     @property
     def verdict(self) -> str:
@@ -524,23 +536,28 @@ def quartic_solve(a: AdditiveMap, probes: list[FieldElement],
         "a is not proportional to any supplied homomorphism on the probes")
 
 
-@dataclass(frozen=True)
 class LogExp:
     """Claimed decomposition a(x) = phi(d(x)) + c*phi(x)."""
 
-    phi: AdditiveMap
-    der: AdditiveMap
-    c: FieldElement
+    __slots__ = ("phi", "der", "c")
+
+    def __init__(self, phi: AdditiveMap, der: AdditiveMap, c: FieldElement):
+        self.phi = phi
+        self.der = der
+        self.c = c
 
 
-@dataclass(frozen=True)
 class TwoExp:
     """Claimed decomposition a(x) = alpha*phi1(x) + beta*phi2(x)."""
 
-    alpha: FieldElement
-    beta: FieldElement
-    phi1: AdditiveMap
-    phi2: AdditiveMap
+    __slots__ = ("alpha", "beta", "phi1", "phi2")
+
+    def __init__(self, alpha: FieldElement, beta: FieldElement, phi1: AdditiveMap,
+                 phi2: AdditiveMap):
+        self.alpha = alpha
+        self.beta = beta
+        self.phi1 = phi1
+        self.phi2 = phi2
 
 
 def levicivita_verify(a: AdditiveMap, decomposition,

@@ -10,7 +10,6 @@ theorems; reports and docs carry that qualifier.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import SpecMismatch
@@ -22,15 +21,16 @@ from .linalg import rank as matrix_rank
 NO_BOUND_FOUND = None
 
 
-@dataclass(frozen=True)
 class GenPoly:
     """Finite sum of generalized monomials of pairwise distinct degrees."""
 
-    components: tuple[GenMonomial, ...]
-    domain_spec: FieldSpec
-    codomain_spec: FieldSpec
+    __slots__ = ("components", "domain_spec", "codomain_spec")
 
-    def __post_init__(self):
+    def __init__(self, components: tuple[GenMonomial, ...], domain_spec: FieldSpec,
+                 codomain_spec: FieldSpec):
+        self.components = components
+        self.domain_spec = domain_spec
+        self.codomain_spec = codomain_spec
         degrees = [c.degree for c in self.components]
         if len(set(degrees)) != len(degrees):
             raise SpecMismatch("component degrees must be pairwise distinct")

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParseError
 
 # Single- and double-character operator tokens, longest match first.
@@ -20,13 +18,15 @@ MAX_NESTING = 64
 MAX_DIGITS = 1000
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # "int", "name", one of _SYMBOLS, or "end"
-    text: str
-    pos: int
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "pos", "line", "column")
+
+    def __init__(self, kind: str, text: str, pos: int, line: int, column: int):
+        self.kind = kind  # "int", "name", one of _SYMBOLS, or "end"
+        self.text = text
+        self.pos = pos
+        self.line = line
+        self.column = column
 
 
 def tokenize(source: str) -> list[Token]:

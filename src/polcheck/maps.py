@@ -11,7 +11,6 @@ ever checked by :func:`verify_map_laws`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidImage, SpecMismatch, UnsupportedSpec
@@ -29,10 +28,26 @@ from .polys import Poly
 
 
 class AdditiveMap:
-    """Base class; nodes are immutable and evaluation is pure."""
+    """Base class of map nodes.  Nodes are immutable by convention
+    (nothing assigns to a node after construction) and evaluation is
+    pure; two nodes are equal when they have the same type and equal
+    fields."""
+
+    __slots__ = ()
 
     domain_spec: FieldSpec
     codomain_spec: FieldSpec
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
 
     def __call__(self, x: FieldElement) -> FieldElement:
         return apply_map(self, x)
@@ -56,9 +71,11 @@ class AdditiveMap:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Identity(AdditiveMap):
-    spec: FieldSpec
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
 
     @property
     def domain_spec(self):
@@ -72,9 +89,11 @@ class Identity(AdditiveMap):
         return "id"
 
 
-@dataclass(frozen=True)
 class Zero(AdditiveMap):
-    spec: FieldSpec
+    __slots__ = ("spec",)
+
+    def __init__(self, spec: FieldSpec):
+        self.spec = spec
 
     @property
     def domain_spec(self):
@@ -88,14 +107,17 @@ class Zero(AdditiveMap):
         return "zero"
 
 
-@dataclass(frozen=True)
 class Endo(AdditiveMap):
     """Field endomorphism given by generator images, with optional
     conjugation of the (quadratic) base field."""
 
-    spec: FieldSpec
-    images: tuple[tuple[str, FieldElement], ...]
-    conjugate_base: bool = False
+    __slots__ = ("spec", "images", "conjugate_base")
+
+    def __init__(self, spec: FieldSpec, images: tuple[tuple[str, FieldElement], ...],
+                 conjugate_base: bool = False):
+        self.spec = spec
+        self.images = images
+        self.conjugate_base = conjugate_base
 
     @property
     def domain_spec(self):
@@ -117,13 +139,15 @@ class Endo(AdditiveMap):
         return "hom(" + ", ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
 class Derivation(AdditiveMap):
     """Derivation of a purely transcendental extension, defined by its
     values on the generators and extended by the quotient rule."""
 
-    spec: FieldSpec
-    images: tuple[tuple[str, FieldElement], ...]
+    __slots__ = ("spec", "images")
+
+    def __init__(self, spec: FieldSpec, images: tuple[tuple[str, FieldElement], ...]):
+        self.spec = spec
+        self.images = images
 
     @property
     def domain_spec(self):
@@ -138,10 +162,12 @@ class Derivation(AdditiveMap):
         return "der(" + ", ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
 class Scale(AdditiveMap):
-    factor: FieldElement
-    inner: AdditiveMap
+    __slots__ = ("factor", "inner")
+
+    def __init__(self, factor: FieldElement, inner: AdditiveMap):
+        self.factor = factor
+        self.inner = inner
 
     @property
     def domain_spec(self):
@@ -155,9 +181,11 @@ class Scale(AdditiveMap):
         return f"{format_element(self.factor)}*{_wrap(self.inner)}"
 
 
-@dataclass(frozen=True)
 class MapSum(AdditiveMap):
-    terms: tuple[AdditiveMap, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[AdditiveMap, ...]):
+        self.terms = terms
 
     @property
     def domain_spec(self):
@@ -171,10 +199,12 @@ class MapSum(AdditiveMap):
         return " + ".join(_wrap(t) for t in self.terms)
 
 
-@dataclass(frozen=True)
 class Compose(AdditiveMap):
-    outer: AdditiveMap
-    inner: AdditiveMap
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: AdditiveMap, inner: AdditiveMap):
+        self.outer = outer
+        self.inner = inner
 
     @property
     def domain_spec(self):
@@ -350,16 +380,19 @@ LEIBNIZ = "leibniz"
 _LAWS = (ADDITIVE, MULTIPLICATIVE, LEIBNIZ)
 
 
-@dataclass(frozen=True)
 class LawReport:
     """Outcome of checking one algebraic law on sample pairs; ``rows``
     holds the ((x, y), lhs, rhs) triple of every pair compared."""
 
-    law: str
-    passed: bool
-    checked: int
-    witness: tuple[FieldElement, FieldElement, FieldElement, FieldElement] | None = None
-    rows: tuple[tuple, ...] = ()
+    __slots__ = ("law", "passed", "checked", "witness", "rows")
+
+    def __init__(self, law: str, passed: bool, checked: int,
+                 witness: tuple[FieldElement, ...] | None = None, rows: tuple[tuple, ...] = ()):
+        self.law = law
+        self.passed = passed
+        self.checked = checked
+        self.witness = witness
+        self.rows = rows
 
     def describe(self) -> str:
         if self.passed:

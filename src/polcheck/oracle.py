@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
@@ -39,16 +38,17 @@ SAMPLE_HEIGHT = 5
 SAMPLE_DEGREE = 2
 
 
-@dataclass(frozen=True)
 class SampleConfig:
     """Deterministic sampling parameters (bounds are inclusive)."""
 
-    seed: int = 0
-    count: int = 20
-    max_height: int = SAMPLE_HEIGHT
-    max_degree: int = SAMPLE_DEGREE
+    __slots__ = ("seed", "count", "max_height", "max_degree")
 
-    def __post_init__(self):
+    def __init__(self, seed: int = 0, count: int = 20, max_height: int = SAMPLE_HEIGHT,
+                 max_degree: int = SAMPLE_DEGREE):
+        self.seed = seed
+        self.count = count
+        self.max_height = max_height
+        self.max_degree = max_degree
         if self.count < 1 or self.max_height < 1 or self.max_degree < 0:
             raise SpecMismatch("sample bounds must be positive (degree may be 0)")
 

@@ -26,7 +26,6 @@ import math
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from . import __version__
@@ -135,12 +134,15 @@ def power_products(terms: int, degree: int, k: int) -> int:
     return products
 
 
-@dataclass
 class RunOptions:
-    seed: int = 0
-    samples: int = 20
-    max_arity: int = DEFAULT_ARITY_CAP
-    oracle_check: bool = False
+    __slots__ = ("seed", "samples", "max_arity", "oracle_check")
+
+    def __init__(self, seed: int = 0, samples: int = 20, max_arity: int = DEFAULT_ARITY_CAP,
+                 oracle_check: bool = False):
+        self.seed = seed
+        self.samples = samples
+        self.max_arity = max_arity
+        self.oracle_check = oracle_check
 
     def sample_config(self, count: int, seed: int | None = None) -> SampleConfig:
         return SampleConfig(seed=self.seed if seed is None else seed, count=count)
@@ -176,21 +178,26 @@ def default_span_generators(spec: FieldSpec) -> list[FieldElement]:
 # -- statement objects -------------------------------------------------
 
 
-@dataclass
 class Command:
-    kind: str
-    text: str
-    payload: dict
+    __slots__ = ("kind", "text", "payload")
+
+    def __init__(self, kind: str, text: str, payload: dict):
+        self.kind = kind
+        self.text = text
+        self.payload = payload
 
 
-@dataclass
 class Session:
-    env: dict
-    fields: dict
-    commands: list[Command]
-    digest: str
-    source: str
-    statements: list[str] = field(default_factory=list)
+    __slots__ = ("env", "fields", "commands", "digest", "source", "statements")
+
+    def __init__(self, env: dict, fields: dict, commands: list[Command], digest: str,
+                 source: str, statements: list[str] | None = None):
+        self.env = env
+        self.fields = fields
+        self.commands = commands
+        self.digest = digest
+        self.source = source
+        self.statements = [] if statements is None else statements
 
 
 def format_session(session: Session) -> str:
@@ -663,14 +670,17 @@ def parse_session(source: str) -> Session:
 # -- execution ---------------------------------------------------------
 
 
-@dataclass
 class ReportDocument:
-    session_digest: str
-    seed: int
-    oracle_check: bool
-    entries: list
-    consistent: bool = True
-    elapsed: float = 0.0
+    __slots__ = ("session_digest", "seed", "oracle_check", "entries", "consistent", "elapsed")
+
+    def __init__(self, session_digest: str, seed: int, oracle_check: bool, entries: list,
+                 consistent: bool = True, elapsed: float = 0.0):
+        self.session_digest = session_digest
+        self.seed = seed
+        self.oracle_check = oracle_check
+        self.entries = entries
+        self.consistent = consistent
+        self.elapsed = elapsed
 
     @property
     def exit_code(self) -> int:
@@ -748,15 +758,17 @@ def _copy_report(entry: dict, report: EquationReport) -> None:
         entry["classification"] = _classification_dict(report.classification)
 
 
-@dataclass(frozen=True)
 class _Value:
     """A single engine result (a degree, a rank, a polarized value),
     audited as the one row (name, value); ``inputs`` are the generated
     inputs it was computed from, if the payload does not hold them."""
 
-    name: str
-    value: object
-    inputs: tuple = ()
+    __slots__ = ("name", "value", "inputs")
+
+    def __init__(self, name: str, value: object, inputs: tuple = ()):
+        self.name = name
+        self.value = value
+        self.inputs = inputs
 
     @property
     def rows(self) -> tuple:
@@ -996,15 +1008,18 @@ def _audit_notes(rows, derived) -> list[str]:
     return notes
 
 
-@dataclass(frozen=True)
 class _Kind:
     """One statement kind.  ``parse`` reads what follows the keyword: a
     declaration returns the binding to make once its ';' is read, a
     command returns its payload.  Commands also ``run`` and ``audit``."""
 
-    parse: Callable
-    run: Callable | None = None
-    audit: Callable | None = None
+    __slots__ = ("parse", "run", "audit")
+
+    def __init__(self, parse: Callable, run: Callable | None = None,
+                 audit: Callable | None = None):
+        self.parse = parse
+        self.run = run
+        self.audit = audit
 
 
 _KINDS = {

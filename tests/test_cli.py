@@ -14,13 +14,19 @@ SESSIONS = Path(__file__).parent / "sessions"
 SOURCES = Path(__file__).parent.parent / "src"
 
 
+def child_env(env=None):
+    """env (default: this process's environment) with src/ put first on
+    PYTHONPATH, so that a child process imports polcheck from there."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*args, env=None):
     """Run the CLI in a child process that imports polcheck from src/,
     with env (default: this process's environment) as its environment."""
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "polcheck.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=child_env(env))
 
 
 def test_passing_session_exit_zero(tmp_path):
@@ -186,3 +192,32 @@ def test_seed_flag_overrides_env(tmp_path):
     run_cli("run", str(SESSIONS / "empty.pol"), "--seed", "4",
             "--format", "json", "--out", str(out), env=env)
     assert json.loads(out.read_text())["seed"] == 4
+
+
+def test_non_integer_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("POLCHECK_SEED", "abc")
+    assert main(["run", str(SESSIONS / "empty.pol")]) == 2
+    err = capsys.readouterr().err
+    assert "polcheck: POLCHECK_SEED must be an integer" in err
+    assert "Traceback" not in err
+    # an explicit --seed means the variable is never read
+    assert main(["run", str(SESSIONS / "empty.pol"), "--seed", "4"]) == 0
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-3"), ("--samples", "x"),
+    ("--max-arity", "0"), ("--max-arity", "-5"),
+])
+def test_non_positive_count_is_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(SESSIONS / "empty.pol"), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: expected a positive integer, got '{value}'" in capsys.readouterr().err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, polcheck; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=child_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -61,6 +61,19 @@ def test_ratfunc_rules():
         FieldSpec.ratfunc(Q, [])
 
 
+def test_specs_compare_and_hash_by_value():
+    rebuilt = (FieldSpec.rationals(), FieldSpec.quadratic(2),
+               FieldSpec.ratfunc(FieldSpec.quadratic(2), ("t", "u")))
+    for spec, same in zip(rebuilt, (Q, Q2, QTU)):
+        assert spec is not same and spec == same and hash(spec) == hash(same)
+    # kind, radicand, base and indeterminates each tell specs apart
+    distinct = [Q, Q2, Q5, QT, Q2T, FieldSpec.ratfunc(Q, ["u"]), QTU_RAT]
+    for i, spec in enumerate(distinct):
+        for other in distinct[i + 1:]:
+            assert spec != other
+    assert Q != "Q" and Q2 != 2
+
+
 # -- arithmetic examples -------------------------------------------------
 
 def test_add_rationals():

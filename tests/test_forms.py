@@ -329,6 +329,21 @@ def test_trace_rejects_argument_outside_domain():
         NORM(QT.element("t"))
 
 
+def test_product_forms_compare_by_value():
+    rebuilt = ProductSym((identity_map(Q2), build_endomorphism(Q2, conjugate_base=True)))
+    assert rebuilt is not NORM_FORM and rebuilt == NORM_FORM
+    assert hash(rebuilt) == hash(NORM_FORM)
+    assert rebuilt != ProductSym((identity_map(Q2), identity_map(Q2)))
+    assert rebuilt != NORM  # a form is not its trace
+
+
+def test_bad_product_form_is_refused_at_construction():
+    with pytest.raises(SpecMismatch):
+        ProductSym(())
+    with pytest.raises(SpecMismatch):
+        ProductSym((identity_map(Q), identity_map(Q2)))
+
+
 def test_arity_caps():
     with pytest.raises(ArityTooLarge):
         ProductSym(tuple(identity_map(Q) for _ in range(9)))

@@ -50,6 +50,8 @@ def test_example_quadratic_value():
 def test_distinct_degrees_enforced():
     with pytest.raises(SpecMismatch):
         genpoly_from([NORM, NORM])
+    with pytest.raises(SpecMismatch):
+        GenPoly((NORM,), QT, QT)  # components over Q(sqrt 2)
 
 
 # -- degree estimation -----------------------------------------------------

@@ -90,6 +90,16 @@ def test_identity_and_scale():
     assert apply_map(scale_map(3, identity_map(Q)), Q.element("1/2")) == Q.element("3/2")
 
 
+def test_maps_compare_by_type_and_fields():
+    assert identity_map(Q) == identity_map(Q)
+    assert hash(identity_map(Q)) == hash(identity_map(Q))
+    assert identity_map(Q) != zero_map(Q)
+    assert identity_map(Q) != identity_map(Q2)
+    shift = build_endomorphism(QT, {"t": QT.element("t+1")})
+    assert shift == build_endomorphism(QT, {"t": QT.element("t+1")})
+    assert shift != build_endomorphism(QT, {"t": QT.element("t+2")})
+
+
 def test_compose_requires_matching_fields():
     with pytest.raises(SpecMismatch):
         compose_maps(identity_map(Q), identity_map(QT))

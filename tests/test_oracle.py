@@ -60,6 +60,11 @@ def test_ratfunc_shape_bound():
 def test_config_validation():
     with pytest.raises(SpecMismatch):
         SampleConfig(seed=1, count=0)
+    with pytest.raises(SpecMismatch):
+        SampleConfig(max_height=0)
+    with pytest.raises(SpecMismatch):
+        SampleConfig(max_degree=-1)
+    assert SampleConfig(max_degree=0).count == 20
 
 
 # -- naive arithmetic -----------------------------------------------------
