@@ -642,13 +642,20 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
     tops = [max(exps[i] for exps in (*num.terms, *den.terms)) for i in range(spec.nvars)]
     # factors[i][k] = ai^k * bi^(Di-k), shared by every term with ti^k
     one = Poly.const(spec.nvars, spec.scalar_one())
+
+    def powers(p: Poly, top: int) -> list[Poly]:
+        pows = [one, p][:top + 1]
+        while len(pows) <= top:
+            pows.append(pows[-1] * p)
+        return pows
+
     factors = []
     for (a, b), top in zip((v.payload for v in values), tops):
-        a_pows, b_pows = [one], [one]
-        for _ in range(top):
-            a_pows.append(a_pows[-1] * a)
-            b_pows.append(b_pows[-1] * b)
-        factors.append([a_pows[k] * b_pows[top - k] for k in range(top + 1)])
+        row = powers(a, top)
+        if not _is_one(b):  # a polynomial image needs no powers of bi
+            b_pows = powers(b, top)
+            row = [row[k] * b_pows[top - k] for k in range(top + 1)]
+        factors.append(row)
 
     def cleared(p: Poly) -> Poly:
         total = {}

@@ -9,10 +9,16 @@ coefficient ever becomes a float.  Monomials are exponent tuples in
 a fixed variable order; the leading term is taken under the
 graded-lexicographic order, which is also the order used when
 formatting and when normalizing denominators.
+
+Invariant: ``terms`` has tuple keys of length ``nvars`` and no zero
+coefficient.  ``Poly(nvars, terms)`` establishes it for any input;
+arithmetic builds dicts that hold it and wraps them with ``_poly``,
+which checks nothing.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -41,11 +47,11 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        return _poly(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, coeff) -> "Poly":
-        return cls(nvars, {(0,) * nvars: coeff})
+        return _poly(nvars, {(0,) * nvars: coeff} if coeff else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int, one) -> "Poly":
@@ -97,7 +103,7 @@ class Poly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        return Poly(self.nvars, data)
+        return _poly(self.nvars, data)
 
     def __sub__(self, other: "Poly") -> "Poly":
         data = dict(self.terms)
@@ -108,33 +114,30 @@ class Poly:
                 data[e] = s
             else:
                 data.pop(e, None)
-        return Poly(self.nvars, data)
+        return _poly(self.nvars, data)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         data = {}
+        get = data.get
+        add = operator.add
+        others = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = data.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    data[e] = s
-                else:
-                    data.pop(e, None)
-        return Poly(self.nvars, data)
+            for e2, c2 in others:
+                e = tuple(map(add, e1, e2))
+                s = get(e)
+                data[e] = c1 * c2 if s is None else s + c1 * c2
+        return _poly(self.nvars, data if all(data.values()) else {e: c for e, c in data.items() if c})
 
     def scale(self, coeff) -> "Poly":
-        if not coeff:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {e: c * coeff for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: c * coeff for e, c in self.terms.items()} if coeff else {})
 
     def divscale(self, coeff) -> "Poly":
         if type(coeff) is int:
             coeff = Fraction(coeff)
-        return Poly(self.nvars, {e: c / coeff for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: c / coeff for e, c in self.terms.items()})
 
     def __truediv__(self, other: "Poly") -> "Poly":
         """Quotient by a nonzero constant; see exact_div for polynomial divisors."""
@@ -161,12 +164,9 @@ class Poly:
             base = base * base
 
     def derivative(self, v: int) -> "Poly":
-        data = {}
-        for e, c in self.terms.items():
-            if e[v]:
-                ne = e[:v] + (e[v] - 1,) + e[v + 1:]
-                data[ne] = data.get(ne, 0) + c * e[v]
-        return Poly(self.nvars, {e: c for e, c in data.items() if c})
+        # distinct terms with e[v] > 0 stay distinct when e[v] drops by one
+        return _poly(self.nvars, {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v]
+                                  for e, c in self.terms.items() if e[v]})
 
     def map_coeffs(self, fn) -> "Poly":
         return Poly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -188,6 +188,16 @@ class Poly:
         return "Poly(" + " + ".join(parts) + ")"
 
 
+def _poly(nvars: int, data: dict) -> Poly:
+    """The Poly of a dict that already holds the invariant: tuple keys of
+    length nvars and no zero coefficient.  Checks nothing."""
+    p = object.__new__(Poly)
+    p.nvars = nvars
+    p.terms = data
+    p._hash = None
+    return p
+
+
 def _one_like(p: Poly):
     for c in p.terms.values():
         return 1 if type(c) is int else c / c
@@ -206,20 +216,20 @@ def exact_div(f: Poly, g: Poly) -> Poly:
     """Exact polynomial quotient f / g; raises if the division is inexact."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = Poly(f.nvars)
+    # each step cancels rem's leading term, so no quotient exponent repeats
+    quotient = {}
     rem = f
     ge, gc = g.lead()
     if type(gc) is int:
         gc = Fraction(gc)
-    while not rem.is_zero():
+    while rem.terms:
         re, rc = rem.lead()
-        diff = tuple(a - b for a, b in zip(re, ge))
+        diff = tuple(map(operator.sub, re, ge))
         if any(d < 0 for d in diff):
             raise ArithmeticError("inexact polynomial division")
-        term = Poly(f.nvars, {diff: rc / gc})
-        quotient = quotient + term
-        rem = rem - term * g
-    return quotient
+        quotient[diff] = c = rc / gc
+        rem = rem - _poly(f.nvars, {diff: c}) * g
+    return _poly(f.nvars, quotient)
 
 
 # -- greatest common divisor ----------------------------------------

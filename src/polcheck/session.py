@@ -139,6 +139,9 @@ class RunOptions:
 
     def __init__(self, seed: int = 0, samples: int = 20, max_arity: int = DEFAULT_ARITY_CAP,
                  oracle_check: bool = False):
+        for name, value in (("samples", samples), ("max_arity", max_arity)):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"RunOptions {name} must be a positive integer, got {value!r}")
         self.seed = seed
         self.samples = samples
         self.max_arity = max_arity

@@ -276,6 +276,77 @@ def test_substitute_denominator_vanishes_in_two_variables():
         substitute(QTU_RAT.element("1/(t-u)"), {"t": u, "u": u})
 
 
+def _base_scalar(spec, c) -> FieldElement:
+    """A coefficient of an integral numerator or denominator as an element."""
+    if type(c) is int:
+        return spec.from_int(c)
+    return spec.from_fraction(c.a) + spec.from_fraction(c.b) * spec.sqrt_element()
+
+
+def _by_field_arithmetic(e: FieldElement, images: dict) -> FieldElement:
+    """e at the images: sum c * prod ai^ei over its numerator and its
+    denominator, in plain field arithmetic."""
+    spec = e.spec
+    values = [images[name] for name in spec.variables]
+
+    def value(p: Poly) -> FieldElement:
+        total = spec.zero()
+        for exps, c in p.terms.items():
+            term = _base_scalar(spec, c)
+            for v, k in zip(values, exps):
+                term = term * v ** k
+            total = total + term
+        return total
+
+    num, den = e.payload
+    return value(num) / value(den)
+
+
+def ratfuncs(spec, polynomial=False):
+    """Small elements of spec; polynomial=True keeps the denominator 1.
+
+    In two variables each exponent stays at most 1: larger inputs can
+    reach a two-variable gcd with a common factor, which the
+    pseudo-remainder sequence may take minutes to finish."""
+    d = spec.radicand
+    coeff = st.integers(-2, 2).filter(bool)
+    if d is not None:
+        coeff = st.builds(QuadRat, coeff, st.integers(-2, 2), st.just(d))
+    exps = st.integers(0, 2 if spec.nvars == 1 else 1)
+    terms = st.dictionaries(st.tuples(*[exps] * spec.nvars), coeff, min_size=1, max_size=3)
+    one = spec.scalar_one()
+
+    def build(pair):
+        num, den = (Poly(spec.nvars, t) for t in pair)
+        if polynomial:
+            den = Poly.const(spec.nvars, one)
+        return normalize_fraction(spec, num, den)
+
+    return st.tuples(terms, terms).map(build)
+
+
+@pytest.mark.parametrize("spec", [QT, Q2T, QTU_RAT, QTU],
+                         ids=["Q(t)", "Q(sqrt 2)(t)", "Q(t,u)", "Q(sqrt 2)(t,u)"])
+def test_substitute_matches_field_arithmetic(spec):
+    def images():
+        # each image is a polynomial (denominator 1) or a rational function
+        either = st.one_of(ratfuncs(spec, polynomial=True), ratfuncs(spec))
+        return st.tuples(*[either] * spec.nvars).map(lambda v: dict(zip(spec.variables, v)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ratfuncs(spec), images())
+    def agrees(e, images):
+        try:
+            expected = _by_field_arithmetic(e, images)
+        except DivisionByZero:
+            with pytest.raises(DenominatorVanishes):
+                substitute(e, images)
+            return
+        assert substitute(e, images) == expected
+
+    agrees()
+
+
 # -- parsing ----------------------------------------------------------------
 
 def test_parse_fraction_of_polynomials():

@@ -227,3 +227,60 @@ def test_gcd_agrees_with_euclid_on_planted_factors(nvars, d):
         exact_div(gcd, h)  # the planted factor divides the gcd
 
     agrees()
+
+
+# -- the Poly invariant: arithmetic builds its results unchecked -------------
+
+_COEFFS = {
+    "int": st.integers(-3, 3),
+    "Fraction": _RATIONALS,
+    "QuadRat": st.builds(QuadRat, st.integers(-2, 2), st.integers(-2, 2), st.just(2)),
+}
+
+
+def _holds_invariant(p: Poly, nvars: int) -> None:
+    assert all(type(e) is tuple and len(e) == nvars for e in p.terms)
+    assert all(p.terms.values())
+    checked = Poly(nvars, dict(p.terms))
+    assert p == checked and hash(p) == hash(checked)
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_arithmetic_results_hold_the_invariant(nvars, kind):
+    coeffs = _COEFFS[kind]
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), coeffs, max_size=4)
+    operands = terms.map(lambda t: Poly(nvars, t))
+    t = Poly.variable(nvars, 0, 1)
+    one = Poly.const(nvars, 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(operands, operands, coeffs.filter(bool), st.integers(0, 3), st.integers(0, nvars - 1))
+    def holds(a, b, c, k, v):
+        results = [
+            a + b, a - b, a * b, -a, a - a, a + -a, (a + b) * (a - b),
+            (t + one) * (t - one), a.scale(c), a.scale(c - c), a.divscale(c), a ** k,
+            Poly.const(nvars, c), Poly.const(nvars, c - c), a.derivative(v),
+        ]
+        for p in results:
+            _holds_invariant(p, nvars)
+
+    holds()
+
+
+def test_arithmetic_never_revalidates_its_results(monkeypatch):
+    a = Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)})
+    b = Poly(2, {(1, 0): Fraction(-1), (0, 0): Fraction(3)})
+    calls = []
+    check = Poly.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        check(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    assert a * b == Poly(2, {(2, 0): Fraction(-1), (1, 0): Fraction(3),
+                             (1, 1): Fraction(-2), (0, 1): Fraction(6)})
+    calls.clear()
+    a * b, a + b, a - b, -a, a.scale(Fraction(3)), exact_div(a * b, b)
+    assert calls == []

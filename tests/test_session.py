@@ -462,6 +462,20 @@ def test_arity_cap_becomes_command_error():
     assert doc.exit_code == 1
 
 
+@pytest.mark.parametrize("field,value", [
+    ("samples", 0), ("samples", -1), ("samples", 2.5),
+    ("max_arity", -5), ("max_arity", 0), ("max_arity", "6"),
+])
+def test_run_options_refuse_counts_the_cli_refuses(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunOptions(**{field: value})
+
+
+def test_run_options_accept_the_smallest_counts():
+    options = RunOptions(samples=1, max_arity=1)
+    assert (options.samples, options.max_arity) == (1, 1)
+
+
 def test_oracle_check_marks_entries_and_consistency():
     doc = run_src(NORM_SRC, seed=5, oracle_check=True)
     assert doc.consistent and doc.exit_code == 0
