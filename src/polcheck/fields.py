@@ -30,7 +30,7 @@ from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
 from .lexer import TokenStream, tokenize
-from .polys import Poly, exact_div, grlex_key, poly_gcd
+from .polys import Poly, _poly_dropping_zeros, exact_div, grlex_key, poly_gcd
 
 RATIONALS = "rationals"
 QUADRATIC = "quadratic"
@@ -666,7 +666,7 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
             for e, c in product.terms.items():
                 s = total.get(e)
                 total[e] = coeff * c if s is None else s + coeff * c
-        return Poly(spec.nvars, total)
+        return _poly_dropping_zeros(spec.nvars, total)
 
     den_val = cleared(den)
     if den_val.is_zero():
@@ -689,13 +689,33 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
     return value
 
 
+#: Highest degree in the indeterminates that a power in the input may
+#: give: an element's, or that of P or Q in a check.  The degree of an
+#: element is the larger total degree of its numerator and denominator.
+MAX_CHECK_DEGREE = 10_000
+
+
+def check_power_degree(stream: TokenStream, base, k: int) -> None:
+    """Refuse ``base^k`` (base an element or a rational) before computing
+    it if its degree would pass MAX_CHECK_DEGREE: it could exhaust memory."""
+    if isinstance(base, FieldElement) and base.spec.kind == RATFUNC:
+        if abs(k) * max(p.total_degree() for p in base.payload) > MAX_CHECK_DEGREE:
+            raise stream.error(f"element of degree above {MAX_CHECK_DEGREE}")
+
+
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     """Element sub-parser operating on an existing token stream.  A
     division by zero or an operand of another field inside the element is
-    reported at its first token."""
+    reported at its first token, a power of too high a degree where it
+    ends."""
     first = stream.peek()
+
+    def power(base: FieldElement, k: int) -> FieldElement:
+        check_power_degree(stream, base, k)
+        return base ** k
+
     try:
-        return parse_expression(stream, lambda s: parse_element_atom(s, spec))
+        return parse_expression(stream, lambda s: parse_element_atom(s, spec), power)
     except DivisionByZero as exc:
         raise ParseError(str(exc), first.pos, line=first.line, column=first.column) from None
     except SpecMismatch as exc:

@@ -12,7 +12,10 @@ builds such forms:
   of grouping the arguments into blocks (the blockwise formula itself
   is not symmetric; averaging restores symmetry without changing the
   trace);
-* ``LinComb``: codomain-linear combinations.
+* ``LinComb``: linear combinations with coefficients in the forms' field.
+
+Every form node acts on one field, its ``spec``: it takes its arguments
+and its values there.
 
 The engine evaluates a form in one way only.  On the diagonal every
 term of a symmetrization is the same, so each node has a one-term
@@ -28,8 +31,8 @@ import operator
 from functools import reduce
 
 from .errors import ArityTooLarge, SpecMismatch
-from .fields import FieldElement, FieldSpec
-from .maps import AdditiveMap, apply_map
+from .fields import FieldElement
+from .maps import AdditiveMap, Node, apply_map
 
 #: Largest form arity the evaluators accept (at most 2^8 = 256 subset sums
 #: of the arguments per form value).
@@ -39,28 +42,12 @@ DEFAULT_ARITY_CAP = 8
 DELTA_CAP = 12
 
 
-class SymmetricForm:
-    """Base class for symmetric multi-additive form nodes.  Nodes are
-    immutable by convention (nothing assigns to a node after
-    construction); two nodes are equal when they have the same type and
-    equal fields."""
+class SymmetricForm(Node):
+    """Base class for symmetric multi-additive form nodes."""
 
     __slots__ = ()
 
     arity: int
-    domain_spec: FieldSpec
-    codomain_spec: FieldSpec
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self is other or self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash((type(self), self._fields()))
 
     def __call__(self, *args: FieldElement) -> FieldElement:
         return eval_form(self, list(args))
@@ -70,20 +57,13 @@ class ConstForm(SymmetricForm):
     """Arity-0 form: a plain constant (any constant is 0-additive)."""
 
     __slots__ = ("value",)
+    arity = 0
 
     def __init__(self, value: FieldElement):
         self.value = value
 
     @property
-    def arity(self):
-        return 0
-
-    @property
-    def domain_spec(self):
-        return self.value.spec
-
-    @property
-    def codomain_spec(self):
+    def spec(self):
         return self.value.spec
 
 
@@ -98,20 +78,16 @@ class ProductSym(SymmetricForm):
             raise ArityTooLarge(f"arity {len(self.maps)} exceeds cap {DEFAULT_ARITY_CAP}")
         first = self.maps[0]
         for m in self.maps[1:]:
-            if m.domain_spec != first.domain_spec or m.codomain_spec != first.codomain_spec:
-                raise SpecMismatch("all factor maps must share domain and codomain")
+            if m.spec != first.spec:
+                raise SpecMismatch("all factor maps must act on the same field")
 
     @property
     def arity(self):
         return len(self.maps)
 
     @property
-    def domain_spec(self):
-        return self.maps[0].domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.maps[0].codomain_spec
+    def spec(self):
+        return self.maps[0].spec
 
 
 class MapOfProduct(SymmetricForm):
@@ -130,12 +106,8 @@ class MapOfProduct(SymmetricForm):
         return self.n
 
     @property
-    def domain_spec(self):
-        return self.map.domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.map.codomain_spec
+    def spec(self):
+        return self.map.spec
 
 
 class Lift(SymmetricForm):
@@ -157,12 +129,8 @@ class Lift(SymmetricForm):
         return self.inner.arity * self.k
 
     @property
-    def domain_spec(self):
-        return self.inner.domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.inner.codomain_spec
+    def spec(self):
+        return self.inner.spec
 
 
 class LinComb(SymmetricForm):
@@ -172,24 +140,22 @@ class LinComb(SymmetricForm):
         self.terms = terms
         if not self.terms:
             raise SpecMismatch("linear combination needs at least one term")
-        arity = self.terms[0][1].arity
+        first = self.terms[0][1]
         for coeff, form in self.terms:
-            if form.arity != arity:
+            if form.arity != first.arity:
                 raise SpecMismatch("linear combination mixes arities")
-            if coeff.spec != form.codomain_spec:
-                raise SpecMismatch("coefficient lives outside the codomain field")
+            if form.spec != first.spec:
+                raise SpecMismatch("linear combination mixes fields")
+            if coeff.spec != first.spec:
+                raise SpecMismatch("coefficient lives outside the field of the form")
 
     @property
     def arity(self):
         return self.terms[0][1].arity
 
     @property
-    def domain_spec(self):
-        return self.terms[0][1].domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.terms[0][1].codomain_spec
+    def spec(self):
+        return self.terms[0][1].spec
 
 
 def eval_form(form: SymmetricForm, args: list[FieldElement]) -> FieldElement:
@@ -198,8 +164,8 @@ def eval_form(form: SymmetricForm, args: list[FieldElement]) -> FieldElement:
     if len(args) != form.arity:
         raise SpecMismatch(f"form of arity {form.arity} applied to {len(args)} arguments")
     for a in args:
-        if a.spec != form.domain_spec:
-            raise SpecMismatch("form argument outside the domain field")
+        if a.spec != form.spec:
+            raise SpecMismatch("form argument outside the field of the form")
     return polarize(trace(form), list(args))
 
 
@@ -219,18 +185,14 @@ class GenMonomial:
             raise SpecMismatch("monomial degree must equal the form arity")
 
     @property
-    def domain_spec(self):
-        return self.form.domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.form.codomain_spec
+    def spec(self):
+        return self.form.spec
 
     def __call__(self, x: FieldElement) -> FieldElement:
         if self.degree == 0:
             return self.form.value
-        if x.spec != self.form.domain_spec:
-            raise SpecMismatch("form argument outside the domain field")
+        if x.spec != self.form.spec:
+            raise SpecMismatch("form argument outside the field of the form")
         return _trace(self.form, x)
 
 
@@ -283,5 +245,5 @@ def polarize(p: GenMonomial, ys: list[FieldElement]) -> FieldElement:
         raise SpecMismatch("polarization needs exactly degree-many increments")
     if p.degree == 0:
         return p.form.value
-    zero = p.domain_spec.zero()
+    zero = p.spec.zero()
     return delta_many(p, ys, zero) / math.factorial(p.degree)

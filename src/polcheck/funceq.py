@@ -51,24 +51,23 @@ PASSING_VERDICTS = frozenset({HOLDS_ON_SAMPLE, HOLDS_ON_SPAN})
 class PolySpec:
     """Dense polynomial P or Q, coefficients low to high degree."""
 
-    __slots__ = ("coefficients", "side")
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients: tuple[FieldElement, ...], side: str = "domain"):
+    def __init__(self, coefficients: tuple[FieldElement, ...]):
         self.coefficients = coefficients
-        self.side = side
 
     @staticmethod
-    def from_coefficients(coefficients, side: str = "domain") -> "PolySpec":
+    def from_coefficients(coefficients) -> "PolySpec":
         coeffs = list(coefficients)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
-        return PolySpec(tuple(coeffs), side)
+        return PolySpec(tuple(coeffs))
 
     @staticmethod
-    def monomial(spec: FieldSpec, k: int, coeff=None, side: str = "domain") -> "PolySpec":
+    def monomial(spec: FieldSpec, k: int, coeff=None) -> "PolySpec":
         coeff = spec.one() if coeff is None else coeff
         coeffs = [spec.zero()] * k + [coeff]
-        return PolySpec.from_coefficients(coeffs, side)
+        return PolySpec.from_coefficients(coeffs)
 
     @property
     def degree(self) -> int:
@@ -299,9 +298,9 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
     arity = n * k
     if arity > DEFAULT_ARITY_CAP:
         raise ArityTooLarge(f"span check needs arity {arity}, cap is {DEFAULT_ARITY_CAP}")
-    spec = monomial.domain_spec
+    spec = monomial.spec
     if any(g.spec != spec for g in generators):
-        raise SpecMismatch("form argument outside the domain field")
+        raise SpecMismatch("span generator outside the field of f")
     scale = math.factorial(arity)
     zero = spec.zero()
     # tuples share subset sums, so each side is evaluated once per sum
@@ -340,7 +339,7 @@ def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4, quartic=None) -> Field
     ``quartic`` (by default ``_quartic_trace(f2)``)."""
     if quartic is None:
         quartic = _quartic_trace(f2)
-    return delta_many(quartic, [x1, x2, x3, x4], f2.domain_spec.zero()) / math.factorial(4)
+    return delta_many(quartic, [x1, x2, x3, x4], f2.spec.zero()) / math.factorial(4)
 
 
 def _solve_against_dictionary(values, dictionary, probes):
@@ -366,7 +365,7 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
     """
     if f2.arity != 2:
         raise SpecMismatch("classification applies to bi-additive forms")
-    spec = f2.domain_spec
+    spec = f2.spec
     one = spec.one()
     probes = list(probes)
     if one not in probes:
@@ -489,7 +488,7 @@ def quartic_solve(a: AdditiveMap, probes: list[FieldElement],
     and f(x^2) = a(x)^4 on the probes, and classifies
     f = a(1)^4 * phi^2 when a is proportional to a dictionary
     homomorphism (default dictionary: the identity)."""
-    spec = a.domain_spec
+    spec = a.spec
     one = spec.one()
     a1 = apply_map(a, one)
     c32 = spec.from_fraction(Fraction(3, 2))

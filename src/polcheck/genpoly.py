@@ -24,19 +24,17 @@ NO_BOUND_FOUND = None
 class GenPoly:
     """Finite sum of generalized monomials of pairwise distinct degrees."""
 
-    __slots__ = ("components", "domain_spec", "codomain_spec")
+    __slots__ = ("components", "spec")
 
-    def __init__(self, components: tuple[GenMonomial, ...], domain_spec: FieldSpec,
-                 codomain_spec: FieldSpec):
+    def __init__(self, components: tuple[GenMonomial, ...], spec: FieldSpec):
         self.components = components
-        self.domain_spec = domain_spec
-        self.codomain_spec = codomain_spec
+        self.spec = spec
         degrees = [c.degree for c in self.components]
         if len(set(degrees)) != len(degrees):
             raise SpecMismatch("component degrees must be pairwise distinct")
         for c in self.components:
-            if c.domain_spec != self.domain_spec or c.codomain_spec != self.codomain_spec:
-                raise SpecMismatch("component fields disagree with the polynomial's fields")
+            if c.spec != self.spec:
+                raise SpecMismatch("component field disagrees with the polynomial's field")
 
     @property
     def degree(self) -> int:
@@ -46,16 +44,13 @@ class GenPoly:
         return eval_genpoly(self, x)
 
 
-def genpoly_from(components, domain_spec=None, codomain_spec=None) -> GenPoly:
+def genpoly_from(components, spec=None) -> GenPoly:
     components = tuple(components)
-    if components:
-        domain_spec = domain_spec or components[0].domain_spec
-        codomain_spec = codomain_spec or components[0].codomain_spec
-    return GenPoly(components, domain_spec, codomain_spec)
+    return GenPoly(components, spec or (components[0].spec if components else None))
 
 
 def eval_genpoly(p: GenPoly, x: FieldElement) -> FieldElement:
-    total = p.codomain_spec.zero()
+    total = p.spec.zero()
     for component in p.components:
         total = total + component(x)
     return total
@@ -67,8 +62,7 @@ def probe_tuples(probes, size: int):
     return combinations_with_replacement(probes, size)
 
 
-def degree_estimate(f, probes: list[FieldElement], cap: int,
-                    domain_spec: FieldSpec):
+def degree_estimate(f, probes: list[FieldElement], cap: int, spec: FieldSpec):
     """Smallest n <= cap with Delta_{y1..y(n+1)} f(0) = 0 for every
     sampled probe tuple; NO_BOUND_FOUND when the scan is exhausted.
 
@@ -81,7 +75,7 @@ def degree_estimate(f, probes: list[FieldElement], cap: int,
     for y in probes:
         if y.is_zero():
             raise SpecMismatch("probes must be nonzero")
-    zero = domain_spec.zero()
+    zero = spec.zero()
     # probe tuples share their subset sums: evaluate f once per point
     f = functools.cache(f)
     for n in range(cap + 1):
@@ -101,7 +95,7 @@ def variety_rank(f, translates: list[FieldElement], points: list[FieldElement],
 
     The rank of the sampled matrix is a lower bound for the dimension
     of the variety of f (the linear space spanned by its translates)
-    over the codomain field.
+    over the field of f.
     """
     if operation not in (ADDITIVE_TRANSLATES, MULTIPLICATIVE_TRANSLATES):
         raise SpecMismatch(f"unknown translate operation {operation!r}")

@@ -1,6 +1,9 @@
 """Additive maps built from field endomorphisms, derivations, rational
 scalar combinations and compositions.
 
+Every map acts on one field F, its ``spec``: it sends F to itself, and
+maps are summed or composed only with maps on the same F.
+
 Every constructible map here is additive by structural induction:
 endomorphisms and derivations are additive wherever defined, and
 scaling, summing and composing preserve additivity.  Multiplicativity
@@ -27,16 +30,14 @@ from .fields import (
 from .polys import Poly
 
 
-class AdditiveMap:
-    """Base class of map nodes.  Nodes are immutable by convention
-    (nothing assigns to a node after construction) and evaluation is
-    pure; two nodes are equal when they have the same type and equal
-    fields."""
+class Node:
+    """Base class of map and form nodes.  Nodes are immutable by
+    convention (nothing assigns to a node after construction); two nodes
+    are equal when they have the same type and equal fields."""
 
     __slots__ = ()
 
-    domain_spec: FieldSpec
-    codomain_spec: FieldSpec
+    spec: FieldSpec
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -48,6 +49,12 @@ class AdditiveMap:
 
     def __hash__(self):
         return hash((type(self), self._fields()))
+
+
+class AdditiveMap(Node):
+    """Base class of map nodes; evaluation is pure."""
+
+    __slots__ = ()
 
     def __call__(self, x: FieldElement) -> FieldElement:
         return apply_map(self, x)
@@ -77,14 +84,6 @@ class Identity(AdditiveMap):
     def __init__(self, spec: FieldSpec):
         self.spec = spec
 
-    @property
-    def domain_spec(self):
-        return self.spec
-
-    @property
-    def codomain_spec(self):
-        return self.spec
-
     def describe(self):
         return "id"
 
@@ -94,14 +93,6 @@ class Zero(AdditiveMap):
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-
-    @property
-    def domain_spec(self):
-        return self.spec
-
-    @property
-    def codomain_spec(self):
-        return self.spec
 
     def describe(self):
         return "zero"
@@ -118,17 +109,6 @@ class Endo(AdditiveMap):
         self.spec = spec
         self.images = images
         self.conjugate_base = conjugate_base
-
-    @property
-    def domain_spec(self):
-        return self.spec
-
-    @property
-    def codomain_spec(self):
-        return self.spec
-
-    def image_map(self) -> dict[str, FieldElement]:
-        return dict(self.images)
 
     def describe(self):
         if self.spec.kind == QUADRATIC:
@@ -149,14 +129,6 @@ class Derivation(AdditiveMap):
         self.spec = spec
         self.images = images
 
-    @property
-    def domain_spec(self):
-        return self.spec
-
-    @property
-    def codomain_spec(self):
-        return self.spec
-
     def describe(self):
         parts = [f"{name} -> {format_element(img)}" for name, img in self.images]
         return "der(" + ", ".join(parts) + ")"
@@ -170,12 +142,8 @@ class Scale(AdditiveMap):
         self.inner = inner
 
     @property
-    def domain_spec(self):
-        return self.inner.domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.inner.codomain_spec
+    def spec(self):
+        return self.inner.spec
 
     def describe(self):
         return f"{format_element(self.factor)}*{_wrap(self.inner)}"
@@ -188,12 +156,8 @@ class MapSum(AdditiveMap):
         self.terms = terms
 
     @property
-    def domain_spec(self):
-        return self.terms[0].domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.terms[0].codomain_spec
+    def spec(self):
+        return self.terms[0].spec
 
     def describe(self):
         return " + ".join(_wrap(t) for t in self.terms)
@@ -207,22 +171,15 @@ class Compose(AdditiveMap):
         self.inner = inner
 
     @property
-    def domain_spec(self):
-        return self.inner.domain_spec
-
-    @property
-    def codomain_spec(self):
-        return self.outer.codomain_spec
+    def spec(self):
+        return self.inner.spec
 
     def describe(self):
         return f"{_wrap(self.outer)} @ {_wrap(self.inner)}"
 
 
 def _wrap(m: AdditiveMap) -> str:
-    text = m.describe()
-    if isinstance(m, (MapSum,)):
-        return f"({text})"
-    return text
+    return f"({m.describe()})" if isinstance(m, MapSum) else m.describe()
 
 
 def identity_map(spec: FieldSpec) -> Identity:
@@ -235,9 +192,9 @@ def zero_map(spec: FieldSpec) -> Zero:
 
 def scale_map(factor, inner: AdditiveMap) -> AdditiveMap:
     if isinstance(factor, (int, Fraction)):
-        factor = inner.codomain_spec.from_fraction(Fraction(factor))
-    if factor.spec != inner.codomain_spec:
-        raise SpecMismatch("scalar lives outside the codomain field")
+        factor = inner.spec.from_fraction(Fraction(factor))
+    if factor.spec != inner.spec:
+        raise SpecMismatch("scalar lives outside the field of the map")
     return Scale(factor, inner)
 
 
@@ -247,14 +204,14 @@ def sum_maps(*terms: AdditiveMap) -> AdditiveMap:
         flat.extend(term.terms if isinstance(term, MapSum) else (term,))
     first = flat[0]
     for term in flat[1:]:
-        if term.domain_spec != first.domain_spec or term.codomain_spec != first.codomain_spec:
-            raise SpecMismatch("cannot add maps with different domains or codomains")
+        if term.spec != first.spec:
+            raise SpecMismatch("cannot add maps on different fields")
     return MapSum(tuple(flat))
 
 
 def compose_maps(outer: AdditiveMap, inner: AdditiveMap) -> AdditiveMap:
-    if outer.domain_spec != inner.codomain_spec:
-        raise SpecMismatch("composition requires matching inner codomain and outer domain")
+    if outer.spec != inner.spec:
+        raise SpecMismatch("cannot compose maps on different fields")
     return Compose(outer, inner)
 
 
@@ -323,12 +280,12 @@ def build_derivation(spec: FieldSpec, images: dict[str, FieldElement]) -> Additi
 
 def apply_map(m: AdditiveMap, x: FieldElement) -> FieldElement:
     """Evaluate a map tree at an element, exactly."""
-    if x.spec != m.domain_spec:
-        raise SpecMismatch("argument does not belong to the map's domain")
+    if x.spec != m.spec:
+        raise SpecMismatch("argument does not belong to the map's field")
     if isinstance(m, Identity):
         return x
     if isinstance(m, Zero):
-        return m.codomain_spec.zero()
+        return m.spec.zero()
     if isinstance(m, Endo):
         return _apply_endo(m, x)
     if isinstance(m, Derivation):
@@ -336,7 +293,7 @@ def apply_map(m: AdditiveMap, x: FieldElement) -> FieldElement:
     if isinstance(m, Scale):
         return m.factor * apply_map(m.inner, x)
     if isinstance(m, MapSum):
-        total = m.codomain_spec.zero()
+        total = m.spec.zero()
         for term in m.terms:
             total = total + apply_map(term, x)
         return total
@@ -355,7 +312,7 @@ def _apply_endo(m: Endo, x: FieldElement) -> FieldElement:
         x = conjugate_element(x)
     from .fields import substitute
 
-    return substitute(x, m.image_map())
+    return substitute(x, dict(m.images))
 
 
 def _apply_derivation(m: Derivation, x: FieldElement) -> FieldElement:

@@ -13,7 +13,8 @@ formatting and when normalizing denominators.
 Invariant: ``terms`` has tuple keys of length ``nvars`` and no zero
 coefficient.  ``Poly(nvars, terms)`` establishes it for any input;
 arithmetic builds dicts that hold it and wraps them with ``_poly``,
-which checks nothing.
+which checks nothing, or with ``_poly_dropping_zeros`` when a sum may
+have cancelled.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class Poly:
                 e = tuple(map(add, e1, e2))
                 s = get(e)
                 data[e] = c1 * c2 if s is None else s + c1 * c2
-        return _poly(self.nvars, data if all(data.values()) else {e: c for e, c in data.items() if c})
+        return _poly_dropping_zeros(self.nvars, data)
 
     def scale(self, coeff) -> "Poly":
         return _poly(self.nvars, {e: c * coeff for e, c in self.terms.items()} if coeff else {})
@@ -169,7 +170,7 @@ class Poly:
                                   for e, c in self.terms.items() if e[v]})
 
     def map_coeffs(self, fn) -> "Poly":
-        return Poly(self.nvars, {e: fn(c) for e, c in self.terms.items()})
+        return _poly_dropping_zeros(self.nvars, {e: fn(c) for e, c in self.terms.items()})
 
     # -- comparisons -------------------------------------------------
 
@@ -196,6 +197,15 @@ def _poly(nvars: int, data: dict) -> Poly:
     p.terms = data
     p._hash = None
     return p
+
+
+def _poly_dropping_zeros(nvars: int, data: dict) -> Poly:
+    """``_poly`` of a dict whose keys hold the invariant, once its zero
+    coefficients are deleted in place."""
+    if not all(data.values()):
+        for e in [e for e, c in data.items() if not c]:
+            del data[e]
+    return _poly(nvars, data)
 
 
 def _one_like(p: Poly):

@@ -38,8 +38,10 @@ from .errors import (
     TypeMismatch,
 )
 from .fields import (
+    MAX_CHECK_DEGREE,
     FieldElement,
     FieldSpec,
+    check_power_degree,
     format_element,
     parse_element_atom,
     parse_element_tokens,
@@ -103,10 +105,6 @@ ERROR = "ERROR"
 _PASSING = {HOLDS_ON_SAMPLE, HOLDS_ON_SPAN, PASS}
 
 DEGREE_CAP = 6
-
-#: Highest degree of P or Q in a check.  Both are kept as dense
-#: coefficient lists, so this bounds their length.
-MAX_CHECK_DEGREE = 10_000
 
 #: Most coefficient products that expanding one power ``e^k`` in a check
 #: may take.  Their count is bounded from e's size before any product.
@@ -279,8 +277,6 @@ class _Parser:
     def _parse_genpoly(self) -> tuple[str, GenPoly]:
         tok = self.stream.expect("name", "genpoly name")
         f = self._lookup(tok)
-        if isinstance(f, GenMonomial):
-            f = genpoly_from([f])
         if not isinstance(f, GenPoly):
             raise TypeMismatch(f"{tok.text!r} is not a generalized polynomial")
         return tok.text, f
@@ -500,7 +496,7 @@ class _Parser:
         scalar = self._parse_scalar(spec)
         form = self._parse_form_expr()
         if scalar is None:
-            scalar = form.codomain_spec.one()
+            scalar = form.spec.one()
         return (scalar, form)
 
     def _stmt_genpoly(self):
@@ -557,6 +553,8 @@ class _Parser:
             degree = base.total_degree()
             if degree * k > MAX_CHECK_DEGREE:
                 raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
+            if not degree and base.terms:  # a constant: bound its element's degree
+                check_power_degree(self.stream, base.constant(), k)
             if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
                 raise self.stream.error(
                     f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
@@ -583,12 +581,12 @@ class _Parser:
 
     def _stmt_check(self) -> dict:
         name, f = self._parse_genpoly()
-        spec = f.domain_spec
+        spec = f.spec
         self.stream.expect("(")
         p_coeffs = self._parse_coeffpoly(spec, None)
         self.stream.expect(")")
         self.stream.expect("==")
-        q_coeffs = self._parse_coeffpoly(f.codomain_spec, name)
+        q_coeffs = self._parse_coeffpoly(spec, name)
         mode = {"mode": "default"}
         if self.stream.at("name") and self.stream.peek().text == "on":
             self.stream.next()
@@ -605,8 +603,8 @@ class _Parser:
                     seed = int(self.stream.expect("int", "seed value").text)
                 self.stream.expect(")")
                 mode = {"mode": "samples", "count": count, "seed": seed}
-        p = PolySpec.from_coefficients(p_coeffs, side="domain")
-        q = PolySpec.from_coefficients(q_coeffs, side="codomain")
+        p = PolySpec.from_coefficients(p_coeffs)
+        q = PolySpec.from_coefficients(q_coeffs)
         return {"name": name, "f": f, "p": p, "q": q, **mode}
 
     def _stmt_classify(self) -> dict:
@@ -628,9 +626,9 @@ class _Parser:
         if self.stream.at("name") and self.stream.peek().text in ("mult", "add"):
             operation = self.stream.next().text
         self._keyword("expected translates(...)", "translates")
-        translates = self._element_list(f.domain_spec)
+        translates = self._element_list(f.spec)
         self._keyword("expected points(...)", "points")
-        points = self._element_list(f.domain_spec)
+        points = self._element_list(f.spec)
         return {"name": name, "f": f, "operation": operation,
                 "translates": translates, "points": points}
 
@@ -651,14 +649,12 @@ class _Parser:
             if len(obj.components) != 1:
                 raise TypeMismatch("polarize needs a single generalized monomial")
             monomial = obj.components[0]
-        elif isinstance(obj, GenMonomial):
-            monomial = obj
         elif isinstance(obj, SymmetricForm):
             monomial = trace(obj)
         else:
             raise TypeMismatch(f"{tok.text!r} is not a monomial or form")
         self._keyword("expected at (y1, ..., yn)", "at")
-        ys = self._element_list(monomial.domain_spec)
+        ys = self._element_list(monomial.spec)
         if len(ys) != monomial.degree:
             raise TypeMismatch(
                 f"polarize needs exactly {monomial.degree} increments, got {len(ys)}")
@@ -820,7 +816,7 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
         count, seed = payload["count"], payload["seed"]
     else:
         count, seed = options.samples, None
-    samples, description = _samples_for(options, f.domain_spec, count, seed)
+    samples, description = _samples_for(options, f.spec, count, seed)
     report = check_pointwise(f, p, q, samples, description)
     _copy_report(entry, report)
     return report
@@ -828,7 +824,7 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_check(payload: dict, report: EquationReport):
     f, p, q = payload["f"], payload["p"], payload["q"]
-    spec = f.domain_spec
+    spec = f.spec
     oracle = Oracle(spec)
     p_of, q_of = oracle.polyspec(p), oracle.polyspec(q)
     lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
@@ -850,7 +846,7 @@ def _run_classify(options: RunOptions, payload: dict, entry: dict):
     form = payload["form"]
     try:
         report = classify_quadratic_square(form, payload["dictionary"],
-                                           default_probes(form.domain_spec))
+                                           default_probes(form.spec))
     except DictionaryInsufficient as exc:
         entry["verdict"] = INCONCLUSIVE
         entry["detail"] = f"DictionaryInsufficient: {exc}"
@@ -861,7 +857,7 @@ def _run_classify(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_classify(payload: dict, report: EquationReport):
     form = payload["form"]
-    spec = form.domain_spec
+    spec = form.spec
     oracle = Oracle(spec)
 
     def f2(u, v):
@@ -886,7 +882,7 @@ def _audit_classify(payload: dict, report: EquationReport):
 
 def _run_degree(options: RunOptions, payload: dict, entry: dict):
     f: GenPoly = payload["f"]
-    spec = f.domain_spec
+    spec = f.spec
     probes = default_probes(spec)
     estimate = degree_estimate(f, probes, DEGREE_CAP, spec)
     if estimate is None:
@@ -903,7 +899,7 @@ def _run_degree(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_degree(payload: dict, result: _Value):
     f: GenPoly = payload["f"]
-    spec = f.domain_spec
+    spec = f.spec
     oracle = Oracle(spec)
     probes = [from_element(p) for p in result.inputs]
     zero = o_zero(spec)
@@ -930,7 +926,7 @@ def _run_rank(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_rank(payload: dict, result: _Value):
     f: GenPoly = payload["f"]
-    oracle = Oracle(f.domain_spec)
+    oracle = Oracle(f.spec)
     combine = o_add if payload["operation"] == "add" else o_mul
     matrix = [[oracle.eval_genpoly(f, combine(from_element(g), from_element(h)))
                for h in payload["points"]]
@@ -940,7 +936,7 @@ def _audit_rank(payload: dict, result: _Value):
 
 def _run_verify(options: RunOptions, payload: dict, entry: dict):
     m = payload["map"]
-    spec = m.domain_spec
+    spec = m.spec
     probes = default_probes(spec)
     pairs = [(x, y) for x in probes for y in probes]
     cfg = options.sample_config(5)
@@ -954,7 +950,7 @@ def _run_verify(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_verify(payload: dict, report):
     m, law = payload["map"], payload["law"]
-    oracle = Oracle(m.domain_spec)
+    oracle = Oracle(m.spec)
 
     def image(v):
         return oracle.apply_map(m, v)
@@ -979,7 +975,7 @@ def _run_polarize(options: RunOptions, payload: dict, entry: dict):
 
 def _audit_polarize(payload: dict, result: _Value):
     monomial = payload["monomial"]
-    spec = monomial.domain_spec
+    spec = monomial.spec
     oracle = Oracle(spec)
     value = oracle.delta_many(lambda v: oracle.eval_monomial(monomial, v),
                               [from_element(y) for y in payload["ys"]], o_zero(spec))

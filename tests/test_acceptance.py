@@ -79,8 +79,8 @@ def announce(number: int, message: str):
     print(f"ACCEPTANCE {number}: {message} ... PASS")
 
 
-def xk(spec, k, coeff=None, side="domain"):
-    return PolySpec.monomial(spec, k, coeff, side)
+def xk(spec, k, coeff=None):
+    return PolySpec.monomial(spec, k, coeff)
 
 
 def _polarization_cases():
@@ -147,7 +147,7 @@ def test_criterion_2_products_of_homomorphisms():
              (QT, trace(ProductSym((endo_sq, endo_sh))))]
     for spec, monomial in cases:
         for k in (2, 3):
-            report = check_symmetrized(monomial, xk(spec, k), xk(spec, k, side="codomain"),
+            report = check_symmetrized(monomial, xk(spec, k), xk(spec, k),
                                        default_span_generators(spec))
             assert report.verdict == HOLDS_ON_SPAN, (spec.describe(), k, report.detail)
     announce(2, "f = phi1*phi2 satisfies f(x^k) = f(x)^k on the default "
@@ -217,10 +217,10 @@ def _oracle_quartic(oracle, form, tup):
 def test_criterion_5_power_identity_gate():
     neg_norm = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
     gens = default_span_generators(Q2)
-    passing = check_symmetrized(neg_norm, xk(Q2, 3), xk(Q2, 3, side="codomain"), gens)
+    passing = check_symmetrized(neg_norm, xk(Q2, 3), xk(Q2, 3), gens)
     assert passing.verdict == HOLDS_ON_SPAN
     # the f(1) gate f(1)^n = f(1) is the span check's all-ones row
-    rejected = check_symmetrized(neg_norm, xk(Q2, 2), xk(Q2, 2, side="codomain"), gens)
+    rejected = check_symmetrized(neg_norm, xk(Q2, 2), xk(Q2, 2), gens)
     assert rejected.verdict == REFUTED
     first = rejected.witnesses[0]
     assert first.input == (Q2.one(),) * 4
@@ -255,7 +255,7 @@ def test_criterion_7_affine_conditions():
 
     def affine(a, b, big_a, big_b):
         p = PolySpec.from_coefficients([Q.from_int(b), Q.from_int(a)])
-        q = PolySpec.from_coefficients([Q.from_int(big_b), Q.from_int(big_a)], side="codomain")
+        q = PolySpec.from_coefficients([Q.from_int(big_b), Q.from_int(big_a)])
         return p, q
 
     p, q = affine(3, 0, 9, 0)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
+from polcheck.session import parse_session
 
 SESSIONS = Path(__file__).parent / "sessions"
 SOURCES = Path(__file__).parent.parent / "src"
@@ -139,6 +140,16 @@ DECLARE_F = "form S = product(id, id); genpoly f = trace(S);"
      "division by zero in a check expression at line 2, column 57"),
     ("Q(sqrt 2)", "map m = 2*id + (1+sqrt(3))*id;",
      "sqrt(3) does not belong to Q(sqrt 2) (expected sqrt(2)) at line 2, column 17"),
+    # a power is refused from its degree in t, before it is computed
+    ("Q(t)", "map m = (t^1099511627776)*id; genpoly f = trace(product(m)); check f(x) == f(x);",
+     "element of degree above 10000 at line 2, column 25"),
+    ("Q(t)", "hom s : t -> (t^2+1)^5001/t;", "element of degree above 10000 at line 2, column 26"),
+    ("Q(t)", "genpoly f = trace(product(id)); polarize f at (t^-20000);",
+     "element of degree above 10000 at line 2, column 56"),
+    ("Q(t)", "genpoly f = trace(product(id)); check f((t^20000)*x) == f(x);",
+     "element of degree above 10000 at line 2, column 49"),
+    ("Q(t)", "genpoly f = trace(product(id)); check f(x) == (1/t)^(-10001)*f(x);",
+     "element of degree above 10000 at line 2, column 61"),
 ])
 def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, message):
     bad = tmp_path / "bad.pol"
@@ -158,6 +169,13 @@ def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err
     assert err.startswith("polcheck: power needs more than 10000 coefficient products")
+
+
+def test_element_power_of_degree_10000_is_accepted():
+    session = parse_session("field F = Q(t);\nhom s : t -> t^10000;\nmap m = ((t^-5000)^2)*s;\n"
+                            "genpoly f = trace(product(m));\n"
+                            "check f((t^10000)*x) == (1/t)^(-10000)*f(x);\n")
+    assert len(session.commands) == 1
 
 
 def test_usage_error_exit_two():

@@ -18,7 +18,16 @@ from polcheck.forms import (
     polarize,
     trace,
 )
-from polcheck.maps import build_derivation, build_endomorphism, identity_map, zero_map
+from polcheck.genpoly import genpoly_from
+from polcheck.maps import (
+    build_derivation,
+    build_endomorphism,
+    compose_maps,
+    identity_map,
+    scale_map,
+    sum_maps,
+    zero_map,
+)
 from polcheck.oracle import (
     Oracle,
     SampleConfig,
@@ -165,7 +174,7 @@ def test_polarize_degree_one_is_identity():
 
 
 def _oracle_form_value(form, ys):
-    return Oracle(form.domain_spec).eval_form(form, [from_element(y) for y in ys])
+    return Oracle(form.spec).eval_form(form, [from_element(y) for y in ys])
 
 
 def test_polarization_check_equal_orders():
@@ -337,11 +346,42 @@ def test_product_forms_compare_by_value():
     assert rebuilt != NORM  # a form is not its trace
 
 
+S = build_endomorphism(QT, {"t": QT.element("t^2")})
+
+_NODES = {
+    "Identity": lambda: identity_map(QT),
+    "Zero": lambda: zero_map(QT),
+    "Endo": lambda: S,
+    "Derivation": lambda: DDT,
+    "Scale": lambda: scale_map(QT.element("t"), S),
+    "MapSum": lambda: sum_maps(S, DDT),
+    "Compose": lambda: compose_maps(DDT, S),
+    "ConstForm": lambda: ConstForm(QT.element("t")),
+    "ProductSym": lambda: ProductSym((S, DDT)),
+    "MapOfProduct": lambda: MapOfProduct(DDT, 2),
+    "Lift": lambda: Lift(ProductSym((S,)), 2),
+    "LinComb": lambda: LinComb(((QT.element("t"), ProductSym((S, DDT))),)),
+    "GenMonomial": lambda: trace(ProductSym((S, DDT))),
+    "GenPoly": lambda: genpoly_from([trace(MapOfProduct(DDT, 2))]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NODES))
+def test_every_node_carries_its_field(kind):
+    node = _NODES[kind]()
+    assert type(node).__name__ == kind
+    assert node.spec is QT
+
+
 def test_bad_product_form_is_refused_at_construction():
     with pytest.raises(SpecMismatch):
         ProductSym(())
     with pytest.raises(SpecMismatch):
         ProductSym((identity_map(Q), identity_map(Q2)))
+    with pytest.raises(SpecMismatch, match="coefficient lives outside the field of the form"):
+        LinComb(((Q.one(), NORM_FORM),))
+    with pytest.raises(SpecMismatch, match="linear combination mixes fields"):
+        LinComb(((Q2.one(), NORM_FORM), (Q.one(), ProductSym((identity_map(Q), identity_map(Q))))))
 
 
 def test_arity_caps():

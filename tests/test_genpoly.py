@@ -37,7 +37,7 @@ def test_eval_sum_of_components():
 
 
 def test_empty_genpoly_is_zero():
-    p = GenPoly((), Q2, Q2)
+    p = GenPoly((), Q2)
     assert eval_genpoly(p, E).is_zero()
     assert p.degree == 0
 
@@ -51,7 +51,7 @@ def test_distinct_degrees_enforced():
     with pytest.raises(SpecMismatch):
         genpoly_from([NORM, NORM])
     with pytest.raises(SpecMismatch):
-        GenPoly((NORM,), QT, QT)  # components over Q(sqrt 2)
+        GenPoly((NORM,), QT)  # components over Q(sqrt 2)
 
 
 # -- degree estimation -----------------------------------------------------

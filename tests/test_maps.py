@@ -103,6 +103,10 @@ def test_maps_compare_by_type_and_fields():
 def test_compose_requires_matching_fields():
     with pytest.raises(SpecMismatch):
         compose_maps(identity_map(Q), identity_map(QT))
+    with pytest.raises(SpecMismatch, match="cannot add maps on different fields"):
+        sum_maps(identity_map(QT), ddt(), identity_map(Q))
+    with pytest.raises(SpecMismatch, match="scalar lives outside the field of the map"):
+        scale_map(Q2.element("sqrt(2)"), identity_map(Q))
 
 
 def test_compose_application():

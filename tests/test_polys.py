@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polcheck import polys
-from polcheck.fields import FieldSpec, QuadRat, is_squarefree
+from polcheck.fields import FieldSpec, QuadRat, is_squarefree, substitute
 from polcheck.polys import (
     CERT_PRIMES,
     Poly,
@@ -261,6 +261,7 @@ def test_arithmetic_results_hold_the_invariant(nvars, kind):
             a + b, a - b, a * b, -a, a - a, a + -a, (a + b) * (a - b),
             (t + one) * (t - one), a.scale(c), a.scale(c - c), a.divscale(c), a ** k,
             Poly.const(nvars, c), Poly.const(nvars, c - c), a.derivative(v),
+            a.map_coeffs(lambda x: x * c), a.map_coeffs(lambda x: x - c),
         ]
         for p in results:
             _holds_invariant(p, nvars)
@@ -271,6 +272,9 @@ def test_arithmetic_results_hold_the_invariant(nvars, kind):
 def test_arithmetic_never_revalidates_its_results(monkeypatch):
     a = Poly(2, {(1, 0): Fraction(1), (0, 1): Fraction(2)})
     b = Poly(2, {(1, 0): Fraction(-1), (0, 0): Fraction(3)})
+    e = QTU.element("(t*u+2*t)/(u+3)")
+    images = {"t": QTU.element("t+1"), "u": QTU.element("2*u")}
+    image = QTU.element("(2*t*u+2*u+2*t+2)/(2*u+3)")
     calls = []
     check = Poly.__init__
 
@@ -283,4 +287,7 @@ def test_arithmetic_never_revalidates_its_results(monkeypatch):
                              (1, 1): Fraction(-2), (0, 1): Fraction(6)})
     calls.clear()
     a * b, a + b, a - b, -a, a.scale(Fraction(3)), exact_div(a * b, b)
+    # a coefficient mapped to zero is dropped
+    assert a.map_coeffs(lambda c: c - 1).terms == {(0, 1): Fraction(1)}
+    assert substitute(e, images) == image
     assert calls == []
