@@ -20,10 +20,12 @@ from .errors import (
 from .fields import (
     FieldElement,
     FieldSpec,
+    SampleConfig,
     field_arith,
     format_element,
     normalize,
     parse_element,
+    random_element,
     substitute,
 )
 from .forms import (
@@ -82,7 +84,7 @@ from .maps import (
     verify_map_laws,
     zero_map,
 )
-from .oracle import Oracle, SampleConfig, from_element, matches, oracle_eval, random_element
+from .oracle import Oracle, from_element, matches
 from .session import (
     ReportDocument,
     RunOptions,

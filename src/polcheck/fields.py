@@ -18,11 +18,15 @@ structural equality:
   lemma; Knuth, TAOCP vol. 2, 4.6.1), and its arithmetic multiplies
   integers instead of Fractions.
 
+The seeded sampler (``SampleConfig``, ``random_element``,
+``sample_elements``) draws the elements of sampled checks.
+
 No floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -672,6 +676,90 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
     if den_val.is_zero():
         raise DenominatorVanishes(f"denominator of {format_element(e)} vanishes under substitution")
     return normalize_fraction(spec, cleared(num), den_val)
+
+
+# -- seeded samples ---------------------------------------------------
+
+#: Default bounds of seeded samples: numerator and denominator height,
+#: and the degree of each indeterminate.
+SAMPLE_HEIGHT = 5
+SAMPLE_DEGREE = 2
+
+
+class SampleConfig:
+    """Deterministic sampling parameters (bounds are inclusive)."""
+
+    __slots__ = ("seed", "count", "max_height", "max_degree")
+
+    def __init__(self, seed: int = 0, count: int = 20, max_height: int = SAMPLE_HEIGHT,
+                 max_degree: int = SAMPLE_DEGREE):
+        self.seed = seed
+        self.count = count
+        self.max_height = max_height
+        self.max_degree = max_degree
+        if self.count < 1 or self.max_height < 1 or self.max_degree < 0:
+            raise SpecMismatch("sample bounds must be positive (degree may be 0)")
+
+
+def _rng(spec: FieldSpec, cfg: SampleConfig, index: int, salt: str = "") -> random.Random:
+    return random.Random(f"{cfg.seed}:{index}:{salt}:{spec.describe()}")
+
+
+def random_element(spec: FieldSpec, cfg: SampleConfig, index: int = 0) -> FieldElement:
+    """Deterministic element for (spec, cfg, index); denominators are
+    resampled until nonzero."""
+    rng = _rng(spec, cfg, index)
+    h = cfg.max_height
+    if spec.kind == RATIONALS:
+        p = rng.randint(-h, h)
+        q = 0
+        while q == 0:
+            q = rng.randint(-h, h)
+        return spec.from_fraction(Fraction(p, q))
+    if spec.kind == QUADRATIC:
+        def frac():
+            p = rng.randint(-h, h)
+            q = 0
+            while q == 0:
+                q = rng.randint(-h, h)
+            return Fraction(p, q)
+
+        return FieldElement(spec, QuadRat(frac(), frac(), spec.d))
+
+    def coeff():
+        if spec.base.kind == QUADRATIC:
+            return QuadRat(rng.randint(-h, h), rng.randint(-h, h), spec.base.d)
+        return Fraction(rng.randint(-h, h))
+
+    def poly(avoid_zero: bool) -> Poly:
+        while True:
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = tuple(rng.randint(0, cfg.max_degree) for _ in spec.variables)
+                c = coeff()
+                if c:
+                    # the default's coeff() draws too; the streams rely on it
+                    terms[exps] = terms.get(exps, coeff() * 0) + c
+            p = Poly(spec.nvars, terms)
+            if not (avoid_zero and p.is_zero()):
+                return p
+
+    num = poly(avoid_zero=False)
+    den = poly(avoid_zero=True)
+    return normalize_fraction(spec, num, den)
+
+
+def sample_elements(spec: FieldSpec, cfg: SampleConfig, avoid_zero: bool = False):
+    """The first cfg.count elements of the deterministic sample stream."""
+    out = []
+    index = 0
+    while len(out) < cfg.count:
+        e = random_element(spec, cfg, index)
+        index += 1
+        if avoid_zero and e.is_zero():
+            continue
+        out.append(e)
+    return out
 
 
 # -- parsing ----------------------------------------------------------

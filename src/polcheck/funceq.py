@@ -28,7 +28,6 @@ from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, 
 from .fields import FieldElement, FieldSpec, format_element
 from .forms import (
     DEFAULT_ARITY_CAP,
-    GenMonomial,
     ProductSym,
     SymmetricForm,
     delta_many,
@@ -255,16 +254,8 @@ def check_pointwise(f, p: PolySpec, q: PolySpec, samples: list[FieldElement],
     return check_values(*_sides(f, p, q), samples, sample_description)
 
 
-def _single_monomial(f) -> GenMonomial:
-    if isinstance(f, GenMonomial):
-        return f
-    if isinstance(f, GenPoly) and len(f.components) == 1:
-        return f.components[0]
-    raise SpecMismatch("the symmetrized check needs a single generalized monomial")
-
-
-def check_symmetrized(f, p: PolySpec, q: PolySpec,
-                      generators: list[FieldElement]) -> EquationReport:
+def check_symmetrized(f: GenPoly, p: PolySpec, q: PolySpec, generators: list[FieldElement],
+                      cap: int = DEFAULT_ARITY_CAP) -> EquationReport:
     """Span certificate for monomial sides P = a*x^k and Q = lambda*x^k.
 
     For f a generalized monomial of degree n, both sides x -> f(P(x))
@@ -272,9 +263,18 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
     is polarized into its symmetric n*k-additive form, and the two forms
     are compared on every tuple drawn from the generator set; equality
     certifies the identity on the rational span of the generators.
+
+    Not applicable unless f has a single component; raises ArityTooLarge
+    when n*max(deg P, 1) passes ``cap`` or DEFAULT_ARITY_CAP.
     """
-    monomial = _single_monomial(f)
+    if len(f.components) != 1:
+        return EquationReport(NOT_APPLICABLE, detail="span certificates need a single monomial")
+    monomial = f.components[0]
     n = monomial.degree
+    arity = n * max(p.degree, 1)
+    cap = min(DEFAULT_ARITY_CAP, cap)
+    if arity > cap:
+        raise ArityTooLarge(f"span check needs arity {arity}, cap is {cap}")
     if n < 1:
         raise SpecMismatch("the symmetrized check needs degree at least 1")
     if not generators:
@@ -295,9 +295,6 @@ def check_symmetrized(f, p: PolySpec, q: PolySpec,
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates need k >= 1")
-    arity = n * k
-    if arity > DEFAULT_ARITY_CAP:
-        raise ArityTooLarge(f"span check needs arity {arity}, cap is {DEFAULT_ARITY_CAP}")
     spec = monomial.spec
     if any(g.spec != spec for g in generators):
         raise SpecMismatch("span generator outside the field of f")

@@ -215,6 +215,24 @@ def compose_maps(outer: AdditiveMap, inner: AdditiveMap) -> AdditiveMap:
     return Compose(outer, inner)
 
 
+def degree_multiplier(m: AdditiveMap) -> int:
+    """How many times m may multiply the degree of an element in the
+    indeterminates: the product, along each composition chain, of every
+    endomorphism's largest image degree."""
+    factor = 1
+    while isinstance(m, Compose):  # a parsed chain nests to the left: walk it, do not recurse
+        factor *= degree_multiplier(m.inner)
+        m = m.outer
+    if isinstance(m, Scale):
+        return factor * degree_multiplier(m.inner)
+    if isinstance(m, MapSum):
+        return factor * max(degree_multiplier(term) for term in m.terms)
+    if isinstance(m, Endo):
+        return factor * max((p.total_degree() for _, img in m.images for p in img.payload),
+                            default=1)
+    return factor
+
+
 def build_endomorphism(spec: FieldSpec, images: dict[str, FieldElement] | None = None,
                        conjugate_base: bool = False) -> AdditiveMap:
     """Field endomorphism on ``spec``.

@@ -1,4 +1,4 @@
-"""Independent brute-force evaluator and seeded element generator.
+"""Independent brute-force evaluator: the audit behind ``--oracle-check``.
 
 Everything here is deliberately naive and kept separate from the main
 evaluation paths so that engine bugs and oracle bugs stay statistically
@@ -7,7 +7,10 @@ polynomials (the quadratic generator sqrt(d) is just one more symbol,
 reduced by s^2 -> d during multiplication); equality is decided by
 cross-multiplication, so no gcd, no canonical form and no code above
 Python's integers is shared with the engine.  Symmetrized forms are
-evaluated by the full permutation sums that define them.
+evaluated by the full permutation sums that define them.  From the
+engine it imports only the field-kind constants and ``FieldSpec``,
+``FieldElement`` and ``QuadRat`` (to read payloads) and, inside the
+methods that dispatch on them, the map and form node classes.
 
 The oracle may be orders of magnitude slower than the engine; that is
 the point.
@@ -16,11 +19,10 @@ the point.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import DenominatorVanishes, DivisionByZero, SpecMismatch
+from .errors import DenominatorVanishes, DivisionByZero
 from .fields import (
     QUADRATIC,
     RATFUNC,
@@ -29,92 +31,6 @@ from .fields import (
     FieldSpec,
     QuadRat,
 )
-from .lexer import TokenStream, tokenize
-
-
-#: Default bounds of seeded samples: numerator and denominator height,
-#: and the degree of each indeterminate.
-SAMPLE_HEIGHT = 5
-SAMPLE_DEGREE = 2
-
-
-class SampleConfig:
-    """Deterministic sampling parameters (bounds are inclusive)."""
-
-    __slots__ = ("seed", "count", "max_height", "max_degree")
-
-    def __init__(self, seed: int = 0, count: int = 20, max_height: int = SAMPLE_HEIGHT,
-                 max_degree: int = SAMPLE_DEGREE):
-        self.seed = seed
-        self.count = count
-        self.max_height = max_height
-        self.max_degree = max_degree
-        if self.count < 1 or self.max_height < 1 or self.max_degree < 0:
-            raise SpecMismatch("sample bounds must be positive (degree may be 0)")
-
-
-def _rng(spec: FieldSpec, cfg: SampleConfig, index: int, salt: str = "") -> random.Random:
-    return random.Random(f"{cfg.seed}:{index}:{salt}:{spec.describe()}")
-
-
-def random_element(spec: FieldSpec, cfg: SampleConfig, index: int = 0) -> FieldElement:
-    """Deterministic element for (spec, cfg, index); denominators are
-    resampled until nonzero."""
-    rng = _rng(spec, cfg, index)
-    h = cfg.max_height
-    if spec.kind == RATIONALS:
-        p = rng.randint(-h, h)
-        q = 0
-        while q == 0:
-            q = rng.randint(-h, h)
-        return spec.from_fraction(Fraction(p, q))
-    if spec.kind == QUADRATIC:
-        def frac():
-            p = rng.randint(-h, h)
-            q = 0
-            while q == 0:
-                q = rng.randint(-h, h)
-            return Fraction(p, q)
-
-        return FieldElement(spec, QuadRat(frac(), frac(), spec.d))
-
-    def coeff():
-        if spec.base.kind == QUADRATIC:
-            return QuadRat(rng.randint(-h, h), rng.randint(-h, h), spec.base.d)
-        return Fraction(rng.randint(-h, h))
-
-    def poly(avoid_zero: bool) -> FieldElement:
-        from .polys import Poly
-
-        while True:
-            terms = {}
-            for _ in range(rng.randint(1, 3)):
-                exps = tuple(rng.randint(0, cfg.max_degree) for _ in spec.variables)
-                c = coeff()
-                if c:
-                    terms[exps] = terms.get(exps, coeff() * 0) + c
-            p = Poly(spec.nvars, terms)
-            if not (avoid_zero and p.is_zero()):
-                return p
-
-    num = poly(avoid_zero=False)
-    den = poly(avoid_zero=True)
-    from .fields import normalize_fraction
-
-    return normalize_fraction(spec, num, den)
-
-
-def sample_elements(spec: FieldSpec, cfg: SampleConfig, avoid_zero: bool = False):
-    """The first cfg.count elements of the deterministic sample stream."""
-    out = []
-    index = 0
-    while len(out) < cfg.count:
-        e = random_element(spec, cfg, index)
-        index += 1
-        if avoid_zero and e.is_zero():
-            continue
-        out.append(e)
-    return out
 
 
 # -- naive values -----------------------------------------------------
@@ -570,97 +486,3 @@ class Oracle:
             if r == len(rows):
                 break
         return r
-
-
-def oracle_eval(text: str, env: dict, spec: FieldSpec) -> OVal:
-    """Naively evaluate a closed arithmetic expression over declared
-    maps, forms, generalized polynomials and elements.
-
-    Grammar: the element grammar plus function application
-    ``name(expression)`` for declared callables.
-    """
-    oracle = Oracle(spec)
-    stream = TokenStream(tokenize(text))
-    value = _oe_sum(stream, oracle, env, spec)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise stream.error(f"trailing input {tok.text!r}", expected={"end of input"})
-    return value
-
-
-def _oe_sum(stream, oracle, env, spec):
-    value = _oe_product(stream, oracle, env, spec)
-    while stream.at("+", "-"):
-        op = stream.next().kind
-        rhs = _oe_product(stream, oracle, env, spec)
-        value = o_add(value, rhs) if op == "+" else o_sub(value, rhs)
-    return value
-
-
-def _oe_product(stream, oracle, env, spec):
-    value = _oe_unary(stream, oracle, env, spec)
-    while stream.at("*", "/"):
-        op = stream.next().kind
-        rhs = _oe_unary(stream, oracle, env, spec)
-        value = o_mul(value, rhs) if op == "*" else o_div(value, rhs)
-    return value
-
-
-def _oe_unary(stream, oracle, env, spec):
-    minus_signs = 0
-    while stream.at("+", "-"):
-        minus_signs += stream.next().kind == "-"
-    value = _oe_atom(stream, oracle, env, spec)
-    if stream.accept("^"):
-        sign = -1 if stream.accept("-") else 1
-        tok = stream.expect("int", "integer exponent")
-        value = o_pow(value, sign * int(tok.text))
-    return o_neg(value) if minus_signs % 2 else value
-
-
-def _oe_atom(stream, oracle, env, spec):
-    from .forms import GenMonomial, SymmetricForm
-    from .genpoly import GenPoly
-    from .maps import AdditiveMap
-
-    tok = stream.peek()
-    if tok.kind == "int":
-        stream.next()
-        return o_int(spec, int(tok.text))
-    if tok.kind == "(":
-        stream.next()
-        value = _oe_sum(stream, oracle, env, spec)
-        stream.expect(")")
-        return value
-    if tok.kind == "name":
-        name = tok.text
-        if name == "sqrt":
-            stream.next()
-            stream.expect("(")
-            arg = stream.expect("int", "integer radicand")
-            stream.expect(")")
-            if spec.radicand != int(arg.text):
-                raise SpecMismatch(f"sqrt({arg.text}) is not available in {spec.describe()}")
-            return from_element(spec.sqrt_element())
-        if spec.kind == RATFUNC and name in spec.variables:
-            stream.next()
-            return from_element(spec.var(name))
-        if name in env:
-            obj = env[name]
-            stream.next()
-            if isinstance(obj, FieldElement):
-                return from_element(obj)
-            stream.expect("(")
-            arg = _oe_sum(stream, oracle, env, spec)
-            stream.expect(")")
-            if isinstance(obj, AdditiveMap):
-                return oracle.apply_map(obj, arg)
-            if isinstance(obj, GenMonomial):
-                return oracle.eval_monomial(obj, arg)
-            if isinstance(obj, GenPoly):
-                return oracle.eval_genpoly(obj, arg)
-            if isinstance(obj, SymmetricForm):
-                raise SpecMismatch(f"{name} is a form; apply its trace instead")
-            raise SpecMismatch(f"{name} is not applicable")
-        raise SpecMismatch(f"unknown name {name!r}")
-    raise stream.error("unexpected token", expected={"integer", "name", "'('"})

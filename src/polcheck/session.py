@@ -41,11 +41,13 @@ from .fields import (
     MAX_CHECK_DEGREE,
     FieldElement,
     FieldSpec,
+    SampleConfig,
     check_power_degree,
     format_element,
     parse_element_atom,
     parse_element_tokens,
     parse_expression,
+    random_element,
 )
 from .forms import (
     DEFAULT_ARITY_CAP,
@@ -78,6 +80,7 @@ from .maps import (
     build_derivation,
     build_endomorphism,
     compose_maps,
+    degree_multiplier,
     identity_map,
     scale_map,
     sum_maps,
@@ -86,7 +89,6 @@ from .maps import (
 )
 from .oracle import (
     Oracle,
-    SampleConfig,
     from_element,
     matches,
     o_add,
@@ -96,7 +98,6 @@ from .oracle import (
     o_mul,
     o_neg,
     o_zero,
-    random_element,
 )
 from .polys import Poly
 
@@ -432,8 +433,16 @@ class _Parser:
         spec = self._require_field()
         scalar = self._parse_scalar(spec)
         m = self._parse_map_factor()
-        while self.stream.accept("@"):
-            m = compose_maps(m, self._parse_map_factor())
+        multiplier = degree_multiplier(m)
+        while self.stream.at("@"):
+            at = self.stream.next()
+            inner = self._parse_map_factor()
+            # refused before any application: image degrees multiply along the chain
+            multiplier *= degree_multiplier(inner)
+            if multiplier > MAX_CHECK_DEGREE:
+                raise ParseError(f"composition multiplies degrees by more than {MAX_CHECK_DEGREE}",
+                                 at.pos, line=at.line, column=at.column)
+            m = compose_maps(m, inner)
         if scalar is not None:
             m = scale_map(scalar, m)
         return m
@@ -748,7 +757,8 @@ def _classification_dict(c) -> dict:
 
 def _copy_report(entry: dict, report: EquationReport) -> None:
     entry["verdict"] = report.verdict
-    entry["samples"] = report.sample_description
+    if report.sample_description:
+        entry["samples"] = report.sample_description
     if report.detail:
         entry["detail"] = report.detail
     if report.witnesses:
@@ -800,16 +810,7 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
             return None
     mode = payload["mode"]
     if mode == "span":
-        if len(f.components) != 1:
-            entry["verdict"] = NOT_APPLICABLE
-            entry["detail"] = "span certificates need a single monomial"
-            return None
-        monomial = f.components[0]
-        arity = monomial.degree * max(p.degree, 1)
-        cap = min(DEFAULT_ARITY_CAP, options.max_arity)
-        if arity > cap:
-            raise ArityTooLarge(f"span check needs arity {arity}, cap is {cap}")
-        report = check_symmetrized(monomial, p, q, payload["generators"])
+        report = check_symmetrized(f, p, q, payload["generators"], options.max_arity)
         _copy_report(entry, report)
         return report if report.verdict in (HOLDS_ON_SPAN, REFUTED) else None
     if mode == "samples":

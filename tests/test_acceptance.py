@@ -13,7 +13,7 @@ from polcheck import forms as forms_module
 from polcheck import funceq as funceq_module
 from polcheck import genpoly as genpoly_module
 from polcheck import maps as maps_module
-from polcheck.fields import FieldSpec
+from polcheck.fields import FieldSpec, SampleConfig, sample_elements
 from polcheck.forms import (
     LinComb,
     MapOfProduct,
@@ -43,15 +43,7 @@ from polcheck.maps import (
     sum_maps,
     zero_map,
 )
-from polcheck.oracle import (
-    Oracle,
-    SampleConfig,
-    from_element,
-    matches,
-    o_is_zero,
-    o_mulint,
-    sample_elements,
-)
+from polcheck.oracle import Oracle, from_element, matches, o_is_zero, o_mulint
 from polcheck.session import (
     RunOptions,
     default_probes,
@@ -147,7 +139,7 @@ def test_criterion_2_products_of_homomorphisms():
              (QT, trace(ProductSym((endo_sq, endo_sh))))]
     for spec, monomial in cases:
         for k in (2, 3):
-            report = check_symmetrized(monomial, xk(spec, k), xk(spec, k),
+            report = check_symmetrized(genpoly_from([monomial]), xk(spec, k), xk(spec, k),
                                        default_span_generators(spec))
             assert report.verdict == HOLDS_ON_SPAN, (spec.describe(), k, report.detail)
     announce(2, "f = phi1*phi2 satisfies f(x^k) = f(x)^k on the default "
@@ -217,10 +209,10 @@ def _oracle_quartic(oracle, form, tup):
 def test_criterion_5_power_identity_gate():
     neg_norm = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
     gens = default_span_generators(Q2)
-    passing = check_symmetrized(neg_norm, xk(Q2, 3), xk(Q2, 3), gens)
+    passing = check_symmetrized(genpoly_from([neg_norm]), xk(Q2, 3), xk(Q2, 3), gens)
     assert passing.verdict == HOLDS_ON_SPAN
     # the f(1) gate f(1)^n = f(1) is the span check's all-ones row
-    rejected = check_symmetrized(neg_norm, xk(Q2, 2), xk(Q2, 2), gens)
+    rejected = check_symmetrized(genpoly_from([neg_norm]), xk(Q2, 2), xk(Q2, 2), gens)
     assert rejected.verdict == REFUTED
     first = rejected.witnesses[0]
     assert first.input == (Q2.one(),) * 4
@@ -260,7 +252,8 @@ def test_criterion_7_affine_conditions():
 
     p, q = affine(3, 0, 9, 0)
     assert check_pointwise(f, p, q, samples).verdict == HOLDS_ON_SAMPLE
-    assert check_symmetrized(f, p, q, default_span_generators(Q)).verdict == HOLDS_ON_SPAN
+    span = check_symmetrized(genpoly_from([f]), p, q, default_span_generators(Q))
+    assert span.verdict == HOLDS_ON_SPAN
     bad = check_pointwise(f, *affine(3, 1, 9, 1), samples)
     assert bad.verdict == REFUTED
     assert bad.witnesses[0].input == Q.one() and bad.witnesses[0].difference == Q.from_int(6)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
+from polcheck.maps import degree_multiplier
 from polcheck.session import parse_session
 
 SESSIONS = Path(__file__).parent / "sessions"
@@ -150,6 +151,13 @@ DECLARE_F = "form S = product(id, id); genpoly f = trace(S);"
      "element of degree above 10000 at line 2, column 49"),
     ("Q(t)", "genpoly f = trace(product(id)); check f(x) == (1/t)^(-10001)*f(x);",
      "element of degree above 10000 at line 2, column 61"),
+    # so is a composition, from the degrees of the images, at its first `@` too many
+    ("Q(t)", "hom s : t -> t^100; map m = s@s@s; verify additive m;",
+     "composition multiplies degrees by more than 10000 at line 2, column 32"),
+    ("Q(t)", "hom s : t -> t^100; map m = s@s; map n = 2*m@(s + id);",
+     "composition multiplies degrees by more than 10000 at line 2, column 45"),
+    ("Q(t, u)", "hom s : t -> t^50*u^51; map m = s@s;",
+     "composition multiplies degrees by more than 10000 at line 2, column 34"),
 ])
 def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, message):
     bad = tmp_path / "bad.pol"
@@ -176,6 +184,17 @@ def test_element_power_of_degree_10000_is_accepted():
                             "genpoly f = trace(product(m));\n"
                             "check f((t^10000)*x) == (1/t)^(-10000)*f(x);\n")
     assert len(session.commands) == 1
+
+
+def test_composition_of_degree_10000_is_accepted():
+    session = parse_session("field F = Q(t);\nhom s : t -> t^100;\nmap m = s@s;\n"
+                            "map n = id@m@(2*id - zero);\nverify additive n;\n")
+    assert degree_multiplier(session.env["n"]) == 10_000
+    assert len(session.commands) == 1
+    # a chain longer than the recursion limit is measured without recursing along it
+    chain = "@".join(["id"] * 1500)
+    session = parse_session(f"field F = Q(t);\nmap m = {chain};\nmap n = m@id;\n")
+    assert degree_multiplier(session.env["n"]) == 1
 
 
 def test_usage_error_exit_two():

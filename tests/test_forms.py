@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from polcheck.errors import ArityTooLarge, SpecMismatch
-from polcheck.fields import FieldSpec
+from polcheck.fields import FieldSpec, SampleConfig, sample_elements
 from polcheck.forms import (
     ConstForm,
     LinComb,
@@ -28,14 +28,7 @@ from polcheck.maps import (
     sum_maps,
     zero_map,
 )
-from polcheck.oracle import (
-    Oracle,
-    SampleConfig,
-    from_element,
-    matches,
-    o_mulint,
-    sample_elements,
-)
+from polcheck.oracle import Oracle, from_element, matches, o_mulint
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)

@@ -16,7 +16,7 @@ from polcheck.errors import (
     DictionaryInsufficient,
     SpecMismatch,
 )
-from polcheck.fields import FieldSpec, format_element
+from polcheck.fields import FieldSpec, SampleConfig, format_element, sample_elements
 from polcheck.forms import LinComb, MapOfProduct, ProductSym, delta_many, eval_form, trace
 from polcheck.funceq import (
     HOLDS_ON_SAMPLE,
@@ -44,7 +44,7 @@ from polcheck.maps import (
     scale_map,
     sum_maps,
 )
-from polcheck.oracle import Oracle, SampleConfig, from_element, matches, sample_elements
+from polcheck.oracle import Oracle, from_element, matches
 from polcheck.session import default_probes, default_span_generators
 
 Q = FieldSpec.rationals()
@@ -54,6 +54,7 @@ QT = FieldSpec.ratfunc(Q, ["t"])
 CONJ = build_endomorphism(Q2, conjugate_base=True)
 NORM_FORM = ProductSym((identity_map(Q2), CONJ))
 NORM = trace(NORM_FORM)
+NORM_POLY = genpoly_from([NORM])
 DDT = build_derivation(QT, {"t": QT.one()})
 A_MAP = sum_maps(DDT, identity_map(QT))
 F28_FORM = MapOfProduct(A_MAP, 2)
@@ -159,13 +160,13 @@ def test_refutation_soundness_against_oracle():
 # -- symmetrized span checks ------------------------------------------------------
 
 def test_norm_span_certificate():
-    report = check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 2),
+    report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2),
                                default_span_generators(Q2))
     assert report.verdict == HOLDS_ON_SPAN
 
 
 def test_example28_span_refuted_with_tuple_witness():
-    report = check_symmetrized(F28, xk(QT, 2), xk(QT, 2),
+    report = check_symmetrized(genpoly_from([F28]), xk(QT, 2), xk(QT, 2),
                                [QT.one(), QT.element("t")])
     assert report.verdict == REFUTED
     assert isinstance(report.witnesses[0].input, tuple)
@@ -175,36 +176,51 @@ def test_zero_monomial_span_holds():
     from polcheck.maps import zero_map
 
     z = trace(MapOfProduct(zero_map(Q2), 2))
-    report = check_symmetrized(z, xk(Q2, 2), xk(Q2, 2), [Q2.one(), E])
+    report = check_symmetrized(genpoly_from([z]), xk(Q2, 2), xk(Q2, 2), [Q2.one(), E])
     assert report.verdict == HOLDS_ON_SPAN
 
 
 def test_span_requires_monomial_sides():
     p = PolySpec.from_coefficients([Q2.one(), Q2.one()])  # 1 + x
-    report = check_symmetrized(NORM, p, xk(Q2, 1), [Q2.one()])
+    report = check_symmetrized(NORM_POLY, p, xk(Q2, 1), [Q2.one()])
     assert report.verdict == NOT_APPLICABLE
-    report = check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 3), [Q2.one()])
+    report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), [Q2.one()])
     assert report.verdict == NOT_APPLICABLE
     # a scaled P is certified too: N(2*x^2) = 4*N(x)^2
     two_x2 = xk(Q2, 2, Q2.from_int(2))
-    report = check_symmetrized(NORM, two_x2, xk(Q2, 2), [Q2.one()])
+    report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2), [Q2.one()])
     assert report.verdict == REFUTED
     w = report.witnesses[0]
     assert (w.input, w.lhs, w.rhs) == ((Q2.one(),) * 4, Q2.from_int(4), Q2.one())
-    report = check_symmetrized(NORM, two_x2, xk(Q2, 2, Q2.from_int(4)),
+    report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2, Q2.from_int(4)),
                                default_span_generators(Q2))
     assert report.verdict == HOLDS_ON_SPAN
 
 
 def test_span_check_caps_the_arity():
     cubic = trace(ProductSym((identity_map(Q2), identity_map(Q2), CONJ)))
-    with pytest.raises(ArityTooLarge, match="arity 9"):
-        check_symmetrized(cubic, xk(Q2, 3), xk(Q2, 3), [Q2.one()])
+    with pytest.raises(ArityTooLarge, match="arity 9, cap is 8"):
+        check_symmetrized(genpoly_from([cubic]), xk(Q2, 3), xk(Q2, 3), [Q2.one()])
+    with pytest.raises(ArityTooLarge, match="arity 4, cap is 3"):
+        check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one()], cap=3)
+    # the cap never rises above the default
+    with pytest.raises(ArityTooLarge, match="arity 9, cap is 8"):
+        check_symmetrized(genpoly_from([cubic]), xk(Q2, 3), xk(Q2, 3), [Q2.one()], cap=20)
+
+
+def test_span_check_needs_a_single_monomial_before_the_cap():
+    linear = trace(ProductSym((identity_map(Q2),)))
+    for f in (genpoly_from([NORM, linear]), genpoly_from([], Q2)):
+        # not applicable, even where the arity 2*9 would pass the cap
+        report = check_symmetrized(f, xk(Q2, 9), xk(Q2, 9), [Q2.one()])
+        assert report.verdict == NOT_APPLICABLE
+        assert report.detail == "span certificates need a single monomial"
+        assert report.sample_description == "" and not report.rows
 
 
 def test_span_consistency_implies_pointwise_on_span_elements():
     gens = default_span_generators(Q2)
-    span_report = check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 2), gens)
+    span_report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), gens)
     assert span_report.verdict == HOLDS_ON_SPAN
     # rational combinations of the generators
     combos = [gens[0] + gens[1], Q2.from_fraction(Fraction(2, 3)) * gens[2],
@@ -224,7 +240,7 @@ def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
-        assert check_symmetrized(NORM, p, q, gens).verdict == HOLDS_ON_SPAN
+        assert check_symmetrized(NORM_POLY, p, q, gens).verdict == HOLDS_ON_SPAN
         assert all(form == NORM_FORM for form, _ in calls)
         assert Counter(x for _, x in calls) == expected
 
@@ -253,7 +269,7 @@ def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, comb
     f = trace(LinComb(((c, ProductSym((phi1, phi2))),)))
     p, q = xk(Q2, k, a), xk(Q2, k, lam)
     gens = default_span_generators(Q2)
-    span = check_symmetrized(f, p, q, gens)
+    span = check_symmetrized(genpoly_from([f]), p, q, gens)
     holds = c * apply_map(phi1, a) * apply_map(phi2, a) == lam * c ** k
     assert span.verdict == (HOLDS_ON_SPAN if holds else REFUTED)
     points = [Q2.one()] + [sum((Q2.from_fraction(r) * g for r, g in zip(rs, gens)), Q2.zero())
@@ -264,7 +280,7 @@ def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, comb
 
 def test_span_check_rejects_a_generator_outside_the_domain():
     with pytest.raises(SpecMismatch, match="span generator outside the field of f"):
-        check_symmetrized(NORM, xk(Q2, 2), xk(Q2, 2), [Q2.one(), QT.one()])
+        check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one(), QT.one()])
 
 
 # -- Lemma families ------------------------------------------------------------------
@@ -283,7 +299,7 @@ def test_products_of_homomorphisms_satisfy_power_identity(k):
     ]
     for monomial, spec in cases:
         gens = default_span_generators(spec)
-        report = check_symmetrized(monomial, xk(spec, k), xk(spec, k), gens)
+        report = check_symmetrized(genpoly_from([monomial]), xk(spec, k), xk(spec, k), gens)
         assert report.verdict == HOLDS_ON_SPAN, (k, spec.describe(), report.detail)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polcheck.errors import InvalidImage, SpecMismatch, UnsupportedSpec
-from polcheck.fields import FieldSpec, format_element
+from polcheck.fields import FieldSpec, SampleConfig, format_element, sample_elements
 from polcheck.maps import (
     ADDITIVE,
     LEIBNIZ,
@@ -22,7 +22,6 @@ from polcheck.maps import (
     verify_map_laws,
     zero_map,
 )
-from polcheck.oracle import SampleConfig, sample_elements
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
