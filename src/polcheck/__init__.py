@@ -50,7 +50,6 @@ from .funceq import (
     Classification,
     EquationReport,
     LogExp,
-    PolySpec,
     TwoExp,
     Witness,
     check_pointwise,
@@ -85,6 +84,7 @@ from .maps import (
     zero_map,
 )
 from .oracle import Oracle, from_element, matches
+from .polys import Poly
 from .session import (
     ReportDocument,
     RunOptions,

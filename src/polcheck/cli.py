@@ -3,7 +3,8 @@
 ``polcheck run <session-file>`` executes a session and prints a report.
 Exit codes: 0 all commands pass, 1 any refutation or inapplicable
 check, 2 usage or parse error, 3 internal inconsistency (the engine
-disagreed with the independent oracle under --oracle-check).
+disagreed with the independent oracle under --oracle-check), 4 internal
+error (an unexpected exception, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except Exception as exc:  # so that 1 only ever means a verdict
+        print(f"polcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is not None:

@@ -585,10 +585,10 @@ def _power(base: FieldElement, k: int) -> FieldElement:
         if base.is_zero():
             raise DivisionByZero("0 raised to a negative power")
         return _power(spec.one() / base, -k)
+    if not k:
+        return spec.one()
     if spec.kind == RATFUNC:
         # a reduced fraction stays reduced under powers: no gcd needed
-        if not k:
-            return spec.one()
         num, den = base.payload
         num, den = num ** k, den ** k
         if spec.radicand is None:
@@ -596,14 +596,14 @@ def _power(base: FieldElement, k: int) -> FieldElement:
             return FieldElement(spec, (num, den))
         # Z[sqrt d] need not factor uniquely: a power can gain content
         return _canonical_pair(spec, num, den)
-    result = spec.one()
-    acc = base
-    while k:
+    result = None  # square and multiply, never by one: as Poly.__pow__ does
+    while True:
         if k & 1:
-            result = result * acc
-        acc = acc * acc
+            result = base if result is None else result * base
         k >>= 1
-    return result
+        if not k:
+            return result
+        base = base * base
 
 
 def conjugate_element(e: FieldElement) -> FieldElement:

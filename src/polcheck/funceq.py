@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
-from .fields import FieldElement, FieldSpec, format_element
+from .fields import FieldElement, format_element
 from .forms import (
     DEFAULT_ARITY_CAP,
     ProductSym,
@@ -37,6 +37,7 @@ from .forms import (
 from .genpoly import GenPoly, probe_tuples
 from .linalg import solve
 from .maps import AdditiveMap, Compose, Identity, apply_map
+from .polys import Poly
 
 HOLDS_ON_SAMPLE = "HOLDS_ON_SAMPLE"
 HOLDS_ON_SPAN = "HOLDS_ON_SPAN"
@@ -45,75 +46,6 @@ NOT_APPLICABLE = "NOT_APPLICABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 PASSING_VERDICTS = frozenset({HOLDS_ON_SAMPLE, HOLDS_ON_SPAN})
-
-
-class PolySpec:
-    """Dense polynomial P or Q, coefficients low to high degree."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients: tuple[FieldElement, ...]):
-        self.coefficients = coefficients
-
-    @staticmethod
-    def from_coefficients(coefficients) -> "PolySpec":
-        coeffs = list(coefficients)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return PolySpec(tuple(coeffs))
-
-    @staticmethod
-    def monomial(spec: FieldSpec, k: int, coeff=None) -> "PolySpec":
-        coeff = spec.one() if coeff is None else coeff
-        coeffs = [spec.zero()] * k + [coeff]
-        return PolySpec.from_coefficients(coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1 if self.coefficients else 0
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def monomial_parts(self):
-        """(k, coefficient) when the polynomial is a single monomial."""
-        nonzero = [(i, c) for i, c in enumerate(self.coefficients) if not c.is_zero()]
-        if len(nonzero) == 1:
-            return nonzero[0]
-        return None
-
-    def evaluate(self, x: FieldElement) -> FieldElement:
-        if not self.coefficients:
-            return x.spec.zero()
-        total = self.coefficients[-1]
-        for coeff in reversed(self.coefficients[:-1]):
-            total = total * x + coeff
-        return total
-
-    def describe(self, var: str = "x") -> str:
-        if not self.coefficients:
-            return "0"
-        pieces = []
-        for k in range(self.degree, -1, -1):
-            c = self.coefficients[k]
-            if c.is_zero():
-                continue
-            text = format_element(c)
-            if k == 0:
-                pieces.append(text)
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                if text == "1":
-                    pieces.append(power)
-                elif text == "-1":
-                    pieces.append(f"-{power}")
-                else:
-                    wrap = f"({text})" if ("+" in text[1:] or "-" in text[1:]) else text
-                    pieces.append(f"{wrap}*{power}")
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
 
 
 class Witness:
@@ -183,32 +115,31 @@ class EquationReport:
         return self.verdict in PASSING_VERDICTS
 
 
-class PrecheckReport:
-    __slots__ = ("passed", "f_degree", "p_degree", "q_degree")
-
-    def __init__(self, passed: bool, f_degree: int, p_degree: int, q_degree: int):
-        self.passed = passed
-        self.f_degree = f_degree
-        self.p_degree = p_degree
-        self.q_degree = q_degree
-
-    @property
-    def verdict(self) -> str:
-        return HOLDS_ON_SAMPLE if self.passed else NOT_APPLICABLE
-
-    def describe(self) -> str:
-        if self.passed:
-            return f"degree precheck: deg(P) = deg(Q) = {self.p_degree}"
-        return (f"degree precheck failed: both sides would be generalized polynomials of "
-                f"degrees {self.f_degree}*{self.p_degree} and {self.f_degree}*{self.q_degree}")
-
-
-def degree_precheck(f_deg: int, p: PolySpec, q: PolySpec) -> PrecheckReport:
+def degree_precheck(f_deg: int, p: Poly, q: Poly) -> str | None:
     """The equation forces deg(P) = deg(Q): both sides are generalized
-    polynomials of degrees f_deg*deg(P) and f_deg*deg(Q)."""
+    polynomials of degrees f_deg*deg(P) and f_deg*deg(Q).  Returns why
+    the check fails, or None when the degrees agree."""
     if f_deg < 1:
         raise SpecMismatch("degree precheck needs f of degree at least 1")
-    return PrecheckReport(p.degree == q.degree, f_deg, p.degree, q.degree)
+    dp, dq = p.total_degree(), q.total_degree()
+    if dp == dq:
+        return None
+    return (f"degree precheck failed: both sides would be generalized polynomials of "
+            f"degrees {f_deg}*{dp} and {f_deg}*{dq}")
+
+
+def evaluate(p: Poly, x: FieldElement) -> FieldElement:
+    """P(x) for a polynomial P in one unknown, by Horner's rule over its
+    nonzero terms, highest degree first: a gap of g degrees is one
+    ``x ** g``."""
+    terms = sorted(p.terms.items(), reverse=True)
+    if not terms:
+        return x.spec.zero()
+    ((k,), total), *rest = terms
+    for (j,), c in rest:
+        total = total * x ** (k - j) + c
+        k = j
+    return total * x ** k if k else total
 
 
 def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
@@ -240,13 +171,13 @@ def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
                           rows=tuple(rows))
 
 
-def _sides(f, p: PolySpec, q: PolySpec):
+def _sides(f, p: Poly, q: Poly):
     """The two sides of the equation as functions: x -> f(P(x)) and
     x -> Q(f(x))."""
-    return (lambda x: f(p.evaluate(x))), (lambda x: q.evaluate(f(x)))
+    return (lambda x: f(evaluate(p, x))), (lambda x: evaluate(q, f(x)))
 
 
-def check_pointwise(f, p: PolySpec, q: PolySpec, samples: list[FieldElement],
+def check_pointwise(f, p: Poly, q: Poly, samples: list[FieldElement],
                     sample_description: str = "") -> EquationReport:
     """Evaluate f(P(x)) - Q(f(x)) exactly at each sample."""
     if not samples:
@@ -254,7 +185,7 @@ def check_pointwise(f, p: PolySpec, q: PolySpec, samples: list[FieldElement],
     return check_values(*_sides(f, p, q), samples, sample_description)
 
 
-def check_symmetrized(f: GenPoly, p: PolySpec, q: PolySpec, generators: list[FieldElement],
+def check_symmetrized(f: GenPoly, p: Poly, q: Poly, generators: list[FieldElement],
                       cap: int = DEFAULT_ARITY_CAP) -> EquationReport:
     """Span certificate for monomial sides P = a*x^k and Q = lambda*x^k.
 
@@ -271,7 +202,8 @@ def check_symmetrized(f: GenPoly, p: PolySpec, q: PolySpec, generators: list[Fie
         return EquationReport(NOT_APPLICABLE, detail="span certificates need a single monomial")
     monomial = f.components[0]
     n = monomial.degree
-    arity = n * max(p.degree, 1)
+    k = p.total_degree()
+    arity = n * max(k, 1)
     cap = min(DEFAULT_ARITY_CAP, cap)
     if arity > cap:
         raise ArityTooLarge(f"span check needs arity {arity}, cap is {cap}")
@@ -279,18 +211,14 @@ def check_symmetrized(f: GenPoly, p: PolySpec, q: PolySpec, generators: list[Fie
         raise SpecMismatch("the symmetrized check needs degree at least 1")
     if not generators:
         raise SpecMismatch("generators must be nonempty")
-    p_parts = p.monomial_parts()
-    q_parts = q.monomial_parts()
-    if p_parts is None or q_parts is None:
+    if len(p.terms) != 1 or len(q.terms) != 1:
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
             detail="span certificates require monomial P and Q")
-    k, _ = p_parts
-    kq, _ = q_parts
-    if k != kq:
+    if k != q.total_degree():
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",
-            detail=degree_precheck(n, p, q).describe())
+            detail=degree_precheck(n, p, q))
     if k < 1:
         return EquationReport(
             NOT_APPLICABLE, sample_description="span check",

@@ -233,6 +233,41 @@ def degree_multiplier(m: AdditiveMap) -> int:
     return factor
 
 
+#: Most nodes a map or form may expand to, a node shared by several
+#: parents counted at each occurrence.  Naming lets each statement
+#: double the expanded tree, and evaluation walks all of it.
+MAX_NODES = 4096
+
+
+def node_count(root: Node) -> int:
+    """Nodes in the tree that ``root`` expands to.  Each distinct node is
+    sized once (memoized by id), on a stack rather than by recursion, so
+    neither sharing nor a long chain makes the count itself costly."""
+    sizes: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        children = _children(node)
+        pending = [c for c in children if id(c) not in sizes]
+        if pending:  # size the children first, then this node again
+            stack += [node, *pending]
+        elif id(node) not in sizes:
+            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in children)
+    return sizes[id(root)]
+
+
+def _children(node: Node) -> list[Node]:
+    """The map and form nodes that ``node`` holds: as a field, in a tuple
+    field, or as the form of a (coefficient, form) pair."""
+    children = []
+    for value in node._fields():
+        for item in value if type(value) is tuple else (value,):
+            item = item[-1] if type(item) is tuple else item
+            if isinstance(item, Node):
+                children.append(item)
+    return children
+
+
 def build_endomorphism(spec: FieldSpec, images: dict[str, FieldElement] | None = None,
                        conjugate_base: bool = False) -> AdditiveMap:
     """Field endomorphism on ``spec``.
@@ -316,7 +351,10 @@ def apply_map(m: AdditiveMap, x: FieldElement) -> FieldElement:
             total = total + apply_map(term, x)
         return total
     if isinstance(m, Compose):
-        return apply_map(m.outer, apply_map(m.inner, x))
+        while isinstance(m, Compose):  # a parsed chain nests to the left: walk it, inner first
+            x = apply_map(m.inner, x)
+            m = m.outer
+        return apply_map(m, x)
     raise TypeError(f"unknown map node {m!r}")
 
 

@@ -270,7 +270,11 @@ class Oracle:
             for term in m.terms:
                 result = o_add(result, self.apply_map(term, v))
         elif isinstance(m, Compose):
-            result = self.apply_map(m.outer, self.apply_map(m.inner, v))
+            node, result = m, v
+            while isinstance(node, Compose):  # a parsed chain nests to the left: walk it
+                result = self.apply_map(node.inner, result)
+                node = node.outer
+            result = self.apply_map(node, result)
         else:
             raise TypeError(f"oracle cannot apply {m!r}")
         self._map_cache[key] = result
@@ -431,10 +435,12 @@ class Oracle:
         return total
 
     def polyspec(self, p):
-        """x -> P(x) on oracle values.  The coefficients are converted
-        once, here, and Horner's rule adds only the nonzero ones."""
-        coeffs = [from_element(c) for c in reversed(p.coefficients)]
-        coeffs = [None if o_is_zero(c) else c for c in coeffs]
+        """x -> P(x) on oracle values, for a polynomial P in one unknown
+        (its ``terms`` map ``(k,)`` to a nonzero coefficient).  The
+        coefficients are converted once, here, and dense Horner's rule
+        adds only those."""
+        terms = {k: from_element(c) for (k,), c in p.terms.items()}
+        coeffs = [terms.get(k) for k in range(max(terms, default=0), -1, -1)]
 
         def evaluate(x: OVal) -> OVal:
             total = o_zero(self.spec)

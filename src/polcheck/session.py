@@ -67,7 +67,6 @@ from .funceq import (
     NOT_APPLICABLE,
     REFUTED,
     EquationReport,
-    PolySpec,
     check_pointwise,
     check_symmetrized,
     classify_quadratic_square,
@@ -76,12 +75,14 @@ from .funceq import (
 from .genpoly import GenPoly, degree_estimate, genpoly_from, variety_rank
 from .lexer import Token, TokenStream, tokenize
 from .maps import (
+    MAX_NODES,
     AdditiveMap,
     build_derivation,
     build_endomorphism,
     compose_maps,
     degree_multiplier,
     identity_map,
+    node_count,
     scale_map,
     sum_maps,
     verify_map_laws,
@@ -383,7 +384,16 @@ class _Parser:
 
     # map expressions ---------------------------------------------------
 
+    def _within_budget(self, node, start: Token):
+        """``node``, unless the tree it expands to passes MAX_NODES: then a
+        parse error at ``start``, before anything evaluates it."""
+        if node_count(node) > MAX_NODES:
+            raise ParseError(f"expression expands to more than {MAX_NODES} map and form nodes",
+                             start.pos, line=start.line, column=start.column)
+        return node
+
     def _parse_map_expr(self) -> AdditiveMap:
+        start = self.stream.peek()
         term = self._parse_map_term()
         while self.stream.at("+", "-"):
             op = self.stream.next().kind
@@ -391,7 +401,7 @@ class _Parser:
             if op == "-":
                 rhs = scale_map(-1, rhs)
             term = sum_maps(term, rhs)
-        return term
+        return self._within_budget(term, start)
 
     def _parse_scalar(self, spec: FieldSpec) -> FieldElement | None:
         """A scalar prefix: ['-'] (INT | '(' element ')') followed by '*'.
@@ -478,27 +488,28 @@ class _Parser:
         tok = self.stream.expect("name", "form constructor or name")
         with _as_type_mismatch():
             if tok.text == "product":
-                return ProductSym(tuple(self._paren_list(self._parse_map_expr)))
-            if tok.text == "mapprod":
+                form = ProductSym(tuple(self._paren_list(self._parse_map_expr)))
+            elif tok.text == "mapprod":
                 self.stream.expect("(")
                 m = self._parse_map_expr()
                 self.stream.expect(",")
                 n = int(self.stream.expect("int", "arity").text)
                 self.stream.expect(")")
-                return MapOfProduct(m, n)
-            if tok.text == "lift":
+                form = MapOfProduct(m, n)
+            elif tok.text == "lift":
                 self.stream.expect("(")
                 inner = self._parse_form_expr()
                 self.stream.expect(",")
                 k = int(self.stream.expect("int", "lift exponent").text)
                 self.stream.expect(")")
-                return Lift(inner, k)
-            if tok.text == "lincomb":
-                return LinComb(tuple(self._paren_list(self._parse_lincomb_term)))
-        obj = self._lookup(tok)
-        if isinstance(obj, SymmetricForm):
-            return obj
-        raise TypeMismatch(f"{tok.text!r} is not a form")
+                form = Lift(inner, k)
+            elif tok.text == "lincomb":
+                form = LinComb(tuple(self._paren_list(self._parse_lincomb_term)))
+            else:
+                form = self._lookup(tok)
+        if not isinstance(form, SymmetricForm):
+            raise TypeMismatch(f"{tok.text!r} is not a form")
+        return self._within_budget(form, tok)
 
     def _parse_lincomb_term(self):
         spec = self._require_field()
@@ -530,9 +541,9 @@ class _Parser:
 
     # polynomial-in-one-symbol parsing for check commands ----------------
 
-    def _parse_coeffpoly(self, spec: FieldSpec, fname: str | None) -> list[FieldElement]:
-        """Parse an element-grammar expression in one unknown into dense
-        coefficients, low degree first.
+    def _parse_coeffpoly(self, spec: FieldSpec, fname: str | None) -> Poly:
+        """Parse an element-grammar expression in one unknown into a
+        one-variable polynomial with coefficients in ``spec``.
 
         With ``fname`` None the unknown is the metavariable x (the P
         side); otherwise it is the application ``fname(x)`` and bare x is
@@ -578,13 +589,10 @@ class _Parser:
         except ArithmeticError:
             raise TypeMismatch(
                 f"cannot divide by an expression containing the unknown {where}") from None
-        degree = poly.total_degree()
-        if degree > MAX_CHECK_DEGREE:
+        if poly.total_degree() > MAX_CHECK_DEGREE:
             raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
-        coeffs = [spec.zero()] * (degree + 1)
-        for (k,), c in poly.terms.items():
-            coeffs[k] = coeffs[k] + c  # also turns the Fraction one of 0^0 into an element
-        return coeffs
+        zero = spec.zero()  # adding it also turns the Fraction one of 0^0 into an element
+        return poly.map_coeffs(lambda c: zero + c)
 
     # commands: each returns its payload ---------------------------------
 
@@ -592,10 +600,10 @@ class _Parser:
         name, f = self._parse_genpoly()
         spec = f.spec
         self.stream.expect("(")
-        p_coeffs = self._parse_coeffpoly(spec, None)
+        p = self._parse_coeffpoly(spec, None)
         self.stream.expect(")")
         self.stream.expect("==")
-        q_coeffs = self._parse_coeffpoly(spec, name)
+        q = self._parse_coeffpoly(spec, name)
         mode = {"mode": "default"}
         if self.stream.at("name") and self.stream.peek().text == "on":
             self.stream.next()
@@ -612,8 +620,6 @@ class _Parser:
                     seed = int(self.stream.expect("int", "seed value").text)
                 self.stream.expect(")")
                 mode = {"mode": "samples", "count": count, "seed": seed}
-        p = PolySpec.from_coefficients(p_coeffs)
-        q = PolySpec.from_coefficients(q_coeffs)
         return {"name": name, "f": f, "p": p, "q": q, **mode}
 
     def _stmt_classify(self) -> dict:
@@ -800,13 +806,13 @@ def _samples_for(options: RunOptions, spec: FieldSpec, count: int, seed: int | N
 
 def _run_check(options: RunOptions, payload: dict, entry: dict):
     f: GenPoly = payload["f"]
-    p: PolySpec = payload["p"]
-    q: PolySpec = payload["q"]
+    p: Poly = payload["p"]
+    q: Poly = payload["q"]
     if f.degree >= 1:
-        precheck = degree_precheck(f.degree, p, q)
-        if not precheck.passed:
+        failure = degree_precheck(f.degree, p, q)
+        if failure:
             entry["verdict"] = NOT_APPLICABLE
-            entry["detail"] = precheck.describe()
+            entry["detail"] = failure
             return None
     mode = payload["mode"]
     if mode == "span":

@@ -25,7 +25,6 @@ from polcheck.funceq import (
     HOLDS_ON_SAMPLE,
     HOLDS_ON_SPAN,
     REFUTED,
-    PolySpec,
     check_pointwise,
     check_symmetrized,
     check_values,
@@ -44,6 +43,7 @@ from polcheck.maps import (
     zero_map,
 )
 from polcheck.oracle import Oracle, from_element, matches, o_is_zero, o_mulint
+from polcheck.polys import Poly
 from polcheck.session import (
     RunOptions,
     default_probes,
@@ -72,7 +72,8 @@ def announce(number: int, message: str):
 
 
 def xk(spec, k, coeff=None):
-    return PolySpec.monomial(spec, k, coeff)
+    """The polynomial coeff*x^k (x^k by default) over ``spec``."""
+    return Poly(1, {(k,): spec.one() if coeff is None else coeff})
 
 
 def _polarization_cases():
@@ -246,8 +247,8 @@ def test_criterion_7_affine_conditions():
     samples = default_probes(Q) + sample_elements(Q, SampleConfig(seed=7, count=10))
 
     def affine(a, b, big_a, big_b):
-        p = PolySpec.from_coefficients([Q.from_int(b), Q.from_int(a)])
-        q = PolySpec.from_coefficients([Q.from_int(big_b), Q.from_int(big_a)])
+        p = Poly(1, {(0,): Q.from_int(b), (1,): Q.from_int(a)})
+        q = Poly(1, {(0,): Q.from_int(big_b), (1,): Q.from_int(big_a)})
         return p, q
 
     p, q = affine(3, 0, 9, 0)

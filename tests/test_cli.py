@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
-from polcheck.maps import degree_multiplier
+from polcheck.maps import MAX_NODES, degree_multiplier, node_count
 from polcheck.session import parse_session
 
 SESSIONS = Path(__file__).parent / "sessions"
@@ -195,6 +195,55 @@ def test_composition_of_degree_10000_is_accepted():
     chain = "@".join(["id"] * 1500)
     session = parse_session(f"field F = Q(t);\nmap m = {chain};\nmap n = m@id;\n")
     assert degree_multiplier(session.env["n"]) == 1
+    assert node_count(session.env["n"]) == 3001 <= MAX_NODES
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
+def test_long_composition_chain_reaches_a_verdict(tmp_path, capsys, extra):
+    # both evaluators walk a chain longer than the recursion limit in a loop
+    chain = tmp_path / "chain.pol"
+    chain.write_text("field F = Q(t);\nmap m = " + "@".join(["id"] * 1500) + ";\n"
+                     "verify additive m;\n")
+    assert main(["run", str(chain), *extra]) == 0
+    out, err = capsys.readouterr()
+    assert "additive: pass" in out and err == ""
+
+
+def _doubling(head: str, step: str, levels: int, tail: str) -> str:
+    return head + "".join(step.format(i=i, j=i - 1) for i in range(1, levels + 1)) + tail
+
+
+@pytest.mark.parametrize("source,line", [
+    # m_i expands to 2^i + 1 nodes: m12, on line 14, is the first over the budget
+    (_doubling("field F = Q(t);\nmap m0 = id;\n", "map m{i} = m{j} + m{j};\n", 16,
+               "verify additive m16;\n"), 14),
+    # m_i expands to 2^(i+1) - 1 nodes: m12 again
+    (_doubling("field F = Q(t);\nmap m0 = id;\n", "map m{i} = m{j}@m{j};\n", 16,
+               "verify additive m16;\n"), 14),
+    # A_i expands to 2^(i+2) - 1 nodes: A11, on line 13
+    (_doubling("field F = Q(t);\nform A0 = product(id, id);\n",
+               "form A{i} = lincomb(A{j}, A{j});\n", 14,
+               "genpoly f = trace(A14);\ncheck f(x) == f(x) on samples(1);\n"), 13),
+], ids=["sum", "compose", "lincomb"])
+def test_doubling_named_maps_and_forms_are_refused(tmp_path, capsys, time_limit, source, line):
+    session = tmp_path / "doubling.pol"
+    session.write_text(source)
+    with time_limit(1, "refusing the session"):
+        assert main(["run", str(session)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"polcheck: expression expands to more than {MAX_NODES} map and "
+                          f"form nodes at line {line}, ")
+
+
+def test_unexpected_exception_is_one_line_with_exit_four(monkeypatch, capsys):
+    def broken(session, options):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr("polcheck.cli.run_session", broken)
+    assert main(["run", str(SESSIONS / "norm_square.pol")]) == 4
+    out, err = capsys.readouterr()
+    assert err == "polcheck: internal error: RuntimeError: engine fault\n"
+    assert out == "" and "Traceback" not in err
 
 
 def test_usage_error_exit_two():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck import fields as fields_module
 from polcheck.errors import (
     DenominatorVanishes,
     DivisionByZero,
@@ -118,6 +119,38 @@ def test_field_arith_entry_point():
         field_arith("pow", Q.zero(), -2)
     with pytest.raises(SpecMismatch):
         field_arith("add", Q.one(), Q2.one())
+
+
+@pytest.mark.parametrize("spec,text", [
+    (Q, "-2/3"), (Q2, "1+sqrt(2)"), (QT, "(t+1)/(t-2)"), (Q2T, "sqrt(2)*t-1"),
+])
+def test_power_equals_repeated_products(spec, text):
+    x = parse_element(text, spec)
+    for k in range(-4, 13):
+        product = spec.one()
+        for _ in range(abs(k)):
+            product = product * x
+        assert x ** k == (product if k >= 0 else spec.one() / product), k
+    assert spec.zero() ** 0 == spec.one()
+    with pytest.raises(DivisionByZero):
+        spec.zero() ** -1
+
+
+def test_power_multiplies_only_what_it_needs(monkeypatch):
+    ops = []
+    counted = fields_module.field_arith
+
+    def logged(op, lhs, rhs):
+        ops.append(op)
+        return counted(op, lhs, rhs)
+
+    monkeypatch.setattr(fields_module, "field_arith", logged)
+    x = Q2.element("1+sqrt(2)")
+    # square and multiply, never by one
+    for k, products in ((2, 1), (3, 2), (4, 2), (8, 3)):
+        ops.clear()
+        x ** k
+        assert ops == ["pow"] + ["mul"] * products, k
 
 
 # -- polynomial operands ----------------------------------------------------

@@ -16,7 +16,13 @@ from polcheck.errors import (
     DictionaryInsufficient,
     SpecMismatch,
 )
-from polcheck.fields import FieldSpec, SampleConfig, format_element, sample_elements
+from polcheck.fields import (
+    FieldSpec,
+    SampleConfig,
+    format_element,
+    random_element,
+    sample_elements,
+)
 from polcheck.forms import LinComb, MapOfProduct, ProductSym, delta_many, eval_form, trace
 from polcheck.funceq import (
     HOLDS_ON_SAMPLE,
@@ -24,13 +30,13 @@ from polcheck.funceq import (
     NOT_APPLICABLE,
     REFUTED,
     LogExp,
-    PolySpec,
     TwoExp,
     check_pointwise,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
     degree_precheck,
+    evaluate,
     levicivita_verify,
     quartic_form_value,
     quartic_solve,
@@ -45,6 +51,7 @@ from polcheck.maps import (
     sum_maps,
 )
 from polcheck.oracle import Oracle, from_element, matches
+from polcheck.polys import Poly
 from polcheck.session import default_probes, default_span_generators
 
 Q = FieldSpec.rationals()
@@ -63,7 +70,13 @@ E = Q2.element("1+sqrt(2)")
 
 
 def xk(spec, k, coeff=None):
-    return PolySpec.monomial(spec, k, coeff)
+    """The polynomial coeff*x^k (x^k by default) over ``spec``."""
+    return Poly(1, {(k,): spec.one() if coeff is None else coeff})
+
+
+def poly(coefficients):
+    """The one-variable polynomial with these coefficients, low degree first."""
+    return Poly(1, {(k,): c for k, c in enumerate(coefficients)})
 
 
 def record_traces(monkeypatch) -> list:
@@ -96,19 +109,11 @@ def each_once(args, expected) -> bool:
 # -- degree precheck ----------------------------------------------------------
 
 def test_precheck_pass_and_fail():
-    assert degree_precheck(2, xk(Q, 2), xk(Q, 2)).passed
-    report = degree_precheck(2, xk(Q, 2), xk(Q, 3))
-    assert not report.passed and report.verdict == NOT_APPLICABLE
-    assert degree_precheck(1, xk(Q, 1), xk(Q, 1)).passed
-
-
-def test_polyspec_shape():
-    p = PolySpec.from_coefficients([Q.zero(), Q.one(), Q.zero()])
-    assert p.degree == 1
-    assert p.describe() == "x"
-    assert xk(Q, 3, Q.from_int(2)).describe() == "2*x^3"
-    assert p.monomial_parts() == (1, Q.one())
-    assert PolySpec.from_coefficients([Q.one(), Q.one()]).monomial_parts() is None
+    assert degree_precheck(2, xk(Q, 2), xk(Q, 2)) is None
+    assert degree_precheck(2, xk(Q, 2), xk(Q, 3)) == (
+        "degree precheck failed: both sides would be generalized polynomials of "
+        "degrees 2*2 and 2*3")
+    assert degree_precheck(1, xk(Q, 1), xk(Q, 1)) is None
 
 
 # -- pointwise checks -----------------------------------------------------------
@@ -127,7 +132,7 @@ def test_example28_refuted_with_witness():
 
 def test_zero_function_holds_for_zero_fixing_q():
     zero_poly = genpoly_from([], Q)
-    q = PolySpec.from_coefficients([Q.zero(), Q.from_int(5), Q.one()])
+    q = poly([Q.zero(), Q.from_int(5), Q.one()])
     report = check_pointwise(zero_poly, xk(Q, 2), q, [Q.one(), Q.from_int(2)])
     assert report.verdict == HOLDS_ON_SAMPLE
 
@@ -181,7 +186,7 @@ def test_zero_monomial_span_holds():
 
 
 def test_span_requires_monomial_sides():
-    p = PolySpec.from_coefficients([Q2.one(), Q2.one()])  # 1 + x
+    p = poly([Q2.one(), Q2.one()])  # 1 + x
     report = check_symmetrized(NORM_POLY, p, xk(Q2, 1), [Q2.one()])
     assert report.verdict == NOT_APPLICABLE
     report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), [Q2.one()])
@@ -236,7 +241,7 @@ def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     sums = subset_sums(probe_tuples(gens, 2 * k), Q2.zero())
     assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
     # the norm's trace runs once at P(s) (left side) and once at s (right side)
-    expected = Counter([p.evaluate(s) for s in sums] + list(sums))
+    expected = Counter([evaluate(p, s) for s in sums] + list(sums))
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
@@ -281,6 +286,26 @@ def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, comb
 def test_span_check_rejects_a_generator_outside_the_domain():
     with pytest.raises(SpecMismatch, match="span generator outside the field of f"):
         check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one(), QT.one()])
+
+
+# -- evaluating P --------------------------------------------------------------------
+
+def _coefficients(spec):
+    gen = {Q: Q.one(), Q2: Q2.sqrt_element(), QT: QT.var("t")}[spec]
+    return st.tuples(_SMALL, _SMALL).map(
+        lambda ab: spec.from_fraction(ab[0]) + spec.from_fraction(ab[1]) * gen)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from([Q, Q2, QT]), seed=st.integers(0, 10 ** 6),
+       degrees=st.lists(st.integers(0, 12), unique=True, max_size=5), data=st.data())
+def test_evaluate_matches_dense_horner(spec, seed, degrees, data):
+    coefficients = {k: data.draw(_coefficients(spec)) for k in degrees}
+    x = random_element(spec, SampleConfig(seed=seed, count=1))
+    expected = spec.zero()
+    for k in range(max(degrees, default=0), -1, -1):
+        expected = expected * x + coefficients.get(k, spec.zero())
+    assert evaluate(Poly(1, {(k,): c for k, c in coefficients.items()}), x) == expected
 
 
 # -- Lemma families ------------------------------------------------------------------
