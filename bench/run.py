@@ -1,0 +1,117 @@
+"""Wall times of polcheck's golden sessions and of its tier-1 test suite.
+
+    python3 bench/run.py BENCH_1.json
+
+Run from anywhere; the command imports polcheck from ``src/`` of its own
+checkout and writes one JSON file:
+
+* ``sessions``: for each golden session ``tests/sessions/<name>.pol``,
+  the median time of ``parse_session`` plus ``run_session`` (seed 0,
+  default options) over ``REPEATS`` timed runs after one untimed run,
+  plain and with ``oracle_check=True``;
+* ``tier1``: one run of the tier-1 suite (``python -m pytest -q
+  --continue-on-collection-errors`` in a child process), with its
+  passed and failed counts.
+
+Every time is given raw (``wall_s``) and rescaled (``rescaled_s``) to
+the speed of ``verdictbench``'s builtins-only reference loop, through
+its ``Clock``: a shared host runs the same work from one to two times
+its fastest time, so only rescaled times compare from one run to the
+next.  Per-layer micro timings are not measured yet.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src"
+SESSIONS = ROOT / "tests" / "sessions"
+
+#: Timed runs per golden session and mode.
+REPEATS = 5
+
+
+def load_verdictbench():
+    """``verdictbench/run.py`` as a module, for its reference loop and
+    ``Clock``.  It imports its sibling modules by bare name; no bytecode
+    is written beside them."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "verdictbench"))
+    spec = importlib.util.spec_from_file_location("verdictbench_run", ROOT / "verdictbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def median_times(samples: list[tuple[float, float]]) -> dict:
+    return {"wall_s": statistics.median(w for w, _ in samples),
+            "rescaled_s": statistics.median(r for _, r in samples)}
+
+
+def time_sessions(polcheck, clock) -> dict:
+    out = {}
+    for path in sorted(SESSIONS.glob("*.pol")):
+        text = path.read_text(encoding="utf-8")
+        modes = {}
+        for mode, oracle_check in (("plain", False), ("oracle", True)):
+            options = polcheck.RunOptions(seed=0, oracle_check=oracle_check)
+            polcheck.run_session(polcheck.parse_session(text), options)
+            samples = []
+            for _ in range(REPEATS):
+                clock.start()
+                polcheck.run_session(polcheck.parse_session(text), options)
+                samples.append(clock.stop())
+            modes[mode] = median_times(samples)
+        out[path.stem] = modes
+    return out
+
+
+def time_tier1(clock) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+               "-p", "no:cacheprovider"]
+    clock.start()
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall, rescaled = clock.stop()
+    summary = result.stdout.strip().splitlines()[-1] if result.stdout.strip() else ""
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    return {"wall_s": wall, "rescaled_s": rescaled, "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "exit_code": result.returncode}
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python3 bench/run.py OUT.json", file=sys.stderr)
+        return 2
+    verdictbench = load_verdictbench()
+    sys.path.insert(0, str(SOURCES))
+    import polcheck
+
+    verdictbench.reference_work()  # warm up the reference loop
+    clock = verdictbench.Clock()
+    result = {
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} cpus",
+        "reference_s": verdictbench.REFERENCE_S,
+        "repeats": REPEATS,
+        "sessions": time_sessions(polcheck, clock),
+        "tier1": time_tier1(clock),
+        "reference_work_s": statistics.median(clock.reference),
+    }
+    Path(args[0]).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ import sys
 
 from .errors import ParseError, PolcheckError
 from .forms import DEFAULT_ARITY_CAP
-from .session import RunOptions, emit_report, parse_session, run_session
+from .session import MAX_SAMPLES, RunOptions, emit_report, parse_session, run_session
 
 
 def _positive_int(text: str) -> int:
@@ -26,6 +26,15 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """argparse type of ``--samples``: a positive integer within the
+    sample budget."""
+    value = _positive_int(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {text!r}")
     return value
 
 
@@ -40,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "text"), default="text")
     run.add_argument("--seed", type=int, default=None,
                      help="sampling seed (default: POLCHECK_SEED or 0)")
-    run.add_argument("--samples", type=_positive_int, default=20,
-                     help="default number of seeded samples per check")
+    run.add_argument("--samples", type=_sample_count, default=20,
+                     help=f"default number of seeded samples per check (at most {MAX_SAMPLES})")
     run.add_argument("--max-arity", type=_positive_int, default=DEFAULT_ARITY_CAP,
                      help=f"cap on form arity for span checks (hard ceiling {DEFAULT_ARITY_CAP})")
     run.add_argument("--oracle-check", action="store_true",

@@ -12,6 +12,13 @@ engine it imports only the field-kind constants and ``FieldSpec``,
 ``FieldElement`` and ``QuadRat`` (to read payloads) and, inside the
 methods that dispatch on them, the map and form node classes.
 
+Arithmetic skips only work that cannot change a dict: a product with a
+one-term constant scales the other factor, a sum with a zero numerator
+returns the other operand, and ``from_element`` reads a polynomial's
+integers straight into one numerator over the product of its
+coefficients' denominators instead of adding its terms one by one.  The
+sums, the cross-multiplication and the import boundary are unchanged.
+
 The oracle may be orders of magnitude slower than the engine; that is
 the point.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from .errors import DenominatorVanishes, DivisionByZero
 from .fields import (
@@ -67,10 +75,21 @@ def _pd_neg(p: dict) -> dict:
 
 
 def _pd_mul(p: dict, q: dict, rad: int | None, d: int | None) -> dict:
+    # A one-term constant only scales the other factor: adding its zero
+    # exponents changes no key, so no s^2 -> d reduction can fire, and the
+    # keys keep the other factor's order, as the loop below would build them.
+    if len(p) == 1:
+        [(e, c)] = p.items()
+        if not any(e):
+            return {e2: c * c2 for e2, c2 in q.items()}
+    if len(q) == 1:
+        [(e, c)] = q.items()
+        if not any(e):
+            return {e1: c1 * c for e1, c1 in p.items()}
     out: dict = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             c = c1 * c2
             if rad is not None and e[rad] >= 2:
                 c *= d ** (e[rad] // 2)
@@ -113,6 +132,10 @@ def _rad_index(v: OVal) -> int | None:
 
 
 def o_add(u: OVal, v: OVal) -> OVal:
+    if not u.num:
+        return v
+    if not v.num:
+        return u
     if u.den == v.den:
         return OVal(_pd_add(u.num, v.num), u.den, u.nsyms, u.d)
     rad = _rad_index(u)
@@ -196,13 +219,23 @@ def from_element(e: FieldElement) -> OVal:
         return from_scalar(e.payload)
 
     def from_poly(p) -> OVal:
-        total = o_zero(spec)
-        for exps, coeff in p.terms.items():
-            term = from_scalar(coeff)
-            mono = {tuple(exps) + ((0,) if rad is not None else ()): 1}
-            term = o_mul(term, OVal(mono, {(0,) * nsyms: 1}, nsyms, d))
-            total = o_add(total, term)
-        return total
+        # every term over one common denominator: the product of the
+        # coefficients' own denominators, with no gcd
+        den = 1
+        for c in p.terms.values():
+            den *= c.c if isinstance(c, QuadRat) else c.denominator
+        num = {}
+        rational = (0,) if rad is not None else ()
+        for exps, c in p.terms.items():
+            if isinstance(c, QuadRat):
+                scale = den // c.c
+                if c.p:
+                    num[exps + (0,)] = c.p * scale
+                if c.q:
+                    num[exps + (1,)] = c.q * scale
+            else:
+                num[exps + rational] = c.numerator * (den // c.denominator)
+        return OVal(num, {(0,) * nsyms: den}, nsyms, d)
 
     num, den = e.payload
     return o_div(from_poly(num), from_poly(den))

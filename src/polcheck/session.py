@@ -112,6 +112,10 @@ DEGREE_CAP = 6
 #: may take.  Their count is bounded from e's size before any product.
 MAX_POWER_PRODUCTS = 10_000
 
+#: Most seeded samples one pointwise check may draw, from ``samples(N)``
+#: or ``RunOptions.samples`` (the CLI's ``--samples``).
+MAX_SAMPLES = 10_000
+
 
 def power_products(terms: int, degree: int, k: int) -> int:
     """Upper bound on the coefficient products ``Poly.__pow__`` makes for
@@ -142,6 +146,8 @@ class RunOptions:
         for name, value in (("samples", samples), ("max_arity", max_arity)):
             if type(value) is not int or value < 1:
                 raise ValueError(f"RunOptions {name} must be a positive integer, got {value!r}")
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"RunOptions samples must be at most {MAX_SAMPLES}, got {samples}")
         self.seed = seed
         self.samples = samples
         self.max_arity = max_arity
@@ -612,7 +618,11 @@ class _Parser:
                 mode = {"mode": "span", "generators": self._element_list(spec)}
             else:
                 self.stream.expect("(")
-                count = int(self.stream.expect("int", "sample count").text)
+                tok = self.stream.expect("int", "sample count")
+                count = int(tok.text)
+                if not 1 <= count <= MAX_SAMPLES:
+                    raise ParseError(f"sample count must be between 1 and {MAX_SAMPLES}",
+                                     tok.pos, line=tok.line, column=tok.column)
                 seed = None
                 if self.stream.accept(","):
                     self._keyword("expected seed=<int>", "seed")

@@ -10,7 +10,7 @@ import pytest
 
 from polcheck.cli import main
 from polcheck.maps import MAX_NODES, degree_multiplier, node_count
-from polcheck.session import parse_session
+from polcheck.session import MAX_SAMPLES, parse_session
 
 SESSIONS = Path(__file__).parent / "sessions"
 SOURCES = Path(__file__).parent.parent / "src"
@@ -168,6 +168,18 @@ def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, me
     assert " at line 2, column " in err
 
 
+@pytest.mark.parametrize("count", ["0", "00", "10001", "99999999999"])
+def test_sample_count_outside_the_budget_is_a_parse_error(tmp_path, capsys, count):
+    statement = f"{DECLARE_F} check f(x) == f(x) on samples({count}, seed=1);"
+    bad = tmp_path / "bad.pol"
+    bad.write_text(f"field F = Q;\n{statement}\n")
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    column = statement.index(f"({count}") + 2
+    assert out == "" and err == (f"polcheck: sample count must be between 1 and {MAX_SAMPLES}"
+                                 f" at line 2, column {column}\n")
+
+
 def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):
     dense = tmp_path / "dense.pol"
     dense.write_text("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
@@ -299,6 +311,15 @@ def test_non_positive_count_is_a_usage_error(capsys, flag, value):
         main(["run", str(SESSIONS / "empty.pol"), flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}: expected a positive integer, got '{value}'" in capsys.readouterr().err
+
+
+def test_samples_above_the_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(SESSIONS / "empty.pol"), "--samples", str(MAX_SAMPLES + 1)])
+    assert exit_info.value.code == 2
+    assert (f"argument --samples: expected at most {MAX_SAMPLES} samples, got '{MAX_SAMPLES + 1}'"
+            in capsys.readouterr().err)
+    assert main(["run", str(SESSIONS / "empty.pol"), "--samples", str(MAX_SAMPLES)]) == 0
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

@@ -2,16 +2,29 @@
 imports, its values, and its agreement with the engine)."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polcheck import oracle as oracle_module
 from polcheck.errors import SpecMismatch
-from polcheck.fields import FieldSpec, SampleConfig, format_element, random_element, sample_elements
+from polcheck.fields import (
+    FieldElement,
+    FieldSpec,
+    QuadRat,
+    SampleConfig,
+    format_element,
+    normalize_fraction,
+    random_element,
+    sample_elements,
+)
 from polcheck.forms import Lift, MapOfProduct, ProductSym, eval_form, trace
 from polcheck.maps import apply_map, build_derivation, build_endomorphism, identity_map, sum_maps
 from polcheck.oracle import (
+    OVal,
     Oracle,
     from_element,
     matches,
@@ -22,11 +35,14 @@ from polcheck.oracle import (
     o_mul,
     o_pow,
     o_sub,
+    o_zero,
 )
+from polcheck.polys import Poly
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
 QT = FieldSpec.ratfunc(Q, ["t"])
+Q2T = FieldSpec.ratfunc(Q2, ["t"])
 Q2TU = FieldSpec.ratfunc(Q2, ["t", "u"])
 
 CFG = SampleConfig(seed=17, count=10, max_height=5, max_degree=2)
@@ -139,6 +155,147 @@ def test_zero_detection():
     e = from_element(QT.element("(t-1)/(t+1)"))
     diff = o_add(e, from_element(-QT.element("(t-1)/(t+1)")))
     assert o_is_zero(o_mul(diff, from_element(QT.element("t^5"))))
+
+
+def reference_pd_mul(p: dict, q: dict, rad, d) -> dict:
+    """The plain double loop over every pair of terms: exponents added,
+    s^2 -> d reduced at the radical's index, zero sums dropped."""
+    out: dict = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = c1 * c2
+            if rad is not None and e[rad] >= 2:
+                c *= d ** (e[rad] // 2)
+                e = e[:rad] + (e[rad] % 2,) + e[rad + 1:]
+            s = out.get(e, 0) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+@st.composite
+def pd_mul_operands(draw):
+    """Two oracle dicts over 0-3 symbols, the last one optionally a
+    radical (exponent 0 or 1, radicand 2, 3 or -1), each a general dict,
+    {}, a one-term constant or a one-term non-constant."""
+    nsyms = draw(st.integers(0, 3))
+    d = draw(st.sampled_from([None, 2, 3, -1])) if nsyms else None
+    rad = nsyms - 1 if d is not None else None
+    tops = [1 if i == rad else 3 for i in range(nsyms)]
+    exps = st.tuples(*(st.integers(0, top) for top in tops))
+    coeffs = st.integers(-9, 9).filter(bool)
+    zero = (0,) * nsyms
+    shaped = st.one_of(
+        st.dictionaries(exps, coeffs, max_size=4),
+        st.just({}),
+        coeffs.map(lambda c: {zero: c}),
+        st.tuples(exps.filter(any), coeffs).map(lambda t: {t[0]: t[1]}) if nsyms else st.just({}),
+    )
+    return draw(shaped), draw(shaped), rad, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(pd_mul_operands())
+def test_pd_mul_equals_the_double_loop(operands):
+    p, q, rad, d = operands
+    product = oracle_module._pd_mul(p, q, rad, d)
+    assert list(product.items()) == list(reference_pd_mul(p, q, rad, d).items())
+
+
+def term_by_term(e: FieldElement) -> OVal:
+    """``from_element`` term by term, the reference for its one-pass
+    reading: a scalar read as integers, and a rational function folded
+    from zero with one ``o_mul`` (scalar times monomial) and one
+    ``o_add`` per term, then divided with ``o_div``."""
+    spec = e.spec
+    nsyms, rad, d = oracle_module._context(spec)
+    base = (0,) * nsyms
+
+    def scalar(c) -> OVal:
+        if isinstance(c, QuadRat):
+            num = {}
+            if c.p:
+                num[base] = c.p
+            if c.q:
+                num[base[:rad] + (1,) + base[rad + 1:]] = c.q
+            return OVal(num, {base: c.c}, nsyms, d)
+        c = Fraction(c)
+        return OVal({base: c.numerator} if c.numerator else {}, {base: c.denominator}, nsyms, d)
+
+    if spec.kind != "ratfunc":
+        return scalar(e.payload)
+
+    def poly(p) -> OVal:
+        total = o_zero(spec)
+        for exps, coeff in p.terms.items():
+            mono = {tuple(exps) + ((0,) if rad is not None else ()): 1}
+            total = o_add(total, o_mul(scalar(coeff), OVal(mono, {base: 1}, nsyms, d)))
+        return total
+
+    num, den = e.payload
+    return o_div(poly(num), poly(den))
+
+
+def _integral(c) -> bool:
+    return (c.c if isinstance(c, QuadRat) else c.denominator) == 1
+
+
+@st.composite
+def elements_to_convert(draw):
+    """Elements of Q, Q(sqrt 2), Q(t) and Q(sqrt 2)(t, u), with integral
+    or fractional coefficients.  A rational function is a raw pair of
+    random polynomials, normalized by the engine half of the time."""
+    spec = draw(st.sampled_from([Q, Q2, QT, Q2TU]))
+    rational = st.fractions(-20, 20, max_denominator=draw(st.sampled_from([1, 6])))
+    if Q2 in (spec, spec.base):
+        scalar = st.tuples(rational, rational).map(lambda ab: QuadRat(ab[0], ab[1], 2))
+    else:
+        scalar = rational.map(lambda c: c.numerator if c.denominator == 1 else c)
+    if spec.kind != "ratfunc":
+        return FieldElement(spec, draw(scalar))
+    exps = st.tuples(*(st.integers(0, 3) for _ in range(spec.nvars)))
+    terms = st.dictionaries(exps, scalar.filter(bool), max_size=4)
+    num, den = Poly(spec.nvars, draw(terms)), Poly(spec.nvars, draw(terms.filter(bool)))
+    if draw(st.booleans()):
+        return normalize_fraction(spec, num, den)
+    return FieldElement(spec, (num, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements_to_convert())
+def test_from_element_equals_the_term_by_term_construction(e):
+    value, reference = from_element(e), term_by_term(e)
+    assert o_eq(value, reference)
+    if e.spec.kind == "ratfunc":
+        coeffs = [c for p in e.payload for c in p.terms.values()]
+    else:
+        coeffs = [e.payload]
+    if all(map(_integral, coeffs)):
+        assert list(value.num.items()) == list(reference.num.items())
+        assert list(value.den.items()) == list(reference.den.items())
+
+
+def test_from_element_multiplies_only_in_its_final_division(monkeypatch):
+    calls = []
+    pd_mul = oracle_module._pd_mul
+
+    def counting(p, q, rad, d):
+        calls.append((p, q))
+        return pd_mul(p, q, rad, d)
+
+    monkeypatch.setattr(oracle_module, "_pd_mul", counting)
+    for e in (QT.element("(t^3+2*t+1)/(t^2+5)"),
+              Q2T.element("((1+sqrt(2))*t^3 - 3*t + sqrt(2))/(2*t^2 + sqrt(2)*t - 7)")):
+        calls.clear()
+        value = from_element(e)
+        # o_div(u, v) takes u.num * v.den and u.den * v.num, where each
+        # den is the one-term common denominator of a polynomial
+        assert len(calls) == 2
+        assert [len(calls[0][1]), len(calls[1][0])] == [1, 1]
+        assert o_eq(value, term_by_term(e))
 
 
 # -- oracle values ------------------------------------------------------------

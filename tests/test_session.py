@@ -17,6 +17,7 @@ from polcheck.errors import (
 )
 from polcheck.fields import FieldSpec, format_element, parse_element
 from polcheck.session import (
+    MAX_SAMPLES,
     RunOptions,
     emit_report,
     format_session,
@@ -468,7 +469,7 @@ def test_arity_cap_becomes_command_error():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("samples", 0), ("samples", -1), ("samples", 2.5),
+    ("samples", 0), ("samples", -1), ("samples", 2.5), ("samples", MAX_SAMPLES + 1),
     ("max_arity", -5), ("max_arity", 0), ("max_arity", "6"),
 ])
 def test_run_options_refuse_counts_the_cli_refuses(field, value):
