@@ -90,7 +90,6 @@ from .session import (
     RunOptions,
     Session,
     default_probes,
-    default_span_generators,
     emit_report,
     format_session,
     parse_session,

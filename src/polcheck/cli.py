@@ -14,25 +14,18 @@ import os
 import sys
 
 from .errors import ParseError, PolcheckError
-from .forms import DEFAULT_ARITY_CAP
 from .session import MAX_SAMPLES, RunOptions, emit_report, parse_session, run_session
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count or cap: an integer of at least 1."""
+def _sample_count(text: str) -> int:
+    """argparse type of ``--samples``: a positive integer within the
+    sample budget."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _sample_count(text: str) -> int:
-    """argparse type of ``--samples``: a positive integer within the
-    sample budget."""
-    value = _positive_int(text)
     if value > MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"expected at most {MAX_SAMPLES} samples, got {text!r}")
     return value
@@ -51,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sampling seed (default: POLCHECK_SEED or 0)")
     run.add_argument("--samples", type=_sample_count, default=20,
                      help=f"default number of seeded samples per check (at most {MAX_SAMPLES})")
-    run.add_argument("--max-arity", type=_positive_int, default=DEFAULT_ARITY_CAP,
-                     help=f"cap on form arity for span checks (hard ceiling {DEFAULT_ARITY_CAP})")
     run.add_argument("--oracle-check", action="store_true",
                      help="re-derive every engine value with the naive oracle")
     run.add_argument("--out", default=None, help="write the report to a file")
@@ -89,8 +80,7 @@ def _run(argv) -> int:
     except (ParseError, PolcheckError) as exc:
         print(f"polcheck: {exc}", file=sys.stderr)
         return 2
-    options = RunOptions(seed=seed, samples=args.samples,
-                         max_arity=args.max_arity, oracle_check=args.oracle_check)
+    options = RunOptions(seed=seed, samples=args.samples, oracle_check=args.oracle_check)
     doc = run_session(session, options)
     payload = emit_report(doc, args.format)
     if args.out:

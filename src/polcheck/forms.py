@@ -34,12 +34,10 @@ from .errors import ArityTooLarge, SpecMismatch
 from .fields import FieldElement
 from .maps import AdditiveMap, Node, apply_map
 
-#: Largest form arity the evaluators accept (at most 2^8 = 256 subset sums
-#: of the arguments per form value).
+#: Largest form arity, and largest number of increments the iterated
+#: difference operator expands (at most 2^8 = 256 subset sums of the
+#: arguments per form value).
 DEFAULT_ARITY_CAP = 8
-
-#: Largest number of increments the iterated difference operator expands.
-DELTA_CAP = 12
 
 
 class SymmetricForm(Node):
@@ -222,8 +220,8 @@ def delta_many(f, ys: list[FieldElement], x0: FieldElement) -> FieldElement:
     inclusion-exclusion over the subset sums of the increments.  Equal
     sums are grouped, so f is called once per distinct sum whose signed
     count is nonzero; a zero increment cancels every sum."""
-    if len(ys) > DELTA_CAP:
-        raise ArityTooLarge(f"{len(ys)} increments exceed the cap {DELTA_CAP}")
+    if len(ys) > DEFAULT_ARITY_CAP:
+        raise ArityTooLarge(f"{len(ys)} increments exceed the cap {DEFAULT_ARITY_CAP}")
     weights = {x0: 1}
     for y in ys:
         step: dict[FieldElement, int] = {}

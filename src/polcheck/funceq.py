@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
 from .fields import FieldElement, format_element
@@ -34,7 +35,7 @@ from .forms import (
     eval_form,
     trace,
 )
-from .genpoly import GenPoly, probe_tuples
+from .genpoly import GenPoly
 from .linalg import solve
 from .maps import AdditiveMap, Compose, Identity, apply_map
 from .polys import Poly
@@ -44,8 +45,6 @@ HOLDS_ON_SPAN = "HOLDS_ON_SPAN"
 REFUTED = "REFUTED"
 NOT_APPLICABLE = "NOT_APPLICABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
-
-PASSING_VERDICTS = frozenset({HOLDS_ON_SAMPLE, HOLDS_ON_SPAN})
 
 
 class Witness:
@@ -109,10 +108,6 @@ class EquationReport:
             real = [w for w in self.witnesses if w.difference is not None and not w.difference.is_zero()]
             if not real:
                 raise SpecMismatch("a refutation must carry a nonzero witness")
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict in PASSING_VERDICTS
 
 
 def degree_precheck(f_deg: int, p: Poly, q: Poly) -> str | None:
@@ -185,8 +180,8 @@ def check_pointwise(f, p: Poly, q: Poly, samples: list[FieldElement],
     return check_values(*_sides(f, p, q), samples, sample_description)
 
 
-def check_symmetrized(f: GenPoly, p: Poly, q: Poly, generators: list[FieldElement],
-                      cap: int = DEFAULT_ARITY_CAP) -> EquationReport:
+def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
+                      generators: list[FieldElement]) -> EquationReport:
     """Span certificate for monomial sides P = a*x^k and Q = lambda*x^k.
 
     For f a generalized monomial of degree n, both sides x -> f(P(x))
@@ -196,7 +191,7 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly, generators: list[FieldElemen
     certifies the identity on the rational span of the generators.
 
     Not applicable unless f has a single component; raises ArityTooLarge
-    when n*max(deg P, 1) passes ``cap`` or DEFAULT_ARITY_CAP.
+    when n*max(deg P, 1) passes DEFAULT_ARITY_CAP.
     """
     if len(f.components) != 1:
         return EquationReport(NOT_APPLICABLE, detail="span certificates need a single monomial")
@@ -204,9 +199,8 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly, generators: list[FieldElemen
     n = monomial.degree
     k = p.total_degree()
     arity = n * max(k, 1)
-    cap = min(DEFAULT_ARITY_CAP, cap)
-    if arity > cap:
-        raise ArityTooLarge(f"span check needs arity {arity}, cap is {cap}")
+    if arity > DEFAULT_ARITY_CAP:
+        raise ArityTooLarge(f"span check needs arity {arity}, cap is {DEFAULT_ARITY_CAP}")
     if n < 1:
         raise SpecMismatch("the symmetrized check needs degree at least 1")
     if not generators:
@@ -232,7 +226,7 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly, generators: list[FieldElemen
     lhs_side, rhs_side = (functools.cache(side) for side in _sides(monomial, p, q))
     witnesses = []
     rows = []
-    for tup in probe_tuples(generators, arity):
+    for tup in combinations_with_replacement(generators, arity):
         lhs = delta_many(lhs_side, tup, zero) / scale
         rhs = delta_many(rhs_side, tup, zero) / scale
         rows.append((tuple(tup), lhs, rhs))
@@ -305,7 +299,7 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
 
     # probe 4-tuples share subset sums: evaluate the quartic trace once per sum
     quartic = functools.cache(_quartic_trace(f2))
-    for tup in probe_tuples(probes, 4):
+    for tup in combinations_with_replacement(probes, 4):
         value = quartic_form_value(f2, *tup, quartic)
         zero = value.spec.zero()
         rows.append((tuple(tup), value, zero))

@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 from .errors import SpecMismatch
 from .fields import FieldElement, FieldSpec
-from .forms import DELTA_CAP, GenMonomial, delta_many
+from .forms import DEFAULT_ARITY_CAP, GenMonomial, delta_many
 from .linalg import rank as matrix_rank
 
 #: Sentinel for a failed degree search.
@@ -56,20 +56,17 @@ def eval_genpoly(p: GenPoly, x: FieldElement) -> FieldElement:
     return total
 
 
-def probe_tuples(probes, size: int):
-    """Unordered probe tuples; the difference operator is symmetric in
-    its increments, so multisets cover all ordered choices."""
-    return combinations_with_replacement(probes, size)
-
-
 def degree_estimate(f, probes: list[FieldElement], cap: int, spec: FieldSpec):
     """Smallest n <= cap with Delta_{y1..y(n+1)} f(0) = 0 for every
-    sampled probe tuple; NO_BOUND_FOUND when the scan is exhausted.
+    sampled probe tuple; NO_BOUND_FOUND when the scan is exhausted.  The
+    difference operator is symmetric in its increments, so unordered
+    tuples cover all ordered choices.
 
     A sample-based upper-degree certificate, not a proof.
     """
-    if cap > DELTA_CAP:
-        raise SpecMismatch(f"cap {cap} exceeds the difference-operator cap {DELTA_CAP}")
+    if cap >= DEFAULT_ARITY_CAP:
+        raise SpecMismatch(f"cap {cap} needs {cap + 1} increments; the arity cap is "
+                           f"{DEFAULT_ARITY_CAP}")
     if not probes:
         raise SpecMismatch("probes must be nonempty")
     for y in probes:
@@ -80,7 +77,7 @@ def degree_estimate(f, probes: list[FieldElement], cap: int, spec: FieldSpec):
     f = functools.cache(f)
     for n in range(cap + 1):
         if all(delta_many(f, list(tup), zero).is_zero()
-               for tup in probe_tuples(probes, n + 1)):
+               for tup in combinations_with_replacement(probes, n + 1)):
             return n
     return NO_BOUND_FOUND
 

@@ -131,6 +131,7 @@ class TokenStream:
             )
         return self.next()
 
-    def error(self, message: str, expected=()) -> ParseError:
-        tok = self.peek()
+    def error(self, message: str, expected=(), at: Token | None = None) -> ParseError:
+        """A parse error located at token ``at``, by default the next one."""
+        tok = at or self.peek()
         return ParseError(message, tok.pos, expected=expected, line=tok.line, column=tok.column)

@@ -5,12 +5,11 @@ from __future__ import annotations
 from .fields import FieldElement
 
 
-def rank(matrix: list[list[FieldElement]]) -> int:
-    """Rank by row reduction; deterministic pivoting on first nonzero."""
-    if not matrix:
-        return 0
-    rows = [list(row) for row in matrix]
-    ncols = len(rows[0])
+def _eliminate(rows: list[list[FieldElement]], ncols: int) -> list[int]:
+    """Forward elimination in place on the first ``ncols`` columns, with
+    deterministic pivoting on the first nonzero entry.  Returns the pivot
+    columns; the rows past their count are zero in those columns."""
+    pivots: list[int] = []
     r = 0
     for col in range(ncols):
         pivot_row = None
@@ -27,49 +26,39 @@ def rank(matrix: list[list[FieldElement]]) -> int:
                 continue
             factor = rows[i][col] / pivot
             rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    return r
+    return pivots
+
+
+def rank(matrix: list[list[FieldElement]]) -> int:
+    """Rank by row reduction."""
+    if not matrix:
+        return 0
+    return len(_eliminate([list(row) for row in matrix], len(matrix[0])))
 
 
 def solve(matrix: list[list[FieldElement]], rhs: list[FieldElement]):
-    """Solve M c = rhs exactly.
+    """Solve M c = rhs exactly, by back substitution on the reduced
+    augmented matrix.
 
     Returns a solution vector (free variables set to zero) or None when
     the system is inconsistent.
     """
-    m = len(matrix)
-    if m == 0:
+    if not matrix:
         return []
     n = len(matrix[0])
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = None
-        for i in range(r, m):
-            if not aug[i][col].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][col]
-        aug[r] = [a / pivot for a in aug[r]]
-        for i in range(m):
-            if i != r and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    zero = rhs[0].spec.zero() if rhs else None
-    for i in range(r, m):
-        if not aug[i][n].is_zero():
-            return None
-    solution = [zero] * n
-    for row_index, col in enumerate(pivots):
-        solution[col] = aug[row_index][n]
+    pivots = _eliminate(aug, n)
+    if any(not row[n].is_zero() for row in aug[len(pivots):]):
+        return None
+    solution = [rhs[0].spec.zero()] * n
+    for r in reversed(range(len(pivots))):
+        row, col = aug[r], pivots[r]
+        value = row[n]
+        for later in pivots[r + 1:]:
+            value = value - row[later] * solution[later]
+        solution[col] = value / row[col]
     return solution

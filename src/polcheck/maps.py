@@ -278,7 +278,7 @@ def build_endomorphism(spec: FieldSpec, images: dict[str, FieldElement] | None =
     it does not extend to the fraction field); unlisted generators map
     to themselves.
     """
-    images = dict(images or {})
+    images = images or {}
     if spec.kind == RATIONALS:
         if images or conjugate_base:
             raise SpecMismatch("the rationals admit only the identity endomorphism")
@@ -291,21 +291,13 @@ def build_endomorphism(spec: FieldSpec, images: dict[str, FieldElement] | None =
         return Endo(spec, (), True)
     if conjugate_base and spec.base.kind != QUADRATIC:
         raise UnsupportedSpec("base field has no conjugation")
-    resolved = []
-    for name in spec.variables:
-        img = images.pop(name, None)
-        if img is None:
-            img = spec.var(name)
-        elif img.spec != spec:
-            raise SpecMismatch(f"image of {name!r} lives in a different field")
+    resolved = _resolve_images(spec, images, spec.var)
+    for name, img in resolved:
         num, den = img.payload
         if num.is_const() and den.is_const():
             raise InvalidImage(
                 f"image of {name!r} is the constant {format_element(img)}; not a field embedding")
-        resolved.append((name, img))
-    if images:
-        raise SpecMismatch(f"unknown indeterminates in images: {sorted(images)}")
-    return Endo(spec, tuple(resolved), conjugate_base)
+    return Endo(spec, resolved, conjugate_base)
 
 
 def build_derivation(spec: FieldSpec, images: dict[str, FieldElement]) -> AdditiveMap:
@@ -317,18 +309,26 @@ def build_derivation(spec: FieldSpec, images: dict[str, FieldElement]) -> Additi
     if spec.kind != RATFUNC:
         raise UnsupportedSpec(
             f"{spec.describe()} carries only the zero derivation; use the zero map")
+    return Derivation(spec, _resolve_images(spec, images, lambda name: spec.zero()))
+
+
+def _resolve_images(spec: FieldSpec, images: dict[str, FieldElement],
+                    default) -> tuple[tuple[str, FieldElement], ...]:
+    """(name, image) for every indeterminate of ``spec`` in order: the
+    listed image, or ``default(name)`` for an unlisted one.  An image in
+    another field, or one for an unknown name, is refused."""
     images = dict(images)
     resolved = []
     for name in spec.variables:
         img = images.pop(name, None)
         if img is None:
-            img = spec.zero()
+            img = default(name)
         elif img.spec != spec:
             raise SpecMismatch(f"image of {name!r} lives in a different field")
         resolved.append((name, img))
     if images:
         raise SpecMismatch(f"unknown indeterminates in images: {sorted(images)}")
-    return Derivation(spec, tuple(resolved))
+    return tuple(resolved)
 
 
 def apply_map(m: AdditiveMap, x: FieldElement) -> FieldElement:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
 from operator import add
 
 from .errors import DenominatorVanishes, DivisionByZero
@@ -249,6 +248,27 @@ def matches(engine_value: FieldElement, oracle_value: OVal) -> bool:
 # -- naive map and form evaluation -------------------------------------
 
 
+def arrangements(indices: list[int]):
+    """The distinct orderings of the multiset ``indices``, in increasing
+    lexicographic order, each with its weight: the number of the n!
+    permutations of its positions that give it, the product of the
+    factorials of the multiplicities."""
+    current = sorted(indices)
+    weight = math.prod(math.factorial(current.count(j)) for j in set(current))
+    while True:
+        yield tuple(current), weight
+        i = len(current) - 2  # the next ordering: the standard successor step
+        while i >= 0 and current[i] >= current[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(current) - 1
+        while current[j] <= current[i]:
+            j -= 1
+        current[i], current[j] = current[j], current[i]
+        current[i + 1:] = reversed(current[i + 1:])
+
+
 class Oracle:
     """Naive recursive evaluator mirroring the engine's semantics.
 
@@ -392,8 +412,10 @@ class Oracle:
         """Full-permutation evaluation of the defining symmetrization.
 
         The sum over all n! permutations is computed literally but with
-        equal terms grouped (repeated argument values make many
-        permutations coincide); grouping changes the cost, not the sum.
+        equal terms grouped: each distinct arrangement of the arguments
+        once, times the number of permutations that give it (repeated
+        argument values make many permutations coincide); grouping
+        changes the cost, not the sum.
         """
         from .forms import ConstForm, LinComb, Lift, MapOfProduct, ProductSym
 
@@ -421,8 +443,6 @@ class Oracle:
         raise TypeError(f"oracle cannot evaluate {form!r}")
 
     def _eval_symmetrized(self, form, args: list[OVal]) -> OVal:
-        from collections import Counter
-
         from .forms import ProductSym
 
         n = form.arity
@@ -435,11 +455,8 @@ class Oracle:
                 index_of[key] = len(table)
                 table.append(a)
             indices.append(index_of[key])
-        counter = Counter(tuple(indices[i] for i in sigma)
-                          for sigma in permutations(range(n)))
         total = o_zero(self.spec)
-        for assignment in sorted(counter):
-            mult = counter[assignment]
+        for assignment, mult in arrangements(indices):
             if isinstance(form, ProductSym):
                 term = o_int(self.spec, 1)
                 for i, j in enumerate(assignment):

@@ -473,11 +473,16 @@ def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:
                     num.pop(kk, None)
         return num
 
-    while b:
-        a, b = b, rem(a, b)
+    def monic(r: dict) -> dict:
+        if not r:
+            return r
+        lead = r[max(r)]
+        return {k: c / lead for k, c in r.items()}
+
+    while b:  # monic remainders keep the coefficients from growing
+        a, b = b, monic(rem(a, b))
     nvars = f.nvars
-    lead = a[max(a)]
-    terms = {tuple(k if i == v else 0 for i in range(nvars)): c / lead for k, c in a.items()}
+    terms = {tuple(k if i == v else 0 for i in range(nvars)): c for k, c in monic(a).items()}
     return Poly(nvars, terms)
 
 

@@ -50,7 +50,6 @@ from .fields import (
     random_element,
 )
 from .forms import (
-    DEFAULT_ARITY_CAP,
     GenMonomial,
     LinComb,
     Lift,
@@ -139,18 +138,15 @@ def power_products(terms: int, degree: int, k: int) -> int:
 
 
 class RunOptions:
-    __slots__ = ("seed", "samples", "max_arity", "oracle_check")
+    __slots__ = ("seed", "samples", "oracle_check")
 
-    def __init__(self, seed: int = 0, samples: int = 20, max_arity: int = DEFAULT_ARITY_CAP,
-                 oracle_check: bool = False):
-        for name, value in (("samples", samples), ("max_arity", max_arity)):
-            if type(value) is not int or value < 1:
-                raise ValueError(f"RunOptions {name} must be a positive integer, got {value!r}")
+    def __init__(self, seed: int = 0, samples: int = 20, oracle_check: bool = False):
+        if type(samples) is not int or samples < 1:
+            raise ValueError(f"RunOptions samples must be a positive integer, got {samples!r}")
         if samples > MAX_SAMPLES:
             raise ValueError(f"RunOptions samples must be at most {MAX_SAMPLES}, got {samples}")
         self.seed = seed
         self.samples = samples
-        self.max_arity = max_arity
         self.oracle_check = oracle_check
 
     def sample_config(self, count: int, seed: int | None = None) -> SampleConfig:
@@ -170,18 +166,6 @@ def default_probes(spec: FieldSpec) -> list[FieldElement]:
         v = spec.var(name)
         probes.extend([v, v + spec.one(), v * v, v - spec.one()])
     return probes
-
-
-def default_span_generators(spec: FieldSpec) -> list[FieldElement]:
-    """Documented span-generator defaults (kept small: a span check of
-    arity r over m generators compares C(m+r-1, r) tuples)."""
-    if spec.kind == "rationals":
-        return [spec.from_int(1), spec.from_int(2), spec.from_int(3)]
-    if spec.kind == "quadratic":
-        s = spec.sqrt_element()
-        return [spec.one(), s, spec.one() + s]
-    v = spec.var(spec.variables[0])
-    return [spec.one(), v, v + spec.one()]
 
 
 # -- statement objects -------------------------------------------------
@@ -266,8 +250,7 @@ class _Parser:
         """A name token that must be one of ``words``."""
         tok = self.stream.expect("name", " or ".join(words))
         if tok.text not in words:
-            raise ParseError(message, tok.pos, expected=set(words),
-                             line=tok.line, column=tok.column)
+            raise self.stream.error(message, expected=set(words), at=tok)
         return tok
 
     def _paren_list(self, parse_item) -> list:
@@ -394,8 +377,8 @@ class _Parser:
         """``node``, unless the tree it expands to passes MAX_NODES: then a
         parse error at ``start``, before anything evaluates it."""
         if node_count(node) > MAX_NODES:
-            raise ParseError(f"expression expands to more than {MAX_NODES} map and form nodes",
-                             start.pos, line=start.line, column=start.column)
+            raise self.stream.error(
+                f"expression expands to more than {MAX_NODES} map and form nodes", at=start)
         return node
 
     def _parse_map_expr(self) -> AdditiveMap:
@@ -456,8 +439,8 @@ class _Parser:
             # refused before any application: image degrees multiply along the chain
             multiplier *= degree_multiplier(inner)
             if multiplier > MAX_CHECK_DEGREE:
-                raise ParseError(f"composition multiplies degrees by more than {MAX_CHECK_DEGREE}",
-                                 at.pos, line=at.line, column=at.column)
+                raise self.stream.error(
+                    f"composition multiplies degrees by more than {MAX_CHECK_DEGREE}", at=at)
             m = compose_maps(m, inner)
         if scalar is not None:
             m = scale_map(scalar, m)
@@ -621,8 +604,8 @@ class _Parser:
                 tok = self.stream.expect("int", "sample count")
                 count = int(tok.text)
                 if not 1 <= count <= MAX_SAMPLES:
-                    raise ParseError(f"sample count must be between 1 and {MAX_SAMPLES}",
-                                     tok.pos, line=tok.line, column=tok.column)
+                    raise self.stream.error(
+                        f"sample count must be between 1 and {MAX_SAMPLES}", at=tok)
                 seed = None
                 if self.stream.accept(","):
                     self._keyword("expected seed=<int>", "seed")
@@ -630,7 +613,7 @@ class _Parser:
                     seed = int(self.stream.expect("int", "seed value").text)
                 self.stream.expect(")")
                 mode = {"mode": "samples", "count": count, "seed": seed}
-        return {"name": name, "f": f, "p": p, "q": q, **mode}
+        return {"f": f, "p": p, "q": q, **mode}
 
     def _stmt_classify(self) -> dict:
         self._keyword("only quadratic classification is supported", "quadratic")
@@ -642,30 +625,28 @@ class _Parser:
         return {"form": form, "dictionary": self._paren_list(self._parse_map_expr)}
 
     def _stmt_degree(self) -> dict:
-        name, f = self._parse_genpoly()
-        return {"name": name, "f": f}
+        return {"f": self._parse_genpoly()[1]}
 
     def _stmt_rank(self) -> dict:
-        name, f = self._parse_genpoly()
+        f = self._parse_genpoly()[1]
         operation = "add"
         if self.stream.at("name") and self.stream.peek().text in ("mult", "add"):
             operation = self.stream.next().text
-        self._keyword("expected translates(...)", "translates")
+        tok = self._keyword("expected translates(...)", "translates")
         translates = self._element_list(f.spec)
-        self._keyword("expected points(...)", "points")
+        if operation == "mult" and any(g.is_zero() for g in translates):
+            raise self.stream.error("multiplicative translates must be nonzero", at=tok)
+        tok = self._keyword("expected points(...)", "points")
         points = self._element_list(f.spec)
-        return {"name": name, "f": f, "operation": operation,
-                "translates": translates, "points": points}
+        if len(points) < len(translates):
+            raise self.stream.error("need at least as many points as translates", at=tok)
+        return {"f": f, "operation": operation, "translates": translates, "points": points}
 
     def _stmt_verify(self) -> dict:
         law = self.stream.expect("name", "law").text
         if law not in ("additive", "multiplicative", "leibniz"):
             raise TypeMismatch(f"unknown law {law!r}")
-        tok = self.stream.expect("name", "map name")
-        m = self._lookup(tok)
-        if not isinstance(m, AdditiveMap):
-            raise TypeMismatch(f"{tok.text!r} is not a map")
-        return {"law": law, "map": m, "name": tok.text}
+        return {"law": law, "map": self._parse_map_factor()}
 
     def _stmt_polarize(self) -> dict:
         tok = self.stream.expect("name", "monomial name")
@@ -683,7 +664,7 @@ class _Parser:
         if len(ys) != monomial.degree:
             raise TypeMismatch(
                 f"polarize needs exactly {monomial.degree} increments, got {len(ys)}")
-        return {"name": tok.text, "monomial": monomial, "ys": ys}
+        return {"monomial": monomial, "ys": ys}
 
 
 def parse_session(source: str) -> Session:
@@ -826,7 +807,7 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
             return None
     mode = payload["mode"]
     if mode == "span":
-        report = check_symmetrized(f, p, q, payload["generators"], options.max_arity)
+        report = check_symmetrized(f, p, q, payload["generators"])
         _copy_report(entry, report)
         return report if report.verdict in (HOLDS_ON_SPAN, REFUTED) else None
     if mode == "samples":

@@ -47,7 +47,6 @@ from polcheck.polys import Poly
 from polcheck.session import (
     RunOptions,
     default_probes,
-    default_span_generators,
     emit_report,
     parse_session,
     run_session,
@@ -141,7 +140,7 @@ def test_criterion_2_products_of_homomorphisms():
     for spec, monomial in cases:
         for k in (2, 3):
             report = check_symmetrized(genpoly_from([monomial]), xk(spec, k), xk(spec, k),
-                                       default_span_generators(spec))
+                                       default_probes(spec)[:3])
             assert report.verdict == HOLDS_ON_SPAN, (spec.describe(), k, report.detail)
     announce(2, "f = phi1*phi2 satisfies f(x^k) = f(x)^k on the default "
                 "generator spans for k in {2, 3} over Q(sqrt 2) and Q(t)")
@@ -209,7 +208,7 @@ def _oracle_quartic(oracle, form, tup):
 
 def test_criterion_5_power_identity_gate():
     neg_norm = trace(LinComb(((Q2.from_int(-1), NORM_FORM),)))
-    gens = default_span_generators(Q2)
+    gens = default_probes(Q2)[:3]
     passing = check_symmetrized(genpoly_from([neg_norm]), xk(Q2, 3), xk(Q2, 3), gens)
     assert passing.verdict == HOLDS_ON_SPAN
     # the f(1) gate f(1)^n = f(1) is the span check's all-ones row
@@ -253,7 +252,7 @@ def test_criterion_7_affine_conditions():
 
     p, q = affine(3, 0, 9, 0)
     assert check_pointwise(f, p, q, samples).verdict == HOLDS_ON_SAMPLE
-    span = check_symmetrized(genpoly_from([f]), p, q, default_span_generators(Q))
+    span = check_symmetrized(genpoly_from([f]), p, q, default_probes(Q)[:3])
     assert span.verdict == HOLDS_ON_SPAN
     bad = check_pointwise(f, *affine(3, 1, 9, 1), samples)
     assert bad.verdict == REFUTED

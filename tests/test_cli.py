@@ -168,6 +168,22 @@ def test_bad_scalar_reports_its_own_error(tmp_path, capsys, field, statement, me
     assert " at line 2, column " in err
 
 
+@pytest.mark.parametrize("statement,message,keyword", [
+    ("rank f mult translates(0, 1) points(1, 2);",
+     "multiplicative translates must be nonzero", "translates"),
+    ("rank f add translates(1, 2, 3) points(1);",
+     "need at least as many points as translates", "points"),
+])
+def test_rank_usage_errors_are_parse_errors(tmp_path, capsys, statement, message, keyword):
+    statement = f"{DECLARE_F} {statement}"
+    bad = tmp_path / "bad.pol"
+    bad.write_text(f"field F = Q;\n{statement}\n")
+    assert main(["run", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    column = statement.index(keyword) + 1
+    assert out == "" and err == f"polcheck: {message} at line 2, column {column}\n"
+
+
 @pytest.mark.parametrize("count", ["0", "00", "10001", "99999999999"])
 def test_sample_count_outside_the_budget_is_a_parse_error(tmp_path, capsys, count):
     statement = f"{DECLARE_F} check f(x) == f(x) on samples({count}, seed=1);"
@@ -304,13 +320,19 @@ def test_non_integer_env_seed_is_a_usage_error(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--samples", "0"), ("--samples", "-3"), ("--samples", "x"),
-    ("--max-arity", "0"), ("--max-arity", "-5"),
 ])
 def test_non_positive_count_is_a_usage_error(capsys, flag, value):
     with pytest.raises(SystemExit) as exit_info:
         main(["run", str(SESSIONS / "empty.pol"), flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}: expected a positive integer, got '{value}'" in capsys.readouterr().err
+
+
+def test_max_arity_is_an_unrecognized_argument(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(SESSIONS / "empty.pol"), "--max-arity", "6"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-arity 6" in capsys.readouterr().err
 
 
 def test_samples_above_the_budget_is_a_usage_error(capsys):

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from polcheck.funceq import (
     quartic_form_value,
     quartic_solve,
 )
-from polcheck.genpoly import genpoly_from, probe_tuples
+from polcheck.genpoly import genpoly_from
 from polcheck.maps import (
     apply_map,
     build_derivation,
@@ -52,7 +53,7 @@ from polcheck.maps import (
 )
 from polcheck.oracle import Oracle, from_element, matches
 from polcheck.polys import Poly
-from polcheck.session import default_probes, default_span_generators
+from polcheck.session import default_probes
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
@@ -166,7 +167,7 @@ def test_refutation_soundness_against_oracle():
 
 def test_norm_span_certificate():
     report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2),
-                               default_span_generators(Q2))
+                               default_probes(Q2)[:3])
     assert report.verdict == HOLDS_ON_SPAN
 
 
@@ -198,7 +199,7 @@ def test_span_requires_monomial_sides():
     w = report.witnesses[0]
     assert (w.input, w.lhs, w.rhs) == ((Q2.one(),) * 4, Q2.from_int(4), Q2.one())
     report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2, Q2.from_int(4)),
-                               default_span_generators(Q2))
+                               default_probes(Q2)[:3])
     assert report.verdict == HOLDS_ON_SPAN
 
 
@@ -206,11 +207,9 @@ def test_span_check_caps_the_arity():
     cubic = trace(ProductSym((identity_map(Q2), identity_map(Q2), CONJ)))
     with pytest.raises(ArityTooLarge, match="arity 9, cap is 8"):
         check_symmetrized(genpoly_from([cubic]), xk(Q2, 3), xk(Q2, 3), [Q2.one()])
-    with pytest.raises(ArityTooLarge, match="arity 4, cap is 3"):
-        check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one()], cap=3)
-    # the cap never rises above the default
-    with pytest.raises(ArityTooLarge, match="arity 9, cap is 8"):
-        check_symmetrized(genpoly_from([cubic]), xk(Q2, 3), xk(Q2, 3), [Q2.one()], cap=20)
+    # the cap itself is allowed: the norm at x^4 has arity 8
+    report = check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), [Q2.one()])
+    assert report.verdict == HOLDS_ON_SPAN
 
 
 def test_span_check_needs_a_single_monomial_before_the_cap():
@@ -224,7 +223,7 @@ def test_span_check_needs_a_single_monomial_before_the_cap():
 
 
 def test_span_consistency_implies_pointwise_on_span_elements():
-    gens = default_span_generators(Q2)
+    gens = default_probes(Q2)[:3]
     span_report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), gens)
     assert span_report.verdict == HOLDS_ON_SPAN
     # rational combinations of the generators
@@ -236,9 +235,9 @@ def test_span_consistency_implies_pointwise_on_span_elements():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
-    gens = default_span_generators(Q2)
+    gens = default_probes(Q2)[:3]
     p, q = xk(Q2, k), xk(Q2, k)
-    sums = subset_sums(probe_tuples(gens, 2 * k), Q2.zero())
+    sums = subset_sums(combinations_with_replacement(gens, 2 * k), Q2.zero())
     assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
     # the norm's trace runs once at P(s) (left side) and once at s (right side)
     expected = Counter([evaluate(p, s) for s in sums] + list(sums))
@@ -273,7 +272,7 @@ def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, comb
         lam = c * apply_map(phi1, a) * apply_map(phi2, a) / c ** k
     f = trace(LinComb(((c, ProductSym((phi1, phi2))),)))
     p, q = xk(Q2, k, a), xk(Q2, k, lam)
-    gens = default_span_generators(Q2)
+    gens = default_probes(Q2)[:3]
     span = check_symmetrized(genpoly_from([f]), p, q, gens)
     holds = c * apply_map(phi1, a) * apply_map(phi2, a) == lam * c ** k
     assert span.verdict == (HOLDS_ON_SPAN if holds else REFUTED)
@@ -323,7 +322,7 @@ def test_products_of_homomorphisms_satisfy_power_identity(k):
         (trace(ProductSym((s, u))), QT),
     ]
     for monomial, spec in cases:
-        gens = default_span_generators(spec)
+        gens = default_probes(spec)[:3]
         report = check_symmetrized(genpoly_from([monomial]), xk(spec, k), xk(spec, k), gens)
         assert report.verdict == HOLDS_ON_SPAN, (k, spec.describe(), report.detail)
 
@@ -413,7 +412,7 @@ def test_classify_zero_form():
 
 def test_classifier_evaluates_the_quartic_trace_once_per_subset_sum(monkeypatch):
     probes = default_probes(Q2)
-    sums = subset_sums(probe_tuples(probes, 4), Q2.zero())
+    sums = subset_sums(combinations_with_replacement(probes, 4), Q2.zero())
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()

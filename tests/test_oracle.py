@@ -2,7 +2,9 @@
 imports, its values, and its agreement with the engine)."""
 
 import ast
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -26,6 +28,7 @@ from polcheck.maps import apply_map, build_derivation, build_endomorphism, ident
 from polcheck.oracle import (
     OVal,
     Oracle,
+    arrangements,
     from_element,
     matches,
     o_add,
@@ -134,6 +137,16 @@ def test_oracle_imports_no_engine_computation():
     assert ("errors", "DivisionByZero") in imports  # the walk sees the module's imports
     assert not [i for i in imports if i[0] in ENGINE_ONLY]
     assert {name for module, name in imports if module == "fields"} <= ORACLE_FIELD_NAMES
+
+
+# -- symmetrization sums --------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(indices=st.lists(st.integers(0, 3), max_size=6))
+def test_arrangement_weights_equal_the_permutation_count(indices):
+    literal = Counter(tuple(indices[i] for i in sigma)
+                      for sigma in permutations(range(len(indices))))
+    assert list(arrangements(indices)) == sorted(literal.items())
 
 
 # -- naive arithmetic -----------------------------------------------------

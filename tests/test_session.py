@@ -443,6 +443,23 @@ def test_degree_rank_verify_polarize_commands():
     assert doc.exit_code == 0
 
 
+@pytest.mark.parametrize("statement,verdict", [
+    ("verify leibniz id;", "REFUTED"),  # x*y is not 2*x*y: the identity is no derivation
+    ("verify multiplicative id;", "pass"),
+    ("verify multiplicative conj;", "pass"),
+    ("verify additive (2*id + conj);", "pass"),
+])
+def test_verify_takes_builtin_and_parenthesized_maps(statement, verdict):
+    doc = run_src(f"field F = Q(sqrt 2);\n{statement}\n", oracle_check=True)
+    (entry,) = doc.entries
+    assert entry["verdict"] == verdict and doc.consistent
+
+
+def test_verify_of_an_unknown_map_is_a_name_error():
+    with pytest.raises(NameResolutionError, match="unknown name 'nope'"):
+        parse_session("field F = Q;\nverify additive nope;\n")
+
+
 def test_verify_violation_is_refuted():
     src = """
     field F = Q(t);
@@ -460,9 +477,9 @@ def test_arity_cap_becomes_command_error():
     field F = Q(sqrt 2);
     hom c = conj;
     genpoly f = trace(product(id, c));
-    check f(x^4) == f(x)^4 on span(1, sqrt(2));
+    check f(x^5) == f(x)^5 on span(1, sqrt(2));
     """
-    doc = run_session(parse_session(src), RunOptions(max_arity=6))
+    doc = run_session(parse_session(src))
     assert doc.entries[0]["verdict"] == "ERROR"
     assert "arity" in doc.entries[0]["detail"]
     assert doc.exit_code == 1
@@ -470,7 +487,6 @@ def test_arity_cap_becomes_command_error():
 
 @pytest.mark.parametrize("field,value", [
     ("samples", 0), ("samples", -1), ("samples", 2.5), ("samples", MAX_SAMPLES + 1),
-    ("max_arity", -5), ("max_arity", 0), ("max_arity", "6"),
 ])
 def test_run_options_refuse_counts_the_cli_refuses(field, value):
     with pytest.raises(ValueError, match=field):
@@ -478,8 +494,13 @@ def test_run_options_refuse_counts_the_cli_refuses(field, value):
 
 
 def test_run_options_accept_the_smallest_counts():
-    options = RunOptions(samples=1, max_arity=1)
-    assert (options.samples, options.max_arity) == (1, 1)
+    assert RunOptions(samples=1).samples == 1
+
+
+def test_run_options_have_no_arity_knob():
+    # the arity cap is the constant forms.DEFAULT_ARITY_CAP, like every budget
+    with pytest.raises(TypeError):
+        RunOptions(max_arity=6)
 
 
 def test_oracle_check_marks_entries_and_consistency():
