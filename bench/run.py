@@ -9,6 +9,12 @@ checkout and writes one JSON file:
   the median time of ``parse_session`` plus ``run_session`` (seed 0,
   default options) over ``REPEATS`` timed runs after one untimed run,
   plain and with ``oracle_check=True``;
+* ``micro``: the time of one call, the median over ``REPEATS`` timed
+  stretches of ``MICRO_CALLS`` calls after one untimed call, of field
+  ``+ * /`` on ``Q``, ``Q(sqrt 2)``, ``Q(t)`` and ``Q(sqrt 2)(t)``
+  (on two general elements, and with a zero or one operand), and of
+  ``poly_gcd`` on coprime, shared-factor and equal polynomials in
+  ``t`` over ``Q`` and ``Q(sqrt 2)``;
 * ``tier1``: one run of the tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` in a child process), with its
   passed and failed counts.
@@ -17,7 +23,9 @@ Every time is given raw (``wall_s``) and rescaled (``rescaled_s``) to
 the speed of ``verdictbench``'s builtins-only reference loop, through
 its ``Clock``: a shared host runs the same work from one to two times
 its fastest time, so only rescaled times compare from one run to the
-next.  Per-layer micro timings are not measured yet.
+next.  The other per-layer cases (``apply_map`` per map kind,
+``eval_form`` per node kind, one span check per arity) are not measured
+yet.
 """
 
 from __future__ import annotations
@@ -36,8 +44,36 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = ROOT / "src"
 SESSIONS = ROOT / "tests" / "sessions"
 
-#: Timed runs per golden session and mode.
+#: Timed runs per golden session and mode, and timed stretches per micro case.
 REPEATS = 5
+
+#: Calls in one timed stretch of a micro case.
+MICRO_CALLS = 500
+
+#: The two general elements x and y of each field's micro cases.
+MICRO_ELEMENTS = {
+    "Q": ("3/7", "-5/11"),
+    "Q(sqrt 2)": ("(1+3*sqrt(2))/5", "(2-sqrt(2))/3"),
+    "Q(t)": ("(t^2+1)/(t-2)", "(3*t+1)/(t^2+t+1)"),
+    "Q(sqrt 2)(t)": ("(t^2+sqrt(2))/(t-2)", "(sqrt(2)*t+1)/(t^2+t+1)"),
+}
+
+#: The micro cases of field arithmetic, on x, y and the field's zero and one.
+MICRO_OPS = {
+    "add": lambda x, y, zero, one: x + y,
+    "mul": lambda x, y, zero, one: x * y,
+    "div": lambda x, y, zero, one: x / y,
+    "add_zero": lambda x, y, zero, one: x + zero,
+    "mul_zero": lambda x, y, zero, one: x * zero,
+    "mul_one": lambda x, y, zero, one: x * one,
+    "div_one": lambda x, y, zero, one: x / one,
+}
+
+#: poly_gcd micro cases: f, g and a common factor h, polynomials in t.
+MICRO_GCDS = {
+    "Q(t)": ("t^4+3*t^2+t+1", "t^3-2*t+5", "t^2+t+1"),
+    "Q(sqrt 2)(t)": ("t^4+sqrt(2)*t^2+1", "t^3-2*t+sqrt(2)", "t^2+sqrt(2)*t+1"),
+}
 
 
 def load_verdictbench():
@@ -75,6 +111,42 @@ def time_sessions(polcheck, clock) -> dict:
     return out
 
 
+def time_calls(clock, call) -> dict:
+    """The time of one call: the median over REPEATS stretches of
+    MICRO_CALLS calls, after one untimed call."""
+    call()
+    samples = []
+    for _ in range(REPEATS):
+        clock.start()
+        for _ in range(MICRO_CALLS):
+            call()
+        wall, rescaled = clock.stop()
+        samples.append((wall / MICRO_CALLS, rescaled / MICRO_CALLS))
+    return median_times(samples)
+
+
+def time_micro(polcheck, clock) -> dict:
+    from polcheck.polys import poly_gcd
+
+    rationals, quadratic = polcheck.FieldSpec.rationals(), polcheck.FieldSpec.quadratic(2)
+    specs = {"Q": rationals, "Q(sqrt 2)": quadratic,
+             "Q(t)": polcheck.FieldSpec.ratfunc(rationals, ["t"]),
+             "Q(sqrt 2)(t)": polcheck.FieldSpec.ratfunc(quadratic, ["t"])}
+    field = {}
+    for name, (x_text, y_text) in MICRO_ELEMENTS.items():
+        spec = specs[name]
+        x, y, zero, one = spec.element(x_text), spec.element(y_text), spec.zero(), spec.one()
+        field[name] = {op: time_calls(clock, lambda fn=fn: fn(x, y, zero, one))
+                       for op, fn in MICRO_OPS.items()}
+    gcd = {}
+    for name, poly_texts in MICRO_GCDS.items():
+        f, g, h = (specs[name].element(p).payload[0] for p in poly_texts)
+        pairs = {"coprime": (f, g), "shared_factor": (f * h, g * h), "equal": (f * h, f * h)}
+        gcd[name] = {case: time_calls(clock, lambda a=a, b=b: poly_gcd(a, b))
+                     for case, (a, b) in pairs.items()}
+    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd}
+
+
 def time_tier1(clock) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
@@ -106,6 +178,7 @@ def main(argv=None) -> int:
         "reference_s": verdictbench.REFERENCE_S,
         "repeats": REPEATS,
         "sessions": time_sessions(polcheck, clock),
+        "micro": time_micro(polcheck, clock),
         "tier1": time_tier1(clock),
         "reference_work_s": statistics.median(clock.reference),
     }

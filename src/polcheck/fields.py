@@ -497,17 +497,21 @@ def _is_one(p: Poly) -> bool:
 
 def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
                  subtract: bool) -> FieldElement:
-    if _is_one(d1) and _is_one(d2):
+    one1, one2 = _is_one(d1), _is_one(d2)
+    if one1 and one2:
         # the content of the denominator 1 is 1: the sum is canonical
         return FieldElement(spec, (n1 - n2 if subtract else n1 + n2, d1))
     # Henrici: with both operands reduced, only gcd(d1, d2) and a final
     # gcd against it can cancel.
     g = poly_gcd(d1, d2)
     if g.is_const():
-        num = n1 * d2 - n2 * d1 if subtract else n1 * d2 + n2 * d1
+        # a denominator 1 is not multiplied by
+        a = n1 if one2 else n1 * d2
+        b = n2 if one1 else n2 * d1
+        num = a - b if subtract else a + b
         if num.is_zero():
             return spec.zero()
-        return _canonical_pair(spec, num, d1 * d2)
+        return _canonical_pair(spec, num, d2 if one1 else d1 if one2 else d1 * d2)
     d2g = exact_div(d2, g)
     num = n1 * d2g - n2 * exact_div(d1, g) if subtract else n1 * d2g + n2 * exact_div(d1, g)
     if num.is_zero():
@@ -523,13 +527,15 @@ def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
 
 def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> FieldElement:
     # cross-cancel: the factors of each reduced operand are coprime, so
-    # gcd(n1 n2, d1 d2) = gcd(n1, d2) * gcd(n2, d1)
-    if n1.is_zero() or n2.is_zero():
+    # gcd(n1 n2, d1 d2) = gcd(n1, d2) * gcd(n2, d1).  n2 is nonzero:
+    # field_arith settles a zero factor, and a division passes the
+    # divisor's numerator as d2 and its denominator as n2.
+    if n1.is_zero():
         return spec.zero()
     if d1.is_const() and d2.is_const():
-        # nothing cancels; d2 need not be 1, since a division passes the
-        # divisor's numerator here
-        num, den = n1 * n2, d1 * d2
+        # nothing cancels; d2 need not be 1
+        num = n1 * n2
+        den = d2 if _is_one(d1) else d1 if _is_one(d2) else d1 * d2
         return FieldElement(spec, (num, den)) if _is_one(den) else _canonical_pair(spec, num, den)
     g1 = poly_gcd(n1, d2)
     if not g1.is_const():
@@ -554,11 +560,22 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
     if spec.kind == RATFUNC:
         n1, d1 = lhs.payload
         n2, d2 = rhs.payload
+        # a zero operand decides the sum or product (0 - x still negates)
         if op == "add":
+            if not n2.terms:
+                return lhs
+            if not n1.terms:
+                return rhs
             return _add_reduced(spec, n1, d1, n2, d2, subtract=False)
         if op == "sub":
+            if not n2.terms:
+                return lhs
             return _add_reduced(spec, n1, d1, n2, d2, subtract=True)
         if op == "mul":
+            if not n1.terms:
+                return lhs
+            if not n2.terms:
+                return rhs
             return _mul_reduced(spec, n1, d1, n2, d2)
         if op == "div":
             if n2.is_zero():
@@ -590,7 +607,9 @@ def _power(base: FieldElement, k: int) -> FieldElement:
     if spec.kind == RATFUNC:
         # a reduced fraction stays reduced under powers: no gcd needed
         num, den = base.payload
-        num, den = num ** k, den ** k
+        num = num ** k
+        if not _is_one(den):
+            den = den ** k
         if spec.radicand is None:
             # Gauss's lemma: powers of integer polynomials keep content 1
             return FieldElement(spec, (num, den))

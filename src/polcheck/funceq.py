@@ -29,7 +29,6 @@ from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, 
 from .fields import FieldElement, format_element
 from .forms import (
     DEFAULT_ARITY_CAP,
-    ProductSym,
     SymmetricForm,
     delta_many,
     eval_form,

@@ -27,7 +27,6 @@ from .fields import (
     format_element,
     normalize_fraction,
 )
-from .polys import Poly
 
 
 class Node:

@@ -110,18 +110,6 @@ def _context(spec: FieldSpec) -> tuple[int, int | None, int | None]:
     return nvars + 1, nvars, d
 
 
-def o_zero(spec: FieldSpec) -> OVal:
-    nsyms, _, d = _context(spec)
-    return OVal({}, {(0,) * nsyms: 1}, nsyms, d)
-
-
-def o_int(spec: FieldSpec, n: int) -> OVal:
-    nsyms, _, d = _context(spec)
-    if n == 0:
-        return o_zero(spec)
-    return OVal({(0,) * nsyms: n}, {(0,) * nsyms: 1}, nsyms, d)
-
-
 def o_is_zero(v: OVal) -> bool:
     return not v.num
 
@@ -283,6 +271,15 @@ class Oracle:
         self._form_cache: dict = {}
         self._converted: dict = {}
 
+    def zero(self) -> OVal:
+        return OVal({}, {(0,) * self.nsyms: 1}, self.nsyms, self.d)
+
+    def integer(self, n: int) -> OVal:
+        if n == 0:
+            return self.zero()
+        base = (0,) * self.nsyms
+        return OVal({base: n}, {base: 1}, self.nsyms, self.d)
+
     # map application ------------------------------------------------
 
     def _key(self, v: OVal):
@@ -311,7 +308,7 @@ class Oracle:
         if isinstance(m, Identity):
             result = v
         elif isinstance(m, Zero):
-            result = o_zero(self.spec)
+            result = self.zero()
         elif isinstance(m, Endo):
             result = self._apply_endo(m, v)
         elif isinstance(m, Derivation):
@@ -319,7 +316,7 @@ class Oracle:
         elif isinstance(m, Scale):
             result = o_mul(from_element(m.factor), self.apply_map(m.inner, v))
         elif isinstance(m, MapSum):
-            result = o_zero(self.spec)
+            result = self.zero()
             for term in m.terms:
                 result = o_add(result, self.apply_map(term, v))
         elif isinstance(m, Compose):
@@ -367,13 +364,13 @@ class Oracle:
         return self._once(m, lambda m: [from_element(img) for _, img in m.images])
 
     def _subst(self, p: dict, images: list[OVal]) -> OVal:
-        total = o_zero(self.spec)
+        total = self.zero()
         sqrt_val = None
         if self.rad is not None:
             mono = (0,) * (self.nsyms - 1) + (1,)
             sqrt_val = OVal({mono: 1}, {(0,) * self.nsyms: 1}, self.nsyms, self.d)
         for exps, coeff in p.items():
-            term = o_int(self.spec, coeff)
+            term = self.integer(coeff)
             for i, img in enumerate(images):
                 if exps[i]:
                     term = o_mul(term, o_pow(img, exps[i]))
@@ -393,7 +390,7 @@ class Oracle:
         return out
 
     def _apply_derivation(self, m, v: OVal) -> OVal:
-        total = o_zero(self.spec)
+        total = self.zero()
         q_sq = _pd_mul(v.den, v.den, self.rad, self.d)
         for i, image in enumerate(self._images(m)):
             dnum = self._pd_derivative(v.num, i)
@@ -422,13 +419,13 @@ class Oracle:
         if isinstance(form, ConstForm):
             return self._once(form, lambda f: from_element(f.value))
         if isinstance(form, MapOfProduct):
-            product = o_int(self.spec, 1)
+            product = self.integer(1)
             for a in args:
                 product = o_mul(product, a)
             return self.apply_map(form.map, product)
         if isinstance(form, LinComb):
             coeffs = self._once(form, lambda f: [from_element(c) for c, _ in f.terms])
-            total = o_zero(self.spec)
+            total = self.zero()
             for coeff, (_, inner) in zip(coeffs, form.terms):
                 total = o_add(total, o_mul(coeff, self.eval_form(inner, args)))
             return total
@@ -455,17 +452,17 @@ class Oracle:
                 index_of[key] = len(table)
                 table.append(a)
             indices.append(index_of[key])
-        total = o_zero(self.spec)
+        total = self.zero()
         for assignment, mult in arrangements(indices):
             if isinstance(form, ProductSym):
-                term = o_int(self.spec, 1)
+                term = self.integer(1)
                 for i, j in enumerate(assignment):
                     term = o_mul(term, self.apply_map(form.maps[i], table[j]))
             else:
                 k = form.k
                 blocks = []
                 for b in range(n // k):
-                    product = o_int(self.spec, 1)
+                    product = self.integer(1)
                     for j in assignment[b * k:(b + 1) * k]:
                         product = o_mul(product, table[j])
                     blocks.append(product)
@@ -479,7 +476,7 @@ class Oracle:
         return self.eval_form(monomial.form, [x] * monomial.degree)
 
     def eval_genpoly(self, p, x: OVal) -> OVal:
-        total = o_zero(self.spec)
+        total = self.zero()
         for component in p.components:
             total = o_add(total, self.eval_monomial(component, x))
         return total
@@ -493,7 +490,7 @@ class Oracle:
         coeffs = [terms.get(k) for k in range(max(terms, default=0), -1, -1)]
 
         def evaluate(x: OVal) -> OVal:
-            total = o_zero(self.spec)
+            total = self.zero()
             for c in coeffs:
                 total = o_mul(total, x)
                 if c is not None:
@@ -507,7 +504,7 @@ class Oracle:
         sums = [x0]
         for y in ys:
             sums.extend(o_add(s, y) for s in list(sums))
-        total = o_zero(self.spec)
+        total = self.zero()
         for mask in range(1 << m):
             value = f(sums[mask])
             if (m - bin(mask).count("1")) & 1:

@@ -14,7 +14,11 @@ Invariant: ``terms`` has tuple keys of length ``nvars`` and no zero
 coefficient.  ``Poly(nvars, terms)`` establishes it for any input;
 arithmetic builds dicts that hold it and wraps them with ``_poly``,
 which checks nothing, or with ``_poly_dropping_zeros`` when a sum may
-have cancelled.
+have cancelled.  A product with a one-term factor needs neither sums
+nor that pass: adding one exponent tuple to distinct keys gives
+distinct keys, and every coefficient (an ``int``, a ``Fraction``, a
+quadratic scalar, or an element of one of the supported fields) lies
+in an integral domain, where a product of nonzero numbers is nonzero.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -121,9 +126,22 @@ class Poly:
         return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
+        add = operator.add
+        if len(self.terms) == 1:
+            # keys and order as the loop below builds them, with no sums
+            [(e1, c1)] = self.terms.items()
+            if not any(e1):
+                return _poly(self.nvars, {e2: c1 * c2 for e2, c2 in other.terms.items()})
+            return _poly(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
+                                      for e2, c2 in other.terms.items()})
+        if len(other.terms) == 1:
+            [(e2, c2)] = other.terms.items()
+            if not any(e2):
+                return _poly(self.nvars, {e1: c1 * c2 for e1, c1 in self.terms.items()})
+            return _poly(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
+                                      for e1, c1 in self.terms.items()})
         data = {}
         get = data.get
-        add = operator.add
         others = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in others:
@@ -269,6 +287,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             # a nonzero constant is a unit; reuse it when it is already 1
             (c,) = p.terms.values()
             return p if c == 1 else Poly.const(p.nvars, _one_like(p))
+    if f == g:  # the certificate must fail on equal inputs, and Euclid ends at once
+        return monic(f)
     one = _certified_one(f, g)
     if one is not None:
         return one
@@ -343,15 +363,17 @@ def coprime_mod(f: Poly, g: Poly, shared: set[int], p: int, d: int | None) -> bo
     return True
 
 
-def evaluation_points(nvars: int, p: int) -> list[int]:
+@lru_cache(maxsize=256)
+def evaluation_points(nvars: int, p: int) -> tuple[int, ...]:
     """Fixed points mod p at which coprime_mod sets the other variables.
 
     They come from a generator seeded by p, not from one formula, so no
     polynomial relation among them holds for every prime: a leading
     coefficient that vanishes at the points of one prime is unlikely to
-    vanish at those of the next."""
+    vanish at those of the next.  Memoized: a pure function of its
+    arguments, asked for again by every certificate."""
     rng = random.Random(p)
-    return [rng.randrange(1, p) for _ in range(nvars)]
+    return tuple(rng.randrange(1, p) for _ in range(nvars))
 
 
 def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None:
@@ -382,7 +404,7 @@ def _ratio_mod(num: int, den: int, p: int) -> int | None:
     return num * pow(den, -1, p) % p
 
 
-def _image_in(fp: dict, v: int, points: list[int], p: int) -> list[int] | None:
+def _image_in(fp: dict, v: int, points: tuple[int, ...], p: int) -> list[int] | None:
     """Dense coefficients in variable v, low degree first, of a reduced
     polynomial with the other variables set to points; None if the top
     coefficient vanishes."""
@@ -419,9 +441,12 @@ def _coprime_dense(a: list[int], b: list[int], p: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=256)
 def sqrt_mod(n: int, p: int) -> int | None:
     """A square root of n modulo the odd prime p (Tonelli-Shanks), or
-    None when n is 0 or not a square mod p."""
+    None when n is 0 or not a square mod p.  Memoized: a pure function
+    of its arguments, and every certificate over Q(sqrt d) asks for the
+    root of d modulo the same few primes."""
     n %= p
     if not n or pow(n, (p - 1) // 2, p) != 1:
         return None

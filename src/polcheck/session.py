@@ -93,11 +93,9 @@ from .oracle import (
     matches,
     o_add,
     o_divint,
-    o_int,
     o_is_zero,
     o_mul,
     o_neg,
-    o_zero,
 )
 from .polys import Poly
 
@@ -828,7 +826,7 @@ def _audit_check(payload: dict, report: EquationReport):
     lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
     rhs = oracle.memoized(lambda v: q_of(oracle.eval_genpoly(f, v)))
     if payload["mode"] == "span":  # each side polarized at the tuple
-        zero = o_zero(spec)
+        zero = oracle.zero()
         for tup, _, _ in report.rows:
             args = [from_element(a) for a in tup]
             scale = math.factorial(len(args))
@@ -870,10 +868,10 @@ def _audit_classify(payload: dict, report: EquationReport):
             value = o_add(value, o_neg(o_add(
                 o_add(o_mul(f2(x1, x2), f2(x3, x4)), o_mul(f2(x1, x3), f2(x2, x4))),
                 o_mul(f2(x1, x4), f2(x2, x3)))))
-            yield value, o_zero(spec)
+            yield value, oracle.zero()
         else:  # the certificate f(x) = f(1)*phi1(x)*phi2(x)
             phi1, phi2 = report.classification.factors
-            ox, one = from_element(x), o_int(spec, 1)
+            ox, one = from_element(x), oracle.integer(1)
             yield f2(ox, ox), o_mul(o_mul(f2(one, one), oracle.apply_map(phi1, ox)),
                                     oracle.apply_map(phi2, ox))
 
@@ -900,7 +898,7 @@ def _audit_degree(payload: dict, result: _Value):
     spec = f.spec
     oracle = Oracle(spec)
     probes = [from_element(p) for p in result.inputs]
-    zero = o_zero(spec)
+    zero = oracle.zero()
 
     def evaluate(v):
         return oracle.eval_genpoly(f, v)
@@ -976,7 +974,7 @@ def _audit_polarize(payload: dict, result: _Value):
     spec = monomial.spec
     oracle = Oracle(spec)
     value = oracle.delta_many(lambda v: oracle.eval_monomial(monomial, v),
-                              [from_element(y) for y in payload["ys"]], o_zero(spec))
+                              [from_element(y) for y in payload["ys"]], oracle.zero())
     return [(o_divint(value, math.factorial(monomial.degree)),)]
 
 

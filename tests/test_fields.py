@@ -699,3 +699,56 @@ def test_int_coefficient_gcd_monic_and_division_give_no_float(f, g, h):
                exact_div(gcd, h), Poly.const(2, 4) ** -1, f / Poly.const(2, 3)]
     assert all(type(c) is not float for p in results for c in p.terms.values())
     assert exact_div(f * h, h) == f and exact_div(gcd, h) * h == gcd
+
+
+def _shortcut_operands(spec):
+    """Zero, one, polynomials, polynomials over a constant denominator, and
+    reduced fractions with a common factor cancelled."""
+    one = spec.scalar_one()
+    small = st.integers(min_value=-3, max_value=3)
+    coeff = small.map(lambda c: one * c) if spec.radicand is None else st.builds(
+        lambda a, b: QuadRat(a, b, spec.radicand), small, small)
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)] * spec.nvars)
+    poly = st.dictionaries(exps, coeff, max_size=3).map(lambda t: Poly(spec.nvars, t))
+    const_den = st.builds(
+        lambda p, c: normalize_fraction(spec, p, Poly.const(spec.nvars, c)), poly, coeff.filter(bool))
+    return st.one_of(st.just(spec.zero()), st.just(spec.one()), const_den, _pair_elements(spec))
+
+
+def _textbook(op, a, b):
+    """normalize_fraction of the schoolbook formula for a op b."""
+    spec = a.spec
+    if op == "pow":
+        n, d = a.payload
+        return spec.one() if b == 0 else normalize_fraction(spec, n ** b, d ** b)
+    (n1, d1), (n2, d2) = a.payload, b.payload
+    if op == "add":
+        return normalize_fraction(spec, n1 * d2 + n2 * d1, d1 * d2)
+    if op == "sub":
+        return normalize_fraction(spec, n1 * d2 - n2 * d1, d1 * d2)
+    if op == "mul":
+        return normalize_fraction(spec, n1 * n2, d1 * d2)
+    return normalize_fraction(spec, n1 * d2, d1 * n2)
+
+
+def _terms(e):
+    return [sorted((k, type(c), c) for k, c in p.terms.items()) for p in e.payload]
+
+
+@pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt 2)(t)"])
+def test_zero_one_and_constant_denominators_follow_the_textbook(spec):
+    @settings(max_examples=80, deadline=None)
+    @given(_shortcut_operands(spec), _shortcut_operands(spec), st.integers(min_value=0, max_value=3))
+    def check(a, b, k):
+        cases = [("add", a, b), ("sub", a, b), ("mul", a, b), ("pow", a, k)]
+        if not b.is_zero():
+            cases.append(("div", a, b))
+        for op, lhs, rhs in cases:
+            value = field_arith(op, lhs, rhs)
+            assert _terms(value) == _terms(_textbook(op, lhs, rhs))
+            _assert_canonical(value)
+        if b.is_zero() and not a.is_zero():  # a zero operand decides, and nothing is recomputed
+            assert a + b is a and a - b is a and b + a is a
+            assert a * b is b and b * a is b
+
+    check()

@@ -38,7 +38,6 @@ from polcheck.oracle import (
     o_mul,
     o_pow,
     o_sub,
-    o_zero,
 )
 from polcheck.polys import Poly
 
@@ -242,7 +241,7 @@ def term_by_term(e: FieldElement) -> OVal:
         return scalar(e.payload)
 
     def poly(p) -> OVal:
-        total = o_zero(spec)
+        total = Oracle(spec).zero()
         for exps, coeff in p.terms.items():
             mono = {tuple(exps) + ((0,) if rad is not None else ()): 1}
             total = o_add(total, o_mul(scalar(coeff), OVal(mono, {base: 1}, nsyms, d)))

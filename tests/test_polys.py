@@ -291,3 +291,72 @@ def test_arithmetic_never_revalidates_its_results(monkeypatch):
     assert a.map_coeffs(lambda c: c - 1).terms == {(0, 1): Fraction(1)}
     assert substitute(e, images) == image
     assert calls == []
+
+
+def double_loop_product(a: Poly, b: Poly) -> dict:
+    """The product as the general loop builds it: outer a, inner b, equal
+    keys summed, zero coefficients dropped at the end."""
+    data = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            data[e] = c1 * c2 if e not in data else data[e] + c1 * c2
+    return {e: c for e, c in data.items() if c}
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_one_term_products_equal_the_double_loop(nvars, kind):
+    coeffs = _COEFFS[kind]
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    operands = st.dictionaries(exps, coeffs, max_size=4).map(lambda t: Poly(nvars, t))
+    one_term = st.one_of(coeffs.filter(bool).map(lambda c: Poly.const(nvars, c)),
+                         st.builds(lambda e, c: Poly(nvars, {e: c}), exps, coeffs.filter(bool)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_term, operands)
+    def agrees(m, p):
+        for a, b in ((m, p), (p, m), (m, m)):
+            product = a * b
+            expected = double_loop_product(a, b)
+            assert [(e, type(c), c) for e, c in product.terms.items()] \
+                == [(e, type(c), c) for e, c in expected.items()]
+            _holds_invariant(product, nvars)
+
+    agrees()
+
+
+@pytest.mark.parametrize("kind", sorted(_COEFFS))
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_gcd_of_equal_arguments_is_monic_without_a_certificate(nvars, kind, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("an equal-argument gcd ran the certificate or Euclid")
+
+    for name in ("_certified_one", "_gcd_univar", "_gcd_prs"):
+        monkeypatch.setattr(polys, name, unreachable)
+    operands = _poly(nvars, _COEFFS[kind], 4).filter(lambda f: not f.is_const())
+
+    @settings(max_examples=40, deadline=None)
+    @given(operands)
+    def agrees(f):
+        assert poly_gcd(f, f) == monic(f)
+        assert poly_gcd(f, Poly(nvars, dict(f.terms))) == monic(f)
+
+    agrees()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.sampled_from((3, 5, 7, 13, 17, 41, 97, 257) + CERT_PRIMES))
+def test_memoized_sqrt_mod_returns_the_unmemoized_root(n, p):
+    # __wrapped__ is Tonelli-Shanks without the memo
+    expected = sqrt_mod.__wrapped__(n, p)
+    assert sqrt_mod(n, p) == expected and sqrt_mod(n, p) == expected
+    if expected is not None:
+        assert expected * expected % p == n % p
+
+
+@pytest.mark.parametrize("p", CERT_PRIMES)
+def test_memoized_evaluation_points_are_the_seeded_ones(p):
+    for nvars in (1, 2, 3):
+        assert evaluation_points(nvars, p) == evaluation_points.__wrapped__(nvars, p)
+        assert evaluation_points(nvars, p) is evaluation_points(nvars, p)
