@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_1.json
+    python3 bench/run.py BENCH_4.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -14,7 +14,7 @@ checkout and writes one JSON file:
   ``+ * /`` on ``Q``, ``Q(sqrt 2)``, ``Q(t)`` and ``Q(sqrt 2)(t)``
   (on two general elements, and with a zero or one operand), and of
   ``poly_gcd`` on coprime, shared-factor and equal polynomials in
-  ``t`` over ``Q`` and ``Q(sqrt 2)``;
+  ``t`` over ``Q`` and ``Q(sqrt 2)``, and in ``t, u`` over ``Q``;
 * ``tier1``: one run of the tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` in a child process), with its
   passed and failed counts.
@@ -69,10 +69,11 @@ MICRO_OPS = {
     "div_one": lambda x, y, zero, one: x / one,
 }
 
-#: poly_gcd micro cases: f, g and a common factor h, polynomials in t.
+#: poly_gcd micro cases: f, g and a common factor h of each field's variables.
 MICRO_GCDS = {
     "Q(t)": ("t^4+3*t^2+t+1", "t^3-2*t+5", "t^2+t+1"),
     "Q(sqrt 2)(t)": ("t^4+sqrt(2)*t^2+1", "t^3-2*t+sqrt(2)", "t^2+sqrt(2)*t+1"),
+    "Q(t, u)": ("t^2*u+3*t*u^2-u+2", "t*u^2-2*t^2+u+1", "t*u+2*t+1"),
 }
 
 
@@ -131,7 +132,8 @@ def time_micro(polcheck, clock) -> dict:
     rationals, quadratic = polcheck.FieldSpec.rationals(), polcheck.FieldSpec.quadratic(2)
     specs = {"Q": rationals, "Q(sqrt 2)": quadratic,
              "Q(t)": polcheck.FieldSpec.ratfunc(rationals, ["t"]),
-             "Q(sqrt 2)(t)": polcheck.FieldSpec.ratfunc(quadratic, ["t"])}
+             "Q(sqrt 2)(t)": polcheck.FieldSpec.ratfunc(quadratic, ["t"]),
+             "Q(t, u)": polcheck.FieldSpec.ratfunc(rationals, ["t", "u"])}
     field = {}
     for name, (x_text, y_text) in MICRO_ELEMENTS.items():
         spec = specs[name]

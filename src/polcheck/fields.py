@@ -34,7 +34,7 @@ from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
 from .lexer import TokenStream, tokenize
-from .polys import Poly, _poly_dropping_zeros, exact_div, grlex_key, poly_gcd
+from .polys import Poly, _poly_dropping_zeros, gcd_cofactors, grlex_key
 
 RATIONALS = "rationals"
 QUADRATIC = "quadratic"
@@ -428,10 +428,7 @@ def normalize_fraction(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
         raise DivisionByZero("zero denominator")
     if num.is_zero():
         return spec.zero()
-    g = poly_gcd(num, den)
-    if not g.is_const():
-        num = exact_div(num, g)
-        den = exact_div(den, g)
+    _, num, den = gcd_cofactors(num, den)
     return _canonical_pair(spec, num, den)
 
 
@@ -462,10 +459,15 @@ def _canonical_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
 
     Clears coefficient denominators, makes the leading coefficient of
     den rational by multiplying by its conjugate, and divides by the
-    integer content, signed so that this coefficient is positive.
+    integer content, signed so that this coefficient is positive.  Over
+    Q(sqrt d) an int or Fraction coefficient becomes the QuadRat it equals.
     """
     d = spec.radicand
     coeffs = (*num.terms.values(), *den.terms.values())
+    if d is not None and any(type(c) is not QuadRat for c in coeffs):
+        num, den = (p.map_coeffs(lambda c: c if type(c) is QuadRat else
+                                 _canonical(c.numerator, 0, c.denominator, d)) for p in (num, den))
+        coeffs = (*num.terms.values(), *den.terms.values())
     if d is None:
         if any(type(c) is not int for c in coeffs):
             scale = lcm(*(c.denominator for c in coeffs))
@@ -492,7 +494,10 @@ def _canonical_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
 
 
 def _is_one(p: Poly) -> bool:
-    return p.is_const() and next(iter(p.terms.values())) == 1
+    if len(p.terms) != 1:
+        return False
+    [(e, c)] = p.terms.items()
+    return c == 1 and not any(e)
 
 
 def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
@@ -503,7 +508,7 @@ def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
         return FieldElement(spec, (n1 - n2 if subtract else n1 + n2, d1))
     # Henrici: with both operands reduced, only gcd(d1, d2) and a final
     # gcd against it can cancel.
-    g = poly_gcd(d1, d2)
+    g, d1g, d2g = gcd_cofactors(d1, d2)
     if g.is_const():
         # a denominator 1 is not multiplied by
         a = n1 if one2 else n1 * d2
@@ -512,17 +517,13 @@ def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
         if num.is_zero():
             return spec.zero()
         return _canonical_pair(spec, num, d2 if one1 else d1 if one2 else d1 * d2)
-    d2g = exact_div(d2, g)
-    num = n1 * d2g - n2 * exact_div(d1, g) if subtract else n1 * d2g + n2 * exact_div(d1, g)
+    num = n1 * d2g - n2 * d1g if subtract else n1 * d2g + n2 * d1g
     if num.is_zero():
         return spec.zero()
-    h = poly_gcd(num, g)
-    if not h.is_const():
-        num = exact_div(num, h)
-        den = exact_div(d1, h) * d2g
-    else:
-        den = d1 * d2g
-    return _canonical_pair(spec, num, den)
+    h, num_h, g_h = gcd_cofactors(num, g)
+    if h.is_const():
+        return _canonical_pair(spec, num, d1 * d2g)
+    return _canonical_pair(spec, num_h, g_h * d1g * d2g)
 
 
 def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> FieldElement:
@@ -537,14 +538,8 @@ def _mul_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly) -> Fie
         num = n1 * n2
         den = d2 if _is_one(d1) else d1 if _is_one(d2) else d1 * d2
         return FieldElement(spec, (num, den)) if _is_one(den) else _canonical_pair(spec, num, den)
-    g1 = poly_gcd(n1, d2)
-    if not g1.is_const():
-        n1 = exact_div(n1, g1)
-        d2 = exact_div(d2, g1)
-    g2 = poly_gcd(n2, d1)
-    if not g2.is_const():
-        n2 = exact_div(n2, g2)
-        d1 = exact_div(d1, g2)
+    _, n1, d2 = gcd_cofactors(n1, d2)
+    _, n2, d1 = gcd_cofactors(n2, d1)
     return _canonical_pair(spec, n1 * n2, d1 * d2)
 
 
@@ -560,7 +555,8 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
     if spec.kind == RATFUNC:
         n1, d1 = lhs.payload
         n2, d2 = rhs.payload
-        # a zero operand decides the sum or product (0 - x still negates)
+        # a zero operand decides the sum or product (0 - x still negates),
+        # and a factor or divisor one leaves the other operand
         if op == "add":
             if not n2.terms:
                 return lhs
@@ -572,14 +568,16 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
                 return lhs
             return _add_reduced(spec, n1, d1, n2, d2, subtract=True)
         if op == "mul":
-            if not n1.terms:
+            if not n1.terms or _is_one(n2) and _is_one(d2):
                 return lhs
-            if not n2.terms:
+            if not n2.terms or _is_one(n1) and _is_one(d1):
                 return rhs
             return _mul_reduced(spec, n1, d1, n2, d2)
         if op == "div":
             if n2.is_zero():
                 raise DivisionByZero("division by zero element")
+            if _is_one(n2) and _is_one(d2):
+                return lhs
             return _mul_reduced(spec, n1, d1, d2, n2)
     else:
         a, b = lhs.payload, rhs.payload
@@ -694,7 +692,19 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
     den_val = cleared(den)
     if den_val.is_zero():
         raise DenominatorVanishes(f"denominator of {format_element(e)} vanishes under substitution")
-    return normalize_fraction(spec, cleared(num), den_val)
+    num_val = cleared(num)
+    if spec.nvars > 1:
+        return normalize_fraction(spec, num_val, den_val)
+    # In one variable the two sides stay coprime, so no gcd is needed.
+    # With e = n/d and image a/b both reduced, a Bezout identity
+    # u*n + v*d = 1 in K[t] becomes U*N' + V*D' = b^M, so a common prime
+    # factor of N' and D' divides b.  But the side whose degree is the top
+    # exponent D is congruent to c*a^D modulo b, with c != 0 its leading
+    # coefficient and gcd(a, b) = 1.  In several variables this fails:
+    # t, u -> t*u, u sends t/u to t*u/u.
+    if num_val.is_zero():
+        return spec.zero()
+    return _canonical_pair(spec, num_val, den_val)
 
 
 # -- seeded samples ---------------------------------------------------

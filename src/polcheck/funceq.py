@@ -150,9 +150,8 @@ def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],
             skipped.append(Witness(x, None, None, None, note=f"skipped: {exc}"))
             continue
         rows.append((x, lhs, rhs))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            witnesses.append(Witness(x, lhs, rhs, diff))
+        if lhs != rhs:  # canonical forms: equal values are equal structures
+            witnesses.append(Witness(x, lhs, rhs, lhs - rhs))
     note = f"; {len(skipped)} sample(s) skipped (denominator vanished)" if skipped else ""
     description = sample_description + note
     if witnesses:

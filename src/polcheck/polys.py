@@ -27,6 +27,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -237,67 +238,194 @@ def monic(p: Poly) -> Poly:
     if p.is_zero():
         return p
     _, lc = p.lead()
-    return p.divscale(lc)
+    return p if lc == 1 else p.divscale(lc)
 
 
-def exact_div(f: Poly, g: Poly) -> Poly:
-    """Exact polynomial quotient f / g; raises if the division is inexact."""
+def exact_div(f: Poly, g: Poly, over_z: bool = False) -> Poly:
+    """Exact polynomial quotient f / g; raises if the division is inexact,
+    or with over_z (int coefficients) if the quotient is not over Z."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     # each step cancels rem's leading term, so no quotient exponent repeats
     quotient = {}
     rem = f
     ge, gc = g.lead()
-    if type(gc) is int:
+    if type(gc) is int and not over_z:
         gc = Fraction(gc)
     while rem.terms:
         re, rc = rem.lead()
         diff = tuple(map(operator.sub, re, ge))
-        if any(d < 0 for d in diff):
+        if min(diff) < 0 or over_z and rc % gc:
             raise ArithmeticError("inexact polynomial division")
-        quotient[diff] = c = rc / gc
+        quotient[diff] = c = rc // gc if over_z else rc / gc
         rem = rem - _poly(f.nvars, {diff: c}) * g
     return _poly(f.nvars, quotient)
 
 
 # -- greatest common divisor ----------------------------------------
 #
-# Most gcds the checker asks for are 1, so poly_gcd first tries to prove
-# that modulo a prime: reduce both arguments to F_p (with sqrt d sent to
-# a root of d mod p), evaluate all variables but one at fixed points, and
-# run Euclid in F_p[v].  A reduction that keeps the degree in v maps a
-# common factor of positive degree in v to one of the images (Gauss's
-# lemma over the local ring at p; Brown, J. ACM 1971), so coprime images
-# in every shared variable prove gcd 1.  Any other outcome, including a
-# common factor of the images, falls through to the exact algorithms:
-# univariate parts use the monic Euclidean algorithm (coefficients lie
-# in a field); genuinely multivariate inputs go through the primitive
-# pseudo-remainder sequence on the lowest occurring variable, with
-# contents handled recursively.
+# gcd_cofactors is the one gcd route; poly_gcd makes its gcd monic.  Over
+# Q it runs GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989) on the
+# primitive integer parts: set the last variable used to an integer xi,
+# take the gcd of the images over Z recursively, and read a candidate
+# back from its balanced base-xi digits.  With xi >= 2*min(|f|, |g|) + 2
+# (max norms), a candidate that divides f and g over Z is their gcd
+# (their Theorem 2): a proof, not a guess, whose quotients are the
+# cofactors.  Over Q(sqrt d), or when HEU_TRIES values of xi fail, the
+# gcd is proved 1 modulo a prime if it can be: reduce to F_p (sqrt d
+# sent to a root of d mod p), set all variables but one to fixed
+# points, and run Euclid in F_p[v].  A reduction that keeps the degree
+# in v maps a common factor of positive degree in v to one of the images
+# (Gauss's lemma over the local ring at p; Brown, J. ACM 1971), so
+# coprime images in every shared variable prove gcd 1.  Otherwise one
+# variable takes the monic Euclidean algorithm and several the primitive
+# pseudo-remainder sequence on the lowest variable, with contents
+# handled recursively, and the cofactors come from exact_div.
+
+
+def gcd_cofactors(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
+    """(h, f/h, g/h) for a gcd h of f and g, unique up to a constant."""
+    h, cf, cg = _gcd(f, g)
+    if cf is None:
+        return h, exact_div(f, h), exact_div(g, h)
+    return h, cf, cg
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic-normalized gcd of two polynomials over a coefficient field."""
+    return monic(_gcd(f, g)[0])
+
+
+def _gcd(f: Poly, g: Poly) -> tuple:
+    """gcd_cofactors, with None for cofactors that Euclid or the PRS
+    left to exact_div."""
     if f.is_zero():
-        return monic(g)
+        return g, f, Poly.const(g.nvars, _one_like(g))
     if g.is_zero():
-        return monic(f)
+        return f, Poly.const(f.nvars, _one_like(f)), g
     for p in (g, f):
         if p.is_const():
             # a nonzero constant is a unit; reuse it when it is already 1
             (c,) = p.terms.values()
-            return p if c == 1 else Poly.const(p.nvars, _one_like(p))
+            return (p if c == 1 else Poly.const(p.nvars, _one_like(p))), f, g
     if f == g:  # the certificate must fail on equal inputs, and Euclid ends at once
-        return monic(f)
-    one = _certified_one(f, g)
-    if one is not None:
-        return one
-    f, g = _over_field(f), _over_field(g)
+        one = Poly.const(f.nvars, _one_like(f))
+        return f, one, one
+    found = _heuristic(f, g)
+    if found is not None:
+        return found
+    h = _certified_one(f, g)
+    if h is None:
+        ff, gg = _over_field(f), _over_field(g)
+        used = ff.vars_used() | gg.vars_used()
+        v = min(used)
+        h = _gcd_univar(ff, gg, v) if used <= {v} else monic(_gcd_prs(ff, gg, v))
+    return (h, f, g) if h.is_const() else (h, None, None)
+
+
+#: Values of xi that GCDHEU tries, in each variable, before the gcd
+#: falls back to the certificate and Euclid or the PRS.
+HEU_TRIES = 6
+
+
+def _heuristic(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """gcd_cofactors of nonzero f and g by GCDHEU, or None for a
+    coefficient not in Q or when every xi fails.  With int coefficients,
+    h is the gcd over Z, content included, and the cofactors are over Z."""
+    split_f = _integral(f)
+    split_g = None if split_f is None else _integral(g)
+    if split_g is None:
+        return None
+    (cf, f), (cg, g) = split_f, split_g
+    found = _heu_primitive(f, g)
+    if found is None:
+        return None
+    h, qf, qg = found
+    if type(cf) is int and type(cg) is int:
+        c = gcd(cf, cg)
+        if c != 1:
+            h, cf, cg = h.scale(c), cf // c, cg // c
+    return h, (qf if cf == 1 else qf.scale(cf)), (qg if cg == 1 else qg.scale(cg))
+
+
+def _integral(p: Poly) -> tuple[int | Fraction, Poly] | None:
+    """(c, q) with p = c*q, q primitive over Z and c an int if it can be;
+    None unless every coefficient is an int or a Fraction."""
+    values = p.terms.values()
+    if all(type(c) is int for c in values):
+        c = gcd(*values)
+        return c, (p if c == 1 else _poly(p.nvars, {e: v // c for e, v in p.terms.items()}))
+    if not all(type(c) is Fraction or type(c) is int for c in values):
+        return None
+    den = lcm(*(c.denominator for c in values))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    num = gcd(*ints.values())
+    c = Fraction(num, den)
+    return (c.numerator if c.denominator == 1 else c), _poly(p.nvars, {e: v // num for e, v in ints.items()})
+
+
+def _heu_primitive(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly] | None:
+    """(h, f/h, g/h) with h the gcd over Z of primitive f and g, or None."""
+    one = Poly.const(f.nvars, 1)
+    if f.is_const() or g.is_const():  # a primitive constant is 1 or -1
+        return one, f, g
     used = f.vars_used() | g.vars_used()
-    v = min(used)
-    if used <= {v}:
-        return _gcd_univar(f, g, v)
-    return monic(_gcd_prs(f, g, v))
+    v = max(used)
+    xi = 2 * min(max(map(abs, p.terms.values())) for p in (f, g)) + 2
+    for _ in range(HEU_TRIES):
+        fv, gv = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        if fv.terms and gv.terms:
+            if len(used) == 1:  # the images are integers
+                gamma = Poly.const(f.nvars, gcd(*fv.terms.values(), *gv.terms.values()))
+            else:
+                found = _heuristic(fv, gv)
+                if found is None:
+                    return None
+                gamma = found[0]
+            _, h = _integral(_from_digits(gamma, v, xi))
+            if h.is_const():
+                return one, f, g
+            try:
+                return h, exact_div(f, h, over_z=True), exact_div(g, h, over_z=True)
+            except ArithmeticError:  # not the gcd: try the next xi
+                pass
+        xi = xi * 73794 // 27011  # the update of Char, Geddes & Gonnet: about 1 + sqrt(3) times
+    return None
+
+
+def _evaluate(p: Poly, v: int, xi: int) -> Poly:
+    """p with variable v set to the integer xi."""
+    powers = [1]
+    out = {}
+    get = out.get
+    for e, c in p.terms.items():
+        k = e[v]
+        if k:
+            while len(powers) <= k:
+                powers.append(powers[-1] * xi)
+            e = e[:v] + (0,) + e[v + 1:]
+            c *= powers[k]
+        s = get(e)
+        out[e] = c if s is None else s + c
+    return _poly_dropping_zeros(p.nvars, out)
+
+
+def _from_digits(p: Poly, v: int, xi: int) -> Poly:
+    """The polynomial in v with coefficients in (-xi/2, xi/2] whose value
+    at xi is p (free of v): each coefficient in balanced base xi."""
+    half = xi // 2
+    out = {}
+    for e, c in p.terms.items():
+        k = 0
+        while c:
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[e[:v] + (k,) + e[v + 1:]] = digit
+            c = (c - digit) // xi
+            k += 1
+    return _poly(p.nvars, out)
 
 
 #: Primes below 2**30 for the certificate, tried in order.  The first is

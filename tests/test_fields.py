@@ -204,6 +204,16 @@ def test_polynomial_times_rational_function_cancels():
     assert format_element(Q2T.element("t^2-2") / Q2T.element("t+sqrt(2)")) == "t-sqrt(2)"
 
 
+@pytest.mark.parametrize("spec,x,y,total", [
+    (QT, "1/(t^3+t^2)", "1/(t^3-t^2)", "2/(t^3-t)"),
+    (QTU_RAT, "1/(u^2*t+u^2)", "1/(u^2*t-u^2)", "2*t/(u^2*t^2-u^2)"),
+    (Q2T, "1/(t^3+sqrt(2)*t^2)", "1/(t^3-sqrt(2)*t^2)", "2/(t^3-2*t)"),
+], ids=["Q(t)", "Q(t, u)", "Q(sqrt 2)(t)"])
+def test_sum_cancels_part_of_the_common_denominator(spec, x, y, total):
+    # the numerator shares t with gcd(d1, d2) = t^2, which keeps a factor t
+    assert spec.element(x) + spec.element(y) == spec.element(total)
+
+
 def test_poly_division_and_negative_powers_need_a_nonzero_constant():
     x = Poly.variable(1, 0, Fraction(1))
     half = Poly.const(1, Fraction(1, 2))
@@ -303,6 +313,20 @@ def test_substitute_rational_image_over_quadratic_base():
     assert format_element(value) == "(-sqrt(2)*t^2-2)/(t^2-sqrt(2)*t)"
 
 
+@pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt 2)(t)"])
+def test_substitute_in_one_variable_takes_no_gcd(spec, monkeypatch):
+    e = spec.element("(t^3-t+1)/(t^2-2)")
+    elements = (e, 1 / e, spec.zero())
+    images = {"t": spec.element("(t^2+1)/(t-3)")}
+    expected = [_by_field_arithmetic(x, images) for x in elements]
+
+    def unreachable(*args):
+        raise AssertionError("a one-variable substitution took a gcd")
+
+    monkeypatch.setattr(fields_module, "gcd_cofactors", unreachable)
+    assert [substitute(x, images) for x in elements] == expected
+
+
 def test_substitute_denominator_vanishes_in_two_variables():
     u = QTU_RAT.element("u")
     with pytest.raises(DenominatorVanishes):
@@ -338,14 +362,15 @@ def _by_field_arithmetic(e: FieldElement, images: dict) -> FieldElement:
 def ratfuncs(spec, polynomial=False):
     """Small elements of spec; polynomial=True keeps the denominator 1.
 
-    In two variables each exponent stays at most 1: larger inputs can
-    reach a two-variable gcd with a common factor, which the
-    pseudo-remainder sequence may take minutes to finish."""
+    Over Q(sqrt d) in two variables each exponent stays at most 1: larger
+    inputs can reach a two-variable gcd with a common factor, which still
+    goes through the pseudo-remainder sequence and may take minutes to
+    finish.  Over Q such a gcd is GCDHEU's, so exponents go up to 2."""
     d = spec.radicand
     coeff = st.integers(-2, 2).filter(bool)
     if d is not None:
         coeff = st.builds(QuadRat, coeff, st.integers(-2, 2), st.just(d))
-    exps = st.integers(0, 2 if spec.nvars == 1 else 1)
+    exps = st.integers(0, 2 if spec.nvars == 1 or d is None else 1)
     terms = st.dictionaries(st.tuples(*[exps] * spec.nvars), coeff, min_size=1, max_size=3)
     one = spec.scalar_one()
 
@@ -733,6 +758,31 @@ def _textbook(op, a, b):
 
 def _terms(e):
     return [sorted((k, type(c), c) for k, c in p.terms.items()) for p in e.payload]
+
+
+@pytest.mark.parametrize("spec,text", [(QT, "(t^2+1)/(t-2)"), (Q2T, "(t^2+sqrt(2))/(t-2)"),
+                                       (QTU_RAT, "(t*u+1)/(t-u)")], ids=["Q(t)", "Q(sqrt 2)(t)", "Q(t,u)"])
+def test_a_factor_or_divisor_one_returns_the_other_operand(spec, text, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a product by one was recomputed")
+
+    x, one = spec.element(text), spec.one()
+    monkeypatch.setattr(fields_module, "gcd_cofactors", unreachable)
+    monkeypatch.setattr(fields_module, "_canonical_pair", unreachable)
+    assert x * one is x and one * x is x and x / one is x
+    assert one * one is one and one / one is one
+
+
+def test_rational_coefficients_normalize_over_a_quadratic_base():
+    half = normalize((Q2T, Poly.const(1, Fraction(1, 2)), Poly.const(1, QuadRat(1, 0, 2))))
+    assert half == Q2T.element("1/2")
+    zero, den = Poly.zero(1), Q2T.element("t+sqrt(2)").payload[0]
+    assert normalize_fraction(Q2T, zero ** 0, den ** 0) == Q2T.one()
+    num = Poly(1, {(1,): Fraction(1, 2), (0,): 3})
+    mixed = normalize_fraction(Q2T, num, Poly(1, {(1,): QuadRat(1, 1, 2)}))
+    assert mixed == Q2T.element("(t/2+3)/((1+sqrt(2))*t)")
+    for value in (half, mixed, normalize_fraction(Q2T, num, den)):
+        _assert_canonical(value)
 
 
 @pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt 2)(t)"])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck import fields as fields_module
 from polcheck import forms as forms_module
 from polcheck import funceq as funceq_module
 from polcheck.errors import (
@@ -355,6 +356,24 @@ def test_derivation_power_family(n, k):
     rhs = lambda x: QT.from_int(k) * x ** ((k - 1) * n) * f(x)
     report = check_values(lhs, rhs, samples)
     assert report.verdict == HOLDS_ON_SAMPLE, report.witnesses
+
+
+def test_a_sample_that_holds_costs_no_subtraction(monkeypatch):
+    ops = []
+    counted = fields_module.field_arith
+
+    def logged(op, lhs, rhs):
+        ops.append(op)
+        return counted(op, lhs, rhs)
+
+    samples = [QT.element("t"), QT.element("(t+1)/(t-2)"), QT.element("3")]
+    monkeypatch.setattr(fields_module, "field_arith", logged)
+    report = check_values(lambda x: x * x, lambda x: x * x, samples)
+    assert report.verdict == HOLDS_ON_SAMPLE and "sub" not in ops
+    # a refuted sample still reports its difference
+    report = check_values(lambda x: x * x, lambda x: x * x + 1, samples)
+    assert report.verdict == REFUTED and ops.count("sub") == len(samples)
+    assert [w.difference for w in report.witnesses] == [QT.from_int(-1)] * len(samples)
 
 
 # -- quadratic classification -----------------------------------------------------------

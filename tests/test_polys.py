@@ -1,4 +1,5 @@
-"""Polynomial gcds: the coprimality certificate modulo a prime and its fallback."""
+"""Polynomial gcds: GCDHEU over Q, the coprimality certificate modulo a
+prime, and Euclid and the PRS behind them."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -16,6 +17,7 @@ from polcheck.polys import (
     coprime_mod,
     evaluation_points,
     exact_div,
+    gcd_cofactors,
     monic,
     poly_gcd,
     sqrt_mod,
@@ -36,19 +38,24 @@ def quad(a, b, d) -> QuadRat:
 
 
 def euclid_gcd(f: Poly, g: Poly) -> Poly:
-    """poly_gcd with the certificate switched off: Euclid and the PRS only."""
-    with mock.patch.object(polys, "_certified_one", lambda f, g: None):
+    """poly_gcd with GCDHEU and the certificate switched off: Euclid and
+    the PRS only."""
+    with mock.patch.object(polys, "_heuristic", lambda f, g: None), \
+            mock.patch.object(polys, "_certified_one", lambda f, g: None):
         return poly_gcd(f, g)
+
+
+def _unreachable(*args):
+    raise AssertionError("this gcd reached Euclid or the PRS")
 
 
 @contextmanager
 def certificate_only():
-    """Fail if poly_gcd reaches Euclid or the PRS, at any depth."""
-    def unreachable(*args):
-        raise AssertionError("the certificate did not settle this gcd")
-
-    with mock.patch.object(polys, "_gcd_univar", unreachable), \
-            mock.patch.object(polys, "_gcd_prs", unreachable):
+    """Switch GCDHEU off, and fail if poly_gcd reaches Euclid or the PRS,
+    at any depth."""
+    with mock.patch.object(polys, "_heuristic", lambda f, g: None), \
+            mock.patch.object(polys, "_gcd_univar", _unreachable), \
+            mock.patch.object(polys, "_gcd_prs", _unreachable):
         yield
 
 
@@ -103,6 +110,7 @@ def test_non_residue_radicand_moves_on_to_the_next_prime():
 
 
 def test_every_prime_rejected_falls_back_to_euclid(monkeypatch):
+    monkeypatch.setattr(polys, "_heuristic", lambda f, g: None)
     monkeypatch.setattr(polys, "CERT_PRIMES", (P0,))
     calls = []
     euclid = polys._gcd_univar
@@ -224,6 +232,71 @@ def test_gcd_agrees_with_euclid_on_planted_factors(nvars, d):
         f, g = a * h, b * h
         gcd = poly_gcd(f, g)
         assert gcd == euclid_gcd(f, g)
+        exact_div(gcd, h)  # the planted factor divides the gcd
+
+    agrees()
+
+
+# -- GCDHEU: a proved gcd with its cofactors --------------------------------
+
+def test_planted_two_variable_pair_is_quick(time_limit):
+    # the coprime pair above times a planted factor; the PRS found no
+    # result for it in minutes
+    f = two_variable("-t^4*(5*t^4-3)^2*(u+1)^4*(5*u^2-3)^2/81")
+    g = two_variable("((3*t*u^2+3*t*u-1)*(3*t^4*u+3*t^4+3*t^2*u+3*t^2-1))^2/81")
+    h = two_variable("t*u+2*t+1")
+    with time_limit(1, "poly_gcd"), \
+            mock.patch.object(polys, "_gcd_univar", _unreachable), \
+            mock.patch.object(polys, "_gcd_prs", _unreachable):
+        assert poly_gcd(f * h, g * h) == monic(h)
+        gcd, cf, cg = gcd_cofactors(f * h, g * h)
+    assert gcd * cf == f * h and gcd * cg == g * h
+
+
+def test_integer_polynomials_get_integer_cofactors():
+    f, g = two_variable("6*t^2*u-6*u"), two_variable("4*t^2+8*t+4")   # 6u(t-1)(t+1), 4(t+1)^2
+    gcd, cf, cg = gcd_cofactors(f, g)
+    assert gcd == two_variable("2*t+2")   # the gcd over Z, content included
+    assert all(type(c) is int for p in (gcd, cf, cg) for c in p.terms.values())
+    assert gcd * cf == f and gcd * cg == g
+
+
+def test_every_xi_meets_the_theorem_bound(monkeypatch):
+    # SymPy's first xi, 99*sqrt(B) for B = 2*min(|f|, |g|) + 29, would be
+    # below the bound for these heights
+    images = []
+    evaluate = polys._evaluate
+    monkeypatch.setattr(polys, "_evaluate", lambda p, v, xi: images.append((p, xi)) or evaluate(p, v, xi))
+    h = two_variable("1000003*t*u-999999*u+7")
+    f = h * two_variable("123457*t^2-u+98765")
+    g = h * two_variable("-200003*u^2+t+1")
+    assert poly_gcd(f, g) == monic(h)
+    assert images and len(images) % 2 == 0
+    for (a, xi), (b, xi_b) in zip(images[::2], images[1::2]):
+        norms = (max(abs(c) for c in p.terms.values()) for p in (a, b))
+        assert xi == xi_b and xi >= 2 * min(norms) + 2
+
+
+def test_without_a_successful_xi_the_gcd_falls_back(monkeypatch):
+    monkeypatch.setattr(polys, "HEU_TRIES", 0)
+    h = two_variable("t*u+2*t+1")
+    f, g = h * two_variable("t-u"), h * two_variable("2*t^2/3+u")
+    gcd, cf, cg = gcd_cofactors(f, g)
+    assert gcd == monic(h) and gcd * cf == f and gcd * cg == g
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_cofactors_are_exact_and_the_gcd_is_euclids(nvars, kind):
+    operand = _poly(nvars, st.integers(-4, 4) if kind == "int" else _RATIONALS, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(operand, operand, operand)
+    def agrees(a, b, h):
+        f, g = a * h, b * h
+        gcd, cf, cg = gcd_cofactors(f, g)
+        assert gcd * cf == f and gcd * cg == g
+        assert monic(gcd) == euclid_gcd(f, g)
         exact_div(gcd, h)  # the planted factor divides the gcd
 
     agrees()
