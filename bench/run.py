@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_4.json
+    python3 bench/run.py BENCH_5.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -15,6 +15,10 @@ checkout and writes one JSON file:
   (on two general elements, and with a zero or one operand), and of
   ``poly_gcd`` on coprime, shared-factor and equal polynomials in
   ``t`` over ``Q`` and ``Q(sqrt 2)``, and in ``t, u`` over ``Q``;
+  and, in stretches of ``SPAN_CALLS`` calls, of one span check
+  ``check_symmetrized`` per arity 2/4/6/8: ``f(x^k) == f(x)^k`` for
+  ``k = 1..4`` and the norm ``f = trace(product(id, conj))`` of
+  ``Q(sqrt 2)`` on ``span(1, sqrt(2), 1+sqrt(2))``;
 * ``tier1``: one run of the tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` in a child process), with its
   passed and failed counts.
@@ -24,8 +28,7 @@ the speed of ``verdictbench``'s builtins-only reference loop, through
 its ``Clock``: a shared host runs the same work from one to two times
 its fastest time, so only rescaled times compare from one run to the
 next.  The other per-layer cases (``apply_map`` per map kind,
-``eval_form`` per node kind, one span check per arity) are not measured
-yet.
+``eval_form`` per node kind) are not measured yet.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ REPEATS = 5
 
 #: Calls in one timed stretch of a micro case.
 MICRO_CALLS = 500
+
+#: Calls in one timed stretch of a span micro case, which takes
+#: milliseconds where a field operation takes microseconds.
+SPAN_CALLS = 20
+
+#: The span micro cases, one session per arity 2*k.
+SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
+                "check f(x^{k}) == f(x)^{k} on span(1, sqrt(2), 1+sqrt(2));\n")
 
 #: The two general elements x and y of each field's micro cases.
 MICRO_ELEMENTS = {
@@ -112,21 +123,22 @@ def time_sessions(polcheck, clock) -> dict:
     return out
 
 
-def time_calls(clock, call) -> dict:
+def time_calls(clock, call, calls: int = MICRO_CALLS) -> dict:
     """The time of one call: the median over REPEATS stretches of
-    MICRO_CALLS calls, after one untimed call."""
+    ``calls`` calls, after one untimed call."""
     call()
     samples = []
     for _ in range(REPEATS):
         clock.start()
-        for _ in range(MICRO_CALLS):
+        for _ in range(calls):
             call()
         wall, rescaled = clock.stop()
-        samples.append((wall / MICRO_CALLS, rescaled / MICRO_CALLS))
+        samples.append((wall / calls, rescaled / calls))
     return median_times(samples)
 
 
 def time_micro(polcheck, clock) -> dict:
+    from polcheck.funceq import check_symmetrized
     from polcheck.polys import poly_gcd
 
     rationals, quadratic = polcheck.FieldSpec.rationals(), polcheck.FieldSpec.quadratic(2)
@@ -146,7 +158,14 @@ def time_micro(polcheck, clock) -> dict:
         pairs = {"coprime": (f, g), "shared_factor": (f * h, g * h), "equal": (f * h, f * h)}
         gcd[name] = {case: time_calls(clock, lambda a=a, b=b: poly_gcd(a, b))
                      for case, (a, b) in pairs.items()}
-    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd}
+    span = {}
+    for k in range(1, 5):
+        payload = polcheck.parse_session(SPAN_SESSION.format(k=k)).commands[0].payload
+        args = [payload[key] for key in ("f", "p", "q", "generators")]
+        span[f"arity_{2 * k}"] = time_calls(clock, lambda args=args: check_symmetrized(*args),
+                                            SPAN_CALLS)
+    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd, "span_calls": SPAN_CALLS,
+            "span": span}
 
 
 def time_tier1(clock) -> dict:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
@@ -812,12 +812,48 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 MAX_CHECK_DEGREE = 10_000
 
 
-def check_power_degree(stream: TokenStream, base, k: int) -> None:
+#: Most coefficient products that expanding one power ``e^k`` may take,
+#: in an element or in a check.  Their count is bounded from e's size
+#: before any product.
+MAX_POWER_PRODUCTS = 10_000
+
+
+def power_products(terms: int, degree: int, k: int, nvars: int = 1) -> int:
+    """Upper bound on the coefficient products ``Poly.__pow__`` makes for
+    ``e ** k``, where e has ``terms`` terms and total degree ``degree``
+    in ``nvars`` variables: ``e ** j`` has at most one term per monomial
+    of degree at most ``j*degree``, and at most one per multiset of j
+    terms of e, so a single term stays one."""
+    def size(j: int) -> int:
+        if j == 1 or terms <= 1:
+            return terms
+        return min(comb(j * degree + nvars, nvars), comb(terms + j - 1, j))
+
+    products, done, j = 0, 0, 1  # the result so far is e**done, the square e**j
+    while k:
+        if k & 1:
+            if done:
+                products += size(done) * size(j)
+            done += j
+        k >>= 1
+        if k:
+            products += size(j) ** 2
+            j *= 2
+    return products
+
+
+def check_power(stream: TokenStream, base, k: int) -> None:
     """Refuse ``base^k`` (base an element or a rational) before computing
-    it if its degree would pass MAX_CHECK_DEGREE: it could exhaust memory."""
+    it if its degree would pass MAX_CHECK_DEGREE, which could exhaust
+    memory, or if expanding it would take more than MAX_POWER_PRODUCTS
+    coefficient products."""
     if isinstance(base, FieldElement) and base.spec.kind == RATFUNC:
         if abs(k) * max(p.total_degree() for p in base.payload) > MAX_CHECK_DEGREE:
             raise stream.error(f"element of degree above {MAX_CHECK_DEGREE}")
+        if sum(power_products(len(p.terms), p.total_degree(), abs(k), p.nvars)
+               for p in base.payload) > MAX_POWER_PRODUCTS:
+            raise stream.error(
+                f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
 
 
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
@@ -828,7 +864,7 @@ def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     first = stream.peek()
 
     def power(base: FieldElement, k: int) -> FieldElement:
-        check_power_degree(stream, base, k)
+        check_power(stream, base, k)
         return base ** k
 
     try:
@@ -886,17 +922,12 @@ def _parse_power(stream: TokenStream, atom, power):
 
 
 def _parse_exponent(stream: TokenStream) -> int:
-    sign = 1
-    if stream.accept("("):
-        if stream.accept("-"):
-            sign = -1
-        tok = stream.expect("int", "integer exponent")
+    grouped = stream.accept("(")
+    sign = -1 if stream.accept("-") else 1
+    k = sign * int(stream.expect("int", "integer exponent").text)
+    if grouped:
         stream.expect(")")
-        return sign * int(tok.text)
-    if stream.accept("-"):
-        sign = -1
-    tok = stream.expect("int", "integer exponent")
-    return sign * int(tok.text)
+    return k
 
 
 def parse_element_atom(stream: TokenStream, spec: FieldSpec) -> FieldElement:

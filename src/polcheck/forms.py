@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import product
 
 from .errors import ArityTooLarge, SpecMismatch
 from .fields import FieldElement
 from .maps import AdditiveMap, Node, apply_map
 
 #: Largest form arity, and largest number of increments the iterated
-#: difference operator expands (at most 2^8 = 256 subset sums of the
-#: arguments per form value).
+#: difference operator expands (at most 2^8 = 256 lattice points per
+#: form value).
 DEFAULT_ARITY_CAP = 8
 
 
@@ -215,24 +216,76 @@ def trace(form: SymmetricForm) -> GenMonomial:
     return GenMonomial(form.arity, form)
 
 
+@lru_cache(maxsize=4096)
+def _box(a: tuple[int, ...]) -> tuple:
+    """Each coordinate j <= a in lexicographic order, with its weight
+    ``prod (-1)^(a_i - j_i) * C(a_i, j_i)``, its last nonzero axis k and
+    j - e_k, which comes before it (None at j = 0)."""
+    rows = [[(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)] for n in a]
+    box = []
+    for j, ws in zip(product(*(range(n + 1) for n in a)), product(*rows)):
+        k = max((i for i, c in enumerate(j) if c), default=None)
+        prev = None if k is None else j[:k] + (j[k] - 1,) + j[k + 1:]
+        box.append((j, math.prod(ws), k, prev))
+    return tuple(box)
+
+
+def iterated_differences(sides, base: FieldElement, increments: list[FieldElement],
+                         counts: list[tuple[int, ...]]):
+    """The differences ``Delta^a f(base)`` of each f of ``sides``, one
+    tuple per vector a of ``counts`` (increment y_i taken a_i times): the
+    sum over 0 <= j <= a of the integer weight of j (``_box``) times
+    ``f(base + sum j_i*y_i)``.  Points are built once, grouped by value
+    and shared by every vector, so each f runs once per distinct point
+    with a nonzero weight; a vector whose weights cancel gives
+    ``f(base) * 0``."""
+    points, groups, index = [base], {base: 0}, {(0,) * len(increments): 0}
+    memos = [{} for _ in sides]
+    for a in counts:
+        weights: dict[int, int] = {}  # point group -> weight
+        for j, w, k, prev in _box(a):
+            g = index.get(j)
+            if g is None:
+                x = points[index[prev]] + increments[k]
+                g = index[j] = groups.setdefault(x, len(points))
+                if g == len(points):
+                    points.append(x)
+            weights[g] = weights.get(g, 0) + w
+        live, by_weight = [], {}  # one product per distinct weight
+        for g, w in weights.items():
+            if w:
+                live.append(g)
+                by_weight.setdefault(w, []).append(g)
+        if not live:  # all cancel: f(base) * 0
+            live, by_weight = [0], {0: [0]}
+        row = []
+        for f, memo in zip(sides, memos):
+            for g in live:
+                if g not in memo:
+                    memo[g] = f(points[g])
+            total = None
+            for w, gs in by_weight.items():
+                part = memo[gs[0]]
+                for g in gs[1:]:
+                    part = part + memo[g]
+                part = part if w == 1 else part * w
+                total = part if total is None else total + part
+            row.append(total)
+        yield tuple(row)
+
+
 def delta_many(f, ys: list[FieldElement], x0: FieldElement) -> FieldElement:
-    """Iterated difference at base point x0, expanded by
-    inclusion-exclusion over the subset sums of the increments.  Equal
-    sums are grouped, so f is called once per distinct sum whose signed
-    count is nonzero; a zero increment cancels every sum."""
+    """Iterated difference of f at x0 with increments ys, grouped by
+    value into one vector of ``iterated_differences``: f runs once per
+    distinct point with a nonzero signed count, and a zero increment
+    gives ``f(x0) * 0``."""
     if len(ys) > DEFAULT_ARITY_CAP:
         raise ArityTooLarge(f"{len(ys)} increments exceed the cap {DEFAULT_ARITY_CAP}")
-    weights = {x0: 1}
+    counts: dict[FieldElement, int] = {}
     for y in ys:
-        step: dict[FieldElement, int] = {}
-        for s, w in weights.items():
-            step[s] = step.get(s, 0) - w
-            t = s + y
-            step[t] = step.get(t, 0) + w
-        weights = {s: w for s, w in step.items() if w}
-    if not weights:
-        return f(x0) * 0
-    return reduce(operator.add, (f(s) if w == 1 else f(s) * w for s, w in weights.items()))
+        counts[y] = counts.get(y, 0) + 1
+    (value,) = next(iterated_differences((f,), x0, list(counts), [tuple(counts.values())]))
+    return value
 
 
 def polarize(p: GenMonomial, ys: list[FieldElement]) -> FieldElement:

@@ -32,6 +32,7 @@ from .forms import (
     SymmetricForm,
     delta_many,
     eval_form,
+    iterated_differences,
     trace,
 )
 from .genpoly import GenPoly
@@ -187,6 +188,8 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     is polarized into its symmetric n*k-additive form, and the two forms
     are compared on every tuple drawn from the generator set; equality
     certifies the identity on the rational span of the generators.
+    Every row is read off one table of the points sum j_i*g_i, |j| <= n*k
+    (``iterated_differences``), so each side runs once per distinct point.
 
     Not applicable unless f has a single component; raises ArityTooLarge
     when n*max(deg P, 1) passes DEFAULT_ARITY_CAP.
@@ -219,17 +222,17 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     if any(g.spec != spec for g in generators):
         raise SpecMismatch("span generator outside the field of f")
     scale = math.factorial(arity)
-    zero = spec.zero()
-    # tuples share subset sums, so each side is evaluated once per sum
-    lhs_side, rhs_side = (functools.cache(side) for side in _sides(monomial, p, q))
+    tuples = list(combinations_with_replacement(range(len(generators)), arity))
+    counts = [tuple(map(indices.count, range(len(generators)))) for indices in tuples]
     witnesses = []
     rows = []
-    for tup in combinations_with_replacement(generators, arity):
-        lhs = delta_many(lhs_side, tup, zero) / scale
-        rhs = delta_many(rhs_side, tup, zero) / scale
-        rows.append((tuple(tup), lhs, rhs))
+    for indices, (lhs, rhs) in zip(tuples, iterated_differences(
+            _sides(monomial, p, q), spec.zero(), generators, counts)):
+        tup = tuple(generators[i] for i in indices)
+        lhs, rhs = lhs / scale, rhs / scale
+        rows.append((tup, lhs, rhs))
         if lhs != rhs:
-            witnesses.append(Witness(tuple(tup), lhs, rhs, lhs - rhs))
+            witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
     description = (f"span generators ({', '.join(format_element(g) for g in generators)}); "
                    f"{len(rows)} tuple(s) of arity {arity}")
     verdict = REFUTED if witnesses else HOLDS_ON_SPAN

@@ -237,12 +237,18 @@ def degree_multiplier(m: AdditiveMap) -> int:
 #: double the expanded tree, and evaluation walks all of it.
 MAX_NODES = 4096
 
+#: Deepest nesting of map and form nodes.  Naming lets each statement
+#: add a level, and the evaluators recurse up to twice per level, so a
+#: tree at this depth stays well inside Python's recursion limit.
+MAX_DEPTH = 200
 
-def node_count(root: Node) -> int:
-    """Nodes in the tree that ``root`` expands to.  Each distinct node is
+
+def tree_size(root: Node) -> tuple[int, int]:
+    """Nodes in the tree that ``root`` expands to, and its depth: the
+    levels that evaluating it recurses through.  Each distinct node is
     sized once (memoized by id), on a stack rather than by recursion, so
-    neither sharing nor a long chain makes the count itself costly."""
-    sizes: dict[int, int] = {}
+    neither sharing nor a long chain makes the walk itself costly."""
+    sizes: dict[int, tuple[int, int]] = {}
     stack = [root]
     while stack:
         node = stack.pop()
@@ -251,7 +257,14 @@ def node_count(root: Node) -> int:
         if pending:  # size the children first, then this node again
             stack += [node, *pending]
         elif id(node) not in sizes:
-            sizes[id(node)] = 1 + sum(sizes[id(c)] for c in children)
+            count, depth = 1, 1
+            for c in children:
+                c_count, c_depth = sizes[id(c)]
+                count += c_count
+                depth = max(depth, c_depth + 1)
+            if isinstance(node, Compose):  # the outer chain is walked in a loop, not recursed
+                depth = max(sizes[id(node.outer)][1], sizes[id(node.inner)][1] + 1)
+            sizes[id(node)] = (count, depth)
     return sizes[id(root)]
 
 

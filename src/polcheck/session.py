@@ -39,14 +39,16 @@ from .errors import (
 )
 from .fields import (
     MAX_CHECK_DEGREE,
+    MAX_POWER_PRODUCTS,
     FieldElement,
     FieldSpec,
     SampleConfig,
-    check_power_degree,
+    check_power,
     format_element,
     parse_element_atom,
     parse_element_tokens,
     parse_expression,
+    power_products,
     random_element,
 )
 from .forms import (
@@ -74,6 +76,7 @@ from .funceq import (
 from .genpoly import GenPoly, degree_estimate, genpoly_from, variety_rank
 from .lexer import Token, TokenStream, tokenize
 from .maps import (
+    MAX_DEPTH,
     MAX_NODES,
     AdditiveMap,
     build_derivation,
@@ -81,9 +84,9 @@ from .maps import (
     compose_maps,
     degree_multiplier,
     identity_map,
-    node_count,
     scale_map,
     sum_maps,
+    tree_size,
     verify_map_laws,
     zero_map,
 )
@@ -105,34 +108,9 @@ _PASSING = {HOLDS_ON_SAMPLE, HOLDS_ON_SPAN, PASS}
 
 DEGREE_CAP = 6
 
-#: Most coefficient products that expanding one power ``e^k`` in a check
-#: may take.  Their count is bounded from e's size before any product.
-MAX_POWER_PRODUCTS = 10_000
-
 #: Most seeded samples one pointwise check may draw, from ``samples(N)``
 #: or ``RunOptions.samples`` (the CLI's ``--samples``).
 MAX_SAMPLES = 10_000
-
-
-def power_products(terms: int, degree: int, k: int) -> int:
-    """Upper bound on the coefficient products ``Poly.__pow__`` makes for
-    ``e ** k``, where e has ``terms`` terms and total degree ``degree``
-    in one variable: ``e ** j`` has at most ``j*degree + 1`` terms, and
-    a single term stays one."""
-    def size(j: int) -> int:
-        return terms if j == 1 or terms <= 1 else j * degree + 1
-
-    products, done, j = 0, 0, 1  # the result so far is e**done, the square e**j
-    while k:
-        if k & 1:
-            if done:
-                products += size(done) * size(j)
-            done += j
-        k >>= 1
-        if k:
-            products += size(j) ** 2
-            j *= 2
-    return products
 
 
 class RunOptions:
@@ -372,11 +350,16 @@ class _Parser:
     # map expressions ---------------------------------------------------
 
     def _within_budget(self, node, start: Token):
-        """``node``, unless the tree it expands to passes MAX_NODES: then a
-        parse error at ``start``, before anything evaluates it."""
-        if node_count(node) > MAX_NODES:
+        """``node``, unless the tree it expands to passes MAX_NODES or
+        MAX_DEPTH: then a parse error at ``start``, before anything
+        evaluates it."""
+        nodes, depth = tree_size(node)
+        if nodes > MAX_NODES:
             raise self.stream.error(
                 f"expression expands to more than {MAX_NODES} map and form nodes", at=start)
+        if depth > MAX_DEPTH:
+            raise self.stream.error(
+                f"expression nests map and form nodes deeper than {MAX_DEPTH}", at=start)
         return node
 
     def _parse_map_expr(self) -> AdditiveMap:
@@ -560,8 +543,8 @@ class _Parser:
             degree = base.total_degree()
             if degree * k > MAX_CHECK_DEGREE:
                 raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
-            if not degree and base.terms:  # a constant: bound its element's degree
-                check_power_degree(self.stream, base.constant(), k)
+            if not degree and base.terms:  # a constant: bound its element's degree and work
+                check_power(self.stream, base.constant(), k)
             if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
                 raise self.stream.error(
                     f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
@@ -990,16 +973,15 @@ def _audit_notes(rows, derived) -> list[str]:
     rhs) or (name, value)."""
     notes = []
     for (where, *values), o_values in zip(rows, derived):
-        if len(values) == 2:
-            labels = (f"lhs at {_input_text(where)}", f"rhs at {_input_text(where)}")
-        else:
-            labels = (where,)
-        for label, value, o_value in zip(labels, values, o_values):
+        sides = ("lhs", "rhs") if len(values) == 2 else (None,)
+        for side, value, o_value in zip(sides, values, o_values):
             if isinstance(value, FieldElement):
-                if not matches(value, o_value):
-                    notes.append(f"{label}: engine {format_element(value)}")
-            elif value != o_value:
-                notes.append(f"{label}: engine {value}, oracle {o_value}")
+                shown = None if matches(value, o_value) else f"engine {format_element(value)}"
+            else:
+                shown = None if value == o_value else f"engine {value}, oracle {o_value}"
+            if shown:  # the label is formatted only for a mismatch
+                label = f"{side} at {_input_text(where)}" if side else where
+                notes.append(f"{label}: {shown}")
     return notes
 
 

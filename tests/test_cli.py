@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
-from polcheck.maps import MAX_NODES, degree_multiplier, node_count
+from polcheck.maps import MAX_DEPTH, MAX_NODES, degree_multiplier, tree_size
 from polcheck.session import MAX_SAMPLES, parse_session
 
 SESSIONS = Path(__file__).parent / "sessions"
@@ -207,6 +207,60 @@ def test_dense_power_is_refused_before_expansion(tmp_path, capsys, time_limit):
     assert err.startswith("polcheck: power needs more than 10000 coefficient products")
 
 
+@pytest.mark.parametrize("element", ["(t^2+1)^5000/t", "(t^2+u+1)^200", "(t+u)^5000"])
+def test_dense_element_power_is_refused_before_expansion(tmp_path, capsys, time_limit, element):
+    dense = tmp_path / "dense.pol"
+    dense.write_text(f"field F = Q(t, u);\nhom s : t -> {element};\nverify additive s;\n")
+    with time_limit(1, "polcheck run"):
+        assert main(["run", str(dense)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("polcheck: power needs more than 10000 coefficient products")
+    assert "at line 2, " in err
+
+
+def test_sparse_and_small_element_powers_are_accepted():
+    session = parse_session("field F = Q(t, u);\nhom s : t -> (t^2+1)^50/t;\nhom r : t -> t^10000;\n"
+                            "hom q : u -> (t+u)^40;\nverify additive s;\nverify additive r;\n")
+    assert len(session.commands) == 2
+
+
+def _chain(head: str, step: str, levels: int, tail: str) -> str:
+    return head + "".join(step.format(i=i, j=i - 1) for i in range(1, levels + 1)) + tail
+
+
+# m_i is a Scale chain of depth i + 1; A_i lifts product(id, id), of depth 2, i times
+_NESTED = {
+    "scale": ("field F = Q(t);\nmap m0 = id;\n", "map m{i} = 2*m{j};\n", MAX_DEPTH - 1,
+              "verify additive m{n};\n"),
+    "lift": ("field F = Q(t);\nform A0 = product(id, id);\n", "form A{i} = lift(A{j}, 1);\n",
+             MAX_DEPTH - 2, "genpoly f = trace(A{n});\ncheck f(x) == f(x) on samples(1);\n"),
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--oracle-check"]])
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nesting_at_the_depth_budget_reaches_a_verdict(tmp_path, capsys, kind, extra):
+    head, step, levels, tail = _NESTED[kind]
+    deep = tmp_path / "deep.pol"
+    deep.write_text(_chain(head, step, levels, tail.format(n=levels)))
+    assert main(["run", str(deep), *extra]) == 0
+    _, err = capsys.readouterr()
+    assert err == ""
+
+
+@pytest.mark.parametrize("kind", sorted(_NESTED))
+def test_nesting_past_the_depth_budget_is_refused(tmp_path, capsys, kind):
+    head, step, levels, tail = _NESTED[kind]
+    deep = tmp_path / "deep.pol"
+    deep.write_text(_chain(head, step, levels + 1, tail.format(n=levels + 1)))
+    assert main(["run", str(deep), "--oracle-check"]) == 2
+    out, err = capsys.readouterr()
+    line = head.count("\n") + levels + 1  # the statement one level past the budget
+    assert out == "" and err.startswith(
+        f"polcheck: expression nests map and form nodes deeper than {MAX_DEPTH} at line {line}, ")
+
+
 def test_element_power_of_degree_10000_is_accepted():
     session = parse_session("field F = Q(t);\nhom s : t -> t^10000;\nmap m = ((t^-5000)^2)*s;\n"
                             "genpoly f = trace(product(m));\n"
@@ -223,7 +277,7 @@ def test_composition_of_degree_10000_is_accepted():
     chain = "@".join(["id"] * 1500)
     session = parse_session(f"field F = Q(t);\nmap m = {chain};\nmap n = m@id;\n")
     assert degree_multiplier(session.env["n"]) == 1
-    assert node_count(session.env["n"]) == 3001 <= MAX_NODES
+    assert tree_size(session.env["n"])[0] == 3001 <= MAX_NODES
 
 
 @pytest.mark.parametrize("extra", [[], ["--oracle-check"]])

@@ -1,5 +1,7 @@
 """Equation checking and the constructive classifiers."""
 
+import functools
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -281,6 +283,84 @@ def test_span_verdict_agrees_with_theorem_and_pointwise(a, lam, c, k, phis, comb
                            for rs in combos]
     pointwise = check_pointwise(f, p, q, points)
     assert pointwise.verdict == (HOLDS_ON_SAMPLE if holds else REFUTED)
+
+
+def subset_sum_weights(ys, x0) -> dict:
+    """The signed count of each distinct subset sum x0 + sum(S) of ``ys``,
+    zero counts dropped: one dict per tuple, keyed by field elements."""
+    weights = {x0: 1}
+    for y in ys:
+        step = {}
+        for s, w in weights.items():
+            step[s] = step.get(s, 0) - w
+            step[s + y] = step.get(s + y, 0) + w
+        weights = {s: w for s, w in step.items() if w}
+    return weights
+
+
+def reference_rows(f, p, q, gens) -> list:
+    """Span-check rows as each tuple's own dict of subset sums gives them,
+    each side memoized per point across the tuples."""
+    zero = gens[0].spec.zero()
+    lhs_side = functools.cache(lambda x: f(evaluate(p, x)))
+    rhs_side = functools.cache(lambda x: evaluate(q, f(x)))
+    rows = []
+    for tup in combinations_with_replacement(gens, f.degree * p.total_degree()):
+        weights = subset_sum_weights(tup, zero)
+        scale = math.factorial(len(tup))
+        rows.append((tup, *(sum((side(s) * w for s, w in weights.items()), side(zero) * 0) / scale
+                            for side in (lhs_side, rhs_side))))
+    return rows
+
+
+_QT_SHIFT = build_endomorphism(QT, {"t": QT.element("t+1")})
+_LATTICE = {  # maps, generator pool, and special generator lists
+    "Q(sqrt 2)": (Q2, [identity_map(Q2), CONJ], ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)", "1/2"],
+                  [["1+sqrt(2)", "1+sqrt(2)"], ["0"], ["sqrt(2)", "0", "1"],
+                   ["1", "sqrt(2)", "1+sqrt(2)"]]),
+    "Q(t)": (QT, [identity_map(QT), DDT, _QT_SHIFT], ["1", "t", "t+1", "t^2", "1/(t-1)"],
+             [["t", "t"], ["0"], ["t", "0", "1"], ["1", "t", "t+1"]]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(sorted(_LATTICE)), data=st.data())
+def test_span_rows_match_per_tuple_subset_sums(field, data):
+    spec, maps, pool, special = _LATTICE[field]
+    n = data.draw(st.integers(1, 3), label="degree")
+    k = data.draw(st.integers(1, 6 // n), label="k")
+    f = genpoly_from([trace(ProductSym(tuple(data.draw(st.sampled_from(maps)) for _ in range(n))))])
+    texts = data.draw(st.one_of(st.sampled_from(special),
+                                st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    gens = [spec.element(text) for text in texts]
+    a, lam = (spec.element(data.draw(st.sampled_from(pool))) for _ in range(2))
+    p, q = xk(spec, k, a), xk(spec, k, lam)
+    report = check_symmetrized(f, p, q, gens)
+    rows = reference_rows(f, p, q, gens)
+    assert list(report.rows) == rows
+    assert report.verdict == (REFUTED if any(lhs != rhs for _, lhs, rhs in rows) else HOLDS_ON_SPAN)
+
+
+def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
+    gens = default_probes(Q2)  # 1, sqrt(2), 1+sqrt(2): dependent over Q
+    sides = funceq_module._sides
+    logs = ([], [])
+
+    def logged_sides(f, p, q):
+        return tuple((lambda x, side=side, log=log: log.append(x) or side(x))
+                     for side, log in zip(sides(f, p, q), logs))
+
+    monkeypatch.setattr(funceq_module, "_sides", logged_sides)
+    arity = 8  # N(x^4) == N(x)^4 is an arity-8 check
+    report = check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
+    assert report.verdict == HOLDS_ON_SPAN and len(report.rows) == math.comb(3 + arity - 1, arity)
+    lattice = {sum((Q2.from_int(c) * g for c, g in zip(j, gens)), Q2.zero())
+               for j in itertools.product(range(arity + 1), repeat=3) if sum(j) <= arity}
+    per_tuple = sum(len(subset_sum_weights(tup, Q2.zero()))
+                    for tup in combinations_with_replacement(gens, arity))
+    for log in logs:
+        assert len(log) == len(set(log)) and set(log) <= lattice
+        assert len(log) <= len(lattice) < per_tuple
 
 
 def test_span_check_rejects_a_generator_outside_the_domain():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polcheck import oracle as oracle_module
+from polcheck import session as session_module
 from polcheck.errors import (
     NameResolutionError,
     ParseError,
@@ -15,14 +16,14 @@ from polcheck.errors import (
     SpecMismatch,
     TypeMismatch,
 )
-from polcheck.fields import FieldSpec, format_element, parse_element
+from polcheck.fields import FieldSpec, format_element, parse_element, power_products
+from polcheck.polys import Poly
 from polcheck.session import (
     MAX_SAMPLES,
     RunOptions,
     emit_report,
     format_session,
     parse_session,
-    power_products,
     run_session,
 )
 
@@ -236,6 +237,27 @@ def test_power_expansion_work_is_bounded(time_limit):
 ])
 def test_power_products_bound(terms, degree, k, products):
     assert power_products(terms, degree, k) == products
+
+
+@settings(max_examples=60, deadline=None)
+@given(nvars=st.integers(1, 3), k=st.integers(1, 9), data=st.data())
+def test_power_products_bounds_the_products_in_several_variables(nvars, k, data):
+    exponents = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1,
+                                   max_size=5, unique=True))
+    e = Poly(nvars, {exp: i + 1 for i, exp in enumerate(exponents)})
+    made, result, base, j = 0, None, e, k  # the products Poly.__pow__ makes for e**k
+    while True:
+        if j & 1:
+            if result is not None:
+                made += len(result.terms) * len(base.terms)
+            result = base if result is None else result * base
+        j >>= 1
+        if not j:
+            break
+        made += len(base.terms) ** 2
+        base = base * base
+    assert result == e ** k
+    assert made <= power_products(len(e.terms), e.total_degree(), k, nvars)
 
 
 _EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "-2", "(2)", "(-1)"])
@@ -507,6 +529,15 @@ def test_oracle_check_marks_entries_and_consistency():
     doc = run_src(NORM_SRC, seed=5, oracle_check=True)
     assert doc.consistent and doc.exit_code == 0
     assert doc.entries[0].get("oracle_checked") is True
+
+
+def test_audit_formats_no_label_for_matching_rows(monkeypatch):
+    labels = []
+    input_text = session_module._input_text
+    monkeypatch.setattr(session_module, "_input_text", lambda x: labels.append(x) or input_text(x))
+    doc = run_src(NORM_SRC + "check f(x^2) == f(x)^2 on samples(4);\n", oracle_check=True)
+    assert doc.consistent and all(e.get("oracle_checked") for e in doc.entries)
+    assert labels == []
 
 
 def test_check_audit_converts_p_and_q_coefficients_once(monkeypatch):
