@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_5.json
+    python3 bench/run.py BENCH_6.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -15,10 +15,20 @@ checkout and writes one JSON file:
   (on two general elements, and with a zero or one operand), and of
   ``poly_gcd`` on coprime, shared-factor and equal polynomials in
   ``t`` over ``Q`` and ``Q(sqrt 2)``, and in ``t, u`` over ``Q``;
-  and, in stretches of ``SPAN_CALLS`` calls, of one span check
-  ``check_symmetrized`` per arity 2/4/6/8: ``f(x^k) == f(x)^k`` for
-  ``k = 1..4`` and the norm ``f = trace(product(id, conj))`` of
-  ``Q(sqrt 2)`` on ``span(1, sqrt(2), 1+sqrt(2))``;
+  of ``apply_map`` per map kind on ``Q(t)`` (``id``, ``zero``, the
+  endomorphism ``s : t -> t^2``, the derivation ``d/dt``, ``2*s``,
+  ``s + d`` and ``s@d``) at x; and, in stretches of ``SPAN_CALLS``
+  calls, of one span check ``check_symmetrized`` per arity 2/4/6/8:
+  ``f(x^k) == f(x)^k`` for ``k = 1..4`` and the norm
+  ``f = trace(product(id, conj))`` of ``Q(sqrt 2)`` on
+  ``span(1, sqrt(2), 1+sqrt(2))``; of the two probe scans on one
+  difference table, ``degree_estimate`` of ``trace(product(id, s))``
+  on the default probes of ``Q(t)`` and ``classify_quadratic_square``
+  of ``product(id, conj)`` on ``Q(sqrt 2)``; of ``eval_form`` per node
+  kind (``product``, ``mapprod``, ``lift``, ``lincomb``) at arity
+  2/4/6/8 on ``Q(sqrt 2)``, at distinct arguments; and of the oracle's
+  ``eval_form`` of the arity-8 ``product`` on the diagonal, as the span
+  and polarize audits call it;
 * ``tier1``: one run of the tier-1 suite (``python -m pytest -q
   --continue-on-collection-errors`` in a child process), with its
   passed and failed counts.
@@ -27,8 +37,7 @@ Every time is given raw (``wall_s``) and rescaled (``rescaled_s``) to
 the speed of ``verdictbench``'s builtins-only reference loop, through
 its ``Clock``: a shared host runs the same work from one to two times
 its fastest time, so only rescaled times compare from one run to the
-next.  The other per-layer cases (``apply_map`` per map kind,
-``eval_form`` per node kind) are not measured yet.
+next.
 """
 
 from __future__ import annotations
@@ -53,13 +62,37 @@ REPEATS = 5
 #: Calls in one timed stretch of a micro case.
 MICRO_CALLS = 500
 
-#: Calls in one timed stretch of a span micro case, which takes
-#: milliseconds where a field operation takes microseconds.
+#: Calls in one timed stretch of a span, scan or form micro case, which
+#: takes milliseconds where a field operation takes microseconds.
 SPAN_CALLS = 20
 
 #: The span micro cases, one session per arity 2*k.
 SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
                 "check f(x^{k}) == f(x)^{k} on span(1, sqrt(2), 1+sqrt(2));\n")
+
+#: The scan micro cases: a degree scan and a quadratic classification.
+SCAN_SESSIONS = {
+    "degree": "field F = Q(t);\nhom s : t -> t^2;\ngenpoly f = trace(product(id, s));\ndegree f;\n",
+    "classify": ("field F = Q(sqrt 2);\nhom c = conj;\nform N2 = product(id, c);\n"
+                 "classify quadratic N2 with dictionary(id, c);\n"),
+}
+
+#: The maps of the apply_map micro cases, on Q(t): each map kind once.
+MAP_SESSION = ("field F = Q(t);\nhom s : t -> t^2;\nder d : t -> 1;\nmap m_identity = id;\n"
+               "map m_zero = zero;\nmap m_endo = s;\nmap m_derivation = d;\nmap m_scale = 2*s;\n"
+               "map m_sum = s + d;\nmap m_compose = s@d;\n")
+
+#: The forms of the eval_form micro cases, on Q(sqrt 2), one per node
+#: kind at arity n; c is conj.
+FORM_NODES = {
+    "product": "product({maps})",
+    "mapprod": "mapprod(c, {n})",
+    "lift": "lift(product(id, c), {half})",
+    "lincomb": "lincomb(2*product({maps}), (1/2)*mapprod(c, {n}))",
+}
+
+#: The distinct arguments of the eval_form micro cases.
+FORM_ARGUMENTS = ("1", "sqrt(2)", "1+sqrt(2)", "2-sqrt(2)", "1/2", "3*sqrt(2)", "-1", "5+sqrt(2)")
 
 #: The two general elements x and y of each field's micro cases.
 MICRO_ELEMENTS = {
@@ -138,8 +171,13 @@ def time_calls(clock, call, calls: int = MICRO_CALLS) -> dict:
 
 
 def time_micro(polcheck, clock) -> dict:
-    from polcheck.funceq import check_symmetrized
+    from polcheck.forms import eval_form
+    from polcheck.funceq import check_symmetrized, classify_quadratic_square
+    from polcheck.genpoly import degree_estimate
+    from polcheck.maps import apply_map
+    from polcheck.oracle import Oracle, from_element
     from polcheck.polys import poly_gcd
+    from polcheck.session import default_probes
 
     rationals, quadratic = polcheck.FieldSpec.rationals(), polcheck.FieldSpec.quadratic(2)
     specs = {"Q": rationals, "Q(sqrt 2)": quadratic,
@@ -158,14 +196,37 @@ def time_micro(polcheck, clock) -> dict:
         pairs = {"coprime": (f, g), "shared_factor": (f * h, g * h), "equal": (f * h, f * h)}
         gcd[name] = {case: time_calls(clock, lambda a=a, b=b: poly_gcd(a, b))
                      for case, (a, b) in pairs.items()}
+    maps = polcheck.parse_session(MAP_SESSION).env
+    x = specs["Q(t)"].element(MICRO_ELEMENTS["Q(t)"][0])
+    apply = {kind: time_calls(clock, lambda m=maps["m_" + kind]: apply_map(m, x))
+             for kind in ("identity", "zero", "endo", "derivation", "scale", "sum", "compose")}
     span = {}
     for k in range(1, 5):
         payload = polcheck.parse_session(SPAN_SESSION.format(k=k)).commands[0].payload
         args = [payload[key] for key in ("f", "p", "q", "generators")]
         span[f"arity_{2 * k}"] = time_calls(clock, lambda args=args: check_symmetrized(*args),
                                             SPAN_CALLS)
-    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd, "span_calls": SPAN_CALLS,
-            "span": span}
+    degree = polcheck.parse_session(SCAN_SESSIONS["degree"]).commands[0].payload["f"]
+    probes = default_probes(degree.spec)
+    classify = polcheck.parse_session(SCAN_SESSIONS["classify"]).commands[0].payload
+    scan = {"degree": time_calls(clock, lambda: degree_estimate(degree, probes), SPAN_CALLS),
+            "classify": time_calls(clock, lambda: classify_quadratic_square(
+                classify["form"], classify["dictionary"], default_probes(quadratic)), SPAN_CALLS)}
+    arguments = [quadratic.element(text) for text in FORM_ARGUMENTS]
+    forms, built = {}, {}
+    for n in (2, 4, 6, 8):
+        maps = ", ".join(("id", "c")[i % 2] for i in range(n))
+        for kind, node in FORM_NODES.items():
+            text = node.format(maps=maps, n=n, half=n // 2)
+            form = built[kind, n] = polcheck.parse_session(
+                f"field F = Q(sqrt 2);\nhom c = conj;\nform A = {text};\n").env["A"]
+            forms.setdefault(kind, {})[f"arity_{n}"] = time_calls(
+                clock, lambda form=form, n=n: eval_form(form, arguments[:n]), SPAN_CALLS)
+    oracle, diagonal = Oracle(quadratic), [from_element(arguments[2])] * 8
+    forms["audited_product"] = {"arity_8": time_calls(
+        clock, lambda: oracle.eval_form(built["product", 8], diagonal), SPAN_CALLS)}
+    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd, "apply_map": apply,
+            "span_calls": SPAN_CALLS, "span": span, "scan": scan, "eval_form": forms}
 
 
 def time_tier1(clock) -> dict:

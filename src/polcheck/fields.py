@@ -812,6 +812,13 @@ def parse_element(text: str, spec: FieldSpec) -> FieldElement:
 MAX_CHECK_DEGREE = 10_000
 
 
+#: Most binary digits that the integers of one power ``e^k`` may need,
+#: in an element or in a check: estimated before any product as |k|
+#: times the bit length of e's largest integer (a numerator, a
+#: denominator or one of a coefficient's).
+MAX_POWER_BITS = 100_000
+
+
 #: Most coefficient products that expanding one power ``e^k`` may take,
 #: in an element or in a check.  Their count is bounded from e's size
 #: before any product.
@@ -842,11 +849,24 @@ def power_products(terms: int, degree: int, k: int, nvars: int = 1) -> int:
     return products
 
 
+def _integers(value) -> list[int]:
+    """The integers that make up a rational, a quadratic element or a
+    rational function: numerators, denominators and the coefficients'."""
+    if isinstance(value, FieldElement):
+        value = value.payload
+    if isinstance(value, tuple):  # the pair (N, D) of a rational function
+        return [n for p in value for c in p.terms.values() for n in _integers(c)]
+    if isinstance(value, QuadRat):
+        return [value.p, value.q, value.c]
+    return [value.numerator, value.denominator]
+
+
 def check_power(stream: TokenStream, base, k: int) -> None:
     """Refuse ``base^k`` (base an element or a rational) before computing
     it if its degree would pass MAX_CHECK_DEGREE, which could exhaust
-    memory, or if expanding it would take more than MAX_POWER_PRODUCTS
-    coefficient products."""
+    memory, if expanding it would take more than MAX_POWER_PRODUCTS
+    coefficient products, or if its integers would need more than
+    MAX_POWER_BITS binary digits."""
     if isinstance(base, FieldElement) and base.spec.kind == RATFUNC:
         if abs(k) * max(p.total_degree() for p in base.payload) > MAX_CHECK_DEGREE:
             raise stream.error(f"element of degree above {MAX_CHECK_DEGREE}")
@@ -854,6 +874,8 @@ def check_power(stream: TokenStream, base, k: int) -> None:
                for p in base.payload) > MAX_POWER_PRODUCTS:
             raise stream.error(
                 f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
+    if abs(k) * max(n.bit_length() for n in _integers(base)) > MAX_POWER_BITS:
+        raise stream.error(f"power needs more than {MAX_POWER_BITS} binary digits")
 
 
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:

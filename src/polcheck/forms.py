@@ -22,6 +22,10 @@ term of a symmetrization is the same, so each node has a one-term
 trace rule; the value at a tuple is the polarization of that trace,
 ``F(y1..yn) = Delta_{y1..yn} F*(0) / n!``, which costs at most 2^n
 trace values.  The oracle keeps the defining permutation sums.
+
+Every iterated difference, a value of ``delta_many`` or a row of the
+span, degree or quartic scan over ``multisets`` of probes, is read off
+a ``difference_table``, which evaluates f once per distinct point.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .errors import ArityTooLarge, SpecMismatch
 from .fields import FieldElement
@@ -230,18 +234,25 @@ def _box(a: tuple[int, ...]) -> tuple:
     return tuple(box)
 
 
-def iterated_differences(sides, base: FieldElement, increments: list[FieldElement],
-                         counts: list[tuple[int, ...]]):
-    """The differences ``Delta^a f(base)`` of each f of ``sides``, one
-    tuple per vector a of ``counts`` (increment y_i taken a_i times): the
-    sum over 0 <= j <= a of the integer weight of j (``_box``) times
-    ``f(base + sum j_i*y_i)``.  Points are built once, grouped by value
-    and shared by every vector, so each f runs once per distinct point
-    with a nonzero weight; a vector whose weights cancel gives
-    ``f(base) * 0``."""
+def multisets(items: list, n: int):
+    """Each multiset of n of ``items`` in ``combinations_with_replacement``
+    order, as its tuple of items and its count vector."""
+    for indices in combinations_with_replacement(range(len(items)), n):
+        yield tuple(items[i] for i in indices), tuple(map(indices.count, range(len(items))))
+
+
+def difference_table(sides, base: FieldElement, increments: list[FieldElement]):
+    """One table of the differences ``Delta^a f(base)`` of each f of
+    ``sides``: the returned function maps a count vector a (increment y_i
+    taken a_i times) to their tuple, each the sum over 0 <= j <= a of the
+    integer weight of j (``_box``) times ``f(base + sum j_i*y_i)``.  Points
+    are built once, grouped by value and shared by all vectors of any
+    order, so each f runs once per distinct point with a nonzero weight;
+    a vector whose weights cancel gives ``f(base) * 0``."""
     points, groups, index = [base], {base: 0}, {(0,) * len(increments): 0}
     memos = [{} for _ in sides]
-    for a in counts:
+
+    def differences(a: tuple[int, ...]) -> tuple:
         weights: dict[int, int] = {}  # point group -> weight
         for j, w, k, prev in _box(a):
             g = index.get(j)
@@ -271,12 +282,14 @@ def iterated_differences(sides, base: FieldElement, increments: list[FieldElemen
                 part = part if w == 1 else part * w
                 total = part if total is None else total + part
             row.append(total)
-        yield tuple(row)
+        return tuple(row)
+
+    return differences
 
 
 def delta_many(f, ys: list[FieldElement], x0: FieldElement) -> FieldElement:
     """Iterated difference of f at x0 with increments ys, grouped by
-    value into one vector of ``iterated_differences``: f runs once per
+    value into one vector of a ``difference_table``: f runs once per
     distinct point with a nonzero signed count, and a zero increment
     gives ``f(x0) * 0``."""
     if len(ys) > DEFAULT_ARITY_CAP:
@@ -284,8 +297,7 @@ def delta_many(f, ys: list[FieldElement], x0: FieldElement) -> FieldElement:
     counts: dict[FieldElement, int] = {}
     for y in ys:
         counts[y] = counts.get(y, 0) + 1
-    (value,) = next(iterated_differences((f,), x0, list(counts), [tuple(counts.values())]))
-    return value
+    return difference_table((f,), x0, list(counts))(tuple(counts.values()))[0]
 
 
 def polarize(p: GenMonomial, ys: list[FieldElement]) -> FieldElement:

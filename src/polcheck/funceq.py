@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
 from .fields import FieldElement, format_element
@@ -31,8 +30,9 @@ from .forms import (
     DEFAULT_ARITY_CAP,
     SymmetricForm,
     delta_many,
+    difference_table,
     eval_form,
-    iterated_differences,
+    multisets,
     trace,
 )
 from .genpoly import GenPoly
@@ -188,8 +188,8 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     is polarized into its symmetric n*k-additive form, and the two forms
     are compared on every tuple drawn from the generator set; equality
     certifies the identity on the rational span of the generators.
-    Every row is read off one table of the points sum j_i*g_i, |j| <= n*k
-    (``iterated_differences``), so each side runs once per distinct point.
+    Every row is read off one ``difference_table`` of the points
+    sum j_i*g_i, |j| <= n*k, so each side runs once per distinct point.
 
     Not applicable unless f has a single component; raises ArityTooLarge
     when n*max(deg P, 1) passes DEFAULT_ARITY_CAP.
@@ -222,13 +222,10 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     if any(g.spec != spec for g in generators):
         raise SpecMismatch("span generator outside the field of f")
     scale = math.factorial(arity)
-    tuples = list(combinations_with_replacement(range(len(generators)), arity))
-    counts = [tuple(map(indices.count, range(len(generators)))) for indices in tuples]
-    witnesses = []
-    rows = []
-    for indices, (lhs, rhs) in zip(tuples, iterated_differences(
-            _sides(monomial, p, q), spec.zero(), generators, counts)):
-        tup = tuple(generators[i] for i in indices)
+    differences = difference_table(_sides(monomial, p, q), spec.zero(), generators)
+    witnesses, rows = [], []
+    for tup, counts in multisets(generators, arity):
+        lhs, rhs = differences(counts)
         lhs, rhs = lhs / scale, rhs / scale
         rows.append((tup, lhs, rhs))
         if lhs != rhs:
@@ -247,7 +244,7 @@ def _quartic_trace(f2: SymmetricForm):
     return lambda x: 3 * (f(x * x) - f(x) ** 2)
 
 
-def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4, quartic=None) -> FieldElement:
+def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
     """The six-term symmetric 4-additive form attached to a bi-additive
     F2,
 
@@ -256,10 +253,8 @@ def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4, quartic=None) -> Field
 
     it vanishes identically exactly when the trace f of F2 satisfies
     f(x^2) = f(x)^2.  Evaluated as the polarization of its trace
-    ``quartic`` (by default ``_quartic_trace(f2)``)."""
-    if quartic is None:
-        quartic = _quartic_trace(f2)
-    return delta_many(quartic, [x1, x2, x3, x4], f2.spec.zero()) / math.factorial(4)
+    ``_quartic_trace(f2)``."""
+    return delta_many(_quartic_trace(f2), [x1, x2, x3, x4], f2.spec.zero()) / math.factorial(4)
 
 
 def _solve_against_dictionary(values, dictionary, probes):
@@ -298,14 +293,14 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         return EquationReport(verdict, witnesses, sample_description=description,
                               rows=tuple(rows), **extra)
 
-    # probe 4-tuples share subset sums: evaluate the quartic trace once per sum
-    quartic = functools.cache(_quartic_trace(f2))
-    for tup in combinations_with_replacement(probes, 4):
-        value = quartic_form_value(f2, *tup, quartic)
+    # probe 4-tuples share subset sums: one table runs the quartic trace once per sum
+    quartic = difference_table((_quartic_trace(f2),), spec.zero(), probes)
+    for tup, counts in multisets(probes, 4):
+        value = quartic(counts)[0] / math.factorial(4)
         zero = value.spec.zero()
-        rows.append((tuple(tup), value, zero))
+        rows.append((tup, value, zero))
         if not value.is_zero():
-            return report(REFUTED, (Witness(tuple(tup), value, zero, value),),
+            return report(REFUTED, (Witness(tup, value, zero, value),),
                           detail="six-term quartic form is nonzero on a probe tuple")
 
     f = trace(f2)

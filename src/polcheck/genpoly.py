@@ -1,6 +1,7 @@
 """Generalized polynomials: sums of monomial components, whose
 homogeneous parts are the ``components`` of a ``GenPoly``; empirical
-degree detection by iterated differencing, and sample-based variety
+degree detection by iterated differencing (Frechet's equation on probe
+tuples, all orders off one difference table), and sample-based variety
 rank.
 
 Degree and rank results are certificates on the sampled set, never
@@ -9,16 +10,17 @@ theorems; reports and docs carry that qualifier.
 
 from __future__ import annotations
 
-import functools
-from itertools import combinations_with_replacement
-
 from .errors import SpecMismatch
 from .fields import FieldElement, FieldSpec
-from .forms import DEFAULT_ARITY_CAP, GenMonomial, delta_many
+from .forms import GenMonomial, difference_table, multisets
 from .linalg import rank as matrix_rank
 
 #: Sentinel for a failed degree search.
 NO_BOUND_FOUND = None
+
+#: Highest degree the degree scan tries: its differences of order
+#: DEGREE_CAP + 1 stay within the arity cap of ``forms``.
+DEGREE_CAP = 6
 
 
 class GenPoly:
@@ -56,28 +58,22 @@ def eval_genpoly(p: GenPoly, x: FieldElement) -> FieldElement:
     return total
 
 
-def degree_estimate(f, probes: list[FieldElement], cap: int, spec: FieldSpec):
-    """Smallest n <= cap with Delta_{y1..y(n+1)} f(0) = 0 for every
-    sampled probe tuple; NO_BOUND_FOUND when the scan is exhausted.  The
-    difference operator is symmetric in its increments, so unordered
-    tuples cover all ordered choices.
+def degree_estimate(f, probes: list[FieldElement]):
+    """Smallest n <= DEGREE_CAP with Delta_{y1..y(n+1)} f(0) = 0 for
+    every sampled probe tuple; NO_BOUND_FOUND when the scan is exhausted.
+    The difference operator is symmetric in its increments, so unordered
+    tuples cover all ordered choices.  All orders share one
+    ``difference_table``; each stops at its first nonzero row.
 
     A sample-based upper-degree certificate, not a proof.
     """
-    if cap >= DEFAULT_ARITY_CAP:
-        raise SpecMismatch(f"cap {cap} needs {cap + 1} increments; the arity cap is "
-                           f"{DEFAULT_ARITY_CAP}")
     if not probes:
         raise SpecMismatch("probes must be nonempty")
-    for y in probes:
-        if y.is_zero():
-            raise SpecMismatch("probes must be nonzero")
-    zero = spec.zero()
-    # probe tuples share their subset sums: evaluate f once per point
-    f = functools.cache(f)
-    for n in range(cap + 1):
-        if all(delta_many(f, list(tup), zero).is_zero()
-               for tup in combinations_with_replacement(probes, n + 1)):
+    if any(y.is_zero() for y in probes):
+        raise SpecMismatch("probes must be nonzero")
+    differences = difference_table((f,), probes[0].spec.zero(), probes)
+    for n in range(DEGREE_CAP + 1):
+        if all(differences(counts)[0].is_zero() for _, counts in multisets(probes, n + 1)):
             return n
     return NO_BOUND_FOUND
 

@@ -73,7 +73,7 @@ from .funceq import (
     classify_quadratic_square,
     degree_precheck,
 )
-from .genpoly import GenPoly, degree_estimate, genpoly_from, variety_rank
+from .genpoly import DEGREE_CAP, GenPoly, degree_estimate, genpoly_from, variety_rank
 from .lexer import Token, TokenStream, tokenize
 from .maps import (
     MAX_DEPTH,
@@ -105,8 +105,6 @@ from .polys import Poly
 PASS = "pass"
 ERROR = "ERROR"
 _PASSING = {HOLDS_ON_SAMPLE, HOLDS_ON_SPAN, PASS}
-
-DEGREE_CAP = 6
 
 #: Most seeded samples one pointwise check may draw, from ``samples(N)``
 #: or ``RunOptions.samples`` (the CLI's ``--samples``).
@@ -543,8 +541,8 @@ class _Parser:
             degree = base.total_degree()
             if degree * k > MAX_CHECK_DEGREE:
                 raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
-            if not degree and base.terms:  # a constant: bound its element's degree and work
-                check_power(self.stream, base.constant(), k)
+            for c in base.terms.values():  # the power of each coefficient: degree, work, digits
+                check_power(self.stream, c, k)
             if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
                 raise self.stream.error(
                     f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
@@ -861,9 +859,8 @@ def _audit_classify(payload: dict, report: EquationReport):
 
 def _run_degree(options: RunOptions, payload: dict, entry: dict):
     f: GenPoly = payload["f"]
-    spec = f.spec
-    probes = default_probes(spec)
-    estimate = degree_estimate(f, probes, DEGREE_CAP, spec)
+    probes = default_probes(f.spec)
+    estimate = degree_estimate(f, probes)
     if estimate is None:
         entry["verdict"] = INCONCLUSIVE
         entry["degree"] = "NO_BOUND_FOUND"

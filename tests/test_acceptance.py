@@ -264,8 +264,8 @@ def test_criterion_7_affine_conditions():
 
 
 def test_criterion_8_degree_and_rank():
-    assert degree_estimate(NORM, default_probes(Q2), 6, Q2) == 2
-    assert degree_estimate(F28, default_probes(QT), 6, QT) == 2
+    assert degree_estimate(NORM, default_probes(Q2)) == 2
+    assert degree_estimate(F28, default_probes(QT)) == 2
 
     square = lambda x: x * x
     translates = [Q.from_int(i) for i in range(4)]
@@ -346,6 +346,14 @@ def _add_cube(original):
     return faulty
 
 
+def _add_quartic(original):
+    # a constant offset would cancel under the fourth difference, x^4 does not
+    def faulty(f2):
+        quartic = original(f2)
+        return lambda x: quartic(x) + x ** 4
+    return faulty
+
+
 def _plus_one(original):
     return lambda *args: original(*args) + 1
 
@@ -363,7 +371,7 @@ _FAULTS = {
         (forms_module.GenMonomial, "__call__", _add_cube),
     "check f(x^2) == f(x)^2 on span(1, sqrt(2))": (forms_module, "_trace", _times_two),
     "classify quadratic N2 with dictionary(id, c)":
-        (funceq_module, "quartic_form_value", _add_one),
+        (funceq_module, "_quartic_trace", _add_quartic),
     "degree f": (forms_module.GenMonomial, "__call__", _add_cube),
     "rank f add translates(1, sqrt(2)) points(1, 2, 3)":
         (genpoly_module, "matrix_rank", _plus_one),

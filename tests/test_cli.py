@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
+from polcheck.fields import MAX_POWER_BITS
 from polcheck.maps import MAX_DEPTH, MAX_NODES, degree_multiplier, tree_size
 from polcheck.session import MAX_SAMPLES, parse_session
 
@@ -223,6 +224,52 @@ def test_sparse_and_small_element_powers_are_accepted():
     session = parse_session("field F = Q(t, u);\nhom s : t -> (t^2+1)^50/t;\nhom r : t -> t^10000;\n"
                             "hom q : u -> (t+u)^40;\nverify additive s;\nverify additive r;\n")
     assert len(session.commands) == 2
+
+
+# (field, statement) pairs: the first power is exactly at the digit budget
+# (|k| times the bit length of the base's largest integer), the second just past it
+_DIGIT_BUDGET = {
+    "element": ("Q", DECLARE_F + " polarize f at (2^50000, 1);",
+                DECLARE_F + " polarize f at (2^50001, 1);"),
+    "map scalar": ("Q(sqrt 2)", "map m = ((1+sqrt(2))^100000)*id;",
+                   "map m = ((1+sqrt(2))^100001)*id;"),
+    "check constant": ("Q", DECLARE_F + " check f(x) == (9^25000)*f(x) on samples(1);",
+                       DECLARE_F + " check f(x) == (9^25001)*f(x) on samples(1);"),
+    "check coefficient": ("Q", DECLARE_F + " check f(((2^999)*x)^100) == f(x) on samples(1);",
+                          DECLARE_F + " check f(((2^999)*x)^101) == f(x) on samples(1);"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_DIGIT_BUDGET))
+def test_power_digits_are_bounded_before_the_power(tmp_path, capsys, time_limit, where):
+    field, accepted, refused = _DIGIT_BUDGET[where]
+    assert MAX_POWER_BITS == 100_000
+    parse_session(f"field F = {field};\n{accepted}\n")
+    big = tmp_path / "big.pol"
+    big.write_text(f"field F = {field};\n{refused}\n")
+    with time_limit(1, "polcheck run"):
+        assert main(["run", str(big)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"polcheck: power needs more than {MAX_POWER_BITS} binary digits "
+                          f"at line 2, ")
+
+
+@pytest.mark.parametrize("field,statement", [
+    ("Q", DECLARE_F + " polarize f at (9^2000000, 1);"),
+    ("Q(sqrt 2)", "map m = ((1+sqrt(2))^2000000)*id;"),
+    ("Q", DECLARE_F + " check f(x) == (9^2000000)*f(x) on samples(1);"),
+    ("Q(t)", "hom s : t -> (9^1000*t)^10000;"),
+    ("Q", DECLARE_F + " check f((9^1000*x)^10000) == f(x) on samples(1);"),
+])
+def test_huge_constant_powers_are_refused_quickly(tmp_path, capsys, time_limit, field, statement):
+    # each took seconds before it failed or passed: 9^2000000 alone has 1.9 million digits
+    big = tmp_path / "big.pol"
+    big.write_text(f"field F = {field};\n{statement}\n")
+    with time_limit(1, "polcheck run"):
+        assert main(["run", str(big)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "binary digits at line 2, " in err
 
 
 def _chain(head: str, step: str, levels: int, tail: str) -> str:

@@ -1,9 +1,11 @@
 """Symmetric forms, traces, the difference operator and polarization."""
 
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polcheck.errors import ArityTooLarge, SpecMismatch
 from polcheck.fields import FieldSpec, SampleConfig, sample_elements
@@ -14,7 +16,9 @@ from polcheck.forms import (
     MapOfProduct,
     ProductSym,
     delta_many,
+    difference_table,
     eval_form,
+    multisets,
     polarize,
     trace,
 )
@@ -148,6 +152,44 @@ def test_delta_many_repeated_increments_match_oracle(spec, form, texts):
         naive = oracle.delta_many(lambda v: oracle.eval_monomial(tr, v),
                                   [from_element(y) for y in ys], from_element(x))
         assert matches(delta_many(tr, ys, x), naive)
+
+
+def test_multisets_follow_combinations_with_replacement():
+    items = ["a", "b", "a"]
+    for n in range(5):
+        got = list(multisets(items, n))
+        assert [tup for tup, _ in got] == list(combinations_with_replacement(items, n))
+        for tup, counts in got:
+            assert sum(counts) == n
+            assert tup == tuple(item for item, c in zip(items, counts) for _ in range(c))
+
+
+_TABLES = {  # traces of degree 2-4, increment pool, special increment lists
+    "Q(sqrt 2)": (Q2, [NORM, trace(Lift(NORM_FORM, 2)), trace(ProductSym((CONJ, CONJ, CONJ)))],
+                  ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)", "1/2"],
+                  [["1+sqrt(2)", "1+sqrt(2)"], ["1", "sqrt(2)", "1+sqrt(2)"],
+                   ["sqrt(2)", "0", "1", "sqrt(2)"]]),
+    "Q(t)": (QT, [trace(MapOfProduct(DDT + identity_map(QT), 3)),
+                  trace(ProductSym((identity_map(QT), DDT)))],
+             ["1", "t", "t+1", "t^2", "1/(t-1)"],
+             [["t", "t"], ["1", "t", "t+1"], ["t", "0", "1", "t"]]),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(sorted(_TABLES)), data=st.data())
+def test_one_table_matches_per_tuple_differences(field, data):
+    # one table answers every order, in any order, as a fresh delta_many per tuple does
+    spec, traces, pool, special = _TABLES[field]
+    f = data.draw(st.sampled_from(traces), label="f")
+    texts = data.draw(st.one_of(st.sampled_from(special),
+                                st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+    ys = [spec.element(text) for text in texts]
+    base = spec.element(data.draw(st.sampled_from(["0"] + pool), label="base"))
+    differences = difference_table((f,), base, ys)
+    for n in data.draw(st.permutations(range(1, 6)), label="orders"):
+        for tup, counts in multisets(ys, n):
+            assert differences(counts) == (delta_many(f, list(tup), base),)
 
 
 # -- polarization ------------------------------------------------------------------

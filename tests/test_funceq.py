@@ -545,6 +545,52 @@ def test_classifier_evaluates_a_once_per_distinct_argument(monkeypatch):
     assert counts[0] == counts[1] > len(probes)
 
 
+def reference_quartic_rows(f2, probes) -> list:
+    """The classifier's quartic step as one delta_many per probe 4-tuple,
+    the quartic trace memoized per point: its rows up to the first
+    nonzero one."""
+    one, zero = f2.spec.one(), f2.spec.zero()
+    probes = list(probes) if one in probes else [one] + list(probes)
+    quartic = functools.cache(funceq_module._quartic_trace(f2))
+    rows = []
+    for tup in combinations_with_replacement(probes, 4):
+        value = delta_many(quartic, list(tup), zero) / math.factorial(4)
+        rows.append((tup, value, zero))
+        if not value.is_zero():
+            break
+    return rows
+
+
+def _classifier_cases():
+    s, u = _qt_endos()
+    square = ProductSym((identity_map(Q2), identity_map(Q2)))
+    return {
+        "norm": (NORM_FORM, [identity_map(Q2), CONJ], default_probes(Q2)),
+        "repeated-probe": (NORM_FORM, [identity_map(Q2), CONJ], [E, Q2.one(), E, Q2.from_int(2)]),
+        "square": (square, [identity_map(Q2)], [E, Q2.element("3-sqrt(2)")]),
+        "twice-norm": (LinComb(((Q2.from_int(2), NORM_FORM),)), [identity_map(Q2)],
+                       default_probes(Q2)),
+        "example-2.8": (F28_FORM, [identity_map(QT)], default_probes(QT)),
+        "two-endomorphisms": (ProductSym((s, u)), [s, u, identity_map(QT)], default_probes(QT)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_classifier_cases()))
+def test_classifier_matches_the_per_tuple_quartic_scan(case):
+    f2, dictionary, probes = _classifier_cases()[case]
+    report = classify_quadratic_square(f2, dictionary, probes)
+    rows = reference_quartic_rows(f2, probes)
+    assert list(report.rows[:len(rows)]) == rows
+    tup, value, zero = rows[-1]
+    if value.is_zero():
+        assert report.verdict == HOLDS_ON_SAMPLE
+        assert all(not isinstance(x, tuple) for x, _, _ in report.rows[len(rows):])
+    else:
+        assert report.verdict == REFUTED and len(report.rows) == len(rows)
+        (w,) = report.witnesses
+        assert (w.input, w.lhs, w.rhs, w.difference) == (tup, value, zero, value)
+
+
 def test_classify_dictionary_insufficient():
     with pytest.raises(DictionaryInsufficient):
         classify_quadratic_square(NORM_FORM, [identity_map(Q2)], default_probes(Q2))

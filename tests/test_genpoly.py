@@ -1,11 +1,15 @@
 """Generalized polynomials: degree detection, variety rank."""
 
+import functools
+from itertools import combinations_with_replacement
+
 import pytest
 
 from polcheck.errors import SpecMismatch
 from polcheck.fields import FieldSpec
-from polcheck.forms import MapOfProduct, ProductSym, trace
+from polcheck.forms import MapOfProduct, ProductSym, delta_many, trace
 from polcheck.genpoly import (
+    DEGREE_CAP,
     NO_BOUND_FOUND,
     GenPoly,
     degree_estimate,
@@ -57,26 +61,26 @@ def test_distinct_degrees_enforced():
 # -- degree estimation -----------------------------------------------------
 
 def test_degree_of_norm_is_two():
-    assert degree_estimate(NORM, default_probes(Q2), 6, Q2) == 2
+    assert degree_estimate(NORM, default_probes(Q2)) == 2
 
 
 def test_degree_of_additive_map_is_one():
     f = trace(ProductSym((identity_map(QT),)))
-    assert degree_estimate(f, default_probes(QT), 6, QT) == 1
+    assert degree_estimate(f, default_probes(QT)) == 1
 
 
 def test_degree_of_example_quadratic_is_two():
-    assert degree_estimate(F28, default_probes(QT), 6, QT) == 2
+    assert degree_estimate(F28, default_probes(QT)) == 2
 
 
 def test_degree_of_zero_is_zero():
-    assert degree_estimate(lambda x: Q.zero(), default_probes(Q), 6, Q) == 0
+    assert degree_estimate(lambda x: Q.zero(), default_probes(Q)) == 0
 
 
 def test_degree_no_bound_found():
-    # 1/(x+7) is not a generalized polynomial of degree <= 2 on these probes
+    # 1/(x+7) is not a generalized polynomial of degree <= DEGREE_CAP on these probes
     f = lambda x: Q.one() / (x + Q.from_int(7))
-    assert degree_estimate(f, default_probes(Q), 2, Q) is NO_BOUND_FOUND
+    assert degree_estimate(f, default_probes(Q)) is NO_BOUND_FOUND
 
 
 def test_degree_evaluates_f_once_per_distinct_point():
@@ -86,13 +90,43 @@ def test_degree_evaluates_f_once_per_distinct_point():
         calls.append(x)
         return NORM(x)
 
-    assert degree_estimate(counting, default_probes(Q2), 6, Q2) == 2
+    assert degree_estimate(counting, default_probes(Q2)) == 2
     assert len(calls) == len(set(calls))
+
+
+def reference_degree(f, probes):
+    """The degree scan as one delta_many per probe tuple, f memoized per
+    point."""
+    zero = probes[0].spec.zero()
+    f = functools.cache(f)
+    for n in range(DEGREE_CAP + 1):
+        if all(delta_many(f, list(tup), zero).is_zero()
+               for tup in combinations_with_replacement(probes, n + 1)):
+            return n
+    return NO_BOUND_FOUND
+
+
+_CUBIC = trace(ProductSym((identity_map(Q2), CONJ, CONJ)))
+
+
+@pytest.mark.parametrize("f,probes", [
+    (NORM, default_probes(Q2)),
+    (genpoly_from([_CUBIC, NORM, trace(ProductSym((CONJ,)))]), default_probes(Q2)),
+    (_CUBIC, [E, E, Q2.one()]),
+    (F28, default_probes(QT)),
+    (trace(ProductSym((identity_map(QT), DDT, A_MAP))), default_probes(QT)[:3]),
+    (lambda x: x ** 6 - x, default_probes(Q)),
+    (lambda x: x ** 7, default_probes(Q)),
+    (lambda x: Q.one() / (x + Q.from_int(7)), [Q.from_int(2), Q.element("1/2")]),
+], ids=["norm", "sum", "repeated-probe", "example-2.8", "cubic-Q(t)", "sextic", "septic",
+        "no-bound"])
+def test_degree_matches_the_per_tuple_scan(f, probes):
+    assert degree_estimate(f, probes) == reference_degree(f, probes)
 
 
 def test_degree_rejects_zero_probes():
     with pytest.raises(SpecMismatch):
-        degree_estimate(NORM, [Q2.zero()], 4, Q2)
+        degree_estimate(NORM, [Q2.zero()])
 
 
 # -- variety rank ---------------------------------------------------------------
