@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_6.json
+    python3 bench/run.py BENCH_7.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -21,7 +21,10 @@ checkout and writes one JSON file:
   calls, of one span check ``check_symmetrized`` per arity 2/4/6/8:
   ``f(x^k) == f(x)^k`` for ``k = 1..4`` and the norm
   ``f = trace(product(id, conj))`` of ``Q(sqrt 2)`` on
-  ``span(1, sqrt(2), 1+sqrt(2))``; of the two probe scans on one
+  ``span(1, sqrt(2), 1+sqrt(2))``; and, per degree ``D = 2*k``, one
+  check whose difference is not homogeneous, ``f(x^k+x) == f(x)^k+f(x)``
+  for ``f = N + tr/2`` (the norm plus half the trace) on the same span,
+  which reads rows of every order ``0..D``; of the two probe scans on one
   difference table, ``degree_estimate`` of ``trace(product(id, s))``
   on the default probes of ``Q(t)`` and ``classify_quadratic_square``
   of ``product(id, conj)`` on ``Q(sqrt 2)``; of ``eval_form`` per node
@@ -69,6 +72,11 @@ SPAN_CALLS = 20
 #: The span micro cases, one session per arity 2*k.
 SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
                 "check f(x^{k}) == f(x)^{k} on span(1, sqrt(2), 1+sqrt(2));\n")
+
+#: The general span micro cases, one session per degree D = 2*k.
+GENERAL_SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\nmap h = (1/2)*id + (1/2)*c;\n"
+                        "genpoly f = trace(product(id, c)) + trace(product(h));\n"
+                        "check f(x^{k}+x) == f(x)^{k}+f(x) on span(1, sqrt(2), 1+sqrt(2));\n")
 
 #: The scan micro cases: a degree scan and a quadratic classification.
 SCAN_SESSIONS = {
@@ -202,10 +210,11 @@ def time_micro(polcheck, clock) -> dict:
              for kind in ("identity", "zero", "endo", "derivation", "scale", "sum", "compose")}
     span = {}
     for k in range(1, 5):
-        payload = polcheck.parse_session(SPAN_SESSION.format(k=k)).commands[0].payload
-        args = [payload[key] for key in ("f", "p", "q", "generators")]
-        span[f"arity_{2 * k}"] = time_calls(clock, lambda args=args: check_symmetrized(*args),
-                                            SPAN_CALLS)
+        for name, session in (("arity", SPAN_SESSION), ("general", GENERAL_SPAN_SESSION)):
+            payload = polcheck.parse_session(session.format(k=k)).commands[0].payload
+            args = [payload[key] for key in ("f", "p", "q", "generators")]
+            span[f"{name}_{2 * k}"] = time_calls(
+                clock, lambda args=args: check_symmetrized(*args), SPAN_CALLS)
     degree = polcheck.parse_session(SCAN_SESSIONS["degree"]).commands[0].payload["f"]
     probes = default_probes(degree.spec)
     classify = polcheck.parse_session(SCAN_SESSIONS["classify"]).commands[0].payload

@@ -49,15 +49,12 @@ from .funceq import (
     REFUTED,
     Classification,
     EquationReport,
-    LogExp,
-    TwoExp,
     Witness,
     check_pointwise,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
     degree_precheck,
-    levicivita_verify,
     quartic_solve,
 )
 from .genpoly import (
@@ -91,7 +88,6 @@ from .session import (
     Session,
     default_probes,
     emit_report,
-    format_session,
     parse_session,
     run_session,
 )

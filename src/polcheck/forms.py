@@ -44,6 +44,11 @@ from .maps import AdditiveMap, Node, apply_map
 #: form value).
 DEFAULT_ARITY_CAP = 8
 
+#: Most rows one span check may compare: its multisets of generators,
+#: C(m+D, D) of every order 0..D, or C(m+D-1, D) of order D alone, for
+#: m generators and degree D.
+MAX_SPAN_ROWS = 1000
+
 
 class SymmetricForm(Node):
     """Base class for symmetric multi-additive form nodes."""

@@ -1,21 +1,23 @@
 """Checking and classifying solutions of f(P(x)) = Q(f(x)).
 
-Pointwise checks evaluate both sides exactly on samples.  Symmetrized
-checks polarize the same two side functions into symmetric forms and
-compare those on every tuple drawn from a generator set, which
-certifies the identity on the whole rational span of the generators
-(multi-additivity transports equality from generator tuples to the
-span).  The classifiers execute the constructive steps of the degree-two
-theory: the six-term quartic form, its trace test, the auxiliary
-additive map a(x) = F2(x, 1), the quartic constraint on a, the
-convolution identity, and the final factorization into homomorphisms
-solved against a user-supplied dictionary.
+Pointwise checks evaluate both sides exactly on samples.  Span checks
+compare the iterated differences of the same two side functions at
+every multiset drawn from a generator set, of every order up to the
+degree D of their difference; by Newton's forward-difference formula on
+the lattice of integer combinations of the generators, this certifies
+the identity on their whole rational span.  When the difference is
+homogeneous, the differences of order D alone suffice: they are the
+values of the two sides' symmetric D-additive forms.  The classifiers
+execute the constructive steps of the degree-two theory: the six-term
+quartic form, its trace test, the auxiliary additive map
+a(x) = F2(x, 1), the quartic constraint on a, the convolution identity,
+and the final factorization into homomorphisms solved against a
+user-supplied dictionary.
 
 The power identity f(x^n) = f(x)^n and the affine equation
 f(a*x + b) = A*f(x) + B are instances of the general equation, so they
-are asked as ordinary checks.  Two special cases with no such form stay
-here: ``quartic_solve`` for f(x^2) = a(x)^4 and ``levicivita_verify``
-for exponential-polynomial shapes of an additive map.
+are asked as ordinary checks.  One special case with no such form stays
+here: ``quartic_solve`` for f(x^2) = a(x)^4.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, 
 from .fields import FieldElement, format_element
 from .forms import (
     DEFAULT_ARITY_CAP,
+    MAX_SPAN_ROWS,
     SymmetricForm,
-    delta_many,
     difference_table,
     eval_form,
     multisets,
@@ -37,7 +39,7 @@ from .forms import (
 )
 from .genpoly import GenPoly
 from .linalg import solve
-from .maps import AdditiveMap, Compose, Identity, apply_map
+from .maps import AdditiveMap, Identity, apply_map
 from .polys import Poly
 
 HOLDS_ON_SAMPLE = "HOLDS_ON_SAMPLE"
@@ -181,57 +183,55 @@ def check_pointwise(f, p: Poly, q: Poly, samples: list[FieldElement],
 
 def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
                       generators: list[FieldElement]) -> EquationReport:
-    """Span certificate for monomial sides P = a*x^k and Q = lambda*x^k.
+    """Span certificate for f(P(x)) = Q(f(x)) on the rational span of the
+    generators.
 
-    For f a generalized monomial of degree n, both sides x -> f(P(x))
-    and x -> Q(f(x)) are generalized monomials of degree n*k.  Each side
-    is polarized into its symmetric n*k-additive form, and the two forms
-    are compared on every tuple drawn from the generator set; equality
-    certifies the identity on the rational span of the generators.
-    Every row is read off one ``difference_table`` of the points
-    sum j_i*g_i, |j| <= n*k, so each side runs once per distinct point.
+    On x = sum c_i*g_i every additive map is Q-linear, so the difference
+    g(c) = f(P(x)) - Q(f(x)) is a polynomial in c of total degree at
+    most D = deg f * max(deg P, deg Q).  Newton's forward-difference
+    formula on the lattice |c| <= D writes g as the sum over |a| <= D of
+    Delta^a g(0) * prod C(c_i, a_i), so g vanishes on the span exactly
+    when every difference of order 0..D at 0 does (Nicolaides, 1972;
+    Chung and Yao, 1977).  A row compares the two sides' differences at
+    one multiset of generators, each divided by its order!.  When f has
+    one component and P = a*x^k, Q = lambda*x^k with k >= 1, g is
+    homogeneous of degree D and the rows of order D are enough: they
+    compare the two sides' symmetric D-additive forms, and D is the
+    check's arity.  Every row is read off one ``difference_table`` of the
+    points sum j_i*g_i, |j| <= D, so each side runs once per distinct
+    point.
 
-    Not applicable unless f has a single component; raises ArityTooLarge
-    when n*max(deg P, 1) passes DEFAULT_ARITY_CAP.
+    Raises ArityTooLarge when D passes DEFAULT_ARITY_CAP or the rows
+    pass MAX_SPAN_ROWS, before any evaluation.
     """
-    if len(f.components) != 1:
-        return EquationReport(NOT_APPLICABLE, detail="span certificates need a single monomial")
-    monomial = f.components[0]
-    n = monomial.degree
-    k = p.total_degree()
-    arity = n * max(k, 1)
+    dp, dq = p.total_degree(), q.total_degree()
+    arity = f.degree * max(dp, dq)
     if arity > DEFAULT_ARITY_CAP:
         raise ArityTooLarge(f"span check needs arity {arity}, cap is {DEFAULT_ARITY_CAP}")
-    if n < 1:
-        raise SpecMismatch("the symmetrized check needs degree at least 1")
     if not generators:
         raise SpecMismatch("generators must be nonempty")
-    if len(p.terms) != 1 or len(q.terms) != 1:
-        return EquationReport(
-            NOT_APPLICABLE, sample_description="span check",
-            detail="span certificates require monomial P and Q")
-    if k != q.total_degree():
-        return EquationReport(
-            NOT_APPLICABLE, sample_description="span check",
-            detail=degree_precheck(n, p, q))
-    if k < 1:
-        return EquationReport(
-            NOT_APPLICABLE, sample_description="span check",
-            detail="span certificates need k >= 1")
-    spec = monomial.spec
-    if any(g.spec != spec for g in generators):
+    if any(g.spec != f.spec for g in generators):
         raise SpecMismatch("span generator outside the field of f")
-    scale = math.factorial(arity)
-    differences = difference_table(_sides(monomial, p, q), spec.zero(), generators)
+    homogeneous = len(f.components) == len(p.terms) == len(q.terms) == 1 and dp == dq >= 1
+    orders = (arity,) if homogeneous else range(arity + 1)
+    m = len(generators)
+    count = sum(math.comb(m + order - 1, order) for order in orders)
+    if count > MAX_SPAN_ROWS:
+        raise ArityTooLarge(f"span check needs {count} rows on {m} generators, "
+                            f"budget is {MAX_SPAN_ROWS}")
+    differences = difference_table(_sides(f, p, q), f.spec.zero(), generators)
     witnesses, rows = [], []
-    for tup, counts in multisets(generators, arity):
-        lhs, rhs = differences(counts)
-        lhs, rhs = lhs / scale, rhs / scale
-        rows.append((tup, lhs, rhs))
-        if lhs != rhs:
-            witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
+    for order in orders:
+        scale = math.factorial(order)
+        for tup, counts in multisets(generators, order):
+            lhs, rhs = differences(counts)
+            lhs, rhs = lhs / scale, rhs / scale
+            rows.append((tup, lhs, rhs))
+            if lhs != rhs:
+                witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
+    shape = f"arity {arity}" if homogeneous else f"order 0..{arity}"
     description = (f"span generators ({', '.join(format_element(g) for g in generators)}); "
-                   f"{len(rows)} tuple(s) of arity {arity}")
+                   f"{len(rows)} tuple(s) of {shape}")
     verdict = REFUTED if witnesses else HOLDS_ON_SPAN
     return EquationReport(verdict, tuple(witnesses), sample_description=description,
                           rows=tuple(rows))
@@ -242,19 +242,6 @@ def _quartic_trace(f2: SymmetricForm):
     six-term quartic form."""
     f = trace(f2)
     return lambda x: 3 * (f(x * x) - f(x) ** 2)
-
-
-def quartic_form_value(f2: SymmetricForm, x1, x2, x3, x4) -> FieldElement:
-    """The six-term symmetric 4-additive form attached to a bi-additive
-    F2,
-
-        F2(x1*x2, x3*x4) + F2(x1*x3, x2*x4) + F2(x1*x4, x2*x3)
-        - F2(x1, x2)*F2(x3, x4) - F2(x1, x3)*F2(x2, x4) - F2(x1, x4)*F2(x2, x3);
-
-    it vanishes identically exactly when the trace f of F2 satisfies
-    f(x^2) = f(x)^2.  Evaluated as the polarization of its trace
-    ``_quartic_trace(f2)``."""
-    return delta_many(_quartic_trace(f2), [x1, x2, x3, x4], f2.spec.zero()) / math.factorial(4)
 
 
 def _solve_against_dictionary(values, dictionary, probes):
@@ -448,79 +435,3 @@ def quartic_solve(a: AdditiveMap, probes: list[FieldElement],
                                   sample_description=description)
     raise DictionaryInsufficient(
         "a is not proportional to any supplied homomorphism on the probes")
-
-
-class LogExp:
-    """Claimed decomposition a(x) = phi(d(x)) + c*phi(x)."""
-
-    __slots__ = ("phi", "der", "c")
-
-    def __init__(self, phi: AdditiveMap, der: AdditiveMap, c: FieldElement):
-        self.phi = phi
-        self.der = der
-        self.c = c
-
-
-class TwoExp:
-    """Claimed decomposition a(x) = alpha*phi1(x) + beta*phi2(x)."""
-
-    __slots__ = ("alpha", "beta", "phi1", "phi2")
-
-    def __init__(self, alpha: FieldElement, beta: FieldElement, phi1: AdditiveMap,
-                 phi2: AdditiveMap):
-        self.alpha = alpha
-        self.beta = beta
-        self.phi1 = phi1
-        self.phi2 = phi2
-
-
-def levicivita_verify(a: AdditiveMap, decomposition,
-                      probes: list[FieldElement]) -> EquationReport:
-    """Verify a claimed exponential-polynomial shape of an additive map
-    pointwise on the probes, together with the product expansion of
-    a(xy) the shape induces.  Verification only: nothing is solved."""
-    description = f"probes ({', '.join(format_element(p) for p in probes)})"
-    witnesses = []
-    if isinstance(decomposition, LogExp):
-        phi, der, c = decomposition.phi, decomposition.der, decomposition.c
-        composed = Compose(phi, der)
-
-        def claimed(x):
-            return apply_map(composed, x) + c * apply_map(phi, x)
-
-        def expansion_holds(x, y):
-            lhs = apply_map(a, x * y)
-            rhs = (apply_map(a, x) * apply_map(phi, y)
-                   + apply_map(phi, x) * apply_map(a, y)
-                   - c * apply_map(phi, x) * apply_map(phi, y))
-            return lhs, rhs
-    elif isinstance(decomposition, TwoExp):
-        alpha, beta = decomposition.alpha, decomposition.beta
-        phi1, phi2 = decomposition.phi1, decomposition.phi2
-
-        def claimed(x):
-            return alpha * apply_map(phi1, x) + beta * apply_map(phi2, x)
-
-        def expansion_holds(x, y):
-            lhs = apply_map(a, x * y)
-            rhs = (alpha * apply_map(phi1, x) * apply_map(phi1, y)
-                   + beta * apply_map(phi2, x) * apply_map(phi2, y))
-            return lhs, rhs
-    else:
-        raise SpecMismatch("unknown decomposition kind")
-
-    for x in probes:
-        lhs = apply_map(a, x)
-        rhs = claimed(x)
-        if lhs != rhs:
-            witnesses.append(Witness(x, lhs, rhs, lhs - rhs))
-    for x in probes:
-        for y in probes:
-            lhs, rhs = expansion_holds(x, y)
-            if lhs != rhs:
-                witnesses.append(Witness((x, y), lhs, rhs, lhs - rhs))
-    if witnesses:
-        return EquationReport(REFUTED, tuple(witnesses), sample_description=description,
-                              detail="claimed decomposition does not match")
-    return EquationReport(HOLDS_ON_SAMPLE, sample_description=description,
-                          detail="decomposition and product expansion verified")

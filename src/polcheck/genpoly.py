@@ -52,8 +52,13 @@ def genpoly_from(components, spec=None) -> GenPoly:
 
 
 def eval_genpoly(p: GenPoly, x: FieldElement) -> FieldElement:
-    total = p.spec.zero()
-    for component in p.components:
+    """The sum of the components at x, from the first one (zero when
+    there is none)."""
+    if not p.components:
+        return p.spec.zero()
+    first, *rest = p.components
+    total = first(x)
+    for component in rest:
         total = total + component(x)
     return total
 

@@ -155,22 +155,15 @@ class Command:
 
 
 class Session:
-    __slots__ = ("env", "fields", "commands", "digest", "source", "statements")
+    __slots__ = ("env", "fields", "commands", "digest", "source")
 
     def __init__(self, env: dict, fields: dict, commands: list[Command], digest: str,
-                 source: str, statements: list[str] | None = None):
+                 source: str):
         self.env = env
         self.fields = fields
         self.commands = commands
         self.digest = digest
         self.source = source
-        self.statements = [] if statements is None else statements
-
-
-def format_session(session: Session) -> str:
-    """Canonical source: one whitespace-normalized statement per line.
-    Reparsing the result yields the same statements (a fixpoint)."""
-    return "\n".join(session.statements) + "\n"
 
 
 # -- parser ------------------------------------------------------------
@@ -249,7 +242,6 @@ class _Parser:
     # entry point --------------------------------------------------------
 
     def parse(self) -> Session:
-        statements = []
         while not self.stream.at("end"):
             start = self.stream.peek()
             if start.kind != "name":
@@ -260,15 +252,14 @@ class _Parser:
             self.stream.next()
             parsed = kind.parse(self)
             semi = self.stream.expect(";")
-            text = " ".join(self.source[start.pos:semi.pos].split())
             if kind.run is None:
                 parsed()
             else:
+                text = " ".join(self.source[start.pos:semi.pos].split())
                 self.commands.append(Command(start.text, text, parsed))
-            statements.append(text + ";")
         normalized = " ".join(self.source.split())
         digest = hashlib.sha256(normalized.encode()).hexdigest()
-        return Session(self.env, self.fields, self.commands, digest, self.source, statements)
+        return Session(self.env, self.fields, self.commands, digest, self.source)
 
     # declarations: each returns the binding to make once its ';' is read
 
@@ -778,17 +769,17 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
     f: GenPoly = payload["f"]
     p: Poly = payload["p"]
     q: Poly = payload["q"]
+    mode = payload["mode"]
+    if mode == "span":
+        report = check_symmetrized(f, p, q, payload["generators"])
+        _copy_report(entry, report)
+        return report
     if f.degree >= 1:
         failure = degree_precheck(f.degree, p, q)
         if failure:
             entry["verdict"] = NOT_APPLICABLE
             entry["detail"] = failure
             return None
-    mode = payload["mode"]
-    if mode == "span":
-        report = check_symmetrized(f, p, q, payload["generators"])
-        _copy_report(entry, report)
-        return report if report.verdict in (HOLDS_ON_SPAN, REFUTED) else None
     if mode == "samples":
         count, seed = payload["count"], payload["seed"]
     else:

@@ -31,18 +31,13 @@ from polcheck.forms import LinComb, MapOfProduct, ProductSym, delta_many, eval_f
 from polcheck.funceq import (
     HOLDS_ON_SAMPLE,
     HOLDS_ON_SPAN,
-    NOT_APPLICABLE,
     REFUTED,
-    LogExp,
-    TwoExp,
     check_pointwise,
     check_symmetrized,
     check_values,
     classify_quadratic_square,
     degree_precheck,
     evaluate,
-    levicivita_verify,
-    quartic_form_value,
     quartic_solve,
 )
 from polcheck.genpoly import genpoly_from
@@ -189,12 +184,16 @@ def test_zero_monomial_span_holds():
     assert report.verdict == HOLDS_ON_SPAN
 
 
-def test_span_requires_monomial_sides():
-    p = poly([Q2.one(), Q2.one()])  # 1 + x
+def test_span_certifies_sides_of_any_shape():
+    p = poly([Q2.one(), Q2.one()])  # 1 + x: N(1 + x) = N(x) fails at the point 0
     report = check_symmetrized(NORM_POLY, p, xk(Q2, 1), [Q2.one()])
-    assert report.verdict == NOT_APPLICABLE
+    assert report.verdict == REFUTED
+    w = report.witnesses[0]
+    assert (w.input, w.lhs, w.rhs) == ((), Q2.one(), Q2.zero())
+    # N(x^2) = N(x)^3 differs in degree: every order 0..2*3 on one generator
     report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), [Q2.one()])
-    assert report.verdict == NOT_APPLICABLE
+    assert report.verdict == REFUTED and len(report.rows) == 7
+    assert report.sample_description.endswith("7 tuple(s) of order 0..6")
     # a scaled P is certified too: N(2*x^2) = 4*N(x)^2
     two_x2 = xk(Q2, 2, Q2.from_int(2))
     report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2), [Q2.one()])
@@ -215,14 +214,30 @@ def test_span_check_caps_the_arity():
     assert report.verdict == HOLDS_ON_SPAN
 
 
-def test_span_check_needs_a_single_monomial_before_the_cap():
+def test_span_check_caps_the_degree_of_any_difference():
     linear = trace(ProductSym((identity_map(Q2),)))
-    for f in (genpoly_from([NORM, linear]), genpoly_from([], Q2)):
-        # not applicable, even where the arity 2*9 would pass the cap
-        report = check_symmetrized(f, xk(Q2, 9), xk(Q2, 9), [Q2.one()])
-        assert report.verdict == NOT_APPLICABLE
-        assert report.detail == "span certificates need a single monomial"
-        assert report.sample_description == "" and not report.rows
+    # N + id at x^9 has degree 2*9, over the cap although f is not a monomial
+    with pytest.raises(ArityTooLarge, match="arity 18, cap is 8"):
+        check_symmetrized(genpoly_from([NORM, linear]), xk(Q2, 9), xk(Q2, 9), [Q2.one()])
+    # the empty f is 0 on both sides: one row, of order 0, at the point 0
+    report = check_symmetrized(genpoly_from([], Q2), xk(Q2, 9), xk(Q2, 9), [Q2.one()])
+    assert report.verdict == HOLDS_ON_SPAN
+    assert report.rows == (((), Q2.zero(), Q2.zero()),)
+
+
+def test_span_check_refuses_rows_over_the_budget(monkeypatch, time_limit):
+    gens = [Q2.from_int(i) for i in range(1, 11)]
+    with time_limit(0.1, "refusing an over-budget span check"):
+        with pytest.raises(ArityTooLarge, match="24310 rows on 10 generators, budget is 1000"):
+            check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
+    # the budget counts C(m+D-1, D) rows of order D for a homogeneous
+    # difference, C(m+D, D) of every order otherwise
+    gens = default_probes(Q2)[:3]
+    monkeypatch.setattr(funceq_module, "MAX_SPAN_ROWS", 45)
+    assert len(check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens).rows) == 45
+    with pytest.raises(ArityTooLarge, match="165 rows on 3 generators, budget is 45"):
+        check_symmetrized(NORM_POLY, poly([Q2.zero(), Q2.one(), Q2.zero(), Q2.zero(), Q2.one()]),
+                          xk(Q2, 4), gens)
 
 
 def test_span_consistency_implies_pointwise_on_span_elements():
@@ -366,6 +381,51 @@ def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
 def test_span_check_rejects_a_generator_outside_the_domain():
     with pytest.raises(SpecMismatch, match="span generator outside the field of f"):
         check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one(), QT.one()])
+
+
+_GENERAL = {  # the conjugation-like endomorphism s and a generator pool
+    "Q(sqrt 2)": (Q2, CONJ, ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)", "1/2"]),
+    "Q(t)": (QT, _QT_SHIFT, ["1", "t", "t+1", "t^2", "1/(t-1)"]),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(sorted(_GENERAL)), shape=st.sampled_from(["any", "invariant"]),
+       data=st.data())
+def test_general_span_verdict_agrees_with_points_of_the_span(field, shape, data):
+    """f = a*N + b*x^2 + e*tr with N(x) = x*s(x) and tr = id + s, affine
+    or quadratic P and Q.  A certificate holds at rational span points;
+    a refutation differs at some lattice point sum j_i*g_i, |j| <= D."""
+    spec, s, pool = _GENERAL[field]
+    number = lambda: spec.from_fraction(data.draw(_SMALL))  # noqa: E731
+    ident = identity_map(spec)
+    if shape == "invariant":  # a*(N + tr/2) is invariant under x -> -x-1
+        a = number()
+        b, e = spec.zero(), a / 2
+        p, q = poly([-spec.one(), -spec.one()]), xk(spec, 1)
+    else:
+        a, b, e = number(), number(), number()
+        p, q = (poly([number() for _ in range(data.draw(st.integers(2, 3)))]) for _ in "pq")
+    f = genpoly_from([trace(LinComb(((a, ProductSym((ident, s))), (b, ProductSym((ident, ident)))))),
+                      trace(LinComb(((e, ProductSym((sum_maps(ident, s),))),)))])
+    gens = [spec.element(text) for text in data.draw(st.lists(st.sampled_from(pool),
+                                                              min_size=1, max_size=3))]
+    report = check_symmetrized(f, p, q, gens)
+    lhs, rhs = funceq_module._sides(f, p, q)
+    if report.verdict == HOLDS_ON_SPAN:
+        combos = data.draw(st.lists(st.lists(_SMALL, min_size=len(gens), max_size=len(gens)),
+                                    min_size=1, max_size=3))
+        for cs in combos:
+            x = sum((spec.from_fraction(c) * g for c, g in zip(cs, gens)), spec.zero())
+            assert lhs(x) == rhs(x)
+    else:
+        assert report.verdict == REFUTED
+        d = f.degree * max(p.total_degree(), q.total_degree())
+        lattice = (sum((spec.from_int(c) * g for c, g in zip(j, gens)), spec.zero())
+                   for j in itertools.product(range(d + 1), repeat=len(gens)) if sum(j) <= d)
+        assert any(lhs(x) != rhs(x) for x in lattice)
+    if shape == "invariant":
+        assert report.verdict == HOLDS_ON_SPAN
 
 
 # -- evaluating P --------------------------------------------------------------------
@@ -641,34 +701,3 @@ def test_quartic_candidate_matches_oracle():
 
         naive4 = o_mul(o_mul(naive, naive), o_mul(naive, naive))
         assert matches(engine, naive4)
-
-
-# -- Levi-Civita decompositions --------------------------------------------------------------
-
-def test_twoexp_half_sum_of_conjugates():
-    half = Q2.from_fraction(Fraction(1, 2))
-    a = sum_maps(scale_map(half, identity_map(Q2)), scale_map(half, CONJ))
-    report = levicivita_verify(a, TwoExp(half, half, identity_map(Q2), CONJ),
-                               default_probes(Q2))
-    assert report.verdict == HOLDS_ON_SAMPLE
-
-
-def test_logexp_for_plain_derivation():
-    report = levicivita_verify(DDT, LogExp(identity_map(QT), DDT, QT.zero()),
-                               default_probes(QT))
-    assert report.verdict == HOLDS_ON_SAMPLE
-
-
-def test_logexp_with_unit_constant():
-    # a = d + id = id(d(x)) + 1*id(x)
-    report = levicivita_verify(A_MAP, LogExp(identity_map(QT), DDT, QT.one()),
-                               default_probes(QT))
-    assert report.verdict == HOLDS_ON_SAMPLE
-
-
-def test_twoexp_mismatch_witness():
-    report = levicivita_verify(identity_map(Q2),
-                               TwoExp(Q2.one(), Q2.one(), identity_map(Q2), CONJ),
-                               default_probes(Q2))
-    assert report.verdict == REFUTED
-    assert report.witnesses

@@ -22,7 +22,6 @@ from polcheck.session import (
     MAX_SAMPLES,
     RunOptions,
     emit_report,
-    format_session,
     parse_session,
     run_session,
 )
@@ -44,7 +43,6 @@ def run_src(source, **kwargs):
 
 def test_parse_shape_of_norm_session():
     session = parse_session(NORM_SRC)
-    assert len(session.statements) == 5
     assert len(session.commands) == 1
     assert session.commands[0].kind == "check"
     assert set(session.env) == {"c", "N2", "f"}
@@ -292,20 +290,6 @@ def test_both_check_sides_share_the_element_grammar(text):
         assert actual == expected, line
 
 
-# -- round trip ------------------------------------------------------------
-
-def test_format_parse_round_trip_is_fixpoint():
-    session = parse_session(NORM_SRC)
-    formatted = format_session(session)
-    reparsed = parse_session(formatted)
-    assert reparsed.statements == session.statements
-    assert format_session(reparsed) == formatted
-    # and the reparsed session produces the same verdicts
-    doc1 = run_session(session, RunOptions(seed=3))
-    doc2 = run_session(reparsed, RunOptions(seed=3))
-    assert [e["verdict"] for e in doc1.entries] == [e["verdict"] for e in doc2.entries]
-
-
 # -- execution and reports ---------------------------------------------------
 
 def test_norm_session_passes_with_exit_zero():
@@ -368,6 +352,23 @@ def test_failure_of_one_command_does_not_abort_later_ones():
     doc = run_src(src)
     assert [e["verdict"] for e in doc.entries] == ["NOT_APPLICABLE", "pass"]
     assert doc.exit_code == 1
+
+
+def test_span_checks_skip_the_degree_precheck_and_keep_a_row_budget():
+    src = """
+    field F = Q(sqrt 2);
+    hom c = conj;
+    genpoly f = trace(product(id, c));
+    check f(x^2) == f(x)^3 on span(1, sqrt(2));
+    check f(x^2) == f(x)^3 on samples(3, seed=1);
+    check f(x^4) == f(x)^4 on span(1, 2, 3, 4, 5, 6, 7, 8, 9, 10);
+    """
+    doc = run_src(src, oracle_check=True)
+    assert [e["verdict"] for e in doc.entries] == ["REFUTED", "NOT_APPLICABLE", "ERROR"]
+    assert doc.entries[0]["oracle_checked"] and doc.consistent
+    assert doc.entries[0]["samples"].endswith("28 tuple(s) of order 0..6")
+    assert doc.entries[2]["detail"] == (
+        "arity too large: span check needs 24310 rows on 10 generators, budget is 1000")
 
 
 def test_json_schema_and_determinism():
