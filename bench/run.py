@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_7.json
+    python3 bench/run.py BENCH_8.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -21,10 +21,14 @@ checkout and writes one JSON file:
   calls, of one span check ``check_symmetrized`` per arity 2/4/6/8:
   ``f(x^k) == f(x)^k`` for ``k = 1..4`` and the norm
   ``f = trace(product(id, conj))`` of ``Q(sqrt 2)`` on
-  ``span(1, sqrt(2), 1+sqrt(2))``; and, per degree ``D = 2*k``, one
-  check whose difference is not homogeneous, ``f(x^k+x) == f(x)^k+f(x)``
-  for ``f = N + tr/2`` (the norm plus half the trace) on the same span,
-  which reads rows of every order ``0..D``; of the two probe scans on one
+  ``span(1, sqrt(2), 1+sqrt(2))``, whose Q-basis is ``(1, sqrt(2))``;
+  the same power identity for ``f = trace(product(id, s))``,
+  ``s : t -> t+1``, of ``Q(t)`` on the three Q-independent generators
+  ``span(1, t, t^2)``, the full lattice of three generators; and, per
+  degree ``D = 2*k``, one check whose difference is not homogeneous,
+  ``f(x^k+x) == f(x)^k+f(x)`` for ``f = N + tr/2`` (the norm plus half
+  the trace) on ``span(1, sqrt(2), 1+sqrt(2))``, which reads rows of
+  every order ``0..D``; of the two probe scans on one
   difference table, ``degree_estimate`` of ``trace(product(id, s))``
   on the default probes of ``Q(t)`` and ``classify_quadratic_square``
   of ``product(id, conj)`` on ``Q(sqrt 2)``; of ``eval_form`` per node
@@ -72,6 +76,11 @@ SPAN_CALLS = 20
 #: The span micro cases, one session per arity 2*k.
 SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\ngenpoly f = trace(product(id, c));\n"
                 "check f(x^{k}) == f(x)^{k} on span(1, sqrt(2), 1+sqrt(2));\n")
+
+#: The span micro cases on three Q-independent generators of Q(t), one
+#: session per arity 2*k.
+RATFUNC_SPAN_SESSION = ("field F = Q(t);\nhom s : t -> t+1;\ngenpoly f = trace(product(id, s));\n"
+                        "check f(x^{k}) == f(x)^{k} on span(1, t, t^2);\n")
 
 #: The general span micro cases, one session per degree D = 2*k.
 GENERAL_SPAN_SESSION = ("field F = Q(sqrt 2);\nhom c = conj;\nmap h = (1/2)*id + (1/2)*c;\n"
@@ -210,7 +219,8 @@ def time_micro(polcheck, clock) -> dict:
              for kind in ("identity", "zero", "endo", "derivation", "scale", "sum", "compose")}
     span = {}
     for k in range(1, 5):
-        for name, session in (("arity", SPAN_SESSION), ("general", GENERAL_SPAN_SESSION)):
+        for name, session in (("arity", SPAN_SESSION), ("ratfunc", RATFUNC_SPAN_SESSION),
+                              ("general", GENERAL_SPAN_SESSION)):
             payload = polcheck.parse_session(session.format(k=k)).commands[0].payload
             args = [payload[key] for key in ("f", "p", "q", "generators")]
             span[f"{name}_{2 * k}"] = time_calls(

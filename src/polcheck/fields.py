@@ -550,37 +550,14 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
         if not isinstance(rhs, int):
             raise SpecMismatch("pow exponent must be an integer")
         return _power(lhs, rhs)
-    if type(rhs) is not FieldElement or rhs.spec is not spec:
-        rhs = _coerce(spec, rhs)
-    if spec.kind == RATFUNC:
-        n1, d1 = lhs.payload
-        n2, d2 = rhs.payload
-        # a zero operand decides the sum or product (0 - x still negates),
-        # and a factor or divisor one leaves the other operand
-        if op == "add":
-            if not n2.terms:
-                return lhs
-            if not n1.terms:
-                return rhs
-            return _add_reduced(spec, n1, d1, n2, d2, subtract=False)
-        if op == "sub":
-            if not n2.terms:
-                return lhs
-            return _add_reduced(spec, n1, d1, n2, d2, subtract=True)
-        if op == "mul":
-            if not n1.terms or _is_one(n2) and _is_one(d2):
-                return lhs
-            if not n2.terms or _is_one(n1) and _is_one(d1):
-                return rhs
-            return _mul_reduced(spec, n1, d1, n2, d2)
-        if op == "div":
-            if n2.is_zero():
-                raise DivisionByZero("division by zero element")
-            if _is_one(n2) and _is_one(d2):
-                return lhs
-            return _mul_reduced(spec, n1, d1, d2, n2)
-    else:
-        a, b = lhs.payload, rhs.payload
+    if spec.kind != RATFUNC:
+        a = lhs.payload
+        if type(rhs) is int:  # a Fraction or QuadRat takes an int as it is
+            b = rhs
+        else:
+            if type(rhs) is not FieldElement or rhs.spec is not spec:
+                rhs = _coerce(spec, rhs)
+            b = rhs.payload
         if op == "add":
             return FieldElement(spec, a + b)
         if op == "sub":
@@ -591,6 +568,35 @@ def field_arith(op: str, lhs: FieldElement, rhs) -> FieldElement:
             if not b:
                 raise DivisionByZero("division by zero element")
             return FieldElement(spec, a / b)
+        raise ValueError(f"unknown operation {op!r}")
+    if type(rhs) is not FieldElement or rhs.spec is not spec:
+        rhs = _coerce(spec, rhs)
+    n1, d1 = lhs.payload
+    n2, d2 = rhs.payload
+    # a zero operand decides the sum or product (0 - x still negates),
+    # and a factor or divisor one leaves the other operand
+    if op == "add":
+        if not n2.terms:
+            return lhs
+        if not n1.terms:
+            return rhs
+        return _add_reduced(spec, n1, d1, n2, d2, subtract=False)
+    if op == "sub":
+        if not n2.terms:
+            return lhs
+        return _add_reduced(spec, n1, d1, n2, d2, subtract=True)
+    if op == "mul":
+        if not n1.terms or _is_one(n2) and _is_one(d2):
+            return lhs
+        if not n2.terms or _is_one(n1) and _is_one(d1):
+            return rhs
+        return _mul_reduced(spec, n1, d1, n2, d2)
+    if op == "div":
+        if n2.is_zero():
+            raise DivisionByZero("division by zero element")
+        if _is_one(n2) and _is_one(d2):
+            return lhs
+        return _mul_reduced(spec, n1, d1, d2, n2)
     raise ValueError(f"unknown operation {op!r}")
 
 

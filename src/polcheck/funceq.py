@@ -2,11 +2,11 @@
 
 Pointwise checks evaluate both sides exactly on samples.  Span checks
 compare the iterated differences of the same two side functions at
-every multiset drawn from a generator set, of every order up to the
-degree D of their difference; by Newton's forward-difference formula on
-the lattice of integer combinations of the generators, this certifies
-the identity on their whole rational span.  When the difference is
-homogeneous, the differences of order D alone suffice: they are the
+every multiset drawn from a Q-basis of the generators, of every order
+up to the degree D of their difference; by Newton's forward-difference
+formula on the lattice of integer combinations of the basis, this
+certifies the identity on the whole rational span.  When the difference
+is homogeneous, the differences of order D alone suffice: they are the
 values of the two sides' symmetric D-additive forms.  The classifiers
 execute the constructive steps of the degree-two theory: the six-term
 quartic form, its trace test, the auxiliary additive map
@@ -38,7 +38,7 @@ from .forms import (
     trace,
 )
 from .genpoly import GenPoly
-from .linalg import solve
+from .linalg import q_basis, solve
 from .maps import AdditiveMap, Identity, apply_map
 from .polys import Poly
 
@@ -92,20 +92,25 @@ class Classification:
 class EquationReport:
     """A verdict with its evidence.  ``rows`` holds every (input, lhs,
     rhs) triple the check compared on the way to the verdict, so the
-    values can be audited without evaluating the engine again."""
+    values can be audited without evaluating the engine again.  A span
+    check also keeps its Q-``basis`` and the generators it ``dropped``,
+    each with its rational coefficients on the basis."""
 
     __slots__ = ("verdict", "witnesses", "classification", "sample_description", "detail",
-                 "rows")
+                 "rows", "basis", "dropped")
 
     def __init__(self, verdict: str, witnesses: tuple[Witness, ...] = (),
                  classification: Classification | None = None, sample_description: str = "",
-                 detail: str = "", rows: tuple[tuple, ...] = ()):
+                 detail: str = "", rows: tuple[tuple, ...] = (), basis: tuple = (),
+                 dropped: tuple = ()):
         self.verdict = verdict
         self.witnesses = witnesses
         self.classification = classification
         self.sample_description = sample_description
         self.detail = detail
         self.rows = rows
+        self.basis = basis
+        self.dropped = dropped
         if self.verdict == REFUTED:
             real = [w for w in self.witnesses if w.difference is not None and not w.difference.is_zero()]
             if not real:
@@ -186,20 +191,24 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     """Span certificate for f(P(x)) = Q(f(x)) on the rational span of the
     generators.
 
-    On x = sum c_i*g_i every additive map is Q-linear, so the difference
-    g(c) = f(P(x)) - Q(f(x)) is a polynomial in c of total degree at
-    most D = deg f * max(deg P, deg Q).  Newton's forward-difference
-    formula on the lattice |c| <= D writes g as the sum over |a| <= D of
-    Delta^a g(0) * prod C(c_i, a_i), so g vanishes on the span exactly
-    when every difference of order 0..D at 0 does (Nicolaides, 1972;
-    Chung and Yao, 1977).  A row compares the two sides' differences at
-    one multiset of generators, each divided by its order!.  When f has
-    one component and P = a*x^k, Q = lambda*x^k with k >= 1, g is
-    homogeneous of degree D and the rows of order D are enough: they
-    compare the two sides' symmetric D-additive forms, and D is the
-    check's arity.  Every row is read off one ``difference_table`` of the
-    points sum j_i*g_i, |j| <= D, so each side runs once per distinct
-    point.
+    The span is that of its greedy Q-basis b_1..b_r (``q_basis``): the
+    generators in order, less each one that is a rational combination of
+    those kept before it.  On x = sum c_i*b_i every additive map is
+    Q-linear, so the difference g(c) = f(P(x)) - Q(f(x)) is a polynomial
+    in c of total degree at most D = deg f * max(deg P, deg Q).  Newton's
+    forward-difference formula on the lattice |c| <= D writes g as the
+    sum over |a| <= D of Delta^a g(0) * prod C(c_i, a_i), so g vanishes
+    on the span exactly when every difference of order 0..D at 0 does
+    (Nicolaides, 1972; Chung and Yao, 1977): C(r+D, D) rows.  A row
+    compares the two sides' differences at one multiset of basis
+    elements, each divided by its order!.  When f has one component and
+    P = a*x^k, Q = lambda*x^k with k >= 1, g is homogeneous of degree D
+    and the C(r+D-1, D) rows of order D are enough: they compare the two
+    sides' symmetric D-additive forms, and D is the check's arity.  Every
+    row is read off one ``difference_table`` of the points sum j_i*b_i,
+    |j| <= D, so each side runs once per distinct point.  The report's
+    rows start with one (name, generator) pair per generator left out,
+    whose coefficients on the basis ``dropped`` records for the audit.
 
     Raises ArityTooLarge when D passes DEFAULT_ARITY_CAP or the rows
     pass MAX_SPAN_ROWS, before any evaluation.
@@ -212,29 +221,34 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
         raise SpecMismatch("generators must be nonempty")
     if any(g.spec != f.spec for g in generators):
         raise SpecMismatch("span generator outside the field of f")
+    basis, dropped = q_basis(generators)
     homogeneous = len(f.components) == len(p.terms) == len(q.terms) == 1 and dp == dq >= 1
     orders = (arity,) if homogeneous else range(arity + 1)
-    m = len(generators)
-    count = sum(math.comb(m + order - 1, order) for order in orders)
+    r = len(basis)
+    # the rows of order D alone, or of every order 0..D
+    count = math.comb(r + arity - 1, arity) if homogeneous and arity else math.comb(r + arity, arity)
     if count > MAX_SPAN_ROWS:
-        raise ArityTooLarge(f"span check needs {count} rows on {m} generators, "
+        raise ArityTooLarge(f"span check needs {count} rows on {r} generators, "
                             f"budget is {MAX_SPAN_ROWS}")
-    differences = difference_table(_sides(f, p, q), f.spec.zero(), generators)
+    differences = difference_table(_sides(f, p, q), f.spec.zero(), basis)
     witnesses, rows = [], []
     for order in orders:
         scale = math.factorial(order)
-        for tup, counts in multisets(generators, order):
+        for tup, counts in multisets(basis, order):
             lhs, rhs = differences(counts)
             lhs, rhs = lhs / scale, rhs / scale
             rows.append((tup, lhs, rhs))
             if lhs != rhs:
                 witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
     shape = f"arity {arity}" if homogeneous else f"order 0..{arity}"
-    description = (f"span generators ({', '.join(format_element(g) for g in generators)}); "
-                   f"{len(rows)} tuple(s) of {shape}")
+    description = f"span generators ({', '.join(map(format_element, generators))}); "
+    if dropped:
+        description += f"Q-basis ({', '.join(map(format_element, basis))}); "
+    description += f"{len(rows)} tuple(s) of {shape}"
+    claims = [(f"generator {format_element(g)} on the Q-basis", g) for g, _ in dropped]
     verdict = REFUTED if witnesses else HOLDS_ON_SPAN
     return EquationReport(verdict, tuple(witnesses), sample_description=description,
-                          rows=tuple(rows))
+                          rows=tuple(claims + rows), basis=tuple(basis), dropped=tuple(dropped))
 
 
 def _quartic_trace(f2: SymmetricForm):

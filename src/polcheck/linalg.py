@@ -1,8 +1,9 @@
-"""Exact Gaussian elimination over a field of FieldElements."""
+"""Exact Gaussian elimination over a field of FieldElements, and the
+Q-basis of a list of field elements."""
 
 from __future__ import annotations
 
-from .fields import FieldElement
+from .fields import RATFUNC, FieldElement, FieldSpec, QuadRat
 
 
 def _eliminate(rows: list[list[FieldElement]], ncols: int) -> list[int]:
@@ -62,3 +63,41 @@ def solve(matrix: list[list[FieldElement]], rhs: list[FieldElement]):
             value = value - row[later] * solution[later]
         solution[col] = value / row[col]
     return solution
+
+
+def q_basis(elements: list[FieldElement]):
+    """The greedy Q-basis of the rational span of ``elements``: in order,
+    an element is kept unless it is a rational combination of the ones
+    kept before it, so zeros go and the first nonzero element stays.
+    Returns the basis and, for each element left out, the pair of the
+    element and its ``Fraction`` coefficients on the first basis
+    elements.  Coordinates over Q come from one injective Q-linear map:
+    the value, its two parts over Q(sqrt d), and over a function field
+    the parts of each coefficient of the element times the product of
+    the elements' distinct denominators."""
+    spec = elements[0].spec
+    d = spec.radicand
+    rows = [[e.payload] for e in elements]
+    if spec.kind == RATFUNC:
+        dens = list(dict.fromkeys(e.payload[1] for e in elements))
+        polys = []
+        for e in elements:
+            num, den = e.payload
+            for other in dens:
+                if other != den:
+                    num = num * other
+            polys.append(num.terms)
+        keys = sorted(set().union(*polys))
+        rows = [[p.get(key, 0) for key in keys] for p in polys]
+    rationals = FieldSpec.rationals()
+    basis, columns, dropped = [], [], []
+    for e, row in zip(elements, rows):
+        vector = [rationals.from_fraction(x) for c in row for x in
+                  ((c,) if d is None else (c.a, c.b) if type(c) is QuadRat else (c, 0))]
+        solution = solve([[column[i] for column in columns] for i in range(len(vector))], vector)
+        if solution is None:
+            basis.append(e)
+            columns.append(vector)
+        else:
+            dropped.append((e, tuple(c.payload for c in solution)))
+    return basis, dropped

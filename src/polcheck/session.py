@@ -797,9 +797,15 @@ def _audit_check(payload: dict, report: EquationReport):
     p_of, q_of = oracle.polyspec(p), oracle.polyspec(q)
     lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
     rhs = oracle.memoized(lambda v: q_of(oracle.eval_genpoly(f, v)))
-    if payload["mode"] == "span":  # each side polarized at the tuple
+    if payload["mode"] == "span":
         zero = oracle.zero()
-        for tup, _, _ in report.rows:
+        basis = [from_element(b) for b in report.basis]
+        for _, coefficients in report.dropped:  # the generator as its combination
+            total = zero
+            for c, b in zip(coefficients, basis):
+                total = o_add(total, o_mul(o_divint(oracle.integer(c.numerator), c.denominator), b))
+            yield (total,)
+        for tup, _, _ in report.rows[len(report.dropped):]:  # each side polarized at the tuple
             args = [from_element(a) for a in tup]
             scale = math.factorial(len(args))
             yield (o_divint(oracle.delta_many(lhs, args, zero), scale),

@@ -363,12 +363,22 @@ def _times_two(original):
     return lambda *args: original(*args) * 2
 
 
+def _drop_independent(original):
+    # the last basis element goes, claimed to be the first one
+    def faulty(generators):
+        basis, dropped = original(generators)
+        return basis[:-1], dropped + [(basis[-1], (1,))]
+    return faulty
+
+
 # command -> (owner of an engine-only function, its name, fault); the
 # oracle is never patched, so the audit must see the engine's new values.
 _FAULTS = {
     "check f(x^2) == f(x)^2 on samples(3, seed=1)":
         (forms_module.GenMonomial, "__call__", _add_cube),
     "check f(x^2) == f(x)^2 on span(1, sqrt(2))": (forms_module, "_trace", _times_two),
+    "check f(x^2) == f(x)^2 on span(1, sqrt(2), 1+sqrt(2))":
+        (funceq_module, "q_basis", _drop_independent),
     "classify quadratic N2 with dictionary(id, c)":
         (funceq_module, "_quartic_trace", _add_quartic),
     "degree f": (forms_module.GenMonomial, "__call__", _add_cube),

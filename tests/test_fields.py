@@ -121,6 +121,23 @@ def test_field_arith_entry_point():
         field_arith("add", Q.one(), Q2.one())
 
 
+@pytest.mark.parametrize("spec,text", [(Q, "-2/3"), (Q2, "(1+3*sqrt(2))/5"), (QT, "(t+1)/(t-2)")])
+def test_int_operand_gives_the_element_of_the_int(monkeypatch, spec, text):
+    x = parse_element(text, spec)
+    expected = {(op, n): field_arith(op, x, spec.from_int(n))
+                for op in ("add", "sub", "mul", "div") for n in (-3, 1, 2, 24)}
+    coerced = []
+    coerce = fields_module._coerce
+    monkeypatch.setattr(fields_module, "_coerce", lambda s, v: coerced.append(v) or coerce(s, v))
+    for (op, n), value in expected.items():
+        got = field_arith(op, x, n)
+        assert got == value and type(got.payload) is type(value.payload)
+    # Q and Q(sqrt d) combine the payload with the int itself
+    assert len(coerced) == (len(expected) if spec.kind == "ratfunc" else 0)
+    with pytest.raises(DivisionByZero):
+        field_arith("div", x, 0)
+
+
 @pytest.mark.parametrize("spec,text", [
     (Q, "-2/3"), (Q2, "1+sqrt(2)"), (QT, "(t+1)/(t-2)"), (Q2T, "sqrt(2)*t-1"),
 ])

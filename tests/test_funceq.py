@@ -41,6 +41,7 @@ from polcheck.funceq import (
     quartic_solve,
 )
 from polcheck.genpoly import genpoly_from
+from polcheck.linalg import q_basis, rank
 from polcheck.maps import (
     apply_map,
     build_derivation,
@@ -226,16 +227,17 @@ def test_span_check_caps_the_degree_of_any_difference():
 
 
 def test_span_check_refuses_rows_over_the_budget(monkeypatch, time_limit):
-    gens = [Q2.from_int(i) for i in range(1, 11)]
+    gens = [QT.element(f"t^{i}") for i in range(10)]  # Q-independent
     with time_limit(0.1, "refusing an over-budget span check"):
         with pytest.raises(ArityTooLarge, match="24310 rows on 10 generators, budget is 1000"):
-            check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
-    # the budget counts C(m+D-1, D) rows of order D for a homogeneous
-    # difference, C(m+D, D) of every order otherwise
-    gens = default_probes(Q2)[:3]
-    monkeypatch.setattr(funceq_module, "MAX_SPAN_ROWS", 45)
-    assert len(check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens).rows) == 45
-    with pytest.raises(ArityTooLarge, match="165 rows on 3 generators, budget is 45"):
+            check_symmetrized(genpoly_from([F28]), xk(QT, 4), xk(QT, 4), gens)
+    # the budget counts C(r+D-1, D) rows of order D for a homogeneous
+    # difference, C(r+D, D) of every order otherwise, on a Q-basis of r
+    gens = default_probes(Q2)[:3]  # 1, sqrt(2), 1+sqrt(2): a basis of 2
+    monkeypatch.setattr(funceq_module, "MAX_SPAN_ROWS", 10)
+    report = check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
+    assert len(report.rows) - len(report.dropped) == 9
+    with pytest.raises(ArityTooLarge, match="45 rows on 2 generators, budget is 10"):
         check_symmetrized(NORM_POLY, poly([Q2.zero(), Q2.one(), Q2.zero(), Q2.zero(), Q2.one()]),
                           xk(Q2, 4), gens)
 
@@ -253,17 +255,18 @@ def test_span_consistency_implies_pointwise_on_span_elements():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
-    gens = default_probes(Q2)[:3]
-    p, q = xk(Q2, k), xk(Q2, k)
-    sums = subset_sums(combinations_with_replacement(gens, 2 * k), Q2.zero())
+    gens = _QT_INDEPENDENT
+    form = ProductSym((identity_map(QT), _QT_SHIFT))  # x*s(x), multiplicative
+    p, q = xk(QT, k), xk(QT, k)
+    sums = subset_sums(combinations_with_replacement(gens, 2 * k), QT.zero())
     assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
-    # the norm's trace runs once at P(s) (left side) and once at s (right side)
+    # the trace runs once at P(s) (left side) and once at s (right side)
     expected = Counter([evaluate(p, s) for s in sums] + list(sums))
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
-        assert check_symmetrized(NORM_POLY, p, q, gens).verdict == HOLDS_ON_SPAN
-        assert all(form == NORM_FORM for form, _ in calls)
+        assert check_symmetrized(genpoly_from([trace(form)]), p, q, gens).verdict == HOLDS_ON_SPAN
+        assert all(called == form for called, _ in calls)
         assert Counter(x for _, x in calls) == expected
 
 
@@ -329,24 +332,21 @@ def reference_rows(f, p, q, gens) -> list:
 
 
 _QT_SHIFT = build_endomorphism(QT, {"t": QT.element("t+1")})
-_LATTICE = {  # maps, generator pool, and special generator lists
-    "Q(sqrt 2)": (Q2, [identity_map(Q2), CONJ], ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)", "1/2"],
-                  [["1+sqrt(2)", "1+sqrt(2)"], ["0"], ["sqrt(2)", "0", "1"],
-                   ["1", "sqrt(2)", "1+sqrt(2)"]]),
-    "Q(t)": (QT, [identity_map(QT), DDT, _QT_SHIFT], ["1", "t", "t+1", "t^2", "1/(t-1)"],
-             [["t", "t"], ["0"], ["t", "0", "1"], ["1", "t", "t+1"]]),
+_QT_INDEPENDENT = [QT.one(), QT.element("t"), QT.element("t^2")]
+_LATTICE = {  # maps, a generator pool of which any [F:Q] or 3 are Q-independent
+    "Q(sqrt 2)": (Q2, [identity_map(Q2), CONJ], ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)"], 2),
+    "Q(t)": (QT, [identity_map(QT), DDT, _QT_SHIFT], ["1", "t", "t^2", "1/(t-1)", "t^3-t"], 3),
 }
 
 
 @settings(max_examples=40, deadline=None)
 @given(field=st.sampled_from(sorted(_LATTICE)), data=st.data())
 def test_span_rows_match_per_tuple_subset_sums(field, data):
-    spec, maps, pool, special = _LATTICE[field]
+    spec, maps, pool, most = _LATTICE[field]
     n = data.draw(st.integers(1, 3), label="degree")
     k = data.draw(st.integers(1, 6 // n), label="k")
     f = genpoly_from([trace(ProductSym(tuple(data.draw(st.sampled_from(maps)) for _ in range(n))))])
-    texts = data.draw(st.one_of(st.sampled_from(special),
-                                st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    texts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=most, unique=True))
     gens = [spec.element(text) for text in texts]
     a, lam = (spec.element(data.draw(st.sampled_from(pool))) for _ in range(2))
     p, q = xk(spec, k, a), xk(spec, k, lam)
@@ -357,7 +357,7 @@ def test_span_rows_match_per_tuple_subset_sums(field, data):
 
 
 def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
-    gens = default_probes(Q2)  # 1, sqrt(2), 1+sqrt(2): dependent over Q
+    gens = _QT_INDEPENDENT
     sides = funceq_module._sides
     logs = ([], [])
 
@@ -366,12 +366,13 @@ def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
                      for side, log in zip(sides(f, p, q), logs))
 
     monkeypatch.setattr(funceq_module, "_sides", logged_sides)
-    arity = 8  # N(x^4) == N(x)^4 is an arity-8 check
-    report = check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
+    arity = 8  # N(x^4) == N(x)^4 for N(x) = x*s(x) is an arity-8 check
+    f = genpoly_from([trace(ProductSym((identity_map(QT), _QT_SHIFT)))])
+    report = check_symmetrized(f, xk(QT, 4), xk(QT, 4), gens)
     assert report.verdict == HOLDS_ON_SPAN and len(report.rows) == math.comb(3 + arity - 1, arity)
-    lattice = {sum((Q2.from_int(c) * g for c, g in zip(j, gens)), Q2.zero())
+    lattice = {sum((QT.from_int(c) * g for c, g in zip(j, gens)), QT.zero())
                for j in itertools.product(range(arity + 1), repeat=3) if sum(j) <= arity}
-    per_tuple = sum(len(subset_sum_weights(tup, Q2.zero()))
+    per_tuple = sum(len(subset_sum_weights(tup, QT.zero()))
                     for tup in combinations_with_replacement(gens, arity))
     for log in logs:
         assert len(log) == len(set(log)) and set(log) <= lattice
@@ -381,6 +382,86 @@ def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
 def test_span_check_rejects_a_generator_outside_the_domain():
     with pytest.raises(SpecMismatch, match="span generator outside the field of f"):
         check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [Q2.one(), QT.one()])
+
+
+def test_span_check_reduces_dependent_generators_to_a_q_basis():
+    texts = ["1", "2", "sqrt(2)", "1+sqrt(2)", "3", "2*sqrt(2)", "1/2", "1-sqrt(2)", "5", "-sqrt(2)"]
+    gens = [Q2.element(text) for text in texts]
+    # C(10+7, 8) = 24310 rows on all ten; C(2+7, 8) = 9 on the basis (1, sqrt(2))
+    report = check_symmetrized(NORM_POLY, xk(Q2, 4), xk(Q2, 4), gens)
+    assert report.verdict == HOLDS_ON_SPAN
+    assert report.basis == (Q2.one(), Q2.sqrt_element())
+    assert [g for g, _ in report.dropped] == gens[1:2] + gens[3:]
+    assert len(report.rows) == len(report.dropped) + 9
+    assert report.sample_description == (
+        f"span generators ({', '.join(texts)}); Q-basis (1, sqrt(2)); 9 tuple(s) of arity 8")
+    # independent generators keep the text without a basis
+    report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), gens[:1] + gens[2:3])
+    assert report.sample_description == "span generators (1, sqrt(2)); 5 tuple(s) of arity 4"
+    assert report.dropped == () and len(report.rows) == 5
+
+
+def test_span_check_drops_zero_generators():
+    zero = Q2.zero()
+    report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 2), [zero, E, zero])
+    assert report.verdict == HOLDS_ON_SPAN and report.basis == (E,)
+    assert report.dropped == ((zero, ()), (zero, (0,)))
+    assert report.rows[:2] == (("generator 0 on the Q-basis", zero),) * 2
+    assert [tup for tup, _, _ in report.rows[2:]] == [(E,) * 4]
+
+
+@pytest.mark.parametrize("p, q, verdict", [
+    (xk(Q2, 2), xk(Q2, 2), HOLDS_ON_SPAN),  # homogeneous: no row of order 4 on no generator
+    (poly([Q2.one(), Q2.zero(), Q2.one()]), poly([Q2.one(), Q2.zero(), Q2.one()]), HOLDS_ON_SPAN),
+    (poly([Q2.one(), Q2.one()]), poly([Q2.from_int(2), Q2.one()]), REFUTED),
+])
+def test_span_of_zero_generators_decides_at_the_point_zero(p, q, verdict):
+    report = check_symmetrized(NORM_POLY, p, q, [Q2.zero(), Q2.zero()])
+    assert report.verdict == verdict and report.basis == ()
+    assert "; Q-basis (); " in report.sample_description
+    if verdict == REFUTED:  # N(0 + 1) = 1, but N(0) + 2 = 2
+        (w,) = report.witnesses
+        assert (w.input, w.lhs, w.rhs) == ((), Q2.one(), Q2.from_int(2))
+
+
+Q2T = FieldSpec.ratfunc(Q2, ["t"])
+_ATOMS = {  # Q-independent elements of each field
+    "Q": (Q, ["1"]),
+    "Q(sqrt 2)": (Q2, ["1", "sqrt(2)"]),
+    "Q(t)": (QT, ["1", "t", "t^2", "1/(t-1)"]),
+    "Q(sqrt 2)(t)": (Q2T, ["1", "sqrt(2)", "t", "sqrt(2)*t", "1/(t-1)", "sqrt(2)/(t+1)",
+                           "(t+sqrt(2))/(t^2+1)"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(_ATOMS)), data=st.data())
+def test_q_basis_is_the_greedy_basis_and_rebuilds_what_it_drops(field, data):
+    """Generators are rational combinations of independent atoms, or
+    integer combinations of earlier generators; their atom vectors tell
+    which ones the greedy basis keeps."""
+    spec, texts = _ATOMS[field]
+    atoms = [spec.element(text) for text in texts]
+    vectors = []
+    for _ in range(data.draw(st.integers(1, 6), label="generators")):
+        if vectors and data.draw(st.booleans(), label="combination"):
+            ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(vectors), max_size=len(vectors)))
+            vectors.append([sum(k * v[i] for k, v in zip(ks, vectors)) for i in range(len(atoms))])
+        else:
+            vectors.append(data.draw(st.lists(_SMALL, min_size=len(atoms), max_size=len(atoms))))
+    combine = lambda cs, xs: sum((spec.from_fraction(Fraction(c)) * x  # noqa: E731
+                                  for c, x in zip(cs, xs)), spec.zero())
+    gens = [combine(v, atoms) for v in vectors]
+    span_rank = lambda vs: rank([[Q.from_fraction(Fraction(c)) for c in v] for v in vs])  # noqa: E731
+    kept = [j for j in range(len(gens)) if span_rank(vectors[:j + 1]) > span_rank(vectors[:j])]
+    basis, dropped = q_basis(gens)
+    assert basis == [gens[j] for j in kept]  # an ordered sublist of the generators
+    assert span_rank([vectors[j] for j in kept]) == len(basis)  # independent over Q
+    assert [g for g, _ in dropped] == [g for j, g in enumerate(gens) if j not in kept]
+    for g, coefficients in dropped:
+        assert len(coefficients) <= len(basis)
+        assert all(type(c) is Fraction for c in coefficients)
+        assert combine(coefficients, basis) == g
 
 
 _GENERAL = {  # the conjugation-like endomorphism s and a generator pool

@@ -361,13 +361,19 @@ def test_span_checks_skip_the_degree_precheck_and_keep_a_row_budget():
     genpoly f = trace(product(id, c));
     check f(x^2) == f(x)^3 on span(1, sqrt(2));
     check f(x^2) == f(x)^3 on samples(3, seed=1);
-    check f(x^4) == f(x)^4 on span(1, 2, 3, 4, 5, 6, 7, 8, 9, 10);
     """
     doc = run_src(src, oracle_check=True)
-    assert [e["verdict"] for e in doc.entries] == ["REFUTED", "NOT_APPLICABLE", "ERROR"]
+    assert [e["verdict"] for e in doc.entries] == ["REFUTED", "NOT_APPLICABLE"]
     assert doc.entries[0]["oracle_checked"] and doc.consistent
     assert doc.entries[0]["samples"].endswith("28 tuple(s) of order 0..6")
-    assert doc.entries[2]["detail"] == (
+    powers = ", ".join(f"t^{i}" for i in range(10))  # Q-independent
+    src = f"""
+    field F = Q(t);
+    genpoly f = trace(product(id, id));
+    check f(x^4) == f(x)^4 on span({powers});
+    """
+    (entry,) = run_src(src).entries
+    assert entry["verdict"] == "ERROR" and entry["detail"] == (
         "arity too large: span check needs 24310 rows on 10 generators, budget is 1000")
 
 
@@ -398,8 +404,31 @@ def test_refuted_json_has_witnesses():
 
 def test_text_report_mentions_span_generators():
     text = emit_report(run_src(NORM_SRC), "text").decode()
-    assert "span generators (1, sqrt(2), 1+sqrt(2))" in text
+    assert "span generators (1, sqrt(2), 1+sqrt(2)); Q-basis (1, sqrt(2)); 5 tuple(s)" in text
     assert "verdict: HOLDS_ON_SPAN" in text
+    independent = NORM_SRC.replace("span(1, sqrt(2), 1+sqrt(2))", "span(1, sqrt(2))")
+    text = emit_report(run_src(independent), "text").decode()
+    assert "span generators (1, sqrt(2)); 5 tuple(s) of arity 4" in text
+
+
+def test_span_audit_rebuilds_each_dropped_generator(monkeypatch):
+    src = NORM_SRC.replace("span(1, sqrt(2), 1+sqrt(2))", "span(1, 0, sqrt(2), 2-3*sqrt(2))")
+    doc = run_src(src, oracle_check=True)
+    assert doc.consistent and doc.entries[0]["oracle_checked"]
+    assert "Q-basis (1, sqrt(2)); 5 tuple(s)" in doc.entries[0]["samples"]
+    # a wrong coefficient on the basis is an oracle mismatch, with no other row at fault
+    original = session_module.check_symmetrized
+
+    def misrecorded(*args):
+        report = original(*args)
+        report.dropped = report.dropped[:-1] + ((report.dropped[-1][0], (2, -2)),)
+        return report
+
+    monkeypatch.setattr(session_module, "check_symmetrized", misrecorded)
+    doc = run_src(src, oracle_check=True)
+    assert doc.entries[0]["oracle_mismatches"] == [
+        "generator 2-3*sqrt(2) on the Q-basis: engine 2-3*sqrt(2)"]
+    assert doc.exit_code == 3
 
 
 def test_classify_command_in_session():
