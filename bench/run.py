@@ -1,6 +1,6 @@
 """Wall times of polcheck's golden sessions and of its tier-1 test suite.
 
-    python3 bench/run.py BENCH_8.json
+    python3 bench/run.py BENCH_9.json
 
 Run from anywhere; the command imports polcheck from ``src/`` of its own
 checkout and writes one JSON file:
@@ -15,6 +15,11 @@ checkout and writes one JSON file:
   (on two general elements, and with a zero or one operand), and of
   ``poly_gcd`` on coprime, shared-factor and equal polynomials in
   ``t`` over ``Q`` and ``Q(sqrt 2)``, and in ``t, u`` over ``Q``;
+  of ``Poly`` products and ``gcd_cofactors`` on the integral numerators
+  of ``Q(t)`` (``poly``: ``mul_qt`` multiplies a three-term and a
+  two-term polynomial, ``gcd_qt`` finds the shared linear factor of
+  a quadratic and a quartic, the sizes of the non-constant operands
+  that dominate rational-function arithmetic in pointwise checks);
   of ``apply_map`` per map kind on ``Q(t)`` (``id``, ``zero``, the
   endomorphism ``s : t -> t^2``, the derivation ``d/dt``, ``2*s``,
   ``s + d`` and ``s@d``) at x; and, in stretches of ``SPAN_CALLS``
@@ -92,6 +97,12 @@ SCAN_SESSIONS = {
     "degree": "field F = Q(t);\nhom s : t -> t^2;\ngenpoly f = trace(product(id, s));\ndegree f;\n",
     "classify": ("field F = Q(sqrt 2);\nhom c = conj;\nform N2 = product(id, c);\n"
                  "classify quadratic N2 with dictionary(id, c);\n"),
+}
+
+#: The poly micro cases: two integral numerators of Q(t) for each.
+MICRO_POLYS = {
+    "mul_qt": ("3*t^2+t-2", "2*t+5"),
+    "gcd_qt": ("3*t^2+t-2", "t^4+t^3-2*t^2+3*t+5"),   # both divisible by t+1
 }
 
 #: The maps of the apply_map micro cases, on Q(t): each map kind once.
@@ -193,7 +204,7 @@ def time_micro(polcheck, clock) -> dict:
     from polcheck.genpoly import degree_estimate
     from polcheck.maps import apply_map
     from polcheck.oracle import Oracle, from_element
-    from polcheck.polys import poly_gcd
+    from polcheck.polys import gcd_cofactors, poly_gcd
     from polcheck.session import default_probes
 
     rationals, quadratic = polcheck.FieldSpec.rationals(), polcheck.FieldSpec.quadratic(2)
@@ -213,6 +224,9 @@ def time_micro(polcheck, clock) -> dict:
         pairs = {"coprime": (f, g), "shared_factor": (f * h, g * h), "equal": (f * h, f * h)}
         gcd[name] = {case: time_calls(clock, lambda a=a, b=b: poly_gcd(a, b))
                      for case, (a, b) in pairs.items()}
+    (f, g), (a, b) = ([specs["Q(t)"].element(p).payload[0] for p in pair] for pair in MICRO_POLYS.values())
+    poly = {"mul_qt": time_calls(clock, lambda: f * g),
+            "gcd_qt": time_calls(clock, lambda: gcd_cofactors(a, b))}
     maps = polcheck.parse_session(MAP_SESSION).env
     x = specs["Q(t)"].element(MICRO_ELEMENTS["Q(t)"][0])
     apply = {kind: time_calls(clock, lambda m=maps["m_" + kind]: apply_map(m, x))
@@ -244,7 +258,7 @@ def time_micro(polcheck, clock) -> dict:
     oracle, diagonal = Oracle(quadratic), [from_element(arguments[2])] * 8
     forms["audited_product"] = {"arity_8": time_calls(
         clock, lambda: oracle.eval_form(built["product", 8], diagonal), SPAN_CALLS)}
-    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd, "apply_map": apply,
+    return {"calls": MICRO_CALLS, "field": field, "poly_gcd": gcd, "poly": poly, "apply_map": apply,
             "span_calls": SPAN_CALLS, "span": span, "scan": scan, "eval_form": forms}
 
 

@@ -30,7 +30,8 @@ class ArityTooLarge(PolcheckError):
 
 
 class ValueTooLarge(PolcheckError):
-    """A value has too many decimal digits to be printed."""
+    """A value has too many decimal digits to be printed, or too high a
+    degree for the exponent fields of a polynomial in several variables."""
 
 
 class DictionaryInsufficient(PolcheckError):

@@ -29,12 +29,13 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 from typing import Union
 
 from .errors import DenominatorVanishes, DivisionByZero, ParseError, SpecMismatch, ValueTooLarge
 from .lexer import TokenStream, tokenize
-from .polys import Poly, _poly_dropping_zeros, gcd_cofactors, grlex_key
+from .polys import Poly, _poly_dropping_zeros, exponents, gcd_cofactors
 
 RATIONALS = "rationals"
 QUADRATIC = "quadratic"
@@ -494,10 +495,7 @@ def _canonical_pair(spec: FieldSpec, num: Poly, den: Poly) -> FieldElement:
 
 
 def _is_one(p: Poly) -> bool:
-    if len(p.terms) != 1:
-        return False
-    [(e, c)] = p.terms.items()
-    return c == 1 and not any(e)
+    return len(p.terms) == 1 and p.terms.get(0) == 1
 
 
 def _add_reduced(spec: FieldSpec, n1: Poly, d1: Poly, n2: Poly, d2: Poly,
@@ -651,7 +649,8 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
     With images ai/bi and Di the top exponent of ti in e's numerator and
     denominator, each of the two becomes sum c * prod ai^ei * bi^(Di-ei):
     the common factor prod bi^Di cancels, so plain polynomial arithmetic
-    and one final reduction give the canonical value.
+    and one final reduction give the canonical value.  Only the powers
+    that occur are built.
 
     Raises DenominatorVanishes when the substituted denominator is the
     zero element, which signals that the images do not define a valid
@@ -665,28 +664,29 @@ def substitute(e: FieldElement, images: dict[str, FieldElement]) -> FieldElement
         if name not in images:
             raise SpecMismatch(f"no image supplied for indeterminate {name!r}")
         values.append(_coerce(spec, images[name]))
-    num, den = e.payload
-    tops = [max(exps[i] for exps in (*num.terms, *den.terms)) for i in range(spec.nvars)]
+    num, den = (p.as_dict() for p in e.payload)
+    used = [sorted({exps[i] for exps in (*num, *den)}) for i in range(spec.nvars)]
     # factors[i][k] = ai^k * bi^(Di-k), shared by every term with ti^k
     one = Poly.const(spec.nvars, spec.scalar_one())
 
-    def powers(p: Poly, top: int) -> list[Poly]:
-        pows = [one, p][:top + 1]
-        while len(pows) <= top:
-            pows.append(pows[-1] * p)
+    def powers(p: Poly, ks) -> dict[int, Poly]:
+        pows, last = {0: one}, 0
+        for k in ks:
+            if k:
+                pows[k], last = pows[last] * p ** (k - last) if last else p ** k, k
         return pows
 
     factors = []
-    for (a, b), top in zip((v.payload for v in values), tops):
-        row = powers(a, top)
+    for (a, b), ks in zip((v.payload for v in values), used):
+        row = powers(a, ks)
         if not _is_one(b):  # a polynomial image needs no powers of bi
-            b_pows = powers(b, top)
-            row = [row[k] * b_pows[top - k] for k in range(top + 1)]
+            b_pows = powers(b, [ks[-1] - k for k in reversed(ks)])
+            row = {k: row[k] * b_pows[ks[-1] - k] for k in ks}
         factors.append(row)
 
-    def cleared(p: Poly) -> Poly:
+    def cleared(terms: dict) -> Poly:
         total = {}
-        for exps, coeff in p.terms.items():
+        for exps, coeff in terms.items():
             product = factors[0][exps[0]]
             for row, k in zip(factors[1:], exps[1:]):
                 product = product * row[k]
@@ -736,15 +736,20 @@ class SampleConfig:
             raise SpecMismatch("sample bounds must be positive (degree may be 0)")
 
 
-def _rng(spec: FieldSpec, cfg: SampleConfig, index: int, salt: str = "") -> random.Random:
-    return random.Random(f"{cfg.seed}:{index}:{salt}:{spec.describe()}")
+def _rng(spec: FieldSpec, seed: int, index: int) -> random.Random:
+    return random.Random(f"{seed}:{index}::{spec.describe()}")
 
 
 def random_element(spec: FieldSpec, cfg: SampleConfig, index: int = 0) -> FieldElement:
     """Deterministic element for (spec, cfg, index); denominators are
     resampled until nonzero."""
-    rng = _rng(spec, cfg, index)
-    h = cfg.max_height
+    return _draw(spec, cfg.seed, cfg.max_height, cfg.max_degree, index)
+
+
+@lru_cache(maxsize=256)
+def _draw(spec: FieldSpec, seed: int, h: int, max_degree: int, index: int) -> FieldElement:
+    """random_element, memoized: a session's commands draw the same samples."""
+    rng = _rng(spec, seed, index)
     if spec.kind == RATIONALS:
         p = rng.randint(-h, h)
         q = 0
@@ -770,7 +775,7 @@ def random_element(spec: FieldSpec, cfg: SampleConfig, index: int = 0) -> FieldE
         while True:
             terms = {}
             for _ in range(rng.randint(1, 3)):
-                exps = tuple(rng.randint(0, cfg.max_degree) for _ in spec.variables)
+                exps = tuple(rng.randint(0, max_degree) for _ in spec.variables)
                 c = coeff()
                 if c:
                     # the default's coeff() draws too; the streams rely on it
@@ -887,8 +892,8 @@ def check_power(stream: TokenStream, base, k: int) -> None:
 def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     """Element sub-parser operating on an existing token stream.  A
     division by zero or an operand of another field inside the element is
-    reported at its first token, a power of too high a degree where it
-    ends."""
+    reported at its first token, as is a product of too high a degree in
+    several variables, and a power of too high a degree where it ends."""
     first = stream.peek()
 
     def power(base: FieldElement, k: int) -> FieldElement:
@@ -899,8 +904,8 @@ def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
         return parse_expression(stream, lambda s: parse_element_atom(s, spec), power)
     except DivisionByZero as exc:
         raise ParseError(str(exc), first.pos, line=first.line, column=first.column) from None
-    except SpecMismatch as exc:
-        raise SpecMismatch(f"{exc} at line {first.line}, column {first.column}") from None
+    except (SpecMismatch, ValueTooLarge) as exc:
+        raise type(exc)(f"{exc} at line {first.line}, column {first.column}") from None
 
 
 def parse_expression(stream: TokenStream, atom, power=pow):
@@ -1029,11 +1034,11 @@ def _format_poly(p: Poly, names: tuple[str, ...]) -> str:
     if p.is_zero():
         return "0"
     pieces = []
-    for exps in sorted(p.terms, key=grlex_key, reverse=True):
-        coeff = p.terms[exps]
+    for key in sorted(p.terms, reverse=True):
+        coeff = p.terms[key]
         varpart = "*".join(
             name if k == 1 else f"{name}^{k}"
-            for name, k in zip(names, exps) if k
+            for name, k in zip(names, exponents(key, p.nvars)) if k
         )
         if not varpart:
             pieces.append(_coeff_pieces(coeff)[0])
@@ -1084,6 +1089,6 @@ def format_element(e: FieldElement) -> str:
     den_text = _format_poly(den, spec.variables)
     if _has_toplevel_sum(num_text):
         num_text = f"({num_text})"
-    if _has_toplevel_sum(den_text) or sum(1 for k in den.lead()[0] if k) > 1:
+    if _has_toplevel_sum(den_text) or sum(1 for k in exponents(den.lead()[0], den.nvars) if k) > 1:
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"

@@ -137,8 +137,8 @@ def evaluate(p: Poly, x: FieldElement) -> FieldElement:
     terms = sorted(p.terms.items(), reverse=True)
     if not terms:
         return x.spec.zero()
-    ((k,), total), *rest = terms
-    for (j,), c in rest:
+    (k, total), *rest = terms  # in one unknown a key is its exponent
+    for j, c in rest:
         total = total * x ** (k - j) + c
         k = j
     return total * x ** k if k else total

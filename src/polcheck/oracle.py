@@ -9,7 +9,8 @@ cross-multiplication, so no gcd, no canonical form and no code above
 Python's integers is shared with the engine.  Symmetrized forms are
 evaluated by the full permutation sums that define them.  From the
 engine it imports only the field-kind constants and ``FieldSpec``,
-``FieldElement`` and ``QuadRat`` (to read payloads) and, inside the
+``FieldElement`` and ``QuadRat`` (to read payloads), the width
+``EXP_BITS`` of packed monomial keys (decoded here) and, inside the
 methods that dispatch on them, the map and form node classes.
 
 Arithmetic skips only work that cannot change a dict: a product with a
@@ -38,6 +39,7 @@ from .fields import (
     FieldSpec,
     QuadRat,
 )
+from .polys import EXP_BITS
 
 
 # -- naive values -----------------------------------------------------
@@ -213,7 +215,10 @@ def from_element(e: FieldElement) -> OVal:
             den *= c.c if isinstance(c, QuadRat) else c.denominator
         num = {}
         rational = (0,) if rad is not None else ()
-        for exps, c in p.terms.items():
+        for key, c in p.terms.items():
+            # the exponent, or EXP_BITS-bit fields under the total degree
+            exps = (key,) if p.nvars == 1 else tuple(
+                key >> EXP_BITS * i & (1 << EXP_BITS) - 1 for i in reversed(range(p.nvars)))
             if isinstance(c, QuadRat):
                 scale = den // c.c
                 if c.p:
@@ -483,10 +488,10 @@ class Oracle:
 
     def polyspec(self, p):
         """x -> P(x) on oracle values, for a polynomial P in one unknown
-        (its ``terms`` map ``(k,)`` to a nonzero coefficient).  The
-        coefficients are converted once, here, and dense Horner's rule
-        adds only those."""
-        terms = {k: from_element(c) for (k,), c in p.terms.items()}
+        (its ``terms`` map each exponent ``k`` to a nonzero coefficient).
+        The coefficients are converted once, here, and dense Horner's
+        rule adds only those."""
+        terms = {k: from_element(c) for k, c in p.terms.items()}
         coeffs = [terms.get(k) for k in range(max(terms, default=0), -1, -1)]
 
         def evaluate(x: OVal) -> OVal:

@@ -5,20 +5,25 @@ equality and truthiness (``fractions.Fraction`` or the quadratic
 scalars from :mod:`polcheck.fields`), or Python ``int``s, which is how
 the function fields store their integral numerators and denominators.
 Every division here turns an ``int`` divisor into a ``Fraction``, so no
-coefficient ever becomes a float.  Monomials are exponent tuples in
-a fixed variable order; the leading term is taken under the
-graded-lexicographic order, which is also the order used when
-formatting and when normalizing denominators.
+coefficient ever becomes a float.
 
-Invariant: ``terms`` has tuple keys of length ``nvars`` and no zero
-coefficient.  ``Poly(nvars, terms)`` establishes it for any input;
+Each monomial is one ``int`` key (Monagan & Pearce, CASC 2007): the
+exponent in one variable, and in ``k >= 2`` the total degree and then
+``e1..ek``, each in an ``EXP_BITS``-bit field.  A product of monomials
+is the sum of their keys, and integer order is graded-lex order, the
+order of leading terms, of formatting and of denominators.  In several
+variables a total degree of ``2**EXP_BITS`` raises ``ValueTooLarge``.
+``Poly(nvars, terms)`` takes exponent tuples; ``as_dict`` gives them back.
+
+Invariant: ``terms`` has int keys packed for ``nvars`` variables and no
+zero coefficient.  ``Poly(nvars, terms)`` establishes it for any input;
 arithmetic builds dicts that hold it and wraps them with ``_poly``,
 which checks nothing, or with ``_poly_dropping_zeros`` when a sum may
 have cancelled.  A product with a one-term factor needs neither sums
-nor that pass: adding one exponent tuple to distinct keys gives
-distinct keys, and every coefficient (an ``int``, a ``Fraction``, a
-quadratic scalar, or an element of one of the supported fields) lies
-in an integral domain, where a product of nonzero numbers is nonzero.
+nor that pass: adding one key to distinct keys gives distinct keys, and
+every coefficient (an ``int``, a ``Fraction``, a quadratic scalar, or an
+element of one of the supported fields) lies in an integral domain,
+where a product of nonzero numbers is nonzero.
 """
 
 from __future__ import annotations
@@ -26,26 +31,54 @@ from __future__ import annotations
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
+from .errors import ValueTooLarge
 
-def grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+#: Bits of each exponent field of a key in two or more variables.
+EXP_BITS = 32
+_MASK = (1 << EXP_BITS) - 1
+
+
+def pack(exps: tuple[int, ...]) -> int:
+    """The key of an exponent tuple."""
+    if len(exps) == 1:
+        return exps[0]
+    return reduce(lambda key, k: key << EXP_BITS | k, exps, _fits(sum(exps), "monomial"))
+
+
+def exponents(key: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a key."""
+    return (key,) if nvars == 1 else tuple(key >> EXP_BITS * i & _MASK for i in reversed(range(nvars)))
+
+
+def _unit(nvars: int, v: int) -> tuple[int, int, int]:
+    """(key of variable v, shift, mask): its exponent is key >> shift & mask."""
+    if nvars == 1:
+        return 1, 0, -1
+    shift = EXP_BITS * (nvars - 1 - v)
+    return 1 << EXP_BITS * nvars | 1 << shift, shift, _MASK
+
+
+def _fits(degree: int, what: str) -> int:
+    """degree, if each exponent of that total degree fits its field."""
+    if degree >> EXP_BITS:
+        raise ValueTooLarge(f"{what} of total degree {degree} in several variables "
+                            f"reaches 2^{EXP_BITS}")
+    return degree
 
 
 class Poly:
-    """Immutable sparse polynomial: ``{exponent tuple: coefficient}``."""
+    """Immutable sparse polynomial: ``{packed monomial key: coefficient}``."""
 
     __slots__ = ("nvars", "terms", "_hash")
 
     def __init__(self, nvars: int, terms=None):
         data = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for exps, coeff in items:
-                if coeff:
-                    data[tuple(exps)] = coeff
+        for exps, coeff in dict(terms or ()).items():
+            if coeff:
+                data[pack(tuple(exps))] = coeff
         self.nvars = nvars
         self.terms = data
         self._hash = None
@@ -58,12 +91,15 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, coeff) -> "Poly":
-        return _poly(nvars, {(0,) * nvars: coeff} if coeff else {})
+        return _poly(nvars, {0: coeff} if coeff else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int, one) -> "Poly":
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: one})
+        return _poly(nvars, {_unit(nvars, index)[0]: one})
+
+    def as_dict(self) -> dict[tuple[int, ...], object]:
+        """``{exponent tuple: coefficient}``, decoded from the keys."""
+        return {exponents(e, self.nvars): c for e, c in self.terms.items()}
 
     # -- predicates --------------------------------------------------
 
@@ -71,33 +107,26 @@ class Poly:
         return not self.terms
 
     def is_const(self) -> bool:
-        # exponent tuples are distinct, so only a lone term can be constant
         terms = self.terms
-        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
+        return not terms or len(terms) == 1 and 0 in terms
 
     def constant(self):
-        """Coefficient of the constant term (or None for the zero poly)."""
-        if self.is_zero():
-            return None
-        return self.terms.get((0,) * self.nvars)
+        """Coefficient of the constant term, or None if there is none."""
+        return self.terms.get(0)
 
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> EXP_BITS * self.nvars if self.nvars > 1 else max(self.terms)
 
     def vars_used(self) -> set[int]:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return used
+        keys = reduce(operator.or_, self.terms, 0)
+        return {i for i, k in enumerate(exponents(keys, self.nvars)) if k}
 
-    def lead(self) -> tuple[tuple[int, ...], object]:
-        """Leading (exponents, coefficient) under graded-lex order."""
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+    def lead(self) -> tuple[int, object]:
+        """Leading (key, coefficient) under graded-lex order."""
+        key = max(self.terms)
+        return key, self.terms[key]
 
     # -- arithmetic --------------------------------------------------
 
@@ -127,29 +156,29 @@ class Poly:
         return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        add = operator.add
-        if len(self.terms) == 1:
+        nvars, a, b = self.nvars, self.terms, other.terms
+        if nvars > 1:
+            _fits(self.total_degree() + other.total_degree(), "product")
+        if len(a) == 1:
             # keys and order as the loop below builds them, with no sums
-            [(e1, c1)] = self.terms.items()
-            if not any(e1):
-                return _poly(self.nvars, {e2: c1 * c2 for e2, c2 in other.terms.items()})
-            return _poly(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
-                                      for e2, c2 in other.terms.items()})
-        if len(other.terms) == 1:
-            [(e2, c2)] = other.terms.items()
-            if not any(e2):
-                return _poly(self.nvars, {e1: c1 * c2 for e1, c1 in self.terms.items()})
-            return _poly(self.nvars, {tuple(map(add, e1, e2)): c1 * c2
-                                      for e1, c1 in self.terms.items()})
+            [(e1, c1)] = a.items()
+            if not e1:
+                return _poly(nvars, {e2: c1 * c2 for e2, c2 in b.items()})
+            return _poly(nvars, {e1 + e2: c1 * c2 for e2, c2 in b.items()})
+        if len(b) == 1:
+            [(e2, c2)] = b.items()
+            if not e2:
+                return _poly(nvars, {e1: c1 * c2 for e1, c1 in a.items()})
+            return _poly(nvars, {e1 + e2: c1 * c2 for e1, c1 in a.items()})
         data = {}
         get = data.get
-        others = other.terms.items()
-        for e1, c1 in self.terms.items():
+        others = b.items()
+        for e1, c1 in a.items():
             for e2, c2 in others:
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 s = get(e)
                 data[e] = c1 * c2 if s is None else s + c1 * c2
-        return _poly_dropping_zeros(self.nvars, data)
+        return _poly_dropping_zeros(nvars, data)
 
     def scale(self, coeff) -> "Poly":
         return _poly(self.nvars, {e: c * coeff for e, c in self.terms.items()} if coeff else {})
@@ -185,8 +214,8 @@ class Poly:
 
     def derivative(self, v: int) -> "Poly":
         # distinct terms with e[v] > 0 stay distinct when e[v] drops by one
-        return _poly(self.nvars, {e[:v] + (e[v] - 1,) + e[v + 1:]: c * e[v]
-                                  for e, c in self.terms.items() if e[v]})
+        unit, shift, mask = _unit(self.nvars, v)
+        return _poly(self.nvars, {e - unit: c * k for e, c in self.terms.items() if (k := e >> shift & mask)})
 
     def map_coeffs(self, fn) -> "Poly":
         return _poly_dropping_zeros(self.nvars, {e: fn(c) for e, c in self.terms.items()})
@@ -198,19 +227,16 @@ class Poly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.nvars, tuple(sorted(self.terms.items(), key=lambda kv: kv[0]))))
+            self._hash = hash((self.nvars, tuple(sorted(self.terms.items()))))
         return self._hash
 
     def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        parts = [f"{c!r}*x^{e}" for e, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)]
-        return "Poly(" + " + ".join(parts) + ")"
+        return f"Poly({self.nvars}, {self.as_dict()!r})"
 
 
 def _poly(nvars: int, data: dict) -> Poly:
-    """The Poly of a dict that already holds the invariant: tuple keys of
-    length nvars and no zero coefficient.  Checks nothing."""
+    """The Poly of a dict that already holds the invariant: int keys
+    packed for nvars variables and no zero coefficient.  Checks nothing."""
     p = object.__new__(Poly)
     p.nvars = nvars
     p.terms = data
@@ -246,19 +272,19 @@ def exact_div(f: Poly, g: Poly, over_z: bool = False) -> Poly:
     or with over_z (int coefficients) if the quotient is not over Z."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    # each step cancels rem's leading term, so no quotient exponent repeats
+    # each step cancels rem's leading term, so no quotient key repeats
     quotient = {}
     rem = f
     ge, gc = g.lead()
+    low = exponents(ge, f.nvars)
     if type(gc) is int and not over_z:
         gc = Fraction(gc)
     while rem.terms:
         re, rc = rem.lead()
-        diff = tuple(map(operator.sub, re, ge))
-        if min(diff) < 0 or over_z and rc % gc:
+        if any(map(operator.lt, exponents(re, f.nvars), low)) or over_z and rc % gc:
             raise ArithmeticError("inexact polynomial division")
-        quotient[diff] = c = rc // gc if over_z else rc / gc
-        rem = rem - _poly(f.nvars, {diff: c}) * g
+        quotient[re - ge] = c = rc // gc if over_z else rc / gc
+        rem = rem - _poly(f.nvars, {re - ge: c}) * g
     return _poly(f.nvars, quotient)
 
 
@@ -398,12 +424,13 @@ def _evaluate(p: Poly, v: int, xi: int) -> Poly:
     powers = [1]
     out = {}
     get = out.get
+    unit, shift, mask = _unit(p.nvars, v)
     for e, c in p.terms.items():
-        k = e[v]
+        k = e >> shift & mask
         if k:
             while len(powers) <= k:
                 powers.append(powers[-1] * xi)
-            e = e[:v] + (0,) + e[v + 1:]
+            e -= k * unit
             c *= powers[k]
         s = get(e)
         out[e] = c if s is None else s + c
@@ -415,16 +442,16 @@ def _from_digits(p: Poly, v: int, xi: int) -> Poly:
     at xi is p (free of v): each coefficient in balanced base xi."""
     half = xi // 2
     out = {}
+    unit = _unit(p.nvars, v)[0]
     for e, c in p.terms.items():
-        k = 0
         while c:
             digit = c % xi
             if digit > half:
                 digit -= xi
             if digit:
-                out[e[:v] + (k,) + e[v + 1:]] = digit
+                out[e] = digit
             c = (c - digit) // xi
-            k += 1
+            e += unit
     return _poly(p.nvars, out)
 
 
@@ -505,7 +532,7 @@ def evaluation_points(nvars: int, p: int) -> tuple[int, ...]:
 
 
 def _reduce_mod(f: Poly, p: int, root: int | None, d: int | None) -> dict | None:
-    """{exponents: coefficient mod p}, or None if p divides a denominator
+    """{key: coefficient mod p}, or None if p divides a denominator
     or a coefficient is not a scalar of Q or Q(sqrt d)."""
     out = {}
     for e, c in f.terms.items():
@@ -536,9 +563,10 @@ def _image_in(fp: dict, v: int, points: tuple[int, ...], p: int) -> list[int] | 
     """Dense coefficients in variable v, low degree first, of a reduced
     polynomial with the other variables set to points; None if the top
     coefficient vanishes."""
-    top = max(e[v] for e in fp)
+    exps = [exponents(e, len(points) or 1) for e in fp]
+    top = max(e[v] for e in exps)
     out = [0] * (top + 1)
-    for e, c in fp.items():
+    for e, c in zip(exps, fp.values()):
         for i, k in enumerate(e):
             if k and i != v:
                 c = c * pow(points[i], k, p) % p
@@ -606,8 +634,8 @@ def _over_field(p: Poly) -> Poly:
 
 
 def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:
-    a = {e[v]: c for e, c in f.terms.items()}
-    b = {e[v]: c for e, c in g.terms.items()}
+    unit, shift, mask = _unit(f.nvars, v)
+    a, b = ({e >> shift & mask: c for e, c in p.terms.items()} for p in (f, g))
 
     def rem(num: dict, den: dict) -> dict:
         dd = max(den)
@@ -634,25 +662,25 @@ def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:
 
     while b:  # monic remainders keep the coefficients from growing
         a, b = b, monic(rem(a, b))
-    nvars = f.nvars
-    terms = {tuple(k if i == v else 0 for i in range(nvars)): c for k, c in monic(a).items()}
-    return Poly(nvars, terms)
+    return _poly(f.nvars, {k * unit: c for k, c in monic(a).items()})
 
 
 def _as_univ(f: Poly, v: int) -> dict[int, Poly]:
     split: dict[int, dict] = {}
+    unit, shift, mask = _unit(f.nvars, v)
     for e, c in f.terms.items():
-        stripped = e[:v] + (0,) + e[v + 1:]
-        split.setdefault(e[v], {})[stripped] = c
-    return {k: Poly(f.nvars, terms) for k, terms in split.items()}
+        k = e >> shift & mask
+        split.setdefault(k, {})[e - k * unit] = c
+    return {k: _poly(f.nvars, terms) for k, terms in split.items()}
 
 
 def _from_univ(d: dict[int, Poly], v: int, nvars: int) -> Poly:
     terms = {}
+    unit = _unit(nvars, v)[0]
     for k, p in d.items():
         for e, c in p.terms.items():
-            terms[e[:v] + (k,) + e[v + 1:]] = c
-    return Poly(nvars, terms)
+            terms[e + k * unit] = c
+    return _poly(nvars, terms)
 
 
 def _usub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:

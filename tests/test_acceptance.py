@@ -400,6 +400,31 @@ def test_criterion_9c_audit_catches_a_faulty_engine(monkeypatch, command):
     assert not doc.consistent and doc.exit_code == 3
 
 
+def _other_variable(original):
+    # the exponent field of the other variable of Q(t, u) read in place of v's
+    return lambda self, v: original(self, 1 - v)
+
+
+def _fields_swapped(original):
+    return lambda self: {exps[::-1]: c for exps, c in original(self).items()}
+
+
+@pytest.mark.parametrize("command,name,fault", [
+    ("verify leibniz d", "derivative", _other_variable),
+    ("verify multiplicative s", "as_dict", _fields_swapped),   # as substitute reads the keys
+])
+def test_criterion_9c_audit_catches_faulty_key_arithmetic(monkeypatch, command, name, fault):
+    # the oracle decodes packed monomial keys with its own shifts, so a
+    # fault in the engine's key arithmetic shows as a mismatch
+    session = parse_session("field F = Q(t, u);\nhom s : t -> t+u, u -> 2*u;\n"
+                            f"der d : t -> 1, u -> 0;\n{command};\n")
+    monkeypatch.setattr(Poly, name, fault(getattr(Poly, name)))
+    doc = run_session(session, RunOptions(seed=5, oracle_check=True))
+    (entry,) = doc.entries
+    assert entry["verdict"] == "pass" and entry.get("oracle_mismatches"), entry
+    assert not doc.consistent and doc.exit_code == 3
+
+
 def test_criterion_10_deterministic_reports():
     for path in SESSIONS:
         source = path.read_text()

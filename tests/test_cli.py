@@ -114,6 +114,23 @@ def test_value_too_large_to_print_is_an_error_verdict(tmp_path, capsys):
     assert entry["detail"].startswith("ValueTooLarge: value has more than")
 
 
+def test_degree_past_the_key_width_is_an_error_verdict(tmp_path, capsys):
+    # on Q(t, u) the image t^60000 sends x^10000 at the probe x = t to
+    # degree 6*10^8, and the product of eight such values passes 2^32: an
+    # ERROR entry, not a carry from one exponent field into the next
+    wide = tmp_path / "wide.pol"
+    wide.write_text("field F = Q(t, u);\nhom s : t -> " + "*".join(["t^10000"] * 6) + ", u -> u;\n"
+                    "genpoly f = trace(product(s, s, s, s, s, s, s, s));\n"
+                    "check f(x^10000) == f(x)^10000;\n")
+    for extra in ([], ["--oracle-check"]):
+        assert main(["run", str(wide), "--format", "json", *extra]) == 1
+        out, err = capsys.readouterr()
+        (entry,) = json.loads(out)["entries"]
+        assert entry["verdict"] == "ERROR" and err == ""
+        assert entry["detail"] == ("ValueTooLarge: product of total degree 4800000000 "
+                                   "in several variables reaches 2^32")
+
+
 @pytest.mark.parametrize("rhs", ["f(x)^-2", "f(x)/f(x)", "f(x)/(1-1)", "x", "(f(x)+1)^20000"])
 def test_bad_check_expression_exit_two(tmp_path, capsys, rhs):
     bad = tmp_path / "bad.pol"

@@ -10,15 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polcheck import polys
-from polcheck.fields import FieldSpec, QuadRat, is_squarefree, substitute
+from polcheck.errors import ValueTooLarge
+from polcheck.fields import FieldSpec, QuadRat, is_squarefree, parse_element, substitute
 from polcheck.polys import (
     CERT_PRIMES,
+    EXP_BITS,
     Poly,
     coprime_mod,
     evaluation_points,
     exact_div,
+    exponents,
     gcd_cofactors,
     monic,
+    pack,
     poly_gcd,
     sqrt_mod,
 )
@@ -93,10 +97,11 @@ def test_quadratic_coefficient_reduces_through_one_inverse():
     c = quad(Fraction(1, 6), Fraction(3, 4), 2)   # (2 + 9*sqrt(2))/12
     assert (c.p, c.q, c.c) == (2, 9, 12)
     image = polys._reduce_mod(upoly(c, quad(-1, 0, 2)), P0, root, 2)
-    assert image == {(0,): (2 + 9 * root) * pow(12, -1, P0) % P0, (1,): P0 - 1}
+    # in one variable a packed key is the exponent itself
+    assert image == {0: (2 + 9 * root) * pow(12, -1, P0) % P0, 1: P0 - 1}
     # sqrt(2) goes to a root of t^2 - 2, so the reduction respects products
     assert root * root % P0 == 2
-    assert polys._reduce_mod(upoly(c * c), P0, root, 2)[(0,)] == image[(0,)] ** 2 % P0
+    assert polys._reduce_mod(upoly(c * c), P0, root, 2)[0] == image[0] ** 2 % P0
 
 
 def test_non_residue_radicand_moves_on_to_the_next_prime():
@@ -302,6 +307,53 @@ def test_cofactors_are_exact_and_the_gcd_is_euclids(nvars, kind):
     agrees()
 
 
+# -- packed monomial keys ---------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 2 ** 20)] * n), min_size=2, max_size=2)))
+def test_packed_keys_decode_order_and_add_like_their_exponents(pair):
+    a, b = pair
+    nvars = len(a)
+    ka, kb = pack(a), pack(b)
+    assert exponents(ka, nvars) == a and exponents(kb, nvars) == b
+    # integer order is graded-lex order
+    assert (ka < kb) == ((sum(a), a) < (sum(b), b))
+    # a product of monomials adds their keys
+    total = tuple(x + y for x, y in zip(a, b))
+    assert pack(total) == ka + kb
+    product = Poly(nvars, {a: 2}) * Poly(nvars, {b: 3})
+    assert product.terms == {pack(total): 6} and product.as_dict() == {total: 6}
+
+
+def test_degree_past_the_key_width_raises_in_several_variables():
+    top = 2 ** EXP_BITS
+    t = Poly.variable(2, 0, 1)
+    big = Poly(2, {(top - 1, 0): 1})   # the largest exponent that fits
+    assert big.as_dict() == {(top - 1, 0): 1} and big.total_degree() == top - 1
+    assert (big * Poly.const(2, 3)).as_dict() == {(top - 1, 0): 3}
+    for overflow in (lambda: big * t, lambda: t ** top, lambda: Poly(2, {(top // 2, top // 2): 1}),
+                     lambda: (big + t).derivative(0) * t ** 2):
+        with pytest.raises(ValueTooLarge, match=f"reaches 2\\^{EXP_BITS}"):
+            overflow()
+    # t^(10^8)*u^10000 at t -> t^(10^7) would have degree 10^15
+    e, image = QTU.element("t^10000*u") ** 10000, QTU.element("t^10000") ** 1000
+    with pytest.raises(ValueTooLarge, match=f"reaches 2\\^{EXP_BITS}"):
+        substitute(e, {"t": image, "u": QTU.element("u")})
+    # one variable has no fields to overflow
+    one_var = Poly.variable(1, 0, 1) ** top
+    assert one_var.as_dict() == {(top,): 1} and (one_var * one_var).total_degree() == 2 * top
+
+
+def test_degree_past_the_key_width_is_located_in_an_element(monkeypatch):
+    # with 8-bit fields the product t^200*t^100 passes the width
+    monkeypatch.setattr(polys, "EXP_BITS", 8)
+    monkeypatch.setattr(polys, "_MASK", 255)
+    assert parse_element("t^200*u^55", QTU).payload[0].as_dict() == {(200, 55): 1}
+    with pytest.raises(ValueTooLarge, match=r"total degree 300 .* 2\^8 at line 1, column 1"):
+        parse_element("t^200*t^100", QTU)
+
+
 # -- the Poly invariant: arithmetic builds its results unchecked -------------
 
 _COEFFS = {
@@ -312,10 +364,13 @@ _COEFFS = {
 
 
 def _holds_invariant(p: Poly, nvars: int) -> None:
-    assert all(type(e) is tuple and len(e) == nvars for e in p.terms)
+    assert all(type(e) is int and e >= 0 for e in p.terms)
     assert all(p.terms.values())
-    checked = Poly(nvars, dict(p.terms))
+    decoded = p.as_dict()
+    assert all(type(e) is tuple and len(e) == nvars for e in decoded)
+    checked = Poly(nvars, decoded)
     assert p == checked and hash(p) == hash(checked)
+    assert list(checked.terms) == list(p.terms) and list(checked.as_dict()) == list(decoded)
 
 
 @pytest.mark.parametrize("kind", sorted(_COEFFS))
@@ -361,7 +416,7 @@ def test_arithmetic_never_revalidates_its_results(monkeypatch):
     calls.clear()
     a * b, a + b, a - b, -a, a.scale(Fraction(3)), exact_div(a * b, b)
     # a coefficient mapped to zero is dropped
-    assert a.map_coeffs(lambda c: c - 1).terms == {(0, 1): Fraction(1)}
+    assert a.map_coeffs(lambda c: c - 1).as_dict() == {(0, 1): Fraction(1)}
     assert substitute(e, images) == image
     assert calls == []
 
@@ -370,8 +425,8 @@ def double_loop_product(a: Poly, b: Poly) -> dict:
     """The product as the general loop builds it: outer a, inner b, equal
     keys summed, zero coefficients dropped at the end."""
     data = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
+    for e1, c1 in a.as_dict().items():
+        for e2, c2 in b.as_dict().items():
             e = tuple(x + y for x, y in zip(e1, e2))
             data[e] = c1 * c2 if e not in data else data[e] + c1 * c2
     return {e: c for e, c in data.items() if c}
@@ -392,7 +447,7 @@ def test_one_term_products_equal_the_double_loop(nvars, kind):
         for a, b in ((m, p), (p, m), (m, m)):
             product = a * b
             expected = double_loop_product(a, b)
-            assert [(e, type(c), c) for e, c in product.terms.items()] \
+            assert [(e, type(c), c) for e, c in product.as_dict().items()] \
                 == [(e, type(c), c) for e, c in expected.items()]
             _holds_invariant(product, nvars)
 
@@ -413,7 +468,7 @@ def test_gcd_of_equal_arguments_is_monic_without_a_certificate(nvars, kind, monk
     @given(operands)
     def agrees(f):
         assert poly_gcd(f, f) == monic(f)
-        assert poly_gcd(f, Poly(nvars, dict(f.terms))) == monic(f)
+        assert poly_gcd(f, Poly(nvars, f.as_dict())) == monic(f)
 
     agrees()
 

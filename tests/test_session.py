@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck import fields as fields_module
 from polcheck import oracle as oracle_module
 from polcheck import session as session_module
 from polcheck.errors import (
@@ -142,9 +143,10 @@ genpoly f = trace(product(id, c));
 def dense(poly):
     """The coefficients of a one-variable polynomial as text, low degree
     first, up to its top nonzero one."""
-    if not poly.terms:
+    terms = poly.as_dict()
+    if not terms:
         return []
-    return [format_element(poly.terms[(k,)]) if (k,) in poly.terms else "0"
+    return [format_element(terms[(k,)]) if (k,) in terms else "0"
             for k in range(poly.total_degree() + 1)]
 
 
@@ -202,8 +204,8 @@ def test_large_exponents_parse_quickly(time_limit):
                      "check f((x+1)^20000) == f(x);"):
             with pytest.raises(ParseError, match="degree above 10000"):
                 parse_session(CHECK_HEAD + line)
-    assert command.payload["p"].terms == {(2000,): Q2.one()}
-    assert command.payload["q"].terms == {(2000,): Q2.one()}
+    assert command.payload["p"].as_dict() == {(2000,): Q2.one()}
+    assert command.payload["q"].as_dict() == {(2000,): Q2.one()}
 
 
 def test_power_expansion_work_is_bounded(time_limit):
@@ -286,7 +288,7 @@ def test_both_check_sides_share_the_element_grammar(text):
     expected = terms(lambda: {(1,): c for c in [parse_element(text, Q2)] if c})
     for line, side in ((f"check f(({text})*x) == f(x);", "p"),
                        (f"check f(x) == ({text})*f(x);", "q")):
-        actual = terms(lambda: parse_session(CHECK_HEAD + line).commands[0].payload[side].terms)
+        actual = terms(lambda: parse_session(CHECK_HEAD + line).commands[0].payload[side].as_dict())
         assert actual == expected, line
 
 
@@ -601,3 +603,19 @@ def test_ratfunc_over_quadratic_field_declaration():
     """
     doc = run_src(src)
     assert doc.entries[0]["verdict"] == "HOLDS_ON_SPAN"
+
+
+def test_each_seeded_sample_is_drawn_once_per_session(monkeypatch):
+    # every verify command asks for the same ten seeded samples of Q(t)
+    source = ("field F = Q(t);\nhom s : t -> t^2;\nder d : t -> 1;\n"
+              "verify additive s;\nverify multiplicative s;\nverify leibniz d;\n")
+    calls = []
+    rng = fields_module._rng
+    monkeypatch.setattr(fields_module, "_rng", lambda *args: calls.append(args) or rng(*args))
+    fields_module._draw.cache_clear()
+    memoized = emit_report(run_src(source, seed=3), "json")
+    assert len(calls) == 10 and len(set(calls)) == 10
+    # __wrapped__ draws every time, and the report keeps its bytes
+    monkeypatch.setattr(fields_module, "_draw", fields_module._draw.__wrapped__)
+    assert emit_report(run_src(source, seed=3), "json") == memoized
+    assert len(calls) == 10 + 30
