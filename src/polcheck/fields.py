@@ -627,6 +627,49 @@ def _power(base: FieldElement, k: int) -> FieldElement:
         base = base * base
 
 
+def weighted_sum(weights: list[int], elements: list[FieldElement]) -> FieldElement:
+    """sum w_i * e_i for int weights over a nonempty list of elements of
+    one field, reduced once over the lcm of the denominators when every
+    denominator is an integer (always on Q and Q(sqrt d)); otherwise by
+    pairwise additions, one product per distinct nonzero weight."""
+    spec = elements[0].spec
+    xs = [e.payload for e in elements]
+    if spec.kind == RATIONALS:
+        c = lcm(*(x.denominator for x in xs))
+        return FieldElement(spec, Fraction(sum(w * (c // x.denominator) * x.numerator
+                                               for w, x in zip(weights, xs)), c))
+    if spec.kind == QUADRATIC:
+        c, p, q = lcm(*(x.c for x in xs)), 0, 0
+        for w, x in zip(weights, xs):
+            s = w * (c // x.c)
+            p += s * x.p
+            q += s * x.q
+        return FieldElement(spec, _reduced(p, q, c, spec.d))
+    if all(den.is_const() for _, den in xs):
+        # constant canonical denominators are positive integers (p/1 over Q(sqrt d)),
+        # so the sum is one numerator of integers (of p and q over Q(sqrt d)) over c
+        d = spec.radicand
+        ks = [k if d is None else k.p for k in (den.terms[0] for _, den in xs)]
+        c, ps, qs = lcm(*ks), {}, {}
+        for w, (num, _), k in zip(weights, xs, ks):
+            s = w * (c // k)
+            for key, a in num.terms.items() if s else ():
+                if d is None:
+                    ps[key] = ps.get(key, 0) + a * s
+                else:
+                    ps[key] = ps.get(key, 0) + a.p * s
+                    qs[key] = qs.get(key, 0) + a.q * s
+        num = _poly_dropping_zeros(spec.nvars, ps if d is None else
+                                   {key: _canonical(p, qs[key], 1, d) for key, p in ps.items()})
+        if c == 1:  # over the denominator 1 the content is 1: canonical
+            return FieldElement(spec, (num, xs[0][1]))
+        return _canonical_pair(spec, num, Poly.const(spec.nvars, spec.scalar_one() * c))
+    by_weight: dict[int, list[FieldElement]] = {}
+    for w, e in zip(weights, elements):
+        by_weight.setdefault(w, []).append(e)
+    return sum((sum(es[1:], es[0]) * w for w, es in by_weight.items() if w), spec.zero())
+
+
 def conjugate_element(e: FieldElement) -> FieldElement:
     """Apply quadratic conjugation sqrt(d) -> -sqrt(d) to an element."""
     spec = e.spec

@@ -25,7 +25,10 @@ trace values.  The oracle keeps the defining permutation sums.
 
 Every iterated difference, a value of ``delta_many`` or a row of the
 span, degree or quartic scan over ``multisets`` of probes, is read off
-a ``difference_table``, which evaluates f once per distinct point.
+a ``difference_table``, which evaluates f once per distinct point and
+sums each row once (``fields.weighted_sum``).  For sides homogeneous of
+degree D at base 0, f(m*x) = m^D * f(x) for every integer m, so the
+table evaluates f only at points built at primitive coordinates.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from functools import lru_cache, reduce
 from itertools import combinations_with_replacement, product
 
 from .errors import ArityTooLarge, SpecMismatch
-from .fields import FieldElement
+from .fields import FieldElement, weighted_sum
 from .maps import AdditiveMap, Node, apply_map
 
 #: Largest form arity, and largest number of increments the iterated
@@ -246,15 +249,25 @@ def multisets(items: list, n: int):
         yield tuple(items[i] for i in indices), tuple(map(indices.count, range(len(items))))
 
 
-def difference_table(sides, base: FieldElement, increments: list[FieldElement]):
+def difference_table(sides, base: FieldElement, increments: list[FieldElement],
+                     degree: int | None = None):
     """One table of the differences ``Delta^a f(base)`` of each f of
     ``sides``: the returned function maps a count vector a (increment y_i
     taken a_i times) to their tuple, each the sum over 0 <= j <= a of the
     integer weight of j (``_box``) times ``f(base + sum j_i*y_i)``.  Points
     are built once, grouped by value and shared by all vectors of any
     order, so each f runs once per distinct point with a nonzero weight;
-    a vector whose weights cancel gives ``f(base) * 0``."""
+    a vector whose weights cancel gives ``f(base) * 0``.  Each row is one
+    ``weighted_sum``, reduced once.
+
+    Sides all homogeneous of one ``degree`` D pass it, with base 0: then
+    f(m*x) = m^D * f(x) for every integer m (an additive map is
+    Q-linear), so a point first built at coordinates j with m = gcd(j) > 1
+    reads the value at j/m, weighted by m^D.  f still runs at the point
+    read by every point of nonzero weight, even where the folded weights
+    cancel, so folding hides no exception."""
     points, groups, index = [base], {base: 0}, {(0,) * len(increments): 0}
+    roots = [(0, 1)]  # per point: the point whose value it reads, and the factor
     memos = [{} for _ in sides]
 
     def differences(a: tuple[int, ...]) -> tuple:
@@ -266,28 +279,23 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement]):
                 g = index[j] = groups.setdefault(x, len(points))
                 if g == len(points):
                     points.append(x)
+                    m = math.gcd(*j) if degree else 1  # j/m comes before j in _box order
+                    r, s = roots[index[tuple(c // m for c in j)]] if m > 1 else (g, 1)
+                    roots.append((r, s * m ** degree if m > 1 else 1))
             weights[g] = weights.get(g, 0) + w
-        live, by_weight = [], {}  # one product per distinct weight
+        folded: dict[int, int] = {}  # point evaluated -> weight, kept where it cancels
         for g, w in weights.items():
             if w:
-                live.append(g)
-                by_weight.setdefault(w, []).append(g)
-        if not live:  # all cancel: f(base) * 0
-            live, by_weight = [0], {0: [0]}
-        row = []
+                r, s = roots[g]
+                folded[r] = folded.get(r, 0) + w * s
+        if not folded:  # all cancel: f(base) * 0
+            folded = {0: 0}
         for f, memo in zip(sides, memos):
-            for g in live:
-                if g not in memo:
-                    memo[g] = f(points[g])
-            total = None
-            for w, gs in by_weight.items():
-                part = memo[gs[0]]
-                for g in gs[1:]:
-                    part = part + memo[g]
-                part = part if w == 1 else part * w
-                total = part if total is None else total + part
-            row.append(total)
-        return tuple(row)
+            for r in folded:
+                if r not in memo:
+                    memo[r] = f(points[r])
+        ws = list(folded.values())
+        return tuple(weighted_sum(ws, [memo[r] for r in folded]) for memo in memos)
 
     return differences
 

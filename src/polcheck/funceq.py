@@ -230,7 +230,8 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     if count > MAX_SPAN_ROWS:
         raise ArityTooLarge(f"span check needs {count} rows on {r} generators, "
                             f"budget is {MAX_SPAN_ROWS}")
-    differences = difference_table(_sides(f, p, q), f.spec.zero(), basis)
+    differences = difference_table(_sides(f, p, q), f.spec.zero(), basis,
+                                   arity if homogeneous else None)
     witnesses, rows = [], []
     for order in orders:
         scale = math.factorial(order)
@@ -294,8 +295,8 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         return EquationReport(verdict, witnesses, sample_description=description,
                               rows=tuple(rows), **extra)
 
-    # probe 4-tuples share subset sums: one table runs the quartic trace once per sum
-    quartic = difference_table((_quartic_trace(f2),), spec.zero(), probes)
+    # probe 4-tuples share subset sums, and the quartic trace is homogeneous of degree 4
+    quartic = difference_table((_quartic_trace(f2),), spec.zero(), probes, 4)
     for tup, counts in multisets(probes, 4):
         value = quartic(counts)[0] / math.factorial(4)
         zero = value.spec.zero()

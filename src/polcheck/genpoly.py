@@ -76,7 +76,9 @@ def degree_estimate(f, probes: list[FieldElement]):
         raise SpecMismatch("probes must be nonempty")
     if any(y.is_zero() for y in probes):
         raise SpecMismatch("probes must be nonzero")
-    differences = difference_table((f,), probes[0].spec.zero(), probes)
+    # a single component is homogeneous: the table reads f(m*x) off f(x)
+    degree = f.components[0].degree if isinstance(f, GenPoly) and len(f.components) == 1 else None
+    differences = difference_table((f,), probes[0].spec.zero(), probes, degree)
     for n in range(DEGREE_CAP + 1):
         if all(differences(counts)[0].is_zero() for _, counts in multisets(probes, n + 1)):
             return n

@@ -26,6 +26,7 @@ from polcheck.fields import (
     normalize_fraction,
     parse_element,
     substitute,
+    weighted_sum,
 )
 from polcheck.lexer import MAX_DIGITS, MAX_NESTING
 from polcheck.maps import Endo, apply_map, build_derivation
@@ -829,5 +830,35 @@ def test_zero_one_and_constant_denominators_follow_the_textbook(spec):
         if b.is_zero() and not a.is_zero():  # a zero operand decides, and nothing is recomputed
             assert a + b is a and a - b is a and b + a is a
             assert a * b is b and b * a is b
+
+    check()
+
+
+_SUMMANDS = {
+    "Q": small_fractions.map(Q.from_fraction),
+    "Q(sqrt 2)": quadratic_elements(),
+    "Q(t)": _shortcut_operands(QT),
+    "Q(sqrt 2)(t)": _shortcut_operands(Q2T),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_SUMMANDS))
+def test_weighted_sum_matches_the_pairwise_sum(field):
+    # zero and negative weights; constant, equal and mixed denominators; and,
+    # with every term repeated at the opposite weight, full cancellation
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-4, 4), _SUMMANDS[field]), min_size=1, max_size=5),
+           st.booleans())
+    def check(terms, cancel):
+        if cancel:
+            terms += [(-w, e) for w, e in terms]
+        expected = terms[0][1].spec.zero()
+        for w, e in terms:
+            expected = expected + e * w
+        total = weighted_sum([w for w, _ in terms], [e for _, e in terms])
+        assert total == expected and total.is_zero() >= cancel
+        if total.spec.kind == "ratfunc":
+            assert _terms(total) == _terms(expected)
+            _assert_canonical(total)
 
     check()

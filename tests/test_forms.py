@@ -22,6 +22,7 @@ from polcheck.forms import (
     polarize,
     trace,
 )
+from polcheck.funceq import _quartic_trace
 from polcheck.genpoly import genpoly_from
 from polcheck.maps import (
     build_derivation,
@@ -168,11 +169,11 @@ _TABLES = {  # traces of degree 2-4, increment pool, special increment lists
     "Q(sqrt 2)": (Q2, [NORM, trace(Lift(NORM_FORM, 2)), trace(ProductSym((CONJ, CONJ, CONJ)))],
                   ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)", "1/2"],
                   [["1+sqrt(2)", "1+sqrt(2)"], ["1", "sqrt(2)", "1+sqrt(2)"],
-                   ["sqrt(2)", "0", "1", "sqrt(2)"]]),
+                   ["sqrt(2)", "0", "1", "sqrt(2)"], ["1+sqrt(2)", "-1-sqrt(2)", "sqrt(2)"]]),
     "Q(t)": (QT, [trace(MapOfProduct(DDT + identity_map(QT), 3)),
                   trace(ProductSym((identity_map(QT), DDT)))],
              ["1", "t", "t+1", "t^2", "1/(t-1)"],
-             [["t", "t"], ["1", "t", "t+1"], ["t", "0", "1", "t"]]),
+             [["t", "t"], ["1", "t", "t+1"], ["t", "0", "1", "t"], ["t", "-t", "1"]]),
 }
 
 
@@ -190,6 +191,45 @@ def test_one_table_matches_per_tuple_differences(field, data):
     for n in data.draw(st.permutations(range(1, 6)), label="orders"):
         for tup, counts in multisets(ys, n):
             assert differences(counts) == (delta_many(f, list(tup), base),)
+
+
+_HOMOGENEOUS = {  # sides homogeneous of one degree: single-component GenPolys and quartic sides
+    "Q(sqrt 2)": [(genpoly_from([NORM]), 2), (genpoly_from([trace(Lift(NORM_FORM, 2))]), 4),
+                  (genpoly_from([trace(ProductSym((CONJ, CONJ, CONJ)))]), 3),
+                  (_quartic_trace(NORM_FORM), 4)],
+    "Q(t)": [(genpoly_from([trace(MapOfProduct(DDT + identity_map(QT), 3))]), 3),
+             (genpoly_from([trace(ProductSym((identity_map(QT), DDT)))]), 2),
+             (_quartic_trace(ProductSym((identity_map(QT), DDT))), 4)],
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(field=st.sampled_from(sorted(_TABLES)), data=st.data())
+def test_a_table_given_the_degree_matches_the_plain_table(field, data):
+    # repeated, dependent and zero-summing increments; every order up to degree + 1
+    spec, _, pool, special = _TABLES[field]
+    f, degree = data.draw(st.sampled_from(_HOMOGENEOUS[field]), label="side")
+    texts = data.draw(st.one_of(st.sampled_from(special),
+                                st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    ys = [spec.element(text) for text in texts]
+    runs = {True: [], False: []}
+    folded, plain = (difference_table((lambda x, log=runs[fold]: log.append(x) or f(x),),
+                                      spec.zero(), ys, degree if fold else None)
+                     for fold in (True, False))
+    for n in range(degree + 2):
+        for _, counts in multisets(ys, n):
+            assert folded(counts) == plain(counts)
+    assert len(set(runs[True])) == len(runs[True]) <= len(runs[False])
+
+
+def test_a_table_given_the_degree_runs_f_at_primitive_points_only():
+    calls = []
+    y = Q2.element("1+sqrt(2)")
+    differences = difference_table((lambda x: calls.append(x) or NORM(x),), Q2.zero(), [y], 2)
+    # Delta^4 of a quadratic: the weights folded onto y cancel (4! * S(2, 4) = 0),
+    # and f still runs at y, so an error there would not be hidden
+    assert differences((4,)) == (Q2.zero(),) and calls == [Q2.zero(), y]
+    assert differences((2,)) == (NORM(y) * 2,) and calls == [Q2.zero(), y]
 
 
 # -- polarization ------------------------------------------------------------------

@@ -259,15 +259,22 @@ def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     form = ProductSym((identity_map(QT), _QT_SHIFT))  # x*s(x), multiplicative
     p, q = xk(QT, k), xk(QT, k)
     sums = subset_sums(combinations_with_replacement(gens, 2 * k), QT.zero())
-    assert len(sums) <= math.comb(len(gens) + 2 * k, len(gens))
-    # the trace runs once at P(s) (left side) and once at s (right side)
-    expected = Counter([evaluate(p, s) for s in sums] + list(sums))
+    assert len(sums) == math.comb(len(gens) + 2 * k, len(gens))
+    # both sides are homogeneous of degree 2k, so a sum m*s, m > 1, reads
+    # the value at s: the trace runs at the primitive sums only (the
+    # generators are Q-independent), once at P(s) (left side) and once at
+    # s (right side)
+    multiples = {s * m for s in sums for m in range(2, 2 * k + 1)} & sums - {QT.zero()}
+    primitive = sums - multiples
+    assert len(primitive) == {2: 23, 3: 56}[k]
+    expected = Counter([evaluate(p, s) for s in primitive] + list(primitive))
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
         assert check_symmetrized(genpoly_from([trace(form)]), p, q, gens).verdict == HOLDS_ON_SPAN
         assert all(called == form for called, _ in calls)
         assert Counter(x for _, x in calls) == expected
+        assert not multiples & {x for _, x in calls}
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -653,16 +660,25 @@ def test_classify_zero_form():
 def test_classifier_evaluates_the_quartic_trace_once_per_subset_sum(monkeypatch):
     probes = default_probes(Q2)
     sums = subset_sums(combinations_with_replacement(probes, 4), Q2.zero())
+    # the quartic trace is homogeneous of degree 4, so a sum first built at
+    # coordinates m*j, m > 1, reads the value at j: 10 of the 25 sums never
+    # run.  3+3*sqrt(2) runs: it is first built at (1, 1, 2), as
+    # 1 + sqrt(2) + 2*(1+sqrt(2)), before (0, 0, 3).
+    folded = {Q2.element(text) for text in ("2", "3", "4", "2*sqrt(2)", "3*sqrt(2)", "4*sqrt(2)",
+                                            "2+2*sqrt(2)", "4+4*sqrt(2)", "2+4*sqrt(2)", "4+2*sqrt(2)")}
+    assert len(sums) == 25 and folded < sums
+    runs = sums - folded
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
         classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], probes)
-        # the quartic step comes first: f(s^2) and f(s) per distinct sum s,
+        # the quartic step comes first: f(s^2) and f(s) per sum s it runs at,
         # then f(1)
-        quartic = [x for _, x in calls[:2 * len(sums)]]
-        assert each_once(quartic[1::2], sums)
+        quartic = [x for _, x in calls[:2 * len(runs)]]
+        assert each_once(quartic[1::2], runs)
         assert quartic[0::2] == [s * s for s in quartic[1::2]]
-        assert calls[2 * len(sums)] == (NORM_FORM, Q2.one())
+        assert calls[2 * len(runs)] == (NORM_FORM, Q2.one())
+        assert all(any(x == s * m for s in quartic[1::2] for m in (2, 3, 4)) for x in folded)
 
 
 def test_classifier_evaluates_a_once_per_distinct_argument(monkeypatch):

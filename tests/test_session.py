@@ -379,6 +379,22 @@ def test_span_checks_skip_the_degree_precheck_and_keep_a_row_budget():
         "arity too large: span check needs 24310 rows on 10 generators, budget is 1000")
 
 
+def test_span_checks_keep_the_error_of_a_vanishing_denominator():
+    # the sides are homogeneous, so the table reads f(m*x) off f(x): the first
+    # point whose substitution fails is still the one that raises
+    src = """
+    field F = Q(t, u);
+    hom s : t -> u, u -> u;
+    genpoly f = trace(product(s, s));
+    check f(x^2) == f(x)^2 on span(1, 1/(t-u));
+    check f(x^3) == f(x)^3 on span(t, 1/(t-u), u);
+    """
+    doc = run_src(src)
+    assert [(e["verdict"], e["detail"]) for e in doc.entries] == [
+        ("ERROR", f"DenominatorVanishes: denominator of 1/({den}) vanishes under substitution")
+        for den in ("t^2-2*t*u+u^2", "t^3-3*t^2*u+3*t*u^2-u^3")]
+
+
 def test_json_schema_and_determinism():
     doc_a = run_src(NORM_SRC, seed=9)
     doc_b = run_src(NORM_SRC, seed=9)
