@@ -22,7 +22,10 @@ checkout and writes one JSON file:
   that dominate rational-function arithmetic in pointwise checks);
   of ``apply_map`` per map kind on ``Q(t)`` (``id``, ``zero``, the
   endomorphism ``s : t -> t^2``, the derivation ``d/dt``, ``2*s``,
-  ``s + d`` and ``s@d``) at x; and, in stretches of ``SPAN_CALLS``
+  ``s + d`` and ``s@d``) at x, and of the endomorphism ``t -> 2*t+1``,
+  the image shape of ``verdictbench``'s function-field maps, at the
+  polynomial ``1+2*t+3*t^2`` and at x (its power tables kept, as a
+  map keeps them between calls); and, in stretches of ``SPAN_CALLS``
   calls, of one span check ``check_symmetrized`` per arity 2/4/6/8:
   ``f(x^k) == f(x)^k`` for ``k = 1..4`` and the norm
   ``f = trace(product(id, conj))`` of ``Q(sqrt 2)`` on
@@ -45,11 +48,15 @@ checkout and writes one JSON file:
   --continue-on-collection-errors`` in a child process), with its
   passed and failed counts.
 
-Every time is given raw (``wall_s``) and rescaled (``rescaled_s``) to
-the speed of ``verdictbench``'s builtins-only reference loop, through
-its ``Clock``: a shared host runs the same work from one to two times
-its fastest time, so only rescaled times compare from one run to the
-next.
+Every time but the suite's is given raw (``wall_s``) and rescaled
+(``rescaled_s``) to the speed of ``verdictbench``'s builtins-only
+reference loop, through its ``Clock``: a shared host runs the same work
+from one to two times its fastest time, so only rescaled times compare
+from one run to the next.  The suite gives ``wall_s`` alone: one child
+process of half a minute outlasts the phases of the host's speed, so
+the reference loops timed just before and after it do not measure the
+speed it ran at (two runs of one suite at 31.4 and 31.2 s wall read
+46.4 and 34.8 s rescaled).
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,7 +116,10 @@ MICRO_POLYS = {
 #: The maps of the apply_map micro cases, on Q(t): each map kind once.
 MAP_SESSION = ("field F = Q(t);\nhom s : t -> t^2;\nder d : t -> 1;\nmap m_identity = id;\n"
                "map m_zero = zero;\nmap m_endo = s;\nmap m_derivation = d;\nmap m_scale = 2*s;\n"
-               "map m_sum = s + d;\nmap m_compose = s@d;\n")
+               "map m_sum = s + d;\nmap m_compose = s@d;\nhom a : t -> 2*t+1;\n")
+
+#: The polynomial argument of the affine apply_map micro case.
+MAP_POLYNOMIAL = "1+2*t+3*t^2"
 
 #: The forms of the eval_form micro cases, on Q(sqrt 2), one per node
 #: kind at arity n; c is conj.
@@ -231,6 +242,8 @@ def time_micro(polcheck, clock) -> dict:
     x = specs["Q(t)"].element(MICRO_ELEMENTS["Q(t)"][0])
     apply = {kind: time_calls(clock, lambda m=maps["m_" + kind]: apply_map(m, x))
              for kind in ("identity", "zero", "endo", "derivation", "scale", "sum", "compose")}
+    for case, y in (("polynomial", specs["Q(t)"].element(MAP_POLYNOMIAL)), ("fraction", x)):
+        apply[f"affine_{case}"] = time_calls(clock, lambda y=y: apply_map(maps["a"], y))
     span = {}
     for k in range(1, 5):
         for name, session in (("arity", SPAN_SESSION), ("ratfunc", RATFUNC_SPAN_SESSION),
@@ -262,17 +275,17 @@ def time_micro(polcheck, clock) -> dict:
             "span_calls": SPAN_CALLS, "span": span, "scan": scan, "eval_form": forms}
 
 
-def time_tier1(clock) -> dict:
+def time_tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCES), env.get("PYTHONPATH")]))
     command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
                "-p", "no:cacheprovider"]
-    clock.start()
+    start = time.perf_counter()
     result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
-    wall, rescaled = clock.stop()
+    wall = time.perf_counter() - start
     summary = result.stdout.strip().splitlines()[-1] if result.stdout.strip() else ""
     counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
-    return {"wall_s": wall, "rescaled_s": rescaled, "passed": counts.get("passed", 0),
+    return {"wall_s": wall, "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0), "exit_code": result.returncode}
 
 
@@ -294,7 +307,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "sessions": time_sessions(polcheck, clock),
         "micro": time_micro(polcheck, clock),
-        "tier1": time_tier1(clock),
+        "tier1": time_tier1(),
         "reference_work_s": statistics.median(clock.reference),
     }
     Path(args[0]).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")

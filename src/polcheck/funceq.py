@@ -26,8 +26,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch
-from .fields import FieldElement, format_element
+from .errors import ArityTooLarge, DenominatorVanishes, DictionaryInsufficient, SpecMismatch, ValueTooLarge
+from .fields import FieldElement, format_element, power_refusal
 from .forms import (
     DEFAULT_ARITY_CAP,
     MAX_SPAN_ROWS,
@@ -139,9 +139,18 @@ def evaluate(p: Poly, x: FieldElement) -> FieldElement:
         return x.spec.zero()
     (k, total), *rest = terms  # in one unknown a key is its exponent
     for j, c in rest:
-        total = total * x ** (k - j) + c
+        total = total * _power(x, k - j) + c
         k = j
-    return total * x ** k if k else total
+    return total * _power(x, k) if k else total
+
+
+def _power(x: FieldElement, k: int) -> FieldElement:
+    """x ** k, refused with ValueTooLarge by the parser's rule for powers
+    when it repeats products: a square is one product of two values, as
+    is every other step of the evaluation."""
+    if k > 2 and (refusal := power_refusal(x, k)):
+        raise ValueTooLarge(refusal)
+    return x ** k
 
 
 def check_values(lhs_fn, rhs_fn, samples: list[FieldElement],

@@ -98,16 +98,20 @@ class Zero(AdditiveMap):
 
 
 class Endo(AdditiveMap):
-    """Field endomorphism given by generator images, with optional
-    conjugation of the (quadratic) base field."""
+    """Field endomorphism given by generator images, with optional conjugation
+    of the (quadratic) base field; ``powers`` holds substitute's power tables."""
 
-    __slots__ = ("spec", "images", "conjugate_base")
+    __slots__ = ("spec", "images", "conjugate_base", "powers")
 
     def __init__(self, spec: FieldSpec, images: tuple[tuple[str, FieldElement], ...],
                  conjugate_base: bool = False):
         self.spec = spec
         self.images = images
         self.conjugate_base = conjugate_base
+        self.powers = {}
+
+    def _fields(self) -> tuple:
+        return self.spec, self.images, self.conjugate_base
 
     def describe(self):
         if self.spec.kind == QUADRATIC:
@@ -380,7 +384,7 @@ def _apply_endo(m: Endo, x: FieldElement) -> FieldElement:
         x = conjugate_element(x)
     from .fields import substitute
 
-    return substitute(x, dict(m.images))
+    return substitute(x, dict(m.images), m.powers)
 
 
 def _apply_derivation(m: Derivation, x: FieldElement) -> FieldElement:

@@ -43,12 +43,12 @@ from .fields import (
     FieldElement,
     FieldSpec,
     SampleConfig,
-    check_power,
     format_element,
     parse_element_atom,
     parse_element_tokens,
     parse_expression,
     power_products,
+    power_refusal,
     random_element,
 )
 from .forms import (
@@ -533,7 +533,8 @@ class _Parser:
             if degree * k > MAX_CHECK_DEGREE:
                 raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
             for c in base.terms.values():  # the power of each coefficient: degree, work, digits
-                check_power(self.stream, c, k)
+                if refusal := power_refusal(c, k):
+                    raise self.stream.error(refusal)
             if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
                 raise self.stream.error(
                     f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")

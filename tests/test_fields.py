@@ -29,9 +29,10 @@ from polcheck.fields import (
     weighted_sum,
 )
 from polcheck.lexer import MAX_DIGITS, MAX_NESTING
-from polcheck.maps import Endo, apply_map, build_derivation
+from polcheck.maps import Endo, apply_map, build_derivation, build_endomorphism
 from polcheck.oracle import Oracle, from_element, matches, o_add, o_div, o_mul, o_pow, o_sub
 from polcheck.polys import Poly, exact_div, monic, poly_gcd
+from polcheck.session import RunOptions, parse_session, run_session
 
 Q = FieldSpec.rationals()
 Q2 = FieldSpec.quadratic(2)
@@ -433,6 +434,96 @@ def test_substitute_matches_field_arithmetic(spec):
         assert substitute(e, images) == expected
 
     agrees()
+
+
+# One map's power tables, kept between calls: a second round over the same
+# elements builds no power and gives the same values as the first.
+_TABLE_ELEMENTS = ("1+2*t+3*t^2", "(t^3-t+1)/(t^2-2)", "t^5", "1/(t^4+t)", "7", "0", "(t+1)/t^3")
+
+
+def _sizes(powers: dict) -> dict:
+    return {name: [len(table or ()) for table in tables[:2]] for name, tables in powers.items()}
+
+
+@pytest.mark.parametrize("spec", [QT, Q2T], ids=["Q(t)", "Q(sqrt 2)(t)"])
+@pytest.mark.parametrize("image", ["2*t+1", "(t^2+1)/(t-3)", "t^2/(2*t+1)", "3", "0", "t"],
+                         ids=["polynomial", "rational", "rational-monomial", "constant", "zero",
+                              "identity"])
+def test_substitute_through_kept_tables_matches_field_arithmetic(spec, image):
+    images, powers = {"t": spec.element(image)}, {}
+    elements = [spec.element(text) for text in _TABLE_ELEMENTS]
+    for round_ in range(2):
+        before = _sizes(powers)
+        for x in elements:
+            try:
+                expected = _by_field_arithmetic(x, images)
+            except DivisionByZero:
+                with pytest.raises(DenominatorVanishes):
+                    substitute(x, images, powers)
+                continue
+            value = substitute(x, images, powers)
+            _assert_canonical(value)
+            assert value == expected
+        if round_:
+            assert _sizes(powers) == before  # every power came from the tables
+
+
+@pytest.mark.parametrize("spec", [QT, Q2T, QTU_RAT, QTU],
+                         ids=["Q(t)", "Q(sqrt 2)(t)", "Q(t,u)", "Q(sqrt 2)(t,u)"])
+def test_substitute_through_one_map_matches_field_arithmetic(spec):
+    def images():
+        either = st.one_of(ratfuncs(spec, polynomial=True), ratfuncs(spec))
+        return st.tuples(*[either] * spec.nvars).map(lambda v: dict(zip(spec.variables, v)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(images(), st.lists(ratfuncs(spec), min_size=1, max_size=4))
+    def agrees(images, elements):
+        powers = {}
+        for x in elements * 2:
+            try:
+                expected = _by_field_arithmetic(x, images)
+            except DivisionByZero:
+                with pytest.raises(DenominatorVanishes):
+                    substitute(x, images, powers)
+                continue
+            assert substitute(x, images, powers) == expected
+
+    agrees()
+
+
+@pytest.mark.parametrize("image", ["t", "t+1", "(sqrt(2)*t+1)/(t-sqrt(2))"])
+def test_conjugating_endomorphism_reuses_its_tables(image):
+    hom = build_endomorphism(Q2T, {"t": Q2T.element(image)}, conjugate_base=True)
+    images = {"t": Q2T.element(image)}
+    elements = [Q2T.element(text) for text in
+                ("sqrt(2)*t^2+1", "(t-sqrt(2))/(t^2+3)", "(1+sqrt(2))/t", "sqrt(2)")]
+    for _ in range(2):
+        for x in elements:
+            value = apply_map(hom, x)
+            _assert_canonical(value)
+            assert value == _by_field_arithmetic(conjugate_element(x), images)
+    assert hom == build_endomorphism(Q2T, {"t": Q2T.element(image)}, conjugate_base=True)
+    assert hash(hom) == hash(build_endomorphism(Q2T, {"t": Q2T.element(image)}, conjugate_base=True))
+
+
+def test_one_session_keeps_apart_the_tables_of_equal_looking_images():
+    # t -> t+1 on Q(sqrt 2)(t) and on Q(t): the images' polynomials are
+    # equal and hash alike (QuadRat(1) == 1), but each map keeps its own
+    # tables, so a Q(t) call never reads powers with QuadRat coefficients
+    session = parse_session("field G = Q(sqrt 2)(t);\nhom r : t -> t+1;\nverify multiplicative r;\n"
+                            "field F = Q(t);\nhom s : t -> t+1;\nverify multiplicative s;\n")
+    r, s = session.env["r"], session.env["s"]
+    assert r.images[0][1].payload == s.images[0][1].payload
+    for _ in range(2):
+        for hom, spec in ((r, Q2T), (s, QT), (s, QT), (r, Q2T)):
+            for text in ("(t^2+1)/(t-2)", "3*t^3-t", "1/(t^2+t+1)"):
+                x = spec.element(text)
+                value = apply_map(hom, x)
+                assert value.spec is spec
+                _assert_canonical(value)
+                assert value == _by_field_arithmetic(x, {"t": spec.element("t+1")})
+    doc = run_session(session, RunOptions(seed=0))
+    assert [entry["verdict"] for entry in doc.entries] == ["pass", "pass"]
 
 
 # -- parsing ----------------------------------------------------------------

@@ -228,6 +228,31 @@ def test_power_expansion_work_is_bounded(time_limit):
     assert dense(command.payload["q"]) == ["1", "-2", "1"]
 
 
+@pytest.mark.parametrize("scalar,check", [
+    ("1", "g(x^10000) == g(x)^10000"),            # the probe t+1 to the 10000th, left side
+    ("t+1", "g(x^10000) == g(x)^10000"),          # g(1) = t+1 to the 10000th, right side
+    ("(t+1)^60", "g(x^3) == g(x)^3 on samples(2, seed=1)"),  # the cube of 61 terms or more
+])
+def test_powers_of_samples_are_refused_by_the_parser_rule(time_limit, scalar, check):
+    session = parse_session(f"field F = Q(t);\nmap m = ({scalar})*id;\n"
+                            f"genpoly g = trace(product(m));\ncheck {check};\n")
+    with time_limit(1, "refusing a power at run time"):
+        doc = run_session(session, RunOptions(seed=0))
+    (entry,) = doc.entries
+    assert entry["verdict"] == "ERROR" and doc.exit_code == 1
+    assert entry["detail"] == "ValueTooLarge: power needs more than 10000 coefficient products to expand"
+
+
+def test_powers_of_samples_under_the_budget_run():
+    # a cube at small values, and the square of a value of 120 terms and
+    # more, one product like every other step of the evaluation
+    source = ("field F = Q(t);\ngenpoly f = trace(product(id));\ncheck f(x^3) == f(x)^3;\n"
+              "map m = ((t+1)^60*(t+2)^60)*id;\ngenpoly g = trace(product(m));\n"
+              "check g(x^2) == g(x)^2 on samples(2, seed=1);\n")
+    doc = run_src(source, seed=0)
+    assert [entry["verdict"] for entry in doc.entries] == ["HOLDS_ON_SAMPLE", "REFUTED"]
+
+
 @pytest.mark.parametrize("terms,degree,k,products", [
     (1, 7, 2000, 15),    # a single term stays one: 10 squarings, 5 products
     (2, 1, 2, 4),        # (x+1)^2 = (x+1)*(x+1)
