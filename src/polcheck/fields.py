@@ -931,18 +931,23 @@ def _integers(value) -> list[int]:
 
 
 def power_refusal(base, k: int) -> str | None:
-    """Why ``base^k`` (base an element or a rational) is refused before it
-    is computed, or None: its degree would pass MAX_CHECK_DEGREE, which
-    could exhaust memory, expanding it would take more than
-    MAX_POWER_PRODUCTS coefficient products, or its integers would need
-    more than MAX_POWER_BITS binary digits."""
-    if isinstance(base, FieldElement) and base.spec.kind == RATFUNC:
-        if abs(k) * max(p.total_degree() for p in base.payload) > MAX_CHECK_DEGREE:
-            return f"element of degree above {MAX_CHECK_DEGREE}"
-        if sum(power_products(len(p.terms), p.total_degree(), abs(k), p.nvars)
-               for p in base.payload) > MAX_POWER_PRODUCTS:
-            return f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand"
-    if abs(k) * max(n.bit_length() for n in _integers(base)) > MAX_POWER_BITS:
+    """Why ``base^k`` (an element, a rational, or a check polynomial, whose
+    coefficients are tested first) is refused before it is computed, or
+    None: its degree would pass MAX_CHECK_DEGREE, which could exhaust
+    memory, expanding it would take more than MAX_POWER_PRODUCTS
+    coefficient products, or its integers more than MAX_POWER_BITS bits."""
+    check = isinstance(base, Poly)
+    polys = (base,) if check else base.payload if (
+        isinstance(base, FieldElement) and base.spec.kind == RATFUNC) else ()
+    if polys and abs(k) * max(map(Poly.total_degree, polys)) > MAX_CHECK_DEGREE:
+        return f"{'check polynomial' if check else 'element'} of degree above {MAX_CHECK_DEGREE}"
+    for c in base.terms.values() if check else ():
+        if refusal := power_refusal(c, k):
+            return refusal
+    if polys and sum(power_products(len(p.terms), p.total_degree(), abs(k), p.nvars)
+                     for p in polys) > MAX_POWER_PRODUCTS:
+        return f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand"
+    if not check and abs(k) * max(n.bit_length() for n in _integers(base)) > MAX_POWER_BITS:
         return f"power needs more than {MAX_POWER_BITS} binary digits"
     return None
 
@@ -953,63 +958,60 @@ def parse_element_tokens(stream: TokenStream, spec: FieldSpec) -> FieldElement:
     reported at its first token, as is a product of too high a degree in
     several variables, and a power of too high a degree where it ends."""
     first = stream.peek()
-
-    def power(base: FieldElement, k: int) -> FieldElement:
-        if refusal := power_refusal(base, k):
-            raise stream.error(refusal)
-        return base ** k
-
     try:
-        return parse_expression(stream, lambda s: parse_element_atom(s, spec), power)
+        return parse_expression(stream, lambda s: parse_element_atom(s, spec))
     except DivisionByZero as exc:
         raise ParseError(str(exc), first.pos, line=first.line, column=first.column) from None
     except (SpecMismatch, ValueTooLarge) as exc:
         raise type(exc)(f"{exc} at line {first.line}, column {first.column}") from None
 
 
-def parse_expression(stream: TokenStream, atom, power=pow):
+def parse_expression(stream: TokenStream, atom):
     """Recursive descent over ``+ - * /``, unary signs, ``^`` with an
     integer exponent, and parentheses.  ``atom(stream)`` reads every
-    other operand, and the operands supply the arithmetic;
-    ``power(base, k)`` computes each ``base^k``, so a caller can refuse
-    a power before it is expanded."""
-    return _parse_sum(stream, atom, power)
+    other operand, and the operands supply the arithmetic; a power that
+    ``power_refusal`` refuses is an error where it ends, before it is
+    expanded."""
+    return _parse_sum(stream, atom)
 
 
-def _parse_sum(stream: TokenStream, atom, power):
-    value = _parse_product(stream, atom, power)
+def _parse_sum(stream: TokenStream, atom):
+    value = _parse_product(stream, atom)
     while stream.at("+", "-"):
         op = stream.next().kind
-        rhs = _parse_product(stream, atom, power)
+        rhs = _parse_product(stream, atom)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_product(stream: TokenStream, atom, power):
-    value = _parse_unary(stream, atom, power)
+def _parse_product(stream: TokenStream, atom):
+    value = _parse_unary(stream, atom)
     while stream.at("*", "/"):
         op = stream.next().kind
-        rhs = _parse_unary(stream, atom, power)
+        rhs = _parse_unary(stream, atom)
         value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_unary(stream: TokenStream, atom, power):
+def _parse_unary(stream: TokenStream, atom):
     negate = False
     while stream.at("-", "+"):
         negate ^= stream.next().kind == "-"
-    value = _parse_power(stream, atom, power)
+    value = _parse_power(stream, atom)
     return -value if negate else value
 
 
-def _parse_power(stream: TokenStream, atom, power):
+def _parse_power(stream: TokenStream, atom):
     if stream.accept("("):
-        base = _parse_sum(stream, atom, power)
+        base = _parse_sum(stream, atom)
         stream.expect(")")
     else:
         base = atom(stream)
     if stream.accept("^"):
-        return power(base, _parse_exponent(stream))
+        k = _parse_exponent(stream)
+        if refusal := power_refusal(base, k):
+            raise stream.error(refusal)
+        return base ** k
     return base
 
 

@@ -23,12 +23,12 @@ trace rule; the value at a tuple is the polarization of that trace,
 ``F(y1..yn) = Delta_{y1..yn} F*(0) / n!``, which costs at most 2^n
 trace values.  The oracle keeps the defining permutation sums.
 
-Every iterated difference, a value of ``delta_many`` or a row of the
-span, degree or quartic scan over ``multisets`` of probes, is read off
-a ``difference_table``, which evaluates f once per distinct point and
-sums each row once (``fields.weighted_sum``).  For sides homogeneous of
-degree D at base 0, f(m*x) = m^D * f(x) for every integer m, so the
-table evaluates f only at points built at primitive coordinates.
+Span certificates and the quartic scan evaluate f on a ``lattice``.
+Every iterated difference (``delta_many``, a refutation's rows, the
+degree scan over ``multisets`` of probes) is read off a
+``difference_table``, which evaluates f once per distinct point and sums
+each row once (``fields.weighted_sum``).  For f homogeneous of degree D,
+f(m*x) = m^D * f(x), so both evaluate f at primitive coordinates only.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ from .maps import AdditiveMap, Node, apply_map
 #: form value).
 DEFAULT_ARITY_CAP = 8
 
-#: Most rows one span check may compare: its multisets of generators,
-#: C(m+D, D) of every order 0..D, or C(m+D-1, D) of order D alone, for
-#: m generators and degree D.
+#: Most lattice points one span check may evaluate each side at, one to
+#: one: C(m+D, D) with |c| <= D, or C(m+D-1, D) with |c| = D, for m
+#: generators and degree D.
 MAX_SPAN_ROWS = 1000
 
 
@@ -249,8 +249,21 @@ def multisets(items: list, n: int):
         yield tuple(items[i] for i in indices), tuple(map(indices.count, range(len(items))))
 
 
+def lattice(zero: FieldElement, basis: list[FieldElement], degree: int, homogeneous: bool):
+    """Each point x = sum c_i*b_i of {c >= 0, |c| <= D}, or of |c| = D folded
+    to c/gcd(c) when ``homogeneous`` (f(m*x) = m^D * f(x)), once, as (c, x),
+    in the order a ``difference_table`` of the basis first reaches it."""
+    points = (c for n in ((degree,) if homogeneous else range(degree + 1))
+              for _, c in multisets(basis, n))
+    if homogeneous:  # c is first reached in the row c + (D - |c|)*e_1
+        points = sorted({tuple(n // (math.gcd(*c) or 1) for n in c) for c in points},
+                        key=lambda c: (sum(c[1:]), [-n for n in c[1:]], c[:1]))
+    for c in points:
+        yield c, weighted_sum(list(c), basis) if any(c) else zero
+
+
 def difference_table(sides, base: FieldElement, increments: list[FieldElement],
-                     degree: int | None = None):
+                     degree: int | None = None, known: dict | None = None):
     """One table of the differences ``Delta^a f(base)`` of each f of
     ``sides``: the returned function maps a count vector a (increment y_i
     taken a_i times) to their tuple, each the sum over 0 <= j <= a of the
@@ -258,7 +271,8 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement],
     are built once, grouped by value and shared by all vectors of any
     order, so each f runs once per distinct point with a nonzero weight;
     a vector whose weights cancel gives ``f(base) * 0``.  Each row is one
-    ``weighted_sum``, reduced once.
+    ``weighted_sum``, reduced once.  ``known`` maps points to the values
+    of the sides there, already computed, which the table does not redo.
 
     Sides all homogeneous of one ``degree`` D pass it, with base 0: then
     f(m*x) = m^D * f(x) for every integer m (an additive map is
@@ -268,7 +282,7 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement],
     cancel, so folding hides no exception."""
     points, groups, index = [base], {base: 0}, {(0,) * len(increments): 0}
     roots = [(0, 1)]  # per point: the point whose value it reads, and the factor
-    memos = [{} for _ in sides]
+    values = {}  # per point evaluated: the sides' values there
 
     def differences(a: tuple[int, ...]) -> tuple:
         weights: dict[int, int] = {}  # point group -> weight
@@ -290,12 +304,12 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement],
                 folded[r] = folded.get(r, 0) + w * s
         if not folded:  # all cancel: f(base) * 0
             folded = {0: 0}
-        for f, memo in zip(sides, memos):
-            for r in folded:
-                if r not in memo:
-                    memo[r] = f(points[r])
+        for r in folded:
+            if r not in values:
+                x = points[r]
+                values[r] = (known.get(x) if known else None) or [f(x) for f in sides]
         ws = list(folded.values())
-        return tuple(weighted_sum(ws, [memo[r] for r in folded]) for memo in memos)
+        return tuple(weighted_sum(ws, [values[r][i] for r in folded]) for i in range(len(sides)))
 
     return differences
 

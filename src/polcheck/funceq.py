@@ -1,18 +1,16 @@
 """Checking and classifying solutions of f(P(x)) = Q(f(x)).
 
 Pointwise checks evaluate both sides exactly on samples.  Span checks
-compare the iterated differences of the same two side functions at
-every multiset drawn from a Q-basis of the generators, of every order
-up to the degree D of their difference; by Newton's forward-difference
-formula on the lattice of integer combinations of the basis, this
-certifies the identity on the whole rational span.  When the difference
-is homogeneous, the differences of order D alone suffice: they are the
-values of the two sides' symmetric D-additive forms.  The classifiers
-execute the constructive steps of the degree-two theory: the six-term
-quartic form, its trace test, the auxiliary additive map
-a(x) = F2(x, 1), the quartic constraint on a, the convolution identity,
-and the final factorization into homomorphisms solved against a
-user-supplied dictionary.
+evaluate the same two side functions at each point c of the principal
+lattice |c| <= D of a Q-basis of the generators, D the degree of their
+difference, which is unisolvent for polynomials of degree D in c: this
+certifies the identity on the whole rational span (the face |c| = D, if
+the difference is homogeneous).  A refutation shows iterated differences
+at multisets of the basis.  The classifiers execute the constructive
+steps of the degree-two theory: the six-term quartic form, its trace
+test, the auxiliary additive map a(x) = F2(x, 1), the quartic
+constraint on a, the convolution identity, and the final factorization
+into homomorphisms solved against a user-supplied dictionary.
 
 The power identity f(x^n) = f(x)^n and the affine equation
 f(a*x + b) = A*f(x) + B are instances of the general equation, so they
@@ -34,6 +32,7 @@ from .forms import (
     SymmetricForm,
     difference_table,
     eval_form,
+    lattice,
     multisets,
     trace,
 )
@@ -91,10 +90,10 @@ class Classification:
 
 class EquationReport:
     """A verdict with its evidence.  ``rows`` holds every (input, lhs,
-    rhs) triple the check compared on the way to the verdict, so the
-    values can be audited without evaluating the engine again.  A span
-    check also keeps its Q-``basis`` and the generators it ``dropped``,
-    each with its rational coefficients on the basis."""
+    rhs) triple the check compared, an input of a lattice point being its
+    coordinates on the Q-``basis``, so the values can be audited without
+    evaluating the engine again.  A span check also keeps the generators
+    it ``dropped``, each with its rational coefficients on the basis."""
 
     __slots__ = ("verdict", "witnesses", "classification", "sample_description", "detail",
                  "rows", "basis", "dropped")
@@ -195,6 +194,21 @@ def check_pointwise(f, p: Poly, q: Poly, samples: list[FieldElement],
     return check_values(*_sides(f, p, q), samples, sample_description)
 
 
+def _lattice_rows(sides, zero: FieldElement, basis: list[FieldElement], degree: int,
+                  homogeneous: bool):
+    """The rows (c, lhs, rhs) of the two sides at the ``lattice`` points,
+    up to the first where they differ, and then the sides' values at each
+    point, for a ``difference_table`` to reuse (else None)."""
+    rows, points = [], []
+    for c, x in lattice(zero, basis, degree, homogeneous):
+        lhs, rhs = (side(x) for side in sides)
+        rows.append((c, lhs, rhs))
+        points.append(x)
+        if lhs != rhs:  # canonical forms: equal values are equal structures
+            return rows, {x: row[1:] for x, row in zip(points, rows)}
+    return rows, None
+
+
 def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
                       generators: list[FieldElement]) -> EquationReport:
     """Span certificate for f(P(x)) = Q(f(x)) on the rational span of the
@@ -204,22 +218,22 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     generators in order, less each one that is a rational combination of
     those kept before it.  On x = sum c_i*b_i every additive map is
     Q-linear, so the difference g(c) = f(P(x)) - Q(f(x)) is a polynomial
-    in c of total degree at most D = deg f * max(deg P, deg Q).  Newton's
-    forward-difference formula on the lattice |c| <= D writes g as the
-    sum over |a| <= D of Delta^a g(0) * prod C(c_i, a_i), so g vanishes
-    on the span exactly when every difference of order 0..D at 0 does
-    (Nicolaides, 1972; Chung and Yao, 1977): C(r+D, D) rows.  A row
-    compares the two sides' differences at one multiset of basis
-    elements, each divided by its order!.  When f has one component and
-    P = a*x^k, Q = lambda*x^k with k >= 1, g is homogeneous of degree D
-    and the C(r+D-1, D) rows of order D are enough: they compare the two
-    sides' symmetric D-additive forms, and D is the check's arity.  Every
-    row is read off one ``difference_table`` of the points sum j_i*b_i,
-    |j| <= D, so each side runs once per distinct point.  The report's
-    rows start with one (name, generator) pair per generator left out,
-    whose coefficients on the basis ``dropped`` records for the audit.
+    in c of total degree at most D = deg f * max(deg P, deg Q).  The
+    principal lattice {c >= 0, |c| <= D} is unisolvent for such
+    polynomials (Nicolaides, 1972; Chung and Yao, 1977), so g vanishes on
+    the span exactly when the sides agree at its C(r+D, D) points, each
+    side run once per point.  When f has one component and P = a*x^k,
+    Q = lambda*x^k with k >= 1, g is homogeneous of degree D and the
+    C(r+D-1, D) points of the face |c| = D are enough; D is the arity.
+    A holding report's rows are (c, lhs, rhs).  A refuted one's show
+    where, by Newton's forward-difference formula: the two sides'
+    differences of order 0..D (D alone when homogeneous) at each
+    multiset of basis elements, each divided by its order!, read off one
+    ``difference_table`` that reuses the lattice values.  The rows start
+    with one (name, generator) pair per generator left out, whose
+    coefficients on the basis ``dropped`` records for the audit.
 
-    Raises ArityTooLarge when D passes DEFAULT_ARITY_CAP or the rows
+    Raises ArityTooLarge when D passes DEFAULT_ARITY_CAP or the points
     pass MAX_SPAN_ROWS, before any evaluation.
     """
     dp, dq = p.total_degree(), q.total_degree()
@@ -232,29 +246,30 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
         raise SpecMismatch("span generator outside the field of f")
     basis, dropped = q_basis(generators)
     homogeneous = len(f.components) == len(p.terms) == len(q.terms) == 1 and dp == dq >= 1
-    orders = (arity,) if homogeneous else range(arity + 1)
     r = len(basis)
-    # the rows of order D alone, or of every order 0..D
+    # the points of the face |c| = D alone, or of every |c| <= D
     count = math.comb(r + arity - 1, arity) if homogeneous and arity else math.comb(r + arity, arity)
     if count > MAX_SPAN_ROWS:
         raise ArityTooLarge(f"span check needs {count} rows on {r} generators, "
                             f"budget is {MAX_SPAN_ROWS}")
-    differences = difference_table(_sides(f, p, q), f.spec.zero(), basis,
-                                   arity if homogeneous else None)
-    witnesses, rows = [], []
-    for order in orders:
-        scale = math.factorial(order)
-        for tup, counts in multisets(basis, order):
-            lhs, rhs = differences(counts)
-            lhs, rhs = lhs / scale, rhs / scale
-            rows.append((tup, lhs, rhs))
-            if lhs != rhs:
-                witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
+    sides, zero, witnesses = _sides(f, p, q), f.spec.zero(), []
+    rows, known = _lattice_rows(sides, zero, basis, arity, homogeneous)
+    if known:
+        differences = difference_table(sides, zero, basis, arity if homogeneous else None, known)
+        rows = []
+        for order in (arity,) if homogeneous else range(arity + 1):
+            scale = math.factorial(order)
+            for tup, counts in multisets(basis, order):
+                lhs, rhs = differences(counts)
+                lhs, rhs = lhs / scale, rhs / scale
+                rows.append((tup, lhs, rhs))
+                if lhs != rhs:
+                    witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
     shape = f"arity {arity}" if homogeneous else f"order 0..{arity}"
     description = f"span generators ({', '.join(map(format_element, generators))}); "
     if dropped:
         description += f"Q-basis ({', '.join(map(format_element, basis))}); "
-    description += f"{len(rows)} tuple(s) of {shape}"
+    description += f"{count} tuple(s) of {shape}"
     claims = [(f"generator {format_element(g)} on the Q-basis", g) for g, _ in dropped]
     verdict = REFUTED if witnesses else HOLDS_ON_SPAN
     return EquationReport(verdict, tuple(witnesses), sample_description=description,
@@ -280,8 +295,9 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
     """Run the constructive classification of quadratic solutions of
     f(x^2) = f(x)^2, where f is the trace of ``f2``.
 
-    Steps: (1) build the six-term quartic form; (2) test it on all
-    probe 4-tuples, any nonzero value refutes with a tuple witness;
+    Steps: (1) build the six-term quartic form; (2) test its trace on
+    the face |c| = 4 of the probes' Q-basis (``lattice``); if it is
+    nonzero, so is the form at some probe 4-tuple, the witness;
     (3) read f(1) = F2(1, 1) and branch on 0 vs 1; (4) the zero branch
     verifies f vanishes on the probes; (5) the unit branch forms
     a(x) = F2(x, 1), verifies the quartic constraint on a and the
@@ -298,21 +314,23 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
         probes = [one] + probes
     description = f"probes ({', '.join(format_element(p) for p in probes)})"
 
-    rows = []  # the quartic values, each compared with 0, then the certificate
+    basis, _ = q_basis(probes)
 
     def report(verdict, witnesses=(), **extra) -> EquationReport:
         return EquationReport(verdict, witnesses, sample_description=description,
-                              rows=tuple(rows), **extra)
+                              rows=tuple(rows), basis=tuple(basis), **extra)
 
-    # probe 4-tuples share subset sums, and the quartic trace is homogeneous of degree 4
-    quartic = difference_table((_quartic_trace(f2),), spec.zero(), probes, 4)
-    for tup, counts in multisets(probes, 4):
-        value = quartic(counts)[0] / math.factorial(4)
-        zero = value.spec.zero()
-        rows.append((tup, value, zero))
-        if not value.is_zero():
-            return report(REFUTED, (Witness(tup, value, zero, value),),
-                          detail="six-term quartic form is nonzero on a probe tuple")
+    # the quartic trace's values, each compared with 0, and then the certificate
+    zero, quartic = spec.zero(), _quartic_trace(f2)
+    rows, known = _lattice_rows((quartic, lambda x: zero), zero, basis, 4, True)
+    if known:  # some probe 4-tuple shows where; they share subset sums
+        table, rows = difference_table((quartic,), zero, probes, 4, known), []
+        for tup, counts in multisets(probes, 4):
+            value = table(counts)[0] / math.factorial(4)
+            rows.append((tup, value, zero))
+            if not value.is_zero():
+                return report(REFUTED, (Witness(tup, value, zero, value),),
+                              detail="six-term quartic form is nonzero on a probe tuple")
 
     f = trace(f2)
     f_at_1 = f(one)

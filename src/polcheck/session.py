@@ -26,6 +26,7 @@ import math
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
+from functools import reduce
 from itertools import combinations_with_replacement
 
 from . import __version__
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .fields import (
     MAX_CHECK_DEGREE,
-    MAX_POWER_PRODUCTS,
     FieldElement,
     FieldSpec,
     SampleConfig,
@@ -47,8 +47,6 @@ from .fields import (
     parse_element_atom,
     parse_element_tokens,
     parse_expression,
-    power_products,
-    power_refusal,
     random_element,
 )
 from .forms import (
@@ -527,23 +525,10 @@ class _Parser:
                 return unknown
             return Poly.const(1, parse_element_atom(stream, spec))
 
-        def power(base: Poly, k: int) -> Poly:
-            # refused from the degrees alone: expanding a dense base could take hours
-            degree = base.total_degree()
-            if degree * k > MAX_CHECK_DEGREE:
-                raise self.stream.error(f"check polynomial of degree above {MAX_CHECK_DEGREE}")
-            for c in base.terms.values():  # the power of each coefficient: degree, work, digits
-                if refusal := power_refusal(c, k):
-                    raise self.stream.error(refusal)
-            if k > 0 and power_products(len(base.terms), degree, k) > MAX_POWER_PRODUCTS:
-                raise self.stream.error(
-                    f"power needs more than {MAX_POWER_PRODUCTS} coefficient products to expand")
-            return base ** k
-
         first = self.stream.peek()
         where = f"at line {first.line}, column {first.column}"
         try:
-            poly = parse_expression(self.stream, atom, power)
+            poly = parse_expression(self.stream, atom)
         except ZeroDivisionError:
             raise TypeMismatch(f"division by zero in a check expression {where}") from None
         except ArithmeticError:
@@ -791,6 +776,16 @@ def _run_check(options: RunOptions, payload: dict, entry: dict):
     return report
 
 
+def _combination(oracle: Oracle, basis: list, coefficients) -> object:
+    """sum c_i*b_i for rational c_i and oracle values b_i."""
+    return reduce(o_add, (o_mul(o_divint(oracle.integer(c.numerator), c.denominator), b)
+                          for c, b in zip(coefficients, basis)), oracle.zero())
+
+
+def _is_lattice_row(where) -> bool:  # integer coordinates on a report's Q-basis
+    return isinstance(where, tuple) and bool(where) and isinstance(where[0], int)
+
+
 def _audit_check(payload: dict, report: EquationReport):
     f, p, q = payload["f"], payload["p"], payload["q"]
     spec = f.spec
@@ -798,23 +793,18 @@ def _audit_check(payload: dict, report: EquationReport):
     p_of, q_of = oracle.polyspec(p), oracle.polyspec(q)
     lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
     rhs = oracle.memoized(lambda v: q_of(oracle.eval_genpoly(f, v)))
-    if payload["mode"] == "span":
-        zero = oracle.zero()
-        basis = [from_element(b) for b in report.basis]
-        for _, coefficients in report.dropped:  # the generator as its combination
-            total = zero
-            for c, b in zip(coefficients, basis):
-                total = o_add(total, o_mul(o_divint(oracle.integer(c.numerator), c.denominator), b))
-            yield (total,)
-        for tup, _, _ in report.rows[len(report.dropped):]:  # each side polarized at the tuple
-            args = [from_element(a) for a in tup]
+    basis, zero = [from_element(b) for b in report.basis], oracle.zero()
+    for _, coefficients in report.dropped:  # a span generator as its combination
+        yield (_combination(oracle, basis, coefficients),)
+    for where, _, _ in report.rows[len(report.dropped):]:
+        if isinstance(where, tuple) and not _is_lattice_row(where):  # polarized at the tuple
+            args = [from_element(a) for a in where]
             scale = math.factorial(len(args))
             yield (o_divint(oracle.delta_many(lhs, args, zero), scale),
                    o_divint(oracle.delta_many(rhs, args, zero), scale))
-        return
-    for x, _, _ in report.rows:
-        ox = from_element(x)
-        yield lhs(ox), rhs(ox)
+        else:  # each side at the sample or the lattice point
+            x = _combination(oracle, basis, where) if _is_lattice_row(where) else from_element(where)
+            yield lhs(x), rhs(x)
 
 
 def _run_classify(options: RunOptions, payload: dict, entry: dict):
@@ -838,15 +828,18 @@ def _audit_classify(payload: dict, report: EquationReport):
     def f2(u, v):
         return oracle.eval_form(form, [u, v])
 
+    basis = [from_element(b) for b in report.basis]
     for x, _, _ in report.rows:
-        if isinstance(x, tuple):  # the six-term quartic form, compared with 0
+        if _is_lattice_row(x):  # the quartic trace 3*(f(x^2) - f(x)^2), compared with 0
+            ox = _combination(oracle, basis, x)
+            sq, fx = o_mul(ox, ox), f2(ox, ox)
+            yield o_mul(oracle.integer(3), o_add(f2(sq, sq), o_neg(o_mul(fx, fx)))), oracle.zero()
+        elif isinstance(x, tuple):  # the six-term quartic form, compared with 0
             x1, x2, x3, x4 = [from_element(a) for a in x]
-            value = o_add(
-                o_add(f2(o_mul(x1, x2), o_mul(x3, x4)), f2(o_mul(x1, x3), o_mul(x2, x4))),
-                f2(o_mul(x1, x4), o_mul(x2, x3)))
-            value = o_add(value, o_neg(o_add(
-                o_add(o_mul(f2(x1, x2), f2(x3, x4)), o_mul(f2(x1, x3), f2(x2, x4))),
-                o_mul(f2(x1, x4), f2(x2, x3)))))
+            value = oracle.zero()
+            for a, b, c, d in ((x1, x2, x3, x4), (x1, x3, x2, x4), (x1, x4, x2, x3)):
+                value = o_add(value, o_add(f2(o_mul(a, b), o_mul(c, d)),
+                                           o_neg(o_mul(f2(a, b), f2(c, d)))))
             yield value, oracle.zero()
         else:  # the certificate f(x) = f(1)*phi1(x)*phi2(x)
             phi1, phi2 = report.classification.factors
@@ -957,6 +950,8 @@ def _audit_polarize(payload: dict, result: _Value):
 
 
 def _input_text(x) -> str:
+    if _is_lattice_row(x):
+        return f"c = {x}"
     if isinstance(x, tuple):
         return "(" + ", ".join(format_element(a) for a in x) + ")"
     return f"x = {format_element(x)}"

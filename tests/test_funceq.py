@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from polcheck import fields as fields_module
@@ -220,10 +220,11 @@ def test_span_check_caps_the_degree_of_any_difference():
     # N + id at x^9 has degree 2*9, over the cap although f is not a monomial
     with pytest.raises(ArityTooLarge, match="arity 18, cap is 8"):
         check_symmetrized(genpoly_from([NORM, linear]), xk(Q2, 9), xk(Q2, 9), [Q2.one()])
-    # the empty f is 0 on both sides: one row, of order 0, at the point 0
+    # the empty f is 0 on both sides: one lattice point, of order 0, the point 0
     report = check_symmetrized(genpoly_from([], Q2), xk(Q2, 9), xk(Q2, 9), [Q2.one()])
     assert report.verdict == HOLDS_ON_SPAN
-    assert report.rows == (((), Q2.zero(), Q2.zero()),)
+    assert report.rows == (((0,), Q2.zero(), Q2.zero()),)
+    assert report.sample_description.endswith("1 tuple(s) of order 0..0")
 
 
 def test_span_check_refuses_rows_over_the_budget(monkeypatch, time_limit):
@@ -253,6 +254,18 @@ def test_span_consistency_implies_pointwise_on_span_elements():
     assert pointwise.verdict == HOLDS_ON_SAMPLE
 
 
+def primitive_face(gens, degree) -> dict:
+    """The points sum (c_i/m)*g_i, m = gcd(c), of the face |c| = degree,
+    keyed by their primitive coordinates c/m."""
+    zero = gens[0].spec.zero()
+    points = {}
+    for c in itertools.product(range(degree + 1), repeat=len(gens)):
+        if sum(c) == degree:
+            c = tuple(n // math.gcd(*c) for n in c)
+            points[c] = sum((zero.spec.from_int(n) * g for n, g in zip(c, gens)), zero)
+    return points
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     gens = _QT_INDEPENDENT
@@ -260,21 +273,20 @@ def test_span_check_evaluates_each_trace_once_per_subset_sum(monkeypatch, k):
     p, q = xk(QT, k), xk(QT, k)
     sums = subset_sums(combinations_with_replacement(gens, 2 * k), QT.zero())
     assert len(sums) == math.comb(len(gens) + 2 * k, len(gens))
-    # both sides are homogeneous of degree 2k, so a sum m*s, m > 1, reads
-    # the value at s: the trace runs at the primitive sums only (the
-    # generators are Q-independent), once at P(s) (left side) and once at
-    # s (right side)
-    multiples = {s * m for s in sums for m in range(2, 2 * k + 1)} & sums - {QT.zero()}
-    primitive = sums - multiples
-    assert len(primitive) == {2: 23, 3: 56}[k]
-    expected = Counter([evaluate(p, s) for s in primitive] + list(primitive))
+    # both sides are homogeneous of degree 2k and the check holds, so the
+    # trace runs at the primitive points of the face |c| = 2k alone (the
+    # generators are Q-independent), once at P(s) (left side) and once at s
+    # (right side): at none of the other subset sums of the 2k-tuples
+    face = set(primitive_face(gens, 2 * k).values())
+    assert len(face) == math.comb(len(gens) + 2 * k - 1, 2 * k) == {2: 15, 3: 28}[k]
+    assert face < sums
+    expected = Counter([evaluate(p, s) for s in face] + list(face))
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
         assert check_symmetrized(genpoly_from([trace(form)]), p, q, gens).verdict == HOLDS_ON_SPAN
         assert all(called == form for called, _ in calls)
         assert Counter(x for _, x in calls) == expected
-        assert not multiples & {x for _, x in calls}
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -359,8 +371,15 @@ def test_span_rows_match_per_tuple_subset_sums(field, data):
     p, q = xk(spec, k, a), xk(spec, k, lam)
     report = check_symmetrized(f, p, q, gens)
     rows = reference_rows(f, p, q, gens)
-    assert list(report.rows) == rows
-    assert report.verdict == (REFUTED if any(lhs != rhs for _, lhs, rhs in rows) else HOLDS_ON_SPAN)
+    refuted = any(lhs != rhs for _, lhs, rhs in rows)
+    assert report.verdict == (REFUTED if refuted else HOLDS_ON_SPAN)
+    if refuted:  # the rows of differences show where
+        assert list(report.rows) == rows
+    else:  # one row per primitive point of the face, each side's value there
+        face = primitive_face(gens, f.degree * k)
+        assert sorted(c for c, _, _ in report.rows) == sorted(face)
+        lhs_side, rhs_side = funceq_module._sides(f, p, q)
+        assert all((lhs, rhs) == (lhs_side(face[c]), rhs_side(face[c])) for c, lhs, rhs in report.rows)
 
 
 def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
@@ -384,6 +403,181 @@ def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
     for log in logs:
         assert len(log) == len(set(log)) and set(log) <= lattice
         assert len(log) <= len(lattice) < per_tuple
+
+
+def test_a_holding_span_check_builds_no_difference_table(monkeypatch):
+    tables = []
+    table = funceq_module.difference_table
+    monkeypatch.setattr(funceq_module, "difference_table",
+                        lambda *args: tables.append(args) or table(*args))
+    gens = default_probes(Q2)
+    tr = trace(ProductSym((sum_maps(identity_map(Q2), CONJ),)))  # N + tr/2 is invariant
+    invariant = genpoly_from([NORM, trace(LinComb(((Q2.from_fraction(Fraction(1, 2)), tr.form),)))])
+    for f, p, q in [(NORM_POLY, xk(Q2, 4), xk(Q2, 4)),
+                    (invariant, poly([-Q2.one(), -Q2.one()]), xk(Q2, 1))]:
+        assert check_symmetrized(f, p, q, gens).verdict == HOLDS_ON_SPAN
+    report = classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], gens)
+    assert report.verdict == HOLDS_ON_SAMPLE and tables == []
+    # a refutation reads its rows off one table
+    assert check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), gens).verdict == REFUTED
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("p, q", [(xk(QT, 4, QT.element("t")), xk(QT, 4)),  # homogeneous
+                                  (poly([QT.one(), QT.zero(), QT.one()]), xk(QT, 2))])
+def test_a_refuted_span_check_runs_each_side_once_per_point(monkeypatch, p, q):
+    f = genpoly_from([trace(ProductSym((identity_map(QT), _QT_SHIFT)))])
+    rows = reference_table_rows(f, p, q, _QT_INDEPENDENT)
+    sides = funceq_module._sides
+    logs = ([], [])
+
+    def logged_sides(f, p, q):
+        return tuple((lambda x, side=side, log=log: log.append(x) or side(x))
+                     for side, log in zip(sides(f, p, q), logs))
+
+    monkeypatch.setattr(funceq_module, "_sides", logged_sides)
+    report = check_symmetrized(f, p, q, _QT_INDEPENDENT)
+    assert report.verdict == REFUTED and report.rows == tuple(rows)
+    for log in logs:
+        assert log and len(log) == len(set(log))
+
+
+def reference_table_rows(f, p, q, gens) -> list:
+    """The span check's rows of differences, which decide it by Newton's
+    forward-difference formula: every multiset of the Q-basis of order
+    0..D (of order D alone for a homogeneous difference), each divided by
+    its order!, read off one difference table."""
+    basis, _ = q_basis(gens)
+    dp, dq = p.total_degree(), q.total_degree()
+    arity = f.degree * max(dp, dq)
+    homogeneous = len(f.components) == len(p.terms) == len(q.terms) == 1 and dp == dq >= 1
+    table = forms_module.difference_table(funceq_module._sides(f, p, q), f.spec.zero(), basis,
+                                          arity if homogeneous else None)
+    rows = []
+    for order in (arity,) if homogeneous else range(arity + 1):
+        for tup, counts in forms_module.multisets(basis, order):
+            rows.append((tup, *(side / math.factorial(order) for side in table(counts))))
+    return rows
+
+
+Q2T = FieldSpec.ratfunc(Q2, ["t"])
+Q2T_SHIFT = build_endomorphism(Q2T, {"t": Q2T.element("t+1")})
+_EQUIVALENCE = {  # homomorphisms with s(1) = 1, another additive map, and generators
+    "Q": (Q, [identity_map(Q)], scale_map(2, identity_map(Q)), ["1", "2", "-1/2"]),
+    "Q(sqrt 2)": (Q2, [identity_map(Q2), CONJ], scale_map(2, CONJ),
+                  ["1", "sqrt(2)", "1+sqrt(2)", "2-3*sqrt(2)"]),
+    "Q(t)": (QT, [identity_map(QT), _QT_SHIFT], DDT, ["1", "t", "t+1", "1/(t-1)"]),
+    "Q(sqrt 2)(t)": (Q2T, [identity_map(Q2T), Q2T_SHIFT,
+                           build_endomorphism(Q2T, {"t": Q2T.element("t+1")}, conjugate_base=True)],
+                     build_derivation(Q2T, {"t": Q2T.one()}), ["1", "sqrt(2)", "t", "sqrt(2)*t+1"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(_EQUIVALENCE)),
+       shape=st.sampled_from(["homogeneous", "invariant", "general"]), data=st.data())
+def test_lattice_verdict_equals_the_verdict_of_the_difference_rows(field, shape, data):
+    """Homogeneous, invariant (which holds) and general equations on
+    generators with zeros and dependent ones: the lattice decides as the
+    rows of differences do, and a refutation keeps their rows."""
+    spec, homs, other, pool = _EQUIVALENCE[field]
+    number = lambda: spec.from_fraction(data.draw(_SMALL))  # noqa: E731
+    maps = homs + [other]
+    gens = [spec.element(text) for text in data.draw(st.lists(st.sampled_from(pool),
+                                                              min_size=1, max_size=3))]
+    if data.draw(st.booleans(), label="dependent"):
+        gens.append(gens[0] * 2 - gens[-1])
+    if data.draw(st.booleans(), label="zero"):
+        gens.insert(data.draw(st.integers(0, len(gens))), spec.zero())
+    if shape == "homogeneous":  # c*phi1*phi2 at a*x^k; a matched lambda solves it
+        phis = tuple(data.draw(st.sampled_from(maps)) for _ in range(data.draw(st.integers(1, 2))))
+        c, a, k = number(), number(), data.draw(st.integers(1, 2))
+        lam = number()
+        if data.draw(st.booleans(), label="matched") and not c.is_zero():
+            lam = c * functools.reduce(lambda u, v: u * v, (apply_map(phi, a) for phi in phis))
+            lam = lam / c ** k
+        f = genpoly_from([trace(LinComb(((c, ProductSym(phis)),)))])
+        p, q = xk(spec, k, a), xk(spec, k, lam)
+    else:  # a*N + b*x^2 + e*tr, N(x) = x*s(x), tr = id + s: a*(N + tr/2) is invariant
+        s = data.draw(st.sampled_from(homs))
+        a = number()
+        b, e = (spec.zero(), a / 2) if shape == "invariant" else (number(), number())
+        ident = identity_map(spec)
+        f = genpoly_from([trace(LinComb(((a, ProductSym((ident, s))),
+                                         (b, ProductSym((ident, ident)))))),
+                          trace(LinComb(((e, ProductSym((sum_maps(ident, s),))),)))])
+        if shape == "invariant":
+            p, q = poly([-spec.one(), -spec.one()]), xk(spec, 1)
+        else:
+            p, q = (poly([number() for _ in range(data.draw(st.integers(1, 3)))]) for _ in "pq")
+    report = check_symmetrized(f, p, q, gens)
+    rows = reference_table_rows(f, p, q, gens)
+    refuted = any(lhs != rhs for _, lhs, rhs in rows)
+    assert report.verdict == (REFUTED if refuted else HOLDS_ON_SPAN)
+    event(f"{shape} {report.verdict}")
+    if refuted:
+        assert report.rows[len(report.dropped):] == tuple(rows)
+    if shape == "invariant":
+        assert report.verdict == HOLDS_ON_SPAN
+
+
+_NONZERO_COEFFICIENTS = [Fraction(-2), Fraction(-1, 2), Fraction(1), Fraction(2, 3), Fraction(3)]
+_QUARTIC_POOLS = {name: (spec, maps + [other], pool)
+                  for name, (spec, maps, other, pool) in _EQUIVALENCE.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(sorted(_QUARTIC_POOLS)), data=st.data())
+def test_quartic_lattice_verdict_equals_the_per_tuple_scan(field, data):
+    """The classifier's quartic step refutes exactly when some probe
+    4-tuple does, at the same first tuple, on probes with repeats and
+    dependent ones."""
+    spec, maps, pool = _QUARTIC_POOLS[field]
+    terms = tuple((spec.from_fraction(data.draw(st.sampled_from(_NONZERO_COEFFICIENTS))),
+                   ProductSym(tuple(data.draw(st.sampled_from(maps)) for _ in range(2))))
+                  for _ in range(data.draw(st.integers(1, 2))))
+    f2 = LinComb(terms)
+    probes = [spec.element(text) for text in data.draw(st.lists(st.sampled_from(pool),
+                                                                min_size=1, max_size=3))]
+    rows = reference_quartic_rows(f2, probes)
+    try:
+        report = classify_quadratic_square(f2, maps, probes)
+    except DictionaryInsufficient:  # raised after the quartic step held
+        assert rows[-1][1].is_zero()
+        return
+    quartic_refuted = report.detail == "six-term quartic form is nonzero on a probe tuple"
+    assert quartic_refuted == (not rows[-1][1].is_zero())
+    event(f"quartic step {'refutes' if quartic_refuted else 'holds'}")
+    if quartic_refuted:
+        assert list(report.rows) == rows
+
+
+QTU = FieldSpec.ratfunc(Q, ["t", "u"])
+_TO_U = build_endomorphism(QTU, {"t": QTU.element("u")})
+
+
+@pytest.mark.parametrize("texts", [["1", "t"], ["1", "1/(t-u)"], ["1/(t-u)", "1-1/(t-u)"],
+                                   ["t", "u", "t/(t-u)+u"], ["1/(t+u)+1/(t-u)", "1/(t-u)"]])
+@pytest.mark.parametrize("k", [1, 2])
+def test_skipping_the_interior_of_the_face_changes_no_error(texts, k):
+    """Does the face |c| = D lose an error that the rows of differences,
+    which also read its interior points, would raise?  No: a substitution
+    fails at x = sum c_i*b_i when an element it meets has a denominator
+    with a factor that it kills, and the elements met are homogeneous of
+    degree at most D in c, so the points where none fails are the zeros of
+    polynomials that vanish everywhere once they vanish on the face.  The
+    unit points come first, so these checks also keep the message."""
+    gens = [QTU.element(text) for text in texts]
+    f = genpoly_from([trace(ProductSym((_TO_U, _TO_U)))])
+    outcomes = []
+    for decide in (check_symmetrized, reference_table_rows):
+        try:
+            decide(f, xk(QTU, k), xk(QTU, k), gens)
+            outcomes.append(None)
+        except DenominatorVanishes as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (texts == ["1", "t"])
 
 
 def test_span_check_rejects_a_generator_outside_the_domain():
@@ -414,7 +608,8 @@ def test_span_check_drops_zero_generators():
     assert report.verdict == HOLDS_ON_SPAN and report.basis == (E,)
     assert report.dropped == ((zero, ()), (zero, (0,)))
     assert report.rows[:2] == (("generator 0 on the Q-basis", zero),) * 2
-    assert [tup for tup, _, _ in report.rows[2:]] == [(E,) * 4]
+    # the face |c| = 4 on the basis (E) is the point 4*E, read at E
+    assert report.rows[2:] == (((1,), NORM(E * E), NORM(E) ** 2),)
 
 
 @pytest.mark.parametrize("p, q, verdict", [
@@ -426,12 +621,17 @@ def test_span_of_zero_generators_decides_at_the_point_zero(p, q, verdict):
     report = check_symmetrized(NORM_POLY, p, q, [Q2.zero(), Q2.zero()])
     assert report.verdict == verdict and report.basis == ()
     assert "; Q-basis (); " in report.sample_description
+    rows = report.rows[len(report.dropped):]
     if verdict == REFUTED:  # N(0 + 1) = 1, but N(0) + 2 = 2
         (w,) = report.witnesses
         assert (w.input, w.lhs, w.rhs) == ((), Q2.one(), Q2.from_int(2))
+        assert rows == (((), Q2.one(), Q2.from_int(2)),)
+    elif len(p.terms) == 1:  # homogeneous: the face |c| = 4 has no point
+        assert rows == () and report.sample_description.endswith("0 tuple(s) of arity 4")
+    else:  # the lattice is the point 0, where N(0^2 + 1) = 1 = N(0)^2 + 1
+        assert rows == (((), Q2.one(), Q2.one()),)
 
 
-Q2T = FieldSpec.ratfunc(Q2, ["t"])
 _ATOMS = {  # Q-independent elements of each field
     "Q": (Q, ["1"]),
     "Q(sqrt 2)": (Q2, ["1", "sqrt(2)"]),
@@ -660,25 +860,38 @@ def test_classify_zero_form():
 def test_classifier_evaluates_the_quartic_trace_once_per_subset_sum(monkeypatch):
     probes = default_probes(Q2)
     sums = subset_sums(combinations_with_replacement(probes, 4), Q2.zero())
-    # the quartic trace is homogeneous of degree 4, so a sum first built at
-    # coordinates m*j, m > 1, reads the value at j: 10 of the 25 sums never
-    # run.  3+3*sqrt(2) runs: it is first built at (1, 1, 2), as
-    # 1 + sqrt(2) + 2*(1+sqrt(2)), before (0, 0, 3).
-    folded = {Q2.element(text) for text in ("2", "3", "4", "2*sqrt(2)", "3*sqrt(2)", "4*sqrt(2)",
-                                            "2+2*sqrt(2)", "4+4*sqrt(2)", "2+4*sqrt(2)", "4+2*sqrt(2)")}
-    assert len(sums) == 25 and folded < sums
-    runs = sums - folded
+    # the quartic trace is homogeneous of degree 4 in the coordinates on the
+    # Q-basis (1, sqrt(2)) of the probes, so it runs at the five primitive
+    # points of the face |c| = 4 alone, 1+sqrt(2) read for (2, 2): 5 of the 25
+    # subset sums of the probe 4-tuples
+    face = primitive_face([Q2.one(), Q2.sqrt_element()], 4)
+    assert face == {(1, 0): Q2.one(), (0, 1): Q2.sqrt_element(), (1, 1): E,
+                    (3, 1): Q2.element("3+sqrt(2)"), (1, 3): Q2.element("1+3*sqrt(2)")}
+    runs = set(face.values())
+    assert len(sums) == 25 and runs < sums
     calls = record_traces(monkeypatch)
     for _ in range(2):  # the second call counts afresh: no memo outlives a call
         calls.clear()
         classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], probes)
-        # the quartic step comes first: f(s^2) and f(s) per sum s it runs at,
-        # then f(1)
+        # the quartic step comes first: f(s^2) and f(s) per point s, the unit
+        # points first, then f(1)
         quartic = [x for _, x in calls[:2 * len(runs)]]
-        assert each_once(quartic[1::2], runs)
+        assert each_once(quartic[1::2], runs) and quartic[1:4:2] == probes[:2]
         assert quartic[0::2] == [s * s for s in quartic[1::2]]
         assert calls[2 * len(runs)] == (NORM_FORM, Q2.one())
-        assert all(any(x == s * m for s in quartic[1::2] for m in (2, 3, 4)) for x in folded)
+
+
+def test_a_refuted_classification_runs_the_quartic_trace_once_per_point(monkeypatch):
+    quartic_trace, log = funceq_module._quartic_trace, []
+    monkeypatch.setattr(funceq_module, "_quartic_trace",
+                        lambda f2: lambda x, q=quartic_trace(f2): log.append(x) or q(x))
+    # the probes of Q(sqrt 2) are Q-dependent: the table over them meets the
+    # lattice points of their Q-basis at other coordinates
+    for form, probes in [(F28_FORM, default_probes(QT)),
+                         (LinComb(((Q2.from_int(2), NORM_FORM),)), default_probes(Q2))]:
+        log.clear()
+        assert classify_quadratic_square(form, [], probes).verdict == REFUTED
+        assert log and len(log) == len(set(log))
 
 
 def test_classifier_evaluates_a_once_per_distinct_argument(monkeypatch):
@@ -737,13 +950,21 @@ def test_classifier_matches_the_per_tuple_quartic_scan(case):
     f2, dictionary, probes = _classifier_cases()[case]
     report = classify_quadratic_square(f2, dictionary, probes)
     rows = reference_quartic_rows(f2, probes)
-    assert list(report.rows[:len(rows)]) == rows
     tup, value, zero = rows[-1]
-    if value.is_zero():
+    if value.is_zero():  # one zero row per primitive point of the face |c| = 4
         assert report.verdict == HOLDS_ON_SAMPLE
-        assert all(not isinstance(x, tuple) for x, _, _ in report.rows[len(rows):])
+        one = f2.spec.one()
+        basis, _ = q_basis(list(probes) if one in probes else [one] + list(probes))
+        assert report.basis == tuple(basis)
+        face = primitive_face(basis, 4)
+        lattice_rows = [row for row in report.rows if isinstance(row[0], tuple)]
+        assert sorted(c for c, _, _ in lattice_rows) == sorted(face)
+        quartic = funceq_module._quartic_trace(f2)
+        assert all(lhs == quartic(face[c]) == rhs == zero for c, lhs, rhs in lattice_rows)
+        assert report.rows[:len(lattice_rows)] == tuple(lattice_rows)
     else:
-        assert report.verdict == REFUTED and len(report.rows) == len(rows)
+        assert list(report.rows) == rows
+        assert report.verdict == REFUTED
         (w,) = report.witnesses
         assert (w.input, w.lhs, w.rhs, w.difference) == (tup, value, zero, value)
 

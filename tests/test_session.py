@@ -474,6 +474,50 @@ def test_span_audit_rebuilds_each_dropped_generator(monkeypatch):
     assert doc.exit_code == 3
 
 
+def test_span_audit_evaluates_each_side_at_each_lattice_point(monkeypatch):
+    deltas = []
+    delta_many = oracle_module.Oracle.delta_many
+    monkeypatch.setattr(oracle_module.Oracle, "delta_many",
+                        lambda *args: deltas.append(args) or delta_many(*args))
+    doc = run_src(NORM_SRC, oracle_check=True)
+    assert doc.consistent and doc.entries[0]["oracle_checked"] and deltas == []
+    # a wrong engine value at a lattice point is a mismatch at its coordinates
+    original = session_module.check_symmetrized
+
+    def misrecorded(*args):
+        report = original(*args)
+        (c, lhs, rhs), *rest = report.rows[len(report.dropped):]
+        report.rows = report.rows[:len(report.dropped)] + ((c, lhs + 1, rhs + 1), *rest)
+        return report
+
+    monkeypatch.setattr(session_module, "check_symmetrized", misrecorded)
+    doc = run_src(NORM_SRC, oracle_check=True)
+    assert doc.entries[0]["verdict"] == "HOLDS_ON_SPAN"
+    assert doc.entries[0]["oracle_mismatches"] == ["lhs at c = (1, 0): engine 2",
+                                                   "rhs at c = (1, 0): engine 2"]
+    assert doc.exit_code == 3
+
+
+def test_classify_audit_evaluates_the_quartic_trace_at_each_lattice_point(monkeypatch):
+    src = NORM_SRC.replace("genpoly f = trace(N2);", "").replace(
+        "check f(x^2) == f(x)^2 on span(1, sqrt(2), 1+sqrt(2));",
+        "classify quadratic N2 with dictionary(id, c);")
+    doc = run_src(src, oracle_check=True)
+    assert doc.consistent and doc.entries[0]["oracle_checked"]
+    original = session_module.classify_quadratic_square
+
+    def misrecorded(*args):
+        report = original(*args)
+        (c, value, zero), *rest = report.rows
+        assert c == (1, 0) and value.is_zero()
+        report.rows = ((c, value + 1, zero), *rest)
+        return report
+
+    monkeypatch.setattr(session_module, "classify_quadratic_square", misrecorded)
+    doc = run_src(src, oracle_check=True)
+    assert doc.entries[0]["oracle_mismatches"] == ["lhs at c = (1, 0): engine 1"]
+
+
 def test_classify_command_in_session():
     src = """
     field F = Q;
