@@ -35,11 +35,13 @@ checkout and writes one JSON file:
   ``span(1, t, t^2)``, the full lattice of three generators; and, per
   degree ``D = 2*k``, one check whose difference is not homogeneous,
   ``f(x^k+x) == f(x)^k+f(x)`` for ``f = N + tr/2`` (the norm plus half
-  the trace) on ``span(1, sqrt(2), 1+sqrt(2))``, which reads rows of
-  every order ``0..D``; of the two probe scans on one
-  difference table, ``degree_estimate`` of ``trace(product(id, s))``
-  on the default probes of ``Q(t)`` and ``classify_quadratic_square``
-  of ``product(id, conj)`` on ``Q(sqrt 2)``; of ``eval_form`` per node
+  the trace) on ``span(1, sqrt(2), 1+sqrt(2))``, which is refuted at
+  the first point of the lattice ``|c| <= D`` where its sides differ
+  (the point 1 for ``D = 2, 6, 8``; for ``D = 4`` the sides agree
+  there); of the two probe scans, ``degree_estimate`` of
+  ``trace(product(id, s))`` on the default probes of ``Q(t)``, on one
+  difference table, and ``classify_quadratic_square`` of
+  ``product(id, conj)`` on ``Q(sqrt 2)``, on the face ``|c| = 4``; of ``eval_form`` per node
   kind (``product``, ``mapprod``, ``lift``, ``lincomb``) at arity
   2/4/6/8 on ``Q(sqrt 2)``, at distinct arguments; and of the oracle's
   ``eval_form`` of the arity-8 ``product`` on the diagonal, as the span

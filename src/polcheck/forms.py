@@ -24,10 +24,10 @@ trace rule; the value at a tuple is the polarization of that trace,
 trace values.  The oracle keeps the defining permutation sums.
 
 Span certificates and the quartic scan evaluate f on a ``lattice``.
-Every iterated difference (``delta_many``, a refutation's rows, the
-degree scan over ``multisets`` of probes) is read off a
-``difference_table``, which evaluates f once per distinct point and sums
-each row once (``fields.weighted_sum``).  For f homogeneous of degree D,
+Every iterated difference (``delta_many`` and the degree scan over
+``multisets`` of probes) is read off a ``difference_table``, which
+evaluates f once per distinct point and sums each row once
+(``fields.weighted_sum``).  For f homogeneous of degree D,
 f(m*x) = m^D * f(x), so both evaluate f at primitive coordinates only.
 """
 
@@ -252,7 +252,10 @@ def multisets(items: list, n: int):
 def lattice(zero: FieldElement, basis: list[FieldElement], degree: int, homogeneous: bool):
     """Each point x = sum c_i*b_i of {c >= 0, |c| <= D}, or of |c| = D folded
     to c/gcd(c) when ``homogeneous`` (f(m*x) = m^D * f(x)), once, as (c, x),
-    in the order a ``difference_table`` of the basis first reaches it."""
+    in the order a ``difference_table`` of the basis first reaches it.  The
+    unit points come first, and a check stops at the first point where its
+    sides differ, so this order decides its witness (x = b_1 before any
+    other) and which ``DenominatorVanishes`` it meets first."""
     points = (c for n in ((degree,) if homogeneous else range(degree + 1))
               for _, c in multisets(basis, n))
     if homogeneous:  # c is first reached in the row c + (D - |c|)*e_1
@@ -263,7 +266,7 @@ def lattice(zero: FieldElement, basis: list[FieldElement], degree: int, homogene
 
 
 def difference_table(sides, base: FieldElement, increments: list[FieldElement],
-                     degree: int | None = None, known: dict | None = None):
+                     degree: int | None = None):
     """One table of the differences ``Delta^a f(base)`` of each f of
     ``sides``: the returned function maps a count vector a (increment y_i
     taken a_i times) to their tuple, each the sum over 0 <= j <= a of the
@@ -271,8 +274,7 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement],
     are built once, grouped by value and shared by all vectors of any
     order, so each f runs once per distinct point with a nonzero weight;
     a vector whose weights cancel gives ``f(base) * 0``.  Each row is one
-    ``weighted_sum``, reduced once.  ``known`` maps points to the values
-    of the sides there, already computed, which the table does not redo.
+    ``weighted_sum``, reduced once.
 
     Sides all homogeneous of one ``degree`` D pass it, with base 0: then
     f(m*x) = m^D * f(x) for every integer m (an additive map is
@@ -306,8 +308,7 @@ def difference_table(sides, base: FieldElement, increments: list[FieldElement],
             folded = {0: 0}
         for r in folded:
             if r not in values:
-                x = points[r]
-                values[r] = (known.get(x) if known else None) or [f(x) for f in sides]
+                values[r] = [f(points[r]) for f in sides]
         ws = list(folded.values())
         return tuple(weighted_sum(ws, [values[r][i] for r in folded]) for i in range(len(sides)))
 

@@ -5,8 +5,8 @@ evaluate the same two side functions at each point c of the principal
 lattice |c| <= D of a Q-basis of the generators, D the degree of their
 difference, which is unisolvent for polynomials of degree D in c: this
 certifies the identity on the whole rational span (the face |c| = D, if
-the difference is homogeneous).  A refutation shows iterated differences
-at multisets of the basis.  The classifiers execute the constructive
+the difference is homogeneous).  A refutation is the first lattice point
+where the sides differ.  The classifiers execute the constructive
 steps of the degree-two theory: the six-term quartic form, its trace
 test, the auxiliary additive map a(x) = F2(x, 1), the quartic
 constraint on a, the convolution identity, and the final factorization
@@ -30,10 +30,8 @@ from .forms import (
     DEFAULT_ARITY_CAP,
     MAX_SPAN_ROWS,
     SymmetricForm,
-    difference_table,
     eval_form,
     lattice,
-    multisets,
     trace,
 )
 from .genpoly import GenPoly
@@ -197,15 +195,15 @@ def check_pointwise(f, p: Poly, q: Poly, samples: list[FieldElement],
 def _lattice_rows(sides, zero: FieldElement, basis: list[FieldElement], degree: int,
                   homogeneous: bool):
     """The rows (c, lhs, rhs) of the two sides at the ``lattice`` points,
-    up to the first where they differ, and then the sides' values at each
-    point, for a ``difference_table`` to reuse (else None)."""
-    rows, points = [], []
+    up to the first where they differ, and the ``Witness`` there (else
+    None).  On a homogeneous difference of degree D a side's value at x
+    is its D-additive form at (x, ..., x), the witness's input."""
+    rows = []
     for c, x in lattice(zero, basis, degree, homogeneous):
         lhs, rhs = (side(x) for side in sides)
         rows.append((c, lhs, rhs))
-        points.append(x)
         if lhs != rhs:  # canonical forms: equal values are equal structures
-            return rows, {x: row[1:] for x, row in zip(points, rows)}
+            return rows, Witness((x,) * degree if homogeneous else x, lhs, rhs, lhs - rhs)
     return rows, None
 
 
@@ -225,13 +223,12 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     side run once per point.  When f has one component and P = a*x^k,
     Q = lambda*x^k with k >= 1, g is homogeneous of degree D and the
     C(r+D-1, D) points of the face |c| = D are enough; D is the arity.
-    A holding report's rows are (c, lhs, rhs).  A refuted one's show
-    where, by Newton's forward-difference formula: the two sides'
-    differences of order 0..D (D alone when homogeneous) at each
-    multiset of basis elements, each divided by its order!, read off one
-    ``difference_table`` that reuses the lattice values.  The rows start
-    with one (name, generator) pair per generator left out, whose
-    coefficients on the basis ``dropped`` records for the audit.
+    The rows are (c, lhs, rhs), in ``lattice`` order up to the first
+    point x where the sides differ; a refutation's one witness is x, or
+    (x, ..., x) on the face of a homogeneous difference, where each
+    side's value is its D-additive form's.  The rows start with one
+    (name, generator) pair per generator left out, whose coefficients on
+    the basis ``dropped`` records for the audit.
 
     Raises ArityTooLarge when D passes DEFAULT_ARITY_CAP or the points
     pass MAX_SPAN_ROWS, before any evaluation.
@@ -252,27 +249,15 @@ def check_symmetrized(f: GenPoly, p: Poly, q: Poly,
     if count > MAX_SPAN_ROWS:
         raise ArityTooLarge(f"span check needs {count} rows on {r} generators, "
                             f"budget is {MAX_SPAN_ROWS}")
-    sides, zero, witnesses = _sides(f, p, q), f.spec.zero(), []
-    rows, known = _lattice_rows(sides, zero, basis, arity, homogeneous)
-    if known:
-        differences = difference_table(sides, zero, basis, arity if homogeneous else None, known)
-        rows = []
-        for order in (arity,) if homogeneous else range(arity + 1):
-            scale = math.factorial(order)
-            for tup, counts in multisets(basis, order):
-                lhs, rhs = differences(counts)
-                lhs, rhs = lhs / scale, rhs / scale
-                rows.append((tup, lhs, rhs))
-                if lhs != rhs:
-                    witnesses.append(Witness(tup, lhs, rhs, lhs - rhs))
+    rows, witness = _lattice_rows(_sides(f, p, q), f.spec.zero(), basis, arity, homogeneous)
     shape = f"arity {arity}" if homogeneous else f"order 0..{arity}"
     description = f"span generators ({', '.join(map(format_element, generators))}); "
     if dropped:
         description += f"Q-basis ({', '.join(map(format_element, basis))}); "
     description += f"{count} tuple(s) of {shape}"
     claims = [(f"generator {format_element(g)} on the Q-basis", g) for g, _ in dropped]
-    verdict = REFUTED if witnesses else HOLDS_ON_SPAN
-    return EquationReport(verdict, tuple(witnesses), sample_description=description,
+    verdict, witnesses = (REFUTED, (witness,)) if witness else (HOLDS_ON_SPAN, ())
+    return EquationReport(verdict, witnesses, sample_description=description,
                           rows=tuple(claims + rows), basis=tuple(basis), dropped=tuple(dropped))
 
 
@@ -296,8 +281,8 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
     f(x^2) = f(x)^2, where f is the trace of ``f2``.
 
     Steps: (1) build the six-term quartic form; (2) test its trace on
-    the face |c| = 4 of the probes' Q-basis (``lattice``); if it is
-    nonzero, so is the form at some probe 4-tuple, the witness;
+    the face |c| = 4 of the probes' Q-basis (``lattice``); the first
+    point x where it is nonzero gives the witness (x, x, x, x);
     (3) read f(1) = F2(1, 1) and branch on 0 vs 1; (4) the zero branch
     verifies f vanishes on the probes; (5) the unit branch forms
     a(x) = F2(x, 1), verifies the quartic constraint on a and the
@@ -322,15 +307,11 @@ def classify_quadratic_square(f2: SymmetricForm, dictionary: list[AdditiveMap],
 
     # the quartic trace's values, each compared with 0, and then the certificate
     zero, quartic = spec.zero(), _quartic_trace(f2)
-    rows, known = _lattice_rows((quartic, lambda x: zero), zero, basis, 4, True)
-    if known:  # some probe 4-tuple shows where; they share subset sums
-        table, rows = difference_table((quartic,), zero, probes, 4, known), []
-        for tup, counts in multisets(probes, 4):
-            value = table(counts)[0] / math.factorial(4)
-            rows.append((tup, value, zero))
-            if not value.is_zero():
-                return report(REFUTED, (Witness(tup, value, zero, value),),
-                              detail="six-term quartic form is nonzero on a probe tuple")
+    rows, witness = _lattice_rows((quartic, lambda x: zero), zero, basis, 4, True)
+    if witness:
+        return report(REFUTED, (witness,),
+                      detail="six-term quartic form is nonzero at (x, x, x, x) for x in the "
+                             "probes' span")
 
     f = trace(f2)
     f_at_1 = f(one)

@@ -290,19 +290,6 @@ class Oracle:
     def _key(self, v: OVal):
         return (frozenset(v.num.items()), frozenset(v.den.items()))
 
-    def memoized(self, fn):
-        """``fn`` on oracle values, computed once per distinct value (a pure
-        function; caching changes cost, not values)."""
-        cache: dict = {}
-
-        def cached(v: OVal) -> OVal:
-            key = self._key(v)
-            if key not in cache:
-                cache[key] = fn(v)
-            return cache[key]
-
-        return cached
-
     def apply_map(self, m, v: OVal) -> OVal:
         from .maps import Compose, Derivation, Endo, Identity, MapSum, Scale, Zero
 

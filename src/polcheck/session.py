@@ -783,28 +783,19 @@ def _combination(oracle: Oracle, basis: list, coefficients) -> object:
 
 
 def _is_lattice_row(where) -> bool:  # integer coordinates on a report's Q-basis
-    return isinstance(where, tuple) and bool(where) and isinstance(where[0], int)
+    return isinstance(where, tuple) and all(isinstance(c, int) for c in where)
 
 
 def _audit_check(payload: dict, report: EquationReport):
     f, p, q = payload["f"], payload["p"], payload["q"]
-    spec = f.spec
-    oracle = Oracle(spec)
+    oracle = Oracle(f.spec)
     p_of, q_of = oracle.polyspec(p), oracle.polyspec(q)
-    lhs = oracle.memoized(lambda v: oracle.eval_genpoly(f, p_of(v)))
-    rhs = oracle.memoized(lambda v: q_of(oracle.eval_genpoly(f, v)))
-    basis, zero = [from_element(b) for b in report.basis], oracle.zero()
+    basis = [from_element(b) for b in report.basis]
     for _, coefficients in report.dropped:  # a span generator as its combination
         yield (_combination(oracle, basis, coefficients),)
-    for where, _, _ in report.rows[len(report.dropped):]:
-        if isinstance(where, tuple) and not _is_lattice_row(where):  # polarized at the tuple
-            args = [from_element(a) for a in where]
-            scale = math.factorial(len(args))
-            yield (o_divint(oracle.delta_many(lhs, args, zero), scale),
-                   o_divint(oracle.delta_many(rhs, args, zero), scale))
-        else:  # each side at the sample or the lattice point
-            x = _combination(oracle, basis, where) if _is_lattice_row(where) else from_element(where)
-            yield lhs(x), rhs(x)
+    for where, _, _ in report.rows[len(report.dropped):]:  # at the sample or the lattice point
+        x = _combination(oracle, basis, where) if _is_lattice_row(where) else from_element(where)
+        yield oracle.eval_genpoly(f, p_of(x)), q_of(oracle.eval_genpoly(f, x))
 
 
 def _run_classify(options: RunOptions, payload: dict, entry: dict):
@@ -834,13 +825,6 @@ def _audit_classify(payload: dict, report: EquationReport):
             ox = _combination(oracle, basis, x)
             sq, fx = o_mul(ox, ox), f2(ox, ox)
             yield o_mul(oracle.integer(3), o_add(f2(sq, sq), o_neg(o_mul(fx, fx)))), oracle.zero()
-        elif isinstance(x, tuple):  # the six-term quartic form, compared with 0
-            x1, x2, x3, x4 = [from_element(a) for a in x]
-            value = oracle.zero()
-            for a, b, c, d in ((x1, x2, x3, x4), (x1, x3, x2, x4), (x1, x4, x2, x3)):
-                value = o_add(value, o_add(f2(o_mul(a, b), o_mul(c, d)),
-                                           o_neg(o_mul(f2(a, b), f2(c, d)))))
-            yield value, oracle.zero()
         else:  # the certificate f(x) = f(1)*phi1(x)*phi2(x)
             phi1, phi2 = report.classification.factors
             ox, one = from_element(x), oracle.integer(1)

@@ -379,7 +379,10 @@ _FAULTS = {
     "check f(x^2) == f(x)^2 on span(1, sqrt(2))": (forms_module, "_trace", _times_two),
     "check f(x^2) == f(x)^2 on span(1, sqrt(2), 1+sqrt(2))":
         (funceq_module, "q_basis", _drop_independent),
+    "check f(x^2) == 2*f(x)^2 on span(1, sqrt(2))": (forms_module, "_trace", _times_two),
     "classify quadratic N2 with dictionary(id, c)":
+        (funceq_module, "_quartic_trace", _add_quartic),
+    "classify quadratic lincomb(2*product(id, c)) with dictionary(id, c)":
         (funceq_module, "_quartic_trace", _add_quartic),
     "degree f": (forms_module.GenMonomial, "__call__", _add_cube),
     "rank f add translates(1, sqrt(2)) points(1, 2, 3)":

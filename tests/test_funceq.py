@@ -106,6 +106,27 @@ def each_once(args, expected) -> bool:
     return len(args) == len(set(args)) and set(args) == expected
 
 
+def assert_first_disagreement(report, sides):
+    """A refuted lattice check stops at the first point where its sides
+    differ, and its one witness is a real disagreement there: both sides
+    run again at the point x give the witness values, and on the face of
+    a homogeneous difference of degree D, where the input is (x, ..., x),
+    so do the D-th differences of the sides at (x, ..., x), divided by D!."""
+    (w,) = report.witnesses
+    rows = report.rows[len(report.dropped):]
+    *agreeing, (c, lhs, rhs) = rows
+    assert all(l == r for _, l, r in agreeing)
+    assert lhs != rhs and (w.lhs, w.rhs, w.difference) == (lhs, rhs, lhs - rhs)
+    x = w.input[0] if isinstance(w.input, tuple) else w.input
+    assert x == sum((x.spec.from_int(n) * b for n, b in zip(c, report.basis)), x.spec.zero())
+    assert tuple(side(x) for side in sides) == (lhs, rhs)
+    if isinstance(w.input, tuple):
+        degree = len(w.input)
+        assert w.input == (x,) * degree
+        assert tuple(delta_many(side, [x] * degree, x.spec.zero()) / math.factorial(degree)
+                     for side in sides) == (lhs, rhs)
+
+
 # -- degree precheck ----------------------------------------------------------
 
 def test_precheck_pass_and_fail():
@@ -186,20 +207,27 @@ def test_zero_monomial_span_holds():
 
 
 def test_span_certifies_sides_of_any_shape():
+    def refute(p, q):
+        report = check_symmetrized(NORM_POLY, p, q, [Q2.one()])
+        reference = reference_table_rows(NORM_POLY, p, q, [Q2.one()])
+        assert any(lhs != rhs for _, lhs, rhs in reference)  # the rows of differences refute
+        assert report.verdict == REFUTED
+        assert_first_disagreement(report, funceq_module._sides(NORM_POLY, p, q))
+        return report
+
     p = poly([Q2.one(), Q2.one()])  # 1 + x: N(1 + x) = N(x) fails at the point 0
-    report = check_symmetrized(NORM_POLY, p, xk(Q2, 1), [Q2.one()])
-    assert report.verdict == REFUTED
-    w = report.witnesses[0]
-    assert (w.input, w.lhs, w.rhs) == ((), Q2.one(), Q2.zero())
-    # N(x^2) = N(x)^3 differs in degree: every order 0..2*3 on one generator
-    report = check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), [Q2.one()])
-    assert report.verdict == REFUTED and len(report.rows) == 7
+    w = refute(p, xk(Q2, 1)).witnesses[0]
+    assert (w.input, w.lhs, w.rhs) == (Q2.zero(), Q2.one(), Q2.zero())
+    # N(x^2) = N(x)^3 differs in degree: the points 0..2*3 on one generator,
+    # of which 0 and 1 agree and 2 does not
+    report = refute(xk(Q2, 2), xk(Q2, 3))
+    assert [c for c, _, _ in report.rows] == [(0,), (1,), (2,)]
     assert report.sample_description.endswith("7 tuple(s) of order 0..6")
+    w = report.witnesses[0]
+    assert (w.input, w.lhs, w.rhs) == (Q2.from_int(2), Q2.from_int(16), Q2.from_int(64))
     # a scaled P is certified too: N(2*x^2) = 4*N(x)^2
     two_x2 = xk(Q2, 2, Q2.from_int(2))
-    report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2), [Q2.one()])
-    assert report.verdict == REFUTED
-    w = report.witnesses[0]
+    w = refute(two_x2, xk(Q2, 2)).witnesses[0]
     assert (w.input, w.lhs, w.rhs) == ((Q2.one(),) * 4, Q2.from_int(4), Q2.one())
     report = check_symmetrized(NORM_POLY, two_x2, xk(Q2, 2, Q2.from_int(4)),
                                default_probes(Q2)[:3])
@@ -373,13 +401,15 @@ def test_span_rows_match_per_tuple_subset_sums(field, data):
     rows = reference_rows(f, p, q, gens)
     refuted = any(lhs != rhs for _, lhs, rhs in rows)
     assert report.verdict == (REFUTED if refuted else HOLDS_ON_SPAN)
-    if refuted:  # the rows of differences show where
-        assert list(report.rows) == rows
-    else:  # one row per primitive point of the face, each side's value there
-        face = primitive_face(gens, f.degree * k)
+    # one row per primitive point of the face, each side's value there, up
+    # to the first point where the sides differ
+    face = primitive_face(gens, f.degree * k)
+    lhs_side, rhs_side = funceq_module._sides(f, p, q)
+    assert all((lhs, rhs) == (lhs_side(face[c]), rhs_side(face[c])) for c, lhs, rhs in report.rows)
+    if refuted:
+        assert_first_disagreement(report, (lhs_side, rhs_side))
+    else:
         assert sorted(c for c, _, _ in report.rows) == sorted(face)
-        lhs_side, rhs_side = funceq_module._sides(f, p, q)
-        assert all((lhs, rhs) == (lhs_side(face[c]), rhs_side(face[c])) for c, lhs, rhs in report.rows)
 
 
 def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
@@ -406,21 +436,27 @@ def test_span_check_calls_each_side_once_per_lattice_point(monkeypatch):
 
 
 def test_a_holding_span_check_builds_no_difference_table(monkeypatch):
-    tables = []
-    table = funceq_module.difference_table
-    monkeypatch.setattr(funceq_module, "difference_table",
-                        lambda *args: tables.append(args) or table(*args))
+    log = []
+    table, form = forms_module.difference_table, funceq_module.eval_form
+    monkeypatch.setattr(forms_module, "difference_table",
+                        lambda *args: log.append("table") or table(*args))
+    monkeypatch.setattr(funceq_module, "eval_form", lambda *args: log.append("form") or form(*args))
     gens = default_probes(Q2)
     tr = trace(ProductSym((sum_maps(identity_map(Q2), CONJ),)))  # N + tr/2 is invariant
     invariant = genpoly_from([NORM, trace(LinComb(((Q2.from_fraction(Fraction(1, 2)), tr.form),)))])
     for f, p, q in [(NORM_POLY, xk(Q2, 4), xk(Q2, 4)),
                     (invariant, poly([-Q2.one(), -Q2.one()]), xk(Q2, 1))]:
         assert check_symmetrized(f, p, q, gens).verdict == HOLDS_ON_SPAN
+    # nor does a refuted one: both are decided on the lattice alone
+    for p, q in [(xk(Q2, 2), xk(Q2, 3)), (xk(Q2, 2), xk(Q2, 2, Q2.from_int(2)))]:
+        assert check_symmetrized(NORM_POLY, p, q, gens).verdict == REFUTED
+    twice = LinComb(((Q2.from_int(2), NORM_FORM),))
+    assert classify_quadratic_square(twice, [], gens).verdict == REFUTED
+    assert log == []
+    # a classification's tables are those of its values a(x) = F2(x, 1)
     report = classify_quadratic_square(NORM_FORM, [identity_map(Q2), CONJ], gens)
-    assert report.verdict == HOLDS_ON_SAMPLE and tables == []
-    # a refutation reads its rows off one table
-    assert check_symmetrized(NORM_POLY, xk(Q2, 2), xk(Q2, 3), gens).verdict == REFUTED
-    assert len(tables) == 1
+    assert report.verdict == HOLDS_ON_SAMPLE
+    assert log.count("table") == log.count("form") > 0
 
 
 @pytest.mark.parametrize("p, q", [(xk(QT, 4, QT.element("t")), xk(QT, 4)),  # homogeneous
@@ -437,9 +473,10 @@ def test_a_refuted_span_check_runs_each_side_once_per_point(monkeypatch, p, q):
 
     monkeypatch.setattr(funceq_module, "_sides", logged_sides)
     report = check_symmetrized(f, p, q, _QT_INDEPENDENT)
-    assert report.verdict == REFUTED and report.rows == tuple(rows)
-    for log in logs:
-        assert log and len(log) == len(set(log))
+    assert any(lhs != rhs for _, lhs, rhs in rows) and report.verdict == REFUTED
+    assert_first_disagreement(report, sides(f, p, q))
+    for log in logs:  # one run per row, that is, per lattice point up to the witness
+        assert len(log) == len(set(log)) == len(report.rows)
 
 
 def reference_table_rows(f, p, q, gens) -> list:
@@ -479,7 +516,8 @@ _EQUIVALENCE = {  # homomorphisms with s(1) = 1, another additive map, and gener
 def test_lattice_verdict_equals_the_verdict_of_the_difference_rows(field, shape, data):
     """Homogeneous, invariant (which holds) and general equations on
     generators with zeros and dependent ones: the lattice decides as the
-    rows of differences do, and a refutation keeps their rows."""
+    rows of differences do, and a refutation's witness is a real
+    disagreement."""
     spec, homs, other, pool = _EQUIVALENCE[field]
     number = lambda: spec.from_fraction(data.draw(_SMALL))  # noqa: E731
     maps = homs + [other]
@@ -516,7 +554,7 @@ def test_lattice_verdict_equals_the_verdict_of_the_difference_rows(field, shape,
     assert report.verdict == (REFUTED if refuted else HOLDS_ON_SPAN)
     event(f"{shape} {report.verdict}")
     if refuted:
-        assert report.rows[len(report.dropped):] == tuple(rows)
+        assert_first_disagreement(report, funceq_module._sides(f, p, q))
     if shape == "invariant":
         assert report.verdict == HOLDS_ON_SPAN
 
@@ -530,8 +568,8 @@ _QUARTIC_POOLS = {name: (spec, maps + [other], pool)
 @given(field=st.sampled_from(sorted(_QUARTIC_POOLS)), data=st.data())
 def test_quartic_lattice_verdict_equals_the_per_tuple_scan(field, data):
     """The classifier's quartic step refutes exactly when some probe
-    4-tuple does, at the same first tuple, on probes with repeats and
-    dependent ones."""
+    4-tuple does, with a witness (x, x, x, x) where the six-term form is
+    nonzero, on probes with repeats and dependent ones."""
     spec, maps, pool = _QUARTIC_POOLS[field]
     terms = tuple((spec.from_fraction(data.draw(st.sampled_from(_NONZERO_COEFFICIENTS))),
                    ProductSym(tuple(data.draw(st.sampled_from(maps)) for _ in range(2))))
@@ -545,11 +583,11 @@ def test_quartic_lattice_verdict_equals_the_per_tuple_scan(field, data):
     except DictionaryInsufficient:  # raised after the quartic step held
         assert rows[-1][1].is_zero()
         return
-    quartic_refuted = report.detail == "six-term quartic form is nonzero on a probe tuple"
+    quartic_refuted = report.detail.startswith("six-term quartic form is nonzero")
     assert quartic_refuted == (not rows[-1][1].is_zero())
     event(f"quartic step {'refutes' if quartic_refuted else 'holds'}")
     if quartic_refuted:
-        assert list(report.rows) == rows
+        assert_first_disagreement(report, quartic_sides(f2))
 
 
 QTU = FieldSpec.ratfunc(Q, ["t", "u"])
@@ -623,8 +661,11 @@ def test_span_of_zero_generators_decides_at_the_point_zero(p, q, verdict):
     assert "; Q-basis (); " in report.sample_description
     rows = report.rows[len(report.dropped):]
     if verdict == REFUTED:  # N(0 + 1) = 1, but N(0) + 2 = 2
+        reference = reference_table_rows(NORM_POLY, p, q, [Q2.zero(), Q2.zero()])
+        assert reference == [((), Q2.one(), Q2.from_int(2))]
+        assert_first_disagreement(report, funceq_module._sides(NORM_POLY, p, q))
         (w,) = report.witnesses
-        assert (w.input, w.lhs, w.rhs) == ((), Q2.one(), Q2.from_int(2))
+        assert (w.input, w.lhs, w.rhs) == (Q2.zero(), Q2.one(), Q2.from_int(2))
         assert rows == (((), Q2.one(), Q2.from_int(2)),)
     elif len(p.terms) == 1:  # homogeneous: the face |c| = 4 has no point
         assert rows == () and report.sample_description.endswith("0 tuple(s) of arity 4")
@@ -885,8 +926,7 @@ def test_a_refuted_classification_runs_the_quartic_trace_once_per_point(monkeypa
     quartic_trace, log = funceq_module._quartic_trace, []
     monkeypatch.setattr(funceq_module, "_quartic_trace",
                         lambda f2: lambda x, q=quartic_trace(f2): log.append(x) or q(x))
-    # the probes of Q(sqrt 2) are Q-dependent: the table over them meets the
-    # lattice points of their Q-basis at other coordinates
+    # the probes of Q(sqrt 2) are Q-dependent: the lattice is that of their Q-basis
     for form, probes in [(F28_FORM, default_probes(QT)),
                          (LinComb(((Q2.from_int(2), NORM_FORM),)), default_probes(Q2))]:
         log.clear()
@@ -913,6 +953,13 @@ def test_classifier_evaluates_a_once_per_distinct_argument(monkeypatch):
         counts.append(len(arguments))
     # a(p), a(p^2), a(p^4) and the convolution arguments x*y*z, x*z, y*z
     assert counts[0] == counts[1] > len(probes)
+
+
+def quartic_sides(f2):
+    """The classifier's quartic step as the two sides of a lattice check:
+    the quartic trace and 0."""
+    zero = f2.spec.zero()
+    return funceq_module._quartic_trace(f2), lambda x: zero
 
 
 def reference_quartic_rows(f2, probes) -> list:
@@ -950,7 +997,7 @@ def test_classifier_matches_the_per_tuple_quartic_scan(case):
     f2, dictionary, probes = _classifier_cases()[case]
     report = classify_quadratic_square(f2, dictionary, probes)
     rows = reference_quartic_rows(f2, probes)
-    tup, value, zero = rows[-1]
+    _, value, zero = rows[-1]
     if value.is_zero():  # one zero row per primitive point of the face |c| = 4
         assert report.verdict == HOLDS_ON_SAMPLE
         one = f2.spec.one()
@@ -963,10 +1010,10 @@ def test_classifier_matches_the_per_tuple_quartic_scan(case):
         assert all(lhs == quartic(face[c]) == rhs == zero for c, lhs, rhs in lattice_rows)
         assert report.rows[:len(lattice_rows)] == tuple(lattice_rows)
     else:
-        assert list(report.rows) == rows
         assert report.verdict == REFUTED
+        assert_first_disagreement(report, quartic_sides(f2))
         (w,) = report.witnesses
-        assert (w.input, w.lhs, w.rhs, w.difference) == (tup, value, zero, value)
+        assert w.input[0] in primitive_face(report.basis, 4).values() and w.rhs == zero
 
 
 def test_classify_dictionary_insufficient():

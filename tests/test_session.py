@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -543,18 +544,33 @@ def test_classify_dictionary_insufficient_is_inconclusive():
     assert doc.exit_code == 1
 
 
+def _all_ones_refutations():
+    """(session, first witness) pairs.  f(1) = 2: the quartic form at
+    (1, 1, 1, 1) is 3 f(1)(1 - f(1)) = -6, so the quartic test refutes
+    before f(1) is read.  f(1) = c with f(x^k) == lam*f(x)^k refuted on
+    span(1, ...) of Q(sqrt d): the unit point 1 comes first on the face,
+    so the witness is the all-ones 2k-tuple with lhs = c, rhs = lam*c^k,
+    the answer verdictbench expects of such a check."""
+    yield ("field F = Q;\nclassify quadratic lincomb(2*product(id, id)) with dictionary(id);",
+           "x = (1, 1, 1, 1), lhs = -6, rhs = 0, diff = -6")
+    for d, c, lam, k, gens in [(2, Fraction(3, 2), Fraction(2), 2, "1, sqrt(2)"),
+                               (5, Fraction(-2), Fraction(1, 2), 2, "1, 1+sqrt(5), 3"),
+                               (3, Fraction(1, 3), Fraction(-1), 3, "1, sqrt(3)")]:
+        rhs = lam * c ** k
+        ones = ", ".join(["1"] * (2 * k))
+        yield (f"field F = Q(sqrt {d});\nhom c = conj;\n"
+               f"genpoly f = trace(lincomb(({c})*product(id, c)));\n"
+               f"check f(x^{k}) == ({lam})*f(x)^{k} on span({gens});",
+               f"x = ({ones}), lhs = {c}, rhs = {rhs}, diff = {c - rhs}")
+
+
 def test_classify_refutes_f_at_1_outside_zero_and_one_at_the_all_ones_tuple():
-    """f(1) = 2: the quartic form at (1, 1, 1, 1) is 3 f(1)(1 - f(1)) = -6,
-    so the quartic test refutes before f(1) is read."""
-    src = """
-    field F = Q;
-    classify quadratic lincomb(2*product(id, id)) with dictionary(id);
-    """
-    doc = run_src(src, oracle_check=True)
-    entry = doc.entries[0]
-    assert entry["verdict"] == "REFUTED"
-    assert entry["witnesses"][0] == "x = (1, 1, 1, 1), lhs = -6, rhs = 0, diff = -6"
-    assert doc.consistent and entry["oracle_checked"] is True
+    for src, witness in _all_ones_refutations():
+        doc = run_src(src, oracle_check=True)
+        entry = doc.entries[0]
+        assert entry["verdict"] == "REFUTED"
+        assert entry["witnesses"] == [witness]
+        assert doc.consistent and entry["oracle_checked"] is True
 
 
 def test_degree_rank_verify_polarize_commands():
