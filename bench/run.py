@@ -14,7 +14,9 @@ checkout and writes one JSON file:
   ``+ * /`` on ``Q``, ``Q(sqrt 2)``, ``Q(t)`` and ``Q(sqrt 2)(t)``
   (on two general elements, and with a zero or one operand), and of
   ``poly_gcd`` on coprime, shared-factor and equal polynomials in
-  ``t`` over ``Q`` and ``Q(sqrt 2)``, and in ``t, u`` over ``Q``;
+  ``t`` and in ``t, u``, each over ``Q`` and ``Q(sqrt 2)`` (the
+  shared factor in ``t, u`` over ``Q(sqrt 2)`` is the one case that
+  reaches Euclid's algorithm on polynomial coefficients);
   of ``Poly`` products and ``gcd_cofactors`` on the integral numerators
   of ``Q(t)`` (``poly``: ``mul_qt`` multiplies a three-term and a
   two-term polynomial, ``gcd_qt`` finds the shared linear factor of
@@ -159,6 +161,7 @@ MICRO_GCDS = {
     "Q(t)": ("t^4+3*t^2+t+1", "t^3-2*t+5", "t^2+t+1"),
     "Q(sqrt 2)(t)": ("t^4+sqrt(2)*t^2+1", "t^3-2*t+sqrt(2)", "t^2+sqrt(2)*t+1"),
     "Q(t, u)": ("t^2*u+3*t*u^2-u+2", "t*u^2-2*t^2+u+1", "t*u+2*t+1"),
+    "Q(sqrt 2)(t, u)": ("t^2*u+sqrt(2)*t*u^2-u+2", "t*u^2-2*t^2+u+sqrt(2)", "t*u+sqrt(2)*t+1"),
 }
 
 
@@ -224,7 +227,8 @@ def time_micro(polcheck, clock) -> dict:
     specs = {"Q": rationals, "Q(sqrt 2)": quadratic,
              "Q(t)": polcheck.FieldSpec.ratfunc(rationals, ["t"]),
              "Q(sqrt 2)(t)": polcheck.FieldSpec.ratfunc(quadratic, ["t"]),
-             "Q(t, u)": polcheck.FieldSpec.ratfunc(rationals, ["t", "u"])}
+             "Q(t, u)": polcheck.FieldSpec.ratfunc(rationals, ["t", "u"]),
+             "Q(sqrt 2)(t, u)": polcheck.FieldSpec.ratfunc(quadratic, ["t", "u"])}
     field = {}
     for name, (x_text, y_text) in MICRO_ELEMENTS.items():
         spec = specs[name]

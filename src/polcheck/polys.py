@@ -106,6 +106,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_const(self) -> bool:
         terms = self.terms
         return not terms or len(terms) == 1 and 0 in terms
@@ -303,10 +306,14 @@ def exact_div(f: Poly, g: Poly, over_z: bool = False) -> Poly:
 # points, and run Euclid in F_p[v].  A reduction that keeps the degree
 # in v maps a common factor of positive degree in v to one of the images
 # (Gauss's lemma over the local ring at p; Brown, J. ACM 1971), so
-# coprime images in every shared variable prove gcd 1.  Otherwise one
-# variable takes the monic Euclidean algorithm and several the primitive
-# pseudo-remainder sequence on the lowest variable, with contents
-# handled recursively, and the cofactors come from exact_div.
+# coprime images in every shared variable prove gcd 1.  Otherwise
+# Euclid's algorithm runs in the lowest variable v, on coefficients that
+# are scalars when f and g use only v and polynomials in the other
+# variables when they do not.  Each pseudo-remainder is divided by its
+# content (Knuth, TAOCP vol. 2, 4.6.1): the leading coefficient of
+# scalars, which makes it monic, and the gcd of polynomial coefficients,
+# found recursively, which makes it primitive.  The cofactors come from
+# exact_div.
 
 
 def gcd_cofactors(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
@@ -323,7 +330,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _gcd(f: Poly, g: Poly) -> tuple:
-    """gcd_cofactors, with None for cofactors that Euclid or the PRS
+    """gcd_cofactors, with None for cofactors that Euclid's algorithm
     left to exact_div."""
     if f.is_zero():
         return g, f, Poly.const(g.nvars, _one_like(g))
@@ -343,14 +350,12 @@ def _gcd(f: Poly, g: Poly) -> tuple:
     h = _certified_one(f, g)
     if h is None:
         ff, gg = _over_field(f), _over_field(g)
-        used = ff.vars_used() | gg.vars_used()
-        v = min(used)
-        h = _gcd_univar(ff, gg, v) if used <= {v} else monic(_gcd_prs(ff, gg, v))
+        h = monic(_euclid(ff, gg, min(ff.vars_used() | gg.vars_used())))
     return (h, f, g) if h.is_const() else (h, None, None)
 
 
 #: Values of xi that GCDHEU tries, in each variable, before the gcd
-#: falls back to the certificate and Euclid or the PRS.
+#: falls back to the certificate and Euclid's algorithm.
 HEU_TRIES = 6
 
 
@@ -421,15 +426,19 @@ def _heu_primitive(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly] | None:
 
 def _evaluate(p: Poly, v: int, xi: int) -> Poly:
     """p with variable v set to the integer xi."""
-    powers = [1]
+    unit, shift, mask = _unit(p.nvars, v)
+    # only the powers that occur, each from the nearest lower one: a
+    # sparse p of degree 10^4 in v needs a few huge integers, not 10^4;
+    # in one variable the keys are the exponents
+    powers, j = {0: 1}, 0
+    for k in sorted(p.terms if p.nvars == 1 else {e >> shift & mask for e in p.terms}):
+        powers[k] = powers[j] * xi ** (k - j)
+        j = k
     out = {}
     get = out.get
-    unit, shift, mask = _unit(p.nvars, v)
     for e, c in p.terms.items():
         k = e >> shift & mask
         if k:
-            while len(powers) <= k:
-                powers.append(powers[-1] * xi)
             e -= k * unit
             c *= powers[k]
         s = get(e)
@@ -633,117 +642,64 @@ def _over_field(p: Poly) -> Poly:
     return p
 
 
-def _gcd_univar(f: Poly, g: Poly, v: int) -> Poly:
-    unit, shift, mask = _unit(f.nvars, v)
-    a, b = ({e >> shift & mask: c for e, c in p.terms.items()} for p in (f, g))
-
-    def rem(num: dict, den: dict) -> dict:
-        dd = max(den)
-        lc = den[dd]
-        num = dict(num)
-        while num and max(num) >= dd:
-            dn = max(num)
-            q = num[dn] / lc
-            for k, c in den.items():
-                kk = dn - dd + k
-                s = num.get(kk, None)
-                s = -q * c if s is None else s - q * c
-                if s:
-                    num[kk] = s
-                else:
-                    num.pop(kk, None)
-        return num
-
-    def monic(r: dict) -> dict:
-        if not r:
-            return r
-        lead = r[max(r)]
-        return {k: c / lead for k, c in r.items()}
-
-    while b:  # monic remainders keep the coefficients from growing
-        a, b = b, monic(rem(a, b))
-    return _poly(f.nvars, {k * unit: c for k, c in monic(a).items()})
-
-
-def _as_univ(f: Poly, v: int) -> dict[int, Poly]:
-    split: dict[int, dict] = {}
-    unit, shift, mask = _unit(f.nvars, v)
-    for e, c in f.terms.items():
-        k = e >> shift & mask
-        split.setdefault(k, {})[e - k * unit] = c
-    return {k: _poly(f.nvars, terms) for k, terms in split.items()}
-
-
-def _from_univ(d: dict[int, Poly], v: int, nvars: int) -> Poly:
-    terms = {}
-    unit = _unit(nvars, v)[0]
-    for k, p in d.items():
-        for e, c in p.terms.items():
-            terms[e + k * unit] = c
-    return _poly(nvars, terms)
-
-
-def _usub(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    out = dict(a)
-    for k, p in b.items():
-        q = out.get(k)
-        q = -p if q is None else q - p
-        if q.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = q
-    return out
-
-def _umul(a: dict[int, Poly], p: Poly, shift: int = 0) -> dict[int, Poly]:
-    out = {}
-    for k, q in a.items():
-        r = q * p
-        if not r.is_zero():
-            out[k + shift] = r
-    return out
-
-
-def _uprem(a: dict[int, Poly], b: dict[int, Poly]) -> dict[int, Poly]:
-    """Pseudo-remainder of a by b in the distinguished variable."""
-    db = max(b)
-    lb = b[db]
-    r = a
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        r = _usub(_umul(r, lb), _umul(b, lr, dr - db))
-    return r
-
-
-def _ucontent(a: dict[int, Poly]) -> Poly:
-    content = None
-    for p in a.values():
-        content = p if content is None else poly_gcd(content, p)
-        if content.is_const():
-            break
-    return monic(content)
-
-
-def _upp(a: dict[int, Poly], content: Poly) -> dict[int, Poly]:
-    if content.is_const():
-        c = content.constant()
-        return {k: p.divscale(c) for k, p in a.items()}
-    return {k: exact_div(p, content) for k, p in a.items()}
-
-
-def _gcd_prs(f: Poly, g: Poly, v: int) -> Poly:
-    a = _as_univ(f, v)
-    b = _as_univ(g, v)
-    cont_a = _ucontent(a)
-    cont_b = _ucontent(b)
-    cont = poly_gcd(cont_a, cont_b)
-    a = _upp(a, cont_a)
-    b = _upp(b, cont_b)
+def _euclid(f: Poly, g: Poly, v: int) -> Poly:
+    """A gcd of f and g, up to a constant factor, by Euclid's algorithm in
+    v: each remainder is a pseudo-remainder divided by its content."""
+    scalar = f.vars_used() | g.vars_used() == {v}
+    (ca, a), (cb, b) = (_content(_split(p, v, scalar)) for p in (f, g))
     if max(a) < max(b):
         a, b = b, a
     while b:
-        r = _uprem(a, b)
-        if r:
-            r = _upp(r, _ucontent(r))
-        a, b = b, r
-    return cont * _from_univ(a, v, f.nvars)
+        db = max(b)
+        lb = b[db]
+        r = dict(a)
+        while r and (dr := max(r)) >= db:
+            # r <- lb*r - lr*v^(dr-db)*b, which cancels r's leading term;
+            # by a monic b this is the step of Euclid's remainder
+            lr = r.pop(dr)
+            if lb != 1:
+                for k, c in r.items():
+                    r[k] = c * lb
+            for k, c in b.items():
+                if k != db:
+                    k += dr - db
+                    s = r.get(k)
+                    s = -(lr * c) if s is None else s - lr * c
+                    if s:
+                        r[k] = s
+                    else:
+                        del r[k]
+        a, b = b, r and _content(r)[1]
+    h = _join(a, v, f.nvars, scalar)
+    return h if scalar else poly_gcd(ca, cb) * h
+
+
+def _split(p: Poly, v: int, scalar: bool) -> dict:
+    """{exponent of v: coefficient} of p, whose coefficients are scalars
+    or, unless scalar, Polys in the other variables."""
+    unit, shift, mask = _unit(p.nvars, v)
+    if scalar:
+        return {e >> shift & mask: c for e, c in p.terms.items()}
+    split: dict[int, dict] = {}
+    for e, c in p.terms.items():
+        k = e >> shift & mask
+        split.setdefault(k, {})[e - k * unit] = c
+    return {k: _poly(p.nvars, terms) for k, terms in split.items()}
+
+
+def _join(a: dict, v: int, nvars: int, scalar: bool) -> Poly:
+    """The Poly of a split by v, the inverse of _split."""
+    unit = _unit(nvars, v)[0]
+    if scalar:
+        return _poly(nvars, {k * unit: c for k, c in a.items()})
+    return _poly(nvars, {e + k * unit: c for k, p in a.items() for e, c in p.terms.items()})
+
+
+def _content(a: dict) -> tuple:
+    """(c, a/c) for a nonzero split a: c is the leading coefficient of
+    scalars, and the monic gcd of Polys, so a/c is monic or primitive."""
+    c = a[max(a)]
+    if isinstance(c, Poly):
+        c = monic(reduce(poly_gcd, a.values()))
+        return c, (a if c.is_const() else {k: exact_div(p, c) for k, p in a.items()})
+    return c, (a if c == 1 else {k: x / c for k, x in a.items()})

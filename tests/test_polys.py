@@ -1,5 +1,5 @@
 """Polynomial gcds: GCDHEU over Q, the coprimality certificate modulo a
-prime, and Euclid and the PRS behind them."""
+prime, and Euclid's algorithm behind them."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -42,24 +42,23 @@ def quad(a, b, d) -> QuadRat:
 
 
 def euclid_gcd(f: Poly, g: Poly) -> Poly:
-    """poly_gcd with GCDHEU and the certificate switched off: Euclid and
-    the PRS only."""
+    """poly_gcd with GCDHEU and the certificate switched off: Euclid's
+    algorithm only."""
     with mock.patch.object(polys, "_heuristic", lambda f, g: None), \
             mock.patch.object(polys, "_certified_one", lambda f, g: None):
         return poly_gcd(f, g)
 
 
 def _unreachable(*args):
-    raise AssertionError("this gcd reached Euclid or the PRS")
+    raise AssertionError("this gcd reached Euclid's algorithm")
 
 
 @contextmanager
 def certificate_only():
-    """Switch GCDHEU off, and fail if poly_gcd reaches Euclid or the PRS,
+    """Switch GCDHEU off, and fail if poly_gcd reaches Euclid's algorithm,
     at any depth."""
     with mock.patch.object(polys, "_heuristic", lambda f, g: None), \
-            mock.patch.object(polys, "_gcd_univar", _unreachable), \
-            mock.patch.object(polys, "_gcd_prs", _unreachable):
+            mock.patch.object(polys, "_euclid", _unreachable):
         yield
 
 
@@ -118,8 +117,8 @@ def test_every_prime_rejected_falls_back_to_euclid(monkeypatch):
     monkeypatch.setattr(polys, "_heuristic", lambda f, g: None)
     monkeypatch.setattr(polys, "CERT_PRIMES", (P0,))
     calls = []
-    euclid = polys._gcd_univar
-    monkeypatch.setattr(polys, "_gcd_univar", lambda *args: calls.append(args) or euclid(*args))
+    euclid = polys._euclid
+    monkeypatch.setattr(polys, "_euclid", lambda *args: calls.append(args) or euclid(*args))
     sqrt7 = upoly(quad(0, 1, 7), quad(1, 0, 7))
     factor = upoly(Fraction(1, P0), 1)
     cases = [
@@ -213,7 +212,7 @@ def test_coefficients_of_other_kinds_take_the_euclid_path():
     assert poly_gcd(f, g) == Poly.const(1, spec.one())
 
 
-# -- agreement with Euclid and the PRS ---------------------------------------
+# -- agreement with Euclid's algorithm ---------------------------------------
 
 _RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
@@ -242,17 +241,33 @@ def test_gcd_agrees_with_euclid_on_planted_factors(nvars, d):
     agrees()
 
 
+def test_scalar_and_polynomial_coefficients_give_one_gcd():
+    # polynomials in t alone split into scalar coefficients; times u + 1,
+    # into coefficients that are polynomials in u with content u + 1
+    one = quad(1, 0, 2)
+    coeffs = st.builds(QuadRat, _RATIONALS, _RATIONALS, st.just(2))
+    in_t = (st.dictionaries(st.integers(0, 3), coeffs, min_size=1, max_size=4)
+            .map(lambda terms: Poly(2, {(k, 0): c for k, c in terms.items()}))
+            .filter(lambda p: not p.is_zero()))
+    u1 = Poly(2, {(0, 1): one, (0, 0): one})
+
+    @settings(max_examples=40, deadline=None)
+    @given(in_t, in_t, in_t)
+    def agrees(f, g, h):
+        assert euclid_gcd(f * h * u1, g * h * u1) == euclid_gcd(f * h, g * h) * u1
+
+    agrees()
+
+
 # -- GCDHEU: a proved gcd with its cofactors --------------------------------
 
 def test_planted_two_variable_pair_is_quick(time_limit):
-    # the coprime pair above times a planted factor; the PRS found no
-    # result for it in minutes
+    # the coprime pair above times a planted factor; Euclid's algorithm
+    # found no result for it in minutes
     f = two_variable("-t^4*(5*t^4-3)^2*(u+1)^4*(5*u^2-3)^2/81")
     g = two_variable("((3*t*u^2+3*t*u-1)*(3*t^4*u+3*t^4+3*t^2*u+3*t^2-1))^2/81")
     h = two_variable("t*u+2*t+1")
-    with time_limit(1, "poly_gcd"), \
-            mock.patch.object(polys, "_gcd_univar", _unreachable), \
-            mock.patch.object(polys, "_gcd_prs", _unreachable):
+    with time_limit(1, "poly_gcd"), mock.patch.object(polys, "_euclid", _unreachable):
         assert poly_gcd(f * h, g * h) == monic(h)
         gcd, cf, cg = gcd_cofactors(f * h, g * h)
     assert gcd * cf == f * h and gcd * cg == g * h
@@ -460,7 +475,7 @@ def test_gcd_of_equal_arguments_is_monic_without_a_certificate(nvars, kind, monk
     def unreachable(*args):
         raise AssertionError("an equal-argument gcd ran the certificate or Euclid")
 
-    for name in ("_certified_one", "_gcd_univar", "_gcd_prs"):
+    for name in ("_certified_one", "_euclid"):
         monkeypatch.setattr(polys, name, unreachable)
     operands = _poly(nvars, _COEFFS[kind], 4).filter(lambda f: not f.is_const())
 

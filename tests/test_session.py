@@ -364,6 +364,15 @@ def test_two_variable_refutation_reaches_a_verdict(time_limit):
     assert doc.entries[0]["verdict"] == "REFUTED"
 
 
+def test_sparse_map_of_high_degree_is_verified_quickly(time_limit):
+    # GCDHEU sets t to a large integer xi in images of degree 10000 in t,
+    # and builds only the powers of xi that occur, not all 10000
+    with time_limit(2, "the verify"):
+        doc = run_src("field F = Q(t, u);\nhom s : t -> t^10000, u -> u;\nverify multiplicative s;\n")
+    assert doc.exit_code == 0
+    assert doc.entries[0]["verdict"] == "pass"
+
+
 def test_empty_session_empty_report():
     doc = run_src("field F = Q;\n")
     assert doc.exit_code == 0 and doc.entries == []
